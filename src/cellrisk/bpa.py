@@ -29,6 +29,7 @@ __all__ = [
     "event_cells",
     "forward_check",
     "rank_paths",
+    "tree_from_dict",
     "tree_to_dict",
     "tree_to_dot",
     "write_tree",
@@ -138,7 +139,7 @@ class TreeNode:
 @dataclass
 class ScenarioTree:
     root: TreeNode
-    spec: SpaceSpec
+    spec: SpaceSpec | None   # None for a tree read back from its file
     event: TopEvent
     event_cell_ids: frozenset[int]
     depth: int
@@ -358,6 +359,53 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
         "n_nodes": tree.n_nodes,
         "root": node_dict(tree.root),
     }
+
+
+def tree_from_dict(doc: dict) -> ScenarioTree:
+    """Inverse of tree_to_dict.
+
+    The file carries no space spec, so spec is None and event_cell_ids
+    holds only the event cells that appear in the tree. Raises ValueError
+    for a document that is not a scenario tree, KeyError or TypeError for
+    a malformed one.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
+        raise ValueError("not a scenario tree file")
+    if doc.get("version") != TREE_FORMAT_VERSION:
+        raise ValueError(f"unsupported tree version {doc.get('version')}")
+    event = TopEvent(
+        lower=doc["event"]["lower"],
+        upper=doc["event"]["upper"],
+        configs=frozenset(tuple(c) for c in doc["event"]["configs"]),
+    )
+    L = len(event.lower)
+
+    def node(d: dict) -> TreeNode:
+        out = TreeNode(
+            coord=CellCoord(d["coord"][:L], d["coord"][L:]),
+            cell_id=d["cell_id"],
+            q=d["q"],
+            cumulative=d["cumulative"],
+            depth=d["depth"],
+            is_event_cell=d["event_cell"],
+            children=[node(c) for c in d["children"]],
+        )
+        if "entry_edges" in d:
+            out.entry_edges = [(t, q) for t, q in d["entry_edges"]]
+        return out
+
+    root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0,
+                    children=[node(c) for c in doc["root"]["children"]])
+    return ScenarioTree(
+        root=root,
+        spec=None,
+        event=event,
+        event_cell_ids=frozenset(n.cell_id for n in root.walk() if n.is_event_cell),
+        depth=doc["search_depth"],
+        truncation=doc["truncation"],
+        map_simulator=doc["map_simulator"],
+        map_seed=doc["map_seed"],
+    )
 
 
 def write_tree(tree: ScenarioTree, path: str) -> None:

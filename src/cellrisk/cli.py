@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -24,12 +25,21 @@ from . import bpa as bpa_mod
 from . import configuration as config_mod
 from . import mapper as mapper_mod
 from . import oracle as oracle_mod
-from .bpa import TopEvent, backtrack, event_cells, rank_paths, tree_to_dot, write_tree
+from .bpa import (
+    TopEvent,
+    backtrack,
+    event_cells,
+    rank_paths,
+    tree_from_dict,
+    tree_to_dot,
+    write_tree,
+)
 from .cellspace import SpaceSpec, id_to_coord
 from .configuration import ConfigTransitionModel, component_matrix_from_rows
 from .mapper import (
     BudgetError,
     DynamicsModel,
+    MapFormatError,
     TransitionMap,
     build_map,
     load_map,
@@ -94,6 +104,23 @@ def _parse_number(value: object, where: str, problems: list[str]) -> float:
             pass
     problems.append(f"{where}: cannot interpret {value!r} as a number")
     return math.nan
+
+
+_REQUIRED = object()
+_INT = ((int,), "an integer")
+_STR = ((str,), "a string")
+_LIST = ((list,), "a list")
+_MAPPING = ((dict, type(None)), "a mapping")
+
+
+def _check_type(value: object, kind: tuple[tuple[type, ...], str], where: str,
+                problems: list[str]):
+    """value if it is an instance of kind's types (bools are not integers)."""
+    types, name = kind
+    if isinstance(value, types) and not (isinstance(value, bool) and bool not in types):
+        return value
+    problems.append(f"{where} must be {name}, got {value!r}")
+    return None
 
 
 @dataclass
@@ -203,39 +230,49 @@ def load_config(path: str) -> RunConfig:
     problems: list[str] = []
     warnings: list[str] = []
 
-    def need(key: str, default=None):
-        if key not in raw and default is None:
-            problems.append(f"missing required field {key!r}")
-            return None
-        return raw.get(key, default)
+    def field_of(key: str, kind: tuple[tuple[type, ...], str], default=_REQUIRED):
+        """raw[key] (or default) if it has the expected type, else a problem."""
+        if key not in raw:
+            if default is _REQUIRED:
+                problems.append(f"missing required field {key!r}")
+                return None
+            return default
+        return _check_type(raw[key], kind, key, problems)
 
-    L = need("numProcessVariables")
-    M = need("numSystemComponents")
-    names_x = need("processVariablesNames")
-    names_n = need("systemComponentNames")
-    states = need("systemComponentStates")
-    uppers = need("variableUpperBounds")
-    lowers = need("variableLowerBounds")
-    cells = need("numberOfCells")
-    trans = need("sysConfTransProb")
-    ev_upper = need("eventUpperBounds")
-    ev_lower = need("eventLowerBounds")
-    simulator = need("simulator")
+    L = field_of("numProcessVariables", _INT)
+    M = field_of("numSystemComponents", _INT)
+    names_x = field_of("processVariablesNames", _LIST)
+    names_n = field_of("systemComponentNames", _LIST)
+    states = field_of("systemComponentStates", _LIST)
+    uppers = field_of("variableUpperBounds", _LIST)
+    lowers = field_of("variableLowerBounds", _LIST)
+    cells = field_of("numberOfCells", _LIST)
+    trans = field_of("sysConfTransProb", _LIST)
+    ev_upper = field_of("eventUpperBounds", _LIST)
+    ev_lower = field_of("eventLowerBounds", _LIST)
+    ev_configs = field_of("eventConfigs", _LIST, None)
+    simulator = field_of("simulator", _STR)
+    for key, items in (("systemComponentStates", states), ("numberOfCells", cells)):
+        for k, v in enumerate(items or []):
+            _check_type(v, _INT, f"{key} entry {k + 1}", problems)
+    for k, c in enumerate(ev_configs or []):
+        if _check_type(c, _LIST, f"eventConfigs entry {k + 1}", problems) is not None:
+            for v in c:
+                _check_type(v, _INT, f"eventConfigs entry {k + 1}", problems)
 
     dt = _parse_number(raw.get("dt", 1.0), "dt", problems)
-    samples = int(raw.get("samples_per_cell", mapper_mod.DEFAULT_SAMPLES_PER_CELL))
-    depth = int(raw.get("search_depth", 1))
-    truncation = float(raw.get("truncation", 0.0))
-    seed = int(raw.get("seed", 0))
-    node_budget = int(raw.get("node_budget", bpa_mod.DEFAULT_NODE_BUDGET))
-    workers = int(raw.get("workers", 1))
-    sample_budget = int(raw.get("sample_budget", mapper_mod.DEFAULT_SAMPLE_BUDGET))
-    sim_params = raw.get("simulator_params", {}) or {}
+    samples = field_of("samples_per_cell", _INT, mapper_mod.DEFAULT_SAMPLES_PER_CELL)
+    depth = field_of("search_depth", _INT, 1)
+    truncation = _parse_number(raw.get("truncation", 0.0), "truncation", problems)
+    seed = field_of("seed", _INT, 0)
+    node_budget = field_of("node_budget", _INT, bpa_mod.DEFAULT_NODE_BUDGET)
+    workers = field_of("workers", _INT, 1)
+    sample_budget = field_of("sample_budget", _INT, mapper_mod.DEFAULT_SAMPLE_BUDGET)
+    sim_params = field_of("simulator_params", _MAPPING, None) or {}
 
     if problems:
         raise ConfigError(problems)
 
-    L, M = int(L), int(M)
     if len(names_x) != L:
         problems.append(f"processVariablesNames has {len(names_x)} entries, expected {L}")
     if len(names_n) != M:
@@ -295,7 +332,8 @@ def load_config(path: str) -> RunConfig:
 
     # Transition matrices: for one component a bare matrix is accepted.
     matrices_raw = trans
-    if M == 1 and matrices_raw and not isinstance(matrices_raw[0][0], (list, tuple)):
+    head = matrices_raw[0] if matrices_raw else None
+    if M == 1 and isinstance(head, list) and head and not isinstance(head[0], (list, tuple)):
         matrices_raw = [matrices_raw]
     if len(matrices_raw) != M:
         raise ConfigError(
@@ -305,7 +343,7 @@ def load_config(path: str) -> RunConfig:
     for m, rows in enumerate(matrices_raw):
         try:
             comp = component_matrix_from_rows(rows, component_index=m)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError([f"sysConfTransProb component {m}: {exc}"]) from exc
         if comp.size != spec.states[m]:
             raise ConfigError(
@@ -324,8 +362,8 @@ def load_config(path: str) -> RunConfig:
     ev_u = list(ev_upper)
     ev_l = list(ev_lower)
     configs: frozenset[tuple[int, ...]] | None = None
-    if "eventConfigs" in raw:
-        configs = frozenset(tuple(int(v) for v in c) for c in raw["eventConfigs"])
+    if ev_configs is not None:
+        configs = frozenset(tuple(c) for c in ev_configs)
     if len(ev_u) == L + 1 and len(ev_l) == L + 1:
         if configs is None:
             if M != 1:
@@ -378,6 +416,26 @@ def _make_simulator(cfg: RunConfig) -> DynamicsModel:
     return SIMULATORS[cfg.simulator](cfg.simulator_params)
 
 
+def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoReturn:
+    """Name every problem on stderr and exit with a documented code."""
+    for p in problems:
+        click.echo(f"{kind} error: {p}", err=True)
+    sys.exit(code)
+
+
+def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, TransitionMap]:
+    """Config and map of a search command; exit 3 if either is malformed."""
+    try:
+        cfg = load_config(config_path)
+        tmap = load_map(map_path)
+        _check_spec_match(cfg, tmap)
+    except ConfigError as exc:
+        _fail("config", exc.problems)
+    except MapFormatError as exc:
+        _fail("map", [str(exc)])
+    return cfg, tmap
+
+
 def _echo_warnings(cfg: RunConfig) -> None:
     for w in cfg.warnings:
         click.echo(f"warning: {w}", err=True)
@@ -406,9 +464,7 @@ def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
-        for p in exc.problems:
-            click.echo(f"config error: {p}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail("config", exc.problems)
     _echo_warnings(cfg)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
@@ -447,14 +503,15 @@ def run_bpa_cmd(
     config_path, map_path, out_tree, out_graph, out_report, epsilon, depth, budget
 ) -> None:
     """Backtrack from the Top Event and export tree, graph and report."""
-    try:
-        cfg = load_config(config_path)
-        tmap = load_map(map_path)
-        _check_spec_match(cfg, tmap)
-    except ConfigError as exc:
-        for p in exc.problems:
-            click.echo(f"config error: {p}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+    flags = []
+    if epsilon is not None and not 0.0 <= epsilon < 1.0:
+        flags.append(f"--epsilon must be in [0, 1), got {epsilon}")
+    for name, value in (("--depth", depth), ("--budget", budget)):
+        if value is not None and value < 1:
+            flags.append(f"{name} must be >= 1, got {value}")
+    if flags:
+        _fail("option", flags)
+    cfg, tmap = _load_inputs(config_path, map_path)
     _echo_warnings(cfg)
     t0 = time.perf_counter()
     try:
@@ -560,30 +617,30 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
-        for p in exc.problems:
-            click.echo(f"config error: {p}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail("config", exc.problems)
     failures: list[str] = []
 
     issues = config_mod.validate(cfg.config_model)
     failures += [f"config-model: {m}" for m in issues]
 
     try:
-        tmap = load_map(map_path)
-    except Exception as exc:
-        click.echo(f"map load failed: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION_FAILURE)
+        tmap = load_map(map_path, check=False)  # rows are checked below, each named
+    except MapFormatError as exc:
+        _fail("map", [str(exc)], EXIT_VALIDATION_FAILURE)
     if tmap.spec != cfg.spec:
         failures.append("spec-echo: map spec differs from config spec")
 
-    for s in sorted(tmap.forward):
-        total = tmap.row_sum(s)
-        if abs(total - 1.0) > mapper_mod.ROW_SUM_TOL:
-            failures.append(f"stochasticity: source {s} outgoing mass {total!r}")
-    # Transpose integrity.
-    rebuilt = mapper_mod._transpose(tmap.forward)
-    if rebuilt != tmap.backward:
-        failures.append("transpose: backward index is not the forward transpose")
+    sums = tmap.row_sums()
+    for s in np.flatnonzero(np.abs(sums - 1.0) > mapper_mod.ROW_SUM_TOL):
+        failures.append(f"stochasticity: source {s} outgoing mass {float(sums[s])!r}")
+    # Transpose integrity: the predecessor index holds exactly the cell-to-cell
+    # entries of the matrix, transposed.
+    C = tmap.n_cells
+    fresh = tmap.matrix[:C, :C].T.tocsr()
+    index = tmap.predecessor_index.sorted_indices()
+    if not all(np.array_equal(getattr(fresh, a), getattr(index, a))
+               for a in ("indptr", "indices", "data")):
+        failures.append("transpose: predecessor index is not the map's transpose")
 
     failures += _duality_selfcheck()
 
@@ -623,14 +680,11 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")
 def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     """Push a point mass forward and report the event-set probability."""
-    try:
-        cfg = load_config(config_path)
-        tmap = load_map(map_path)
-        _check_spec_match(cfg, tmap)
-    except ConfigError as exc:
-        for p in exc.problems:
-            click.echo(f"config error: {p}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+    if steps is not None and steps < 0:
+        _fail("option", [f"--steps must be >= 0, got {steps}"])
+    cfg, tmap = _load_inputs(config_path, map_path)
+    if not 0 <= cell_id < tmap.n_cells:
+        _fail("option", [f"--cell must be in [0, {tmap.n_cells}), got {cell_id}"])
     k = steps if steps is not None else cfg.search_depth
     dist = np.zeros(tmap.n_cells + 1)
     dist[cell_id] = 1.0
@@ -647,41 +701,22 @@ def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
 @click.option("--out-text", type=click.Path(), default=None)
 def export_cmd(tree_path, out_graph, out_text) -> None:
     """Re-export a stored scenario tree as a graph or readable text."""
-    with open(tree_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != bpa_mod.TREE_FORMAT:
-        click.echo(f"{tree_path} is not a scenario tree file", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-
-    lines_out: list[str] = []
-    dot_lines = [
-        "digraph scenario_tree {",
-        "\trankdir=RL;",
-        '\tnode [shape=box, fontname="Helvetica"];',
-        '\t"root" [label="TopEvent", shape=doubleoctagon];',
+    try:
+        with open(tree_path, encoding="utf-8") as fh:
+            tree = tree_from_dict(json.load(fh))
+    except KeyError as exc:
+        _fail("tree", [f"{tree_path}: missing field {exc}"])
+    except (TypeError, ValueError) as exc:
+        _fail("tree", [f"{tree_path}: {exc}"])
+    lines_out = [
+        "  " * (n.depth - 1)
+        + f"[{' '.join(str(v) for v in n.coord.as_vector())}] q={n.q:g} "
+        f"cumulative={n.cumulative:g} depth={n.depth}"
+        for n in tree.nodes()
     ]
-    counter = [0]
-
-    def emit(node: dict, parent: str, indent: int) -> None:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        vec = " ".join(str(v) for v in node["coord"])
-        lines_out.append(
-            "  " * indent
-            + f"[{vec}] q={node['q']:g} cumulative={node['cumulative']:g} depth={node['depth']}"
-        )
-        dot_lines.append(f'\t"{name}" [label="[{vec}]\\nP={node["q"]:g}"];')
-        dot_lines.append(f'\t"{name}" -> "{parent}";')
-        for child in node["children"]:
-            emit(child, name, indent + 1)
-
-    for child in doc["root"]["children"]:
-        emit(child, "root", 0)
-    dot_lines.append("}")
-
     if out_graph:
         with open(out_graph, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dot_lines) + "\n")
+            fh.write(tree_to_dot(tree))
     if out_text:
         with open(out_text, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines_out) + "\n")

@@ -1,16 +1,13 @@
 """Per-component state-transition probabilities over one time step.
 
-Components transition independently by default, so the joint configuration
-transition probability is a product of per-component matrix entries. A
-cell-dependence hook allows matrix overrides keyed on the continuous
-source/target cells for systems where hardware behaviour depends on the
-operating region.
+Components transition independently, so the joint configuration
+transition probability is a product of per-component matrix entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,16 +70,11 @@ class ComponentMatrix:
         return float(self.entries[state_from - 1, state_to - 1])
 
 
-# Hook signature: (component_index, j_prev, j_next) -> matrix override or None.
-CellOverride = Callable[[int, tuple[int, ...], tuple[int, ...]], np.ndarray | None]
-
-
 @dataclass(frozen=True)
 class ConfigTransitionModel:
     """Joint configuration transition model, one matrix per component."""
 
     matrices: tuple[ComponentMatrix, ...]
-    cell_override: CellOverride | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -97,30 +89,14 @@ class ConfigTransitionModel:
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.size for m in self.matrices)
 
-    def matrix_for(
-        self,
-        m: int,
-        j_prev: tuple[int, ...] | None = None,
-        j_next: tuple[int, ...] | None = None,
-    ) -> np.ndarray:
-        if self.cell_override is not None and j_prev is not None and j_next is not None:
-            override = self.cell_override(m, j_prev, j_next)
-            if override is not None:
-                return np.asarray(override, dtype=float)
+    def matrix_for(self, m: int) -> np.ndarray:
         return self.matrices[m].entries
 
 
-def h(
-    model: ConfigTransitionModel,
-    n_prev: Sequence[int],
-    n_next: Sequence[int],
-    j_prev: tuple[int, ...] | None = None,
-    j_next: tuple[int, ...] | None = None,
-) -> float:
+def h(model: ConfigTransitionModel, n_prev: Sequence[int], n_next: Sequence[int]) -> float:
     """Joint probability of the configuration jump n_prev -> n_next.
 
-    Product of per-component row entries; cell-dependent overrides apply
-    when a hook is registered and both cell arguments are given.
+    Product of per-component row entries, folded in component order.
     """
     if len(n_prev) != model.M or len(n_next) != model.M:
         raise ConfigModelError(
@@ -128,7 +104,7 @@ def h(
         )
     p = 1.0
     for m in range(model.M):
-        mat = model.matrix_for(m, j_prev, j_next)
+        mat = model.matrix_for(m)
         size = mat.shape[0]
         a, b = n_prev[m], n_next[m]
         if not (1 <= a <= size and 1 <= b <= size):

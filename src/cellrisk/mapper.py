@@ -4,8 +4,9 @@ For every source cell the continuous flow is estimated by equal-weight
 quadrature: points are sampled uniformly from the cell box, stepped through
 the simulator under the source configuration, and binned by target cell.
 The joint edge probability is the product of that flow term and the
-configuration jump probability. A backward (transpose) index supports
-predecessor queries during backtracking.
+configuration jump probability. The map is one sparse row-stochastic
+matrix whose last row and column are the absorbing exterior sink; its
+transpose, ordered for backtracking, answers predecessor queries.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
+BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory
 
 MAP_FORMAT = "cellrisk-transition-map"
 MAP_FORMAT_VERSION = 1
@@ -90,22 +92,31 @@ class MapMetadata:
     built_at: float = 0.0  # wall-clock; in-memory only, never serialized
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionMap:
-    """Sparse single-step map with forward and transpose indices.
+    """Sparse single-step map held as one (C+1) x (C+1) CSR matrix.
 
-    forward maps source id -> [(target id or EXTERIOR_ID, q), ...] sorted by
-    target id; backward maps target id -> [(source id, q), ...] sorted by
-    descending q then ascending source id. Only q > 0 edges are stored.
+    Row s holds the q > 0 edges out of source cell s; the last row and
+    column are the exterior sink, whose row is its absorbing self-loop. The
+    predecessor index is derived once from the matrix: its transpose over
+    the C cells, each row ordered by descending q then ascending source id.
     """
 
     spec: SpaceSpec
     dt: float
     samples_per_cell: int
-    forward: dict[int, list[tuple[int, float]]]
-    backward: dict[int, list[tuple[int, float]]]
+    matrix: sp.csr_matrix
     metadata: MapMetadata
-    _matrix_cache: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    predecessor_index: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        C = self.n_cells
+        inner = self.matrix[:C, :C].tocoo()
+        order = np.lexsort((inner.row, -inner.data, inner.col))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(inner.col, minlength=C))))
+        self.predecessor_index = sp.csr_matrix(
+            (inner.data[order], inner.row[order], indptr), shape=(C, C)
+        )
 
     @property
     def n_cells(self) -> int:
@@ -113,36 +124,25 @@ class TransitionMap:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self.forward.values())
+        return self.matrix.nnz - 1  # the exterior's self-loop is implicit
 
     def exterior_mass(self, source: int) -> float:
-        return sum(q for t, q in self.forward.get(source, []) if t == EXTERIOR_ID)
+        return float(self.matrix[source, self.n_cells])
 
     def total_exterior_mass(self) -> float:
-        return sum(
-            q for edges in self.forward.values() for t, q in edges if t == EXTERIOR_ID
-        )
+        # cumsum adds one term at a time in source order, as a plain loop would.
+        return float(np.cumsum(self.matrix[:-1, -1].toarray())[-1])
 
-    def row_sum(self, source: int) -> float:
-        return sum(q for _, q in self.forward.get(source, []))
+    def row_sums(self) -> np.ndarray:
+        """Outgoing mass of every source cell."""
+        return np.asarray(self.matrix[:-1].sum(axis=1)).ravel()
 
-    def as_matrix(self) -> sp.csr_matrix:
-        """(C+1) x (C+1) row-stochastic matrix, exterior as absorbing last row."""
-        if self._matrix_cache is None:
-            C = self.n_cells
-            rows, cols, vals = [], [], []
-            for s, edges in self.forward.items():
-                for t, q in edges:
-                    rows.append(s)
-                    cols.append(C if t == EXTERIOR_ID else t)
-                    vals.append(q)
-            rows.append(C)
-            cols.append(C)
-            vals.append(1.0)
-            self._matrix_cache = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(C + 1, C + 1)
-            )
-        return self._matrix_cache
+    def rows(self) -> dict[int, list[tuple[int, float]]]:
+        """Every source's edges as (target id or EXTERIOR_ID, q), by target id."""
+        out: dict[int, list[tuple[int, float]]] = {s: [] for s in range(self.n_cells)}
+        for s, t, q in _edge_list(self.matrix):
+            out[s].append((t, q))
+        return out
 
     @classmethod
     def from_edges(
@@ -153,43 +153,115 @@ class TransitionMap:
         samples_per_cell: int = 0,
         simulator: str = "analytic",
         seed: int = 0,
-        check: bool = True,
     ) -> TransitionMap:
-        """Build a map directly from explicit edge lists (tests, synthetics)."""
-        forward: dict[int, list[tuple[int, float]]] = {}
-        for s, row in edges.items():
-            kept = [(t, float(q)) for t, q in row if q > 0.0]
-            kept.sort(key=lambda e: e[0])
-            forward[s] = kept
-            if check:
-                total = sum(q for _, q in kept)
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    raise MapFormatError(f"source {s}: row sums to {total!r}")
-        tm = cls(
-            spec=spec,
-            dt=dt,
-            samples_per_cell=samples_per_cell,
-            forward=forward,
-            backward=_transpose(forward),
-            metadata=MapMetadata(seed=seed, simulator=simulator, built_at=time.time()),
+        """Build a map from explicit edge lists, checked as load_map checks a file."""
+        triples = [(s, t, q) for s, row in edges.items() for t, q in row]
+        matrix = _edge_matrix(spec.total_cells, triples)
+        metadata = MapMetadata(seed=seed, simulator=simulator, built_at=time.time())
+        return cls(spec, dt, samples_per_cell, matrix, metadata)
+
+
+def _matrix(C: int, src: np.ndarray, col: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR from edge arrays (column C is the exterior), plus its self-loop."""
+    return sp.csr_matrix(
+        (np.append(q, 1.0), (np.append(src, C), np.append(col, C))), shape=(C + 1, C + 1)
+    )
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _off_row(matrix: sp.csr_matrix) -> str | None:
+    """The first source whose outgoing mass is off one by more than ROW_SUM_TOL."""
+    sums = np.asarray(matrix[:-1].sum(axis=1)).ravel()
+    k = _first(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    return None if k is None else f"source {k}: row sums to {float(sums[k])!r}"
+
+
+def _edge_matrix(C: int, edges, check_rows: bool = True) -> sp.csr_matrix:
+    """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
+
+    Raises MapFormatError for a malformed triple, an id out of range, q
+    outside (0, 1], a duplicate (source, target) pair and, with check_rows,
+    a source whose outgoing mass differs from one by more than ROW_SUM_TOL.
+    """
+    try:
+        arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
+        if arr.ndim != 2 or arr.shape[1] != 3 or np.any(arr[:, :2] != np.floor(arr[:, :2])):
+            raise ValueError("need integer ids")
+    except (TypeError, ValueError) as exc:
+        raise MapFormatError(f"edges must be [source, target, q] triples: {exc}") from exc
+    src, tgt, q = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+    col = np.where(tgt == EXTERIOR_ID, C, tgt)
+    dup = np.ones(len(src), dtype=bool)  # every repeat of a (source, target) pair
+    dup[np.unique(src * (C + 1) + col, return_index=True)[1]] = False
+    for bad, problem in (
+        ((src < 0) | (src >= C), f"source id outside 0..{C - 1}"),
+        ((tgt < EXTERIOR_ID) | (tgt >= C), f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
+        (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
+        (dup, "duplicate (source, target) pair"),
+    ):
+        if (k := _first(bad)) is not None:
+            raise MapFormatError(f"edge [{src[k]}, {tgt[k]}, {float(q[k])!r}]: {problem}")
+    matrix = _matrix(C, src, col, q)
+    if check_rows and (problem := _off_row(matrix)):
+        raise MapFormatError(problem)
+    return matrix
+
+
+def _edge_list(matrix: sp.csr_matrix) -> list[tuple[int, int, float]]:
+    """(source, target, q) triples by source, then target id with the exterior first."""
+    C = matrix.shape[0] - 1
+    cells = matrix[:C].tocoo()
+    tgt = np.where(cells.col == C, EXTERIOR_ID, cells.col)
+    order = np.lexsort((tgt, cells.row))
+    return list(zip(cells.row[order].tolist(), tgt[order].tolist(), cells.data[order].tolist()))
+
+
+def _flow_counts(
+    model: DynamicsModel, spec: SpaceSpec, dt: float, samples: int, seed: int, ids: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample, step and bin consecutive source cells sharing one configuration.
+
+    Each source draws from its own stream, spawned from the build seed by its
+    id. Returns (source id, flat target j, count) arrays sorted by source then
+    target, where target total_continuous_cells stands for the exterior.
+    """
+    coords = [id_to_coord(s, spec) for s in ids]
+    xs = np.concatenate([
+        sample_cell_array(c, spec, samples, np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        for s, c in zip(ids, coords)
+    ])
+    ys = np.empty_like(xs)
+    for i in range(0, len(xs), BLOCK_ROWS):  # every block under one configuration
+        block = xs[i : i + BLOCK_ROWS]
+        out = np.asarray(model.step_many(block, coords[0].n, dt), dtype=float)
+        if out.shape != block.shape:
+            raise BuildError(
+                f"simulator returned shape {out.shape} for cell {coords[i // samples]}, "
+                f"expected {block.shape}"
+            )
+        ys[i : i + BLOCK_ROWS] = out
+    if (k := _first(~np.isfinite(ys).all(axis=1))) is not None:
+        raise BuildError(
+            f"simulator returned non-finite state from cell {coords[k // samples]} "
+            f"(sample {k % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
         )
-        return tm
 
-
-def _transpose(forward: dict[int, list[tuple[int, float]]]) -> dict[int, list[tuple[int, float]]]:
-    backward: dict[int, list[tuple[int, float]]] = {}
-    for s, edges in forward.items():
-        for t, q in edges:
-            if t == EXTERIOR_ID:
-                continue
-            backward.setdefault(t, []).append((s, q))
-    for t in backward:
-        backward[t].sort(key=lambda e: (-e[1], e[0]))
-    return backward
-
-
-def _source_seed(seed: int, source_id: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(source_id,))
+    lower = np.array(spec.lower)
+    inside = np.all((ys >= lower) & (ys <= np.array(spec.upper)), axis=1)
+    idx = np.floor((ys - lower) / np.array(spec.widths)).astype(np.int64)
+    # Flat continuous index, dimension 1 fastest-varying; clipping closes the
+    # top interval above (rows outside the box are binned to the exterior).
+    flat_j = np.ravel_multi_index(idx.T, spec.partitions, mode="clip", order="F")
+    n_j = spec.total_continuous_cells
+    target = np.where(inside, flat_j, n_j)
+    keys, counts = np.unique(
+        np.repeat(np.arange(len(ids)), samples) * (n_j + 1) + target, return_counts=True
+    )
+    return ids.start + keys // (n_j + 1), keys % (n_j + 1), counts
 
 
 def estimate_g(
@@ -210,108 +282,54 @@ def estimate_g(
         raise ValueError("samples must be >= 1")
     source_cell.validate(spec)
     source_id = coord_to_id(source_cell, spec)
-    xs = sample_cell_array(source_cell, spec, samples, _source_seed(seed, source_id))
-    ys = np.asarray(model.step_many(xs, source_cell.n, dt), dtype=float)
-    if ys.shape != xs.shape:
-        raise BuildError(
-            f"simulator returned shape {ys.shape} for cell {source_cell}, expected {xs.shape}"
-        )
-    bad = ~np.isfinite(ys).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise BuildError(
-            f"simulator returned non-finite state from cell {source_cell} "
-            f"(sample {k}: {xs[k].tolist()} -> {ys[k].tolist()})"
-        )
-
-    lower = np.array(spec.lower)
-    upper = np.array(spec.upper)
-    widths = np.array(spec.widths)
-    parts = np.array(spec.partitions)
-
-    inside = np.all((ys >= lower) & (ys <= upper), axis=1)
-    idx = np.floor((ys - lower) / widths).astype(np.int64)
-    np.minimum(idx, parts - 1, out=idx)  # top interval closed above
-
-    # Flatten continuous indices, dimension 1 fastest-varying.
-    strides = np.cumprod(np.concatenate(([1], parts[:-1])))
-    flat_j = idx @ strides
-
-    counts: dict[int, int] = {}
-    exterior_count = 0
-    for k in range(samples):
-        if inside[k]:
-            fj = int(flat_j[k])
-            counts[fj] = counts.get(fj, 0) + 1
-        else:
-            exterior_count += 1
-
-    out: list[tuple[tuple[int, ...] | Exterior, Fraction]] = []
-    for fj in sorted(counts):
-        digits = []
-        rem = fj
-        for radix in spec.partitions:
-            digits.append(rem % radix + 1)
-            rem //= radix
-        out.append((tuple(digits), Fraction(counts[fj], samples)))
-    if exterior_count:
-        out.append((EXTERIOR, Fraction(exterior_count, samples)))
-    return out
+    _, targets, counts = _flow_counts(
+        model, spec, dt, samples, seed, range(source_id, source_id + 1)
+    )
+    n_j = spec.total_continuous_cells  # flat target ids below n_j are j-digits
+    return [
+        (EXTERIOR if t == n_j else id_to_coord(t, spec).j, Fraction(c, samples))
+        for t, c in zip(targets.tolist(), counts.tolist())
+    ]
 
 
-def _build_rows(
+def _jump_row(config_model: ConfigTransitionModel, n_prev: tuple[int, ...]) -> np.ndarray:
+    """Jump probability n_prev -> n for every n, in flat configuration order.
+
+    Entries are multiplied in component order, as h() folds them, bit for bit.
+    """
+    acc = np.ones(())
+    for m in range(config_model.M):
+        acc = np.multiply.outer(config_model.matrix_for(m)[n_prev[m] - 1], acc)
+    return acc.ravel()  # component 1 fastest-varying
+
+
+def _sweep(
     model: DynamicsModel,
     spec: SpaceSpec,
     config_model: ConfigTransitionModel,
-    dt: float,
-    samples: int,
-    seed: int,
-    source_ids: list[int],
-) -> dict[int, list[tuple[int, float]]]:
-    """Quadrature rows for a block of source cells (worker unit)."""
-    cfg_strides = np.cumprod(np.concatenate(([1], np.array(spec.states[:-1], dtype=np.int64))))
-    n_j = spec.total_continuous_cells
-    rows: dict[int, list[tuple[int, float]]] = {}
-    for sid in source_ids:
-        coord = id_to_coord(sid, spec)
-        g_list = estimate_g(coord, model, spec, dt, samples, seed)
-        edges: list[tuple[int, float]] = []
-        for target_j, g in g_list:
-            if target_j is EXTERIOR:
-                # The exterior sink absorbs whole trajectories; the
-                # configuration jump is irrelevant there.
-                edges.append((EXTERIOR_ID, float(g)))
-                continue
-            g_f = float(g)
-            flat_j = 0
-            for d, radix in zip(reversed(target_j), reversed(spec.partitions)):
-                flat_j = flat_j * radix + (d - 1)
-            for n_next, h_val in _config_rows(config_model, coord.n, coord.j, target_j):
-                q = h_val * g_f
-                if q > 0.0:
-                    flat_n = int(np.dot([v - 1 for v in n_next], cfg_strides))
-                    edges.append((flat_j + n_j * flat_n, q))
-        edges.sort(key=lambda e: e[0])
-        rows[sid] = edges
-    return rows
+    dt: float, samples: int, seed: int, start: int, stop: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays (source, column, q) of sources start..stop-1 (worker unit).
 
-
-def _config_rows(
-    config_model: ConfigTransitionModel,
-    n_prev: tuple[int, ...],
-    j_prev: tuple[int, ...],
-    j_next: tuple[int, ...],
-) -> list[tuple[tuple[int, ...], float]]:
-    """All (n_next, h) pairs with h > 0 from one configuration row."""
-    options: list[list[tuple[int, float]]] = []
-    for m in range(config_model.M):
-        mat = config_model.matrix_for(m, j_prev, j_next)
-        row = mat[n_prev[m] - 1]
-        options.append([(k + 1, float(p)) for k, p in enumerate(row) if p > 0.0])
-    combos: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    for opts in options:
-        combos = [(n + (state,), p * pm) for n, p in combos for state, pm in opts]
-    return combos
+    Column total_cells is the exterior sink, which absorbs whole trajectories
+    whatever the configuration jump.
+    """
+    n_j, C = spec.total_continuous_cells, spec.total_cells
+    per_block = max(1, BLOCK_ROWS // samples)
+    parts = []
+    s = start
+    while s < stop:
+        end = min(stop, s + per_block, (s // n_j + 1) * n_j)  # one configuration
+        src, target, counts = _flow_counts(model, spec, dt, samples, seed, range(s, end))
+        g, ext = counts / samples, target == n_j
+        jump = _jump_row(config_model, id_to_coord(s, spec).n)
+        q = np.multiply.outer(g[~ext], jump)
+        col = target[~ext, None] + n_j * np.arange(jump.size)
+        keep = q > 0.0
+        parts.append((np.broadcast_to(src[~ext, None], q.shape)[keep], col[keep], q[keep]))
+        parts.append((src[ext], np.full(int(ext.sum()), C), g[ext]))
+        s = end
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def build_map(
@@ -327,10 +345,10 @@ def build_map(
     """Sweep every source cell and assemble the joint transition map.
 
     Per-source random streams are derived from the build seed and source id,
-    so results are identical for any worker count.
+    and stepping is row-wise, so results are identical for any worker count.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if dt <= 0 or samples < 1:
+        raise ValueError("dt must be positive and samples >= 1")
     issues = validate_config(config_model)
     if issues:
         raise BuildError("configuration model invalid: " + "; ".join(issues))
@@ -338,41 +356,27 @@ def build_map(
         raise BuildError(
             f"configuration sizes {config_model.sizes} do not match spec states {spec.states}"
         )
-    total = spec.total_cells * samples
-    if total > sample_budget:
+    C = spec.total_cells
+    if C * samples > sample_budget:
         raise BudgetError(
-            f"{spec.total_cells} cells x {samples} samples = {total} simulations "
+            f"{C} cells x {samples} samples = {C * samples} simulations "
             f"exceeds budget {sample_budget}"
         )
 
-    all_ids = list(range(spec.total_cells))
+    args = (model, spec, config_model, dt, samples, seed)
     if workers <= 1:
-        forward = _build_rows(model, spec, config_model, dt, samples, seed, all_ids)
+        parts = [_sweep(*args, 0, C)]
     else:
-        chunk = math.ceil(len(all_ids) / workers)
-        blocks = [all_ids[i : i + chunk] for i in range(0, len(all_ids), chunk)]
-        forward = {}
+        chunk = math.ceil(C / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_build_rows, model, spec, config_model, dt, samples, seed, b)
-                for b in blocks
-            ]
-            for fut in futures:
-                forward.update(fut.result())
-
-    for sid, edges in forward.items():
-        total_q = sum(q for _, q in edges)
-        if abs(total_q - 1.0) > ROW_SUM_TOL:
-            raise BuildError(f"source {sid}: outgoing mass {total_q!r} != 1")
-
-    return TransitionMap(
-        spec=spec,
-        dt=dt,
-        samples_per_cell=samples,
-        forward=forward,
-        backward=_transpose(forward),
-        metadata=MapMetadata(seed=seed, simulator=model.name, built_at=time.time()),
-    )
+            futures = [pool.submit(_sweep, *args, lo, min(lo + chunk, C))
+                       for lo in range(0, C, chunk)]
+            parts = [f.result() for f in futures]
+    matrix = _matrix(C, *(np.concatenate(a) for a in zip(*parts)))
+    if problem := _off_row(matrix):
+        raise BuildError(problem)
+    metadata = MapMetadata(seed=seed, simulator=model.name, built_at=time.time())
+    return TransitionMap(spec, dt, samples, matrix, metadata)
 
 
 def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:
@@ -390,8 +394,7 @@ def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:
     total = float(dist.sum())
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"distribution sums to {total!r}, expected 1")
-    out = dist @ tmap.as_matrix()
-    return np.asarray(out).ravel()
+    return np.asarray(dist @ tmap.matrix).ravel()
 
 
 def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
@@ -399,46 +402,34 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
 
     Ties break by ascending source id; an empty list means no inbound flow.
     """
-    if not 0 <= target < tmap.n_cells:
-        raise ValueError(f"target id {target} outside 0..{tmap.n_cells - 1}")
-    return list(tmap.backward.get(target, []))
+    index = tmap.predecessor_index
+    if not 0 <= target < index.shape[0]:
+        raise ValueError(f"target id {target} outside 0..{index.shape[0] - 1}")
+    lo, hi = index.indptr[target], index.indptr[target + 1]
+    return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
+
+
+_SPEC_FIELDS = ("names_x", "names_n", "lower", "upper", "partitions", "states")
 
 
 def _spec_to_dict(spec: SpaceSpec) -> dict:
-    return {
-        "names_x": list(spec.names_x),
-        "names_n": list(spec.names_n),
-        "lower": list(spec.lower),
-        "upper": list(spec.upper),
-        "partitions": list(spec.partitions),
-        "states": list(spec.states),
-    }
+    return {f: list(getattr(spec, f)) for f in _SPEC_FIELDS}
 
 
 def _spec_from_dict(d: dict) -> SpaceSpec:
-    return SpaceSpec(
-        names_x=tuple(d["names_x"]),
-        names_n=tuple(d["names_n"]),
-        lower=tuple(d["lower"]),
-        upper=tuple(d["upper"]),
-        partitions=tuple(d["partitions"]),
-        states=tuple(d["states"]),
-    )
+    return SpaceSpec(**{f: tuple(d[f]) for f in _SPEC_FIELDS})
 
 
 def save_map(tmap: TransitionMap, path: str) -> None:
     """Persist a map as versioned JSON.
 
     Layout: format/version header, spec echo, build parameters, then the
-    edge list as [source id, target id, q] triples with -1 marking the
-    exterior sink. Floats are written with shortest round-trip repr, so a
-    load followed by a save is byte-identical. Wall-clock metadata is
-    deliberately excluded to keep rebuilds with equal seeds byte-identical.
+    edge list as [source id, target id, q] triples by source then target,
+    with -1 (sorting first) marking the exterior sink, whose self-loop is
+    implicit. Floats are written with shortest round-trip repr, so a load
+    followed by a save is byte-identical. Wall-clock metadata is excluded
+    to keep rebuilds with equal seeds byte-identical.
     """
-    edges = []
-    for s in sorted(tmap.forward):
-        for t, q in tmap.forward[s]:
-            edges.append([s, t, q])
     doc = {
         "format": MAP_FORMAT,
         "version": MAP_FORMAT_VERSION,
@@ -447,34 +438,36 @@ def save_map(tmap: TransitionMap, path: str) -> None:
         "samples_per_cell": tmap.samples_per_cell,
         "seed": tmap.metadata.seed,
         "simulator": tmap.metadata.simulator,
-        "edges": edges,
+        "edges": _edge_list(tmap.matrix),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_map(path: str) -> TransitionMap:
-    """Load a map persisted by save_map, re-deriving the backward index."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MAP_FORMAT:
+def load_map(path: str, check: bool = True) -> TransitionMap:
+    """Load a map persisted by save_map, checking it where it enters.
+
+    Raises MapFormatError for a file that is not a map, an id out of range,
+    q outside (0, 1], a duplicate edge and, with check, a row that does not
+    sum to one.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
         raise MapFormatError(f"{path}: not a transition map file")
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise MapFormatError(f"{path}: unsupported version {doc.get('version')}")
-    spec = _spec_from_dict(doc["spec"])
-    forward: dict[int, list[tuple[int, float]]] = {}
-    for s, t, q in doc["edges"]:
-        forward.setdefault(int(s), []).append((int(t), float(q)))
-    for s in forward:
-        forward[s].sort(key=lambda e: e[0])
-    return TransitionMap(
-        spec=spec,
-        dt=float(doc["dt"]),
-        samples_per_cell=int(doc["samples_per_cell"]),
-        forward=forward,
-        backward=_transpose(forward),
-        metadata=MapMetadata(
-            seed=int(doc["seed"]), simulator=doc["simulator"], built_at=0.0
-        ),
-    )
+    try:
+        spec = _spec_from_dict(doc["spec"])
+        matrix = _edge_matrix(spec.total_cells, doc["edges"], check)
+        metadata = MapMetadata(seed=int(doc["seed"]), simulator=doc["simulator"])
+        dt, samples = float(doc["dt"]), int(doc["samples_per_cell"])
+        return TransitionMap(spec, dt, samples, matrix, metadata)
+    except KeyError as exc:
+        raise MapFormatError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MapFormatError(f"{path}: {exc}") from exc

@@ -175,7 +175,7 @@ def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_case
 
     worst_row = 0.0
     worst_fact = 0.0
-    for source, edges in baseline_map.forward.items():
+    for source, edges in baseline_map.rows().items():
         worst_row = max(worst_row, abs(sum(q for _, q in edges) - 1.0))
         # Re-derive the flow row with the build's own seed and check every
         # stored edge is exactly the flow times the configuration entry.
@@ -350,7 +350,7 @@ def test_criterion_8_quadrature_convergence(baseline_case):
 
     def flow_rows(tmap):
         rows = {}
-        for s, edges in tmap.forward.items():
+        for s, edges in tmap.rows().items():
             agg = {}
             for t, q in edges:
                 key = EXTERIOR_ID if t == EXTERIOR_ID else t % n_j

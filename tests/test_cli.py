@@ -276,10 +276,11 @@ def test_export_command(tmp_path):
     map_path = tmp_path / "map.json"
     tree_path = tmp_path / "tree.json"
     runner.invoke(main, ["build-map", "--config", str(cfg_path), "--out", str(map_path)])
+    run_bpa_gv = tmp_path / "run_bpa.gv"
     runner.invoke(
         main,
         ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
-         "--out-tree", str(tree_path)],
+         "--out-tree", str(tree_path), "--out-graph", str(run_bpa_gv)],
     )
     gv = tmp_path / "exported.gv"
     txt = tmp_path / "exported.txt"
@@ -290,6 +291,9 @@ def test_export_command(tmp_path):
     assert res.exit_code == EXIT_OK
     assert gv.read_text().startswith("digraph")
     assert "cumulative=" in txt.read_text()
+    # One renderer: the re-export is the graph run-bpa wrote, event cells dashed.
+    assert "style=dashed" in gv.read_text()
+    assert gv.read_bytes() == run_bpa_gv.read_bytes()
 
 
 def test_shipped_case_study_configs_load():
@@ -301,3 +305,98 @@ def test_shipped_case_study_configs_load():
     modified = load_config("configs/agv_modified.yaml")
     assert modified.search_depth == 3
     assert modified.simulator == "agv-modified"
+
+
+def _built(tmp_path):
+    cfg_path = write_config(tmp_path)
+    map_path = tmp_path / "map.json"
+    res = CliRunner().invoke(
+        main, ["build-map", "--config", str(cfg_path), "--out", str(map_path)]
+    )
+    assert res.exit_code == EXIT_OK, res.output
+    return cfg_path, map_path
+
+
+def _assert_named_exit_3(res, *words):
+    assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    for word in words:
+        assert word in res.output
+
+
+@pytest.mark.parametrize("command", ["run-bpa", "forward-check"])
+def test_malformed_map_exit_code(tmp_path, command):
+    cfg_path, map_path = _built(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    assert CliRunner().invoke(
+        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
+               "--out-tree", str(tree_path)],
+    ).exit_code == EXIT_OK
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    # A tree file handed over as a map.
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(tree_path)] + extra
+    )
+    _assert_named_exit_3(res, "map error", "not a transition map file")
+    # An out-of-range source id.
+    doc = json.loads(map_path.read_text())
+    doc["edges"].append([99999, 0, 0.5])
+    map_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
+    )
+    _assert_named_exit_3(res, "map error", "source id outside")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--epsilon", "1.5"], "--epsilon"),
+        (["--epsilon", "-0.1"], "--epsilon"),
+        (["--depth", "0"], "--depth"),
+        (["--budget", "0"], "--budget"),
+    ],
+)
+def test_run_bpa_out_of_range_flag_exit_code(tmp_path, args, flag):
+    cfg_path, map_path = _built(tmp_path)
+    res = CliRunner().invoke(
+        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)] + args
+    )
+    _assert_named_exit_3(res, flag)
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--cell", "-1"], "--cell"),
+        (["--cell", "99999"], "--cell"),
+        (["--cell", "3", "--steps", "-1"], "--steps"),
+    ],
+)
+def test_forward_check_out_of_range_flag_exit_code(tmp_path, args, flag):
+    cfg_path, map_path = _built(tmp_path)
+    res = CliRunner().invoke(
+        main, ["forward-check", "--config", str(cfg_path), "--map", str(map_path)] + args
+    )
+    _assert_named_exit_3(res, flag)
+    assert "P(event" not in res.output
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"samples_per_cell": "lots"}, "samples_per_cell"),
+        ({"processVariablesNames": 7}, "processVariablesNames"),
+        ({"sysConfTransProb": [1, 2]}, "sysConfTransProb"),
+    ],
+)
+def test_config_field_types_are_problems(tmp_path, override, field):
+    path = write_config(tmp_path, override)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert any(field in p for p in err.value.problems)
+    res = CliRunner().invoke(
+        main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
+    )
+    _assert_named_exit_3(res, "config error", field)

@@ -72,26 +72,6 @@ def test_h_rows_are_stochastic():
             assert abs(total - 1.0) <= 1e-9
 
 
-def test_h_ignores_cells_without_hook():
-    model = brake_model()
-    assert h(model, (1,), (2,), j_prev=(1,), j_next=(5,)) == h(model, (1,), (2,))
-
-
-def test_cell_override_hook():
-    identity = np.eye(3)
-
-    def override(m, j_prev, j_next):
-        if j_prev == (1,):
-            return identity
-        return None
-
-    model = ConfigTransitionModel(
-        matrices=(component_matrix_from_rows(BRAKE_ROWS),), cell_override=override
-    )
-    assert h(model, (1,), (2,), j_prev=(1,), j_next=(2,)) == 0.0
-    assert h(model, (1,), (2,), j_prev=(3,), j_next=(2,)) == 2e-7
-
-
 def test_rate_conversion_hour_identity():
     rates = [[0.0, 2e-7], [0.0, 0.0]]
     step = rate_matrix_to_step_matrix(rates, dt=3600.0)

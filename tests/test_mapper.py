@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from cellrisk.mapper import (
     BudgetError,
     BuildError,
     DynamicsModel,
+    MapFormatError,
     TransitionMap,
     build_map,
     estimate_g,
@@ -94,7 +97,7 @@ def test_build_map_identity_is_identity():
     spec = line_spec(4)
     tmap = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=50, seed=5)
     for s in range(4):
-        assert tmap.forward[s] == [(s, 1.0)]
+        assert tmap.rows()[s] == [(s, 1.0)]
 
 
 def test_build_map_composes_h_and_g_exactly():
@@ -103,7 +106,7 @@ def test_build_map_composes_h_and_g_exactly():
     spec = line_spec(5, states=3)
     tmap = build_map(ShiftModel(1.0), spec, brake_config(), dt=1.0, samples=100, seed=6)
     src = 0  # cell (1,), Normal
-    row = dict(tmap.forward[src])
+    row = dict(tmap.rows()[src])
     n_j = spec.total_continuous_cells
     assert row[1] == 1.0 - 4e-7            # (2,), Normal
     assert row[1 + n_j] == 2e-7            # (2,), Minor fault
@@ -117,7 +120,7 @@ def test_build_map_factorization_splits():
     tmap = build_map(ShiftModel(0.5), spec, brake_config(), dt=1.0, samples=200, seed=7)
     g_row = dict(estimate_g(id_to_coord(0, spec), ShiftModel(0.5), spec, 1.0, 200, seed=7))
     n_j = spec.total_continuous_cells
-    row = dict(tmap.forward[0])
+    row = dict(tmap.rows()[0])
     for target_j, g in g_row.items():
         jid = target_j[0] - 1
         assert row[jid + n_j] / 2e-7 == pytest.approx(float(g), abs=1e-12)
@@ -125,8 +128,8 @@ def test_build_map_factorization_splits():
 
 
 def test_build_map_rows_stochastic_and_positive(baseline_map):
-    assert len(baseline_map.forward) == 2250
-    for s, edges in baseline_map.forward.items():
+    assert len(baseline_map.rows()) == 2250
+    for s, edges in baseline_map.rows().items():
         total = sum(q for _, q in edges)
         assert abs(total - 1.0) <= 1e-9
         assert all(q > 0.0 for _, q in edges)
@@ -138,7 +141,7 @@ def test_h_g_factorization_invariant(baseline_map, baseline_case):
     H = baseline_case.config_model.matrices[0].entries
     n_j = baseline_map.spec.total_continuous_cells
     checked = 0
-    for s, edges in baseline_map.forward.items():
+    for s, edges in baseline_map.rows().items():
         n_prev = id_to_coord(s, baseline_map.spec).n[0]
         ratios: dict[int, set[float]] = {}
         for t, q in edges:
@@ -173,7 +176,7 @@ def test_forward_step_chapman_kolmogorov():
         w /= w.sum()
         edges[s] = [(t, float(w[t])) for t in range(10)]
     tmap = TransitionMap.from_edges(spec, edges)
-    Q = tmap.as_matrix().toarray()
+    Q = tmap.matrix.toarray()
     dist = np.zeros(11)
     dist[4] = 1.0
     two_steps = forward_step(tmap, forward_step(tmap, dist))
@@ -224,7 +227,7 @@ def test_predecessors_transpose_exhaustive():
         # Every backward edge appears forward with identical q, and no
         # forward edge into t is missing.
         assert sorted(preds) == sorted(
-            (s, q) for s, row in tmap.forward.items() for tt, q in row if tt == t
+            (s, q) for s, row in tmap.rows().items() for tt, q in row if tt == t
         )
         qs = [q for _, q in preds]
         assert qs == sorted(qs, reverse=True)
@@ -244,7 +247,7 @@ def test_build_reproducible_bit_identical(tmp_path):
     )
     a = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
     b = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
-    assert a.forward == b.forward
+    assert a.rows() == b.rows()
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_map(a, str(pa))
     save_map(b, str(pb))
@@ -258,7 +261,7 @@ def test_build_worker_count_invariant():
     )
     serial = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=1)
     parallel = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=2)
-    assert serial.forward == parallel.forward
+    assert serial.rows() == parallel.rows()
 
 
 def test_persistence_round_trip(tmp_path, baseline_map):
@@ -268,8 +271,10 @@ def test_persistence_round_trip(tmp_path, baseline_map):
     assert loaded.spec == baseline_map.spec
     assert loaded.dt == baseline_map.dt
     assert loaded.samples_per_cell == baseline_map.samples_per_cell
-    assert loaded.forward == baseline_map.forward
-    assert loaded.backward == baseline_map.backward
+    assert loaded.rows() == baseline_map.rows()
+    assert [predecessors(loaded, t) for t in range(loaded.n_cells)] == [
+        predecessors(baseline_map, t) for t in range(baseline_map.n_cells)
+    ]
     assert loaded.metadata.seed == baseline_map.metadata.seed
     assert loaded.metadata.simulator == baseline_map.metadata.simulator
     # Re-saving the loaded map is byte-identical: the format round-trips.
@@ -307,4 +312,60 @@ def test_exterior_mass_accounting():
     assert tmap.exterior_mass(3) == 1.0
     assert tmap.exterior_mass(0) == 0.0
     # Exterior never appears in the backward index.
-    assert EXTERIOR_ID not in tmap.backward
+    assert tmap.predecessor_index.shape == (tmap.n_cells, tmap.n_cells)
+
+
+def _write_map(tmp_path, edges, name="map.json"):
+    """A saved 4-cell identity map with its edge list replaced."""
+    spec = line_spec(4)
+    path = tmp_path / name
+    save_map(TransitionMap.from_edges(spec, {s: [(s, 1.0)] for s in range(4)}), str(path))
+    doc = json.loads(path.read_text())
+    doc["edges"] = edges
+    path.write_text(json.dumps(doc))
+    return path
+
+
+MALFORMED_EDGES = {
+    "id-out-of-range": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], [7, 3, 1.0]],
+                        "source id outside"),
+    "q-outside-unit-interval": ([[0, 0, 1.5], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
+                                "q outside (0, 1]"),
+    "row-sum-off": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 0.49], [3, 2, 0.49]],
+                    "source 3: row sums to"),
+    "duplicate-edge": ([[0, 0, 0.5], [0, 0, 0.5], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
+                       "duplicate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDGES))
+def test_load_map_rejects_malformed_edges(tmp_path, case):
+    edges, message = MALFORMED_EDGES[case]
+    with pytest.raises(MapFormatError, match=re.escape(message)):
+        load_map(str(_write_map(tmp_path, edges)))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDGES))
+def test_from_edges_rejects_malformed_edges(case):
+    edges, message = MALFORMED_EDGES[case]
+    rows: dict[int, list[tuple[int, float]]] = {}
+    for s, t, q in edges:
+        rows.setdefault(s, []).append((t, q))
+    with pytest.raises(MapFormatError, match=re.escape(message)):
+        TransitionMap.from_edges(line_spec(4), rows)
+
+
+def test_load_map_rejects_non_map_json(tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"format": "cellrisk-scenario-tree", "version": 1}))
+    with pytest.raises(MapFormatError, match="not a transition map file"):
+        load_map(str(path))
+    path.write_text("{not json")
+    with pytest.raises(MapFormatError, match="not a JSON file"):
+        load_map(str(path))
+
+
+def test_load_map_unchecked_keeps_off_rows_for_validation(tmp_path):
+    edges, _ = MALFORMED_EDGES["row-sum-off"]
+    tmap = load_map(str(_write_map(tmp_path, edges)), check=False)
+    assert tmap.row_sums()[3] == pytest.approx(0.98)

@@ -1,0 +1,124 @@
+"""Property tests of the transition map on random small systems."""
+
+from __future__ import annotations
+
+import itertools
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from _synthetic import ShiftModel, random_absorbing_map
+from cellrisk.bpa import backtrack, tree_from_dict, tree_to_dict, tree_to_dot
+from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
+from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
+from cellrisk.mapper import build_map, estimate_g, load_map, predecessors, save_map
+
+PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def systems(draw):
+    """(spec, config model, shift model, samples, seed) with M in {1, 2, 3}."""
+    partitions = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    states = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    spec = SpaceSpec(
+        names_x=tuple(f"x{l}" for l in range(len(partitions))),
+        names_n=tuple(f"c{m}" for m in range(len(states))),
+        lower=(0.0,) * len(partitions),
+        upper=tuple(float(p) for p in partitions),
+        partitions=partitions,
+        states=states,
+    )
+    matrices = []
+    for m, size in enumerate(states):
+        rows = []
+        for i in range(size):
+            # Zeros and tiny entries exercise the q > 0 filter and the fold.
+            w = np.array(draw(st.lists(st.sampled_from([0.0, 1e-7, 0.1, 0.3, 0.7]),
+                                       min_size=size, max_size=size)))
+            w[i] += 1.0
+            rows.append(w / w.sum())
+        matrices.append(ComponentMatrix(m, np.array(rows)))
+    velocity = draw(st.lists(st.floats(-1.5, 1.5), min_size=len(partitions),
+                             max_size=len(partitions)))
+    samples = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return spec, ConfigTransitionModel(tuple(matrices)), ShiftModel(velocity), samples, seed
+
+
+@PROPERTY
+@given(systems())
+def test_build_rows_are_h_times_g_bit_for_bit(system):
+    spec, cfg, model, samples, seed = system
+    rows = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed).rows()
+    all_configs = list(itertools.product(*(range(1, k + 1) for k in spec.states)))
+    for s in range(spec.total_cells):
+        coord = id_to_coord(s, spec)
+        expected = {}
+        for target, g in estimate_g(coord, model, spec, 1.0, samples, seed):
+            if target is EXTERIOR:
+                expected[EXTERIOR_ID] = float(g)
+                continue
+            for n_next in all_configs:
+                q = h(cfg, coord.n, n_next) * float(g)
+                if q > 0.0:
+                    expected[coord_to_id(CellCoord(target, n_next), spec)] = q
+        assert dict(rows[s]) == expected
+        assert [t for t, _ in rows[s]] == sorted(expected)
+
+
+@PROPERTY
+@given(systems())
+def test_build_rows_are_stochastic(system):
+    spec, cfg, model, samples, seed = system
+    tmap = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed)
+    assert np.all(np.abs(tmap.row_sums() - 1.0) <= 1e-9)
+    assert np.all(tmap.matrix.data > 0.0)
+    assert tmap.exterior_mass(0) == dict(tmap.rows()[0]).get(EXTERIOR_ID, 0.0)
+
+
+@PROPERTY
+@given(systems())
+def test_save_load_save_is_byte_identical(system):
+    spec, cfg, model, samples, seed = system
+    tmap = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_map(tmap, str(first))
+        loaded = load_map(str(first))
+        save_map(loaded, str(second))
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.rows() == tmap.rows()
+
+
+@PROPERTY
+@given(systems())
+def test_predecessors_are_the_ordered_transpose(system):
+    spec, cfg, model, samples, seed = system
+    tmap = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed)
+    rows = tmap.rows()
+    for t in range(tmap.n_cells):
+        inbound = [(s, q) for s, row in rows.items() for tt, q in row if tt == t]
+        assert predecessors(tmap, t) == sorted(inbound, key=lambda e: (-e[1], e[0]))
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_build_is_worker_count_invariant(system):
+    spec, cfg, model, samples, seed = system
+    serial = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed, workers=1)
+    parallel = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed, workers=2)
+    assert serial.rows() == parallel.rows()
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4))
+def test_tree_dict_round_trip(n_cells, n_event, seed, depth):
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=0.0)
+    loaded = tree_from_dict(tree_to_dict(tree))
+    assert tree_to_dict(loaded) == tree_to_dict(tree)
+    assert tree_to_dot(loaded) == tree_to_dot(tree)
