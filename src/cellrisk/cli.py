@@ -189,9 +189,6 @@ class LinearDriftModel(DynamicsModel):
     def __init__(self, velocity):
         self.velocity = np.asarray(velocity, dtype=float)
 
-    def step(self, x, n, dt):
-        return np.asarray(x, dtype=float) + self.velocity * dt
-
     def step_many(self, xs, n, dt):
         return np.asarray(xs, dtype=float) + self.velocity * dt
 
@@ -200,9 +197,6 @@ class IdentityModel(DynamicsModel):
     """Fixed-point dynamics; every state maps to itself."""
 
     name = "identity"
-
-    def step(self, x, n, dt):
-        return np.asarray(x, dtype=float)
 
     def step_many(self, xs, n, dt):
         return np.array(xs, dtype=float)
@@ -310,6 +304,8 @@ def load_config(path: str) -> RunConfig:
         problems.append(f"dt must be positive, got {dt}")
     if samples < 1:
         problems.append("samples_per_cell must be >= 1")
+    if seed < 0:
+        problems.append(f"seed must be >= 0, got {seed}")
     if depth < 1:
         problems.append("search_depth must be >= 1")
     if not 0.0 <= truncation < 1.0:
@@ -371,7 +367,10 @@ def load_config(path: str) -> RunConfig:
                     ["trailing event-bound configuration shorthand needs M == 1; "
                      "use eventConfigs instead"]
                 )
-            lo_idx, hi_idx = int(ev_l[-1]), int(ev_u[-1])
+            lo_idx = _check_type(ev_l[-1], _INT, "eventLowerBounds configuration entry", problems)
+            hi_idx = _check_type(ev_u[-1], _INT, "eventUpperBounds configuration entry", problems)
+            if problems:
+                raise ConfigError(problems)
             configs = frozenset((i,) for i in range(lo_idx, hi_idx + 1))
         ev_u, ev_l = ev_u[:-1], ev_l[:-1]
     if len(ev_u) != L or len(ev_l) != L:
@@ -414,6 +413,12 @@ def load_config(path: str) -> RunConfig:
 
 def _make_simulator(cfg: RunConfig) -> DynamicsModel:
     return SIMULATORS[cfg.simulator](cfg.simulator_params)
+
+
+def _below(*minimums: tuple[str, int | None, int]) -> list[str]:
+    """A problem for every (flag, value, minimum) given with a value below its minimum."""
+    return [f"{flag} must be >= {low}, got {value}"
+            for flag, value, low in minimums if value is not None and value < low]
 
 
 def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoReturn:
@@ -461,6 +466,8 @@ def main() -> None:
 @click.option("--workers", type=int, default=None, help="Override worker count.")
 def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
     """Build the transition map for a configuration and persist it."""
+    if flags := _below(("--seed", seed, 0), ("--samples", samples, 1)):
+        _fail("option", flags)
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -503,12 +510,9 @@ def run_bpa_cmd(
     config_path, map_path, out_tree, out_graph, out_report, epsilon, depth, budget
 ) -> None:
     """Backtrack from the Top Event and export tree, graph and report."""
-    flags = []
+    flags = _below(("--depth", depth, 1), ("--budget", budget, 1))
     if epsilon is not None and not 0.0 <= epsilon < 1.0:
-        flags.append(f"--epsilon must be in [0, 1), got {epsilon}")
-    for name, value in (("--depth", depth), ("--budget", budget)):
-        if value is not None and value < 1:
-            flags.append(f"{name} must be >= 1, got {value}")
+        flags.insert(0, f"--epsilon must be in [0, 1), got {epsilon}")
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
@@ -614,6 +618,8 @@ def _duality_selfcheck() -> list[str]:
 @click.option("--oracle-trials", type=int, default=2000, show_default=True)
 def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
+    if flags := _below(("--oracle-trials", oracle_trials, 1)):
+        _fail("option", flags)
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -680,8 +686,8 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")
 def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     """Push a point mass forward and report the event-set probability."""
-    if steps is not None and steps < 0:
-        _fail("option", [f"--steps must be >= 0, got {steps}"])
+    if flags := _below(("--steps", steps, 0)):
+        _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
     if not 0 <= cell_id < tmap.n_cells:
         _fail("option", [f"--cell must be in [0, {tmap.n_cells}), got {cell_id}"])

@@ -71,18 +71,21 @@ class MapFormatError(ValueError):
 class DynamicsModel:
     """One-step deterministic dynamics under a fixed configuration.
 
-    step() must be a pure function of its arguments; any stochastic
-    disturbance belongs in the sampled initial points, not in here.
-    Subclasses may override step_many with a vectorized implementation.
+    A simulator implements step_many, which advances an (N, L) batch of
+    states. It must be a pure function of its arguments and treat rows
+    independently, bit for bit: the map build and the oracle step rows in
+    batches of whatever size suits them. Any stochastic disturbance belongs
+    in the sampled initial points, not in here.
     """
 
     name = "unnamed"
 
-    def step(self, x: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
+    def step_many(self, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
         raise NotImplementedError
 
-    def step_many(self, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
-        return np.stack([self.step(x, n, dt) for x in xs])
+    def step(self, x: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
+        """One state stepped as a one-row batch."""
+        return self.step_many(np.asarray(x, dtype=float)[None, :], n, dt)[0]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Independent forward Monte Carlo validation of map and search outputs.
 
 Simulates the full hybrid system (continuous dynamics plus stochastic
-configuration jumps) with no discretization. Sampling and binning are
-implemented here from scratch, on purpose: agreement with the cell-based
-engine is only evidence if the two share nothing but the simulator.
+configuration jumps) with no discretization. Sampling, random streams and
+binning are implemented here from scratch, on purpose: agreement with the
+cell-based engine is only evidence if the two share nothing but the
+simulator's step_many.
 """
 
 from __future__ import annotations
@@ -78,46 +79,39 @@ def _cell_box(coord: CellCoord, spec: SpaceSpec) -> tuple[list[float], list[floa
     return lo, hi
 
 
-def _draw_initial(
-    initial: InitialDistribution, spec: SpaceSpec | None, rng: random.Random
-) -> tuple[list[float], tuple[int, ...]]:
+def _initial_box(
+    initial: InitialDistribution, spec: SpaceSpec | None
+) -> tuple[list[float], list[float], tuple[int, ...]]:
+    """(lower, upper, configuration) of the initial law; a point is a zero-width box."""
     if isinstance(initial, PointInitial):
-        return list(initial.x), initial.n
+        return list(initial.x), list(initial.x), initial.n
     if isinstance(initial, BoxUniform):
-        x = [
-            lo + rng.random() * (hi - lo)
-            for lo, hi in zip(initial.lower, initial.upper)
-        ]
-        return x, initial.n
+        return list(initial.lower), list(initial.upper), initial.n
     if spec is None:
         raise ValueError("cell-uniform initial distribution needs a spec")
-    lo, hi = _cell_box(initial.coord, spec)
-    x = [a + rng.random() * (b - a) for a, b in zip(lo, hi)]
-    return x, initial.coord.n
+    return (*_cell_box(initial.coord, spec), initial.coord.n)
 
 
-def _jump_config(
-    config_model: ConfigTransitionModel, n: tuple[int, ...], rng: random.Random
-) -> tuple[int, ...]:
-    out = []
-    for m, state in enumerate(n):
-        row = config_model.matrices[m].entries[state - 1]
-        u = rng.random()
-        acc = 0.0
-        chosen = len(row)  # falls into the last state on rounding dust
-        for k, p in enumerate(row):
-            acc += float(p)
-            if u < acc:
-                chosen = k + 1
-                break
-        out.append(chosen)
-    return tuple(out)
+def _uniform_box(lo: Sequence[float], hi: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Rows of uniforms u mapped into the box, dimension by dimension."""
+    lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    return lo_a + u * (hi_a - lo_a)
 
 
-def _in_event(x: Sequence[float], n: tuple[int, ...], event: TopEvent) -> bool:
-    if tuple(n) not in event.configs:
-        return False
-    return all(lo < v < hi for v, lo, hi in zip(x, event.lower, event.upper))
+def _jump_configs(
+    config_model: ConfigTransitionModel, ns: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Next configuration of every row by inverse CDF, one uniform per component.
+
+    Each component takes the first state whose running row sum exceeds its
+    uniform, or its last state on rounding dust.
+    """
+    out = np.empty_like(ns)
+    for m in range(config_model.M):
+        cdf = np.cumsum(config_model.matrices[m].entries, axis=1)[ns[:, m] - 1]
+        below = u[:, m, None] < cdf
+        out[:, m] = np.where(below.any(axis=1), below.argmax(axis=1) + 1, cdf.shape[1])
+    return out
 
 
 def simulate_event_probability(
@@ -135,17 +129,37 @@ def simulate_event_probability(
     per-step matrices, flagging success the first time the state sits in the
     event box with an admissible configuration. Returns the hit fraction and
     its binomial standard error; deterministic for a given seed.
+
+    Every trial draws from its own stream, seeded by the seed and the trial
+    index: first one uniform per initial dimension (none for a point), then
+    one per component at each step. All trials are stepped together, one
+    step_many call per configuration among the trials that have not hit yet.
     """
-    hits = 0
-    for trial in range(mc.trials):
+    lo, hi, n0 = _initial_box(mc.initial, spec)
+    k0 = 0 if isinstance(mc.initial, PointInitial) else len(lo)
+    M = config_model.M
+    draws = np.empty((mc.trials, k0 + M * mc.horizon))
+    for trial, row in enumerate(draws):
         rng = random.Random(f"{mc.seed}:{trial}")
-        x, n = _draw_initial(mc.initial, spec, rng)
-        for _ in range(mc.horizon):
-            x = [float(v) for v in model.step(np.array(x, dtype=float), n, dt)]
-            n = _jump_config(config_model, n, rng)
-            if _in_event(x, n, event):
-                hits += 1
-                break
+        # A hit trial leaves the rest of its row unused, as if it stopped drawing.
+        row[:] = [rng.random() for _ in range(row.size)]
+    if k0:
+        x = _uniform_box(lo, hi, draws[:, :k0])
+    else:
+        x = np.tile(np.array(lo, dtype=float), (mc.trials, 1))
+    ns = np.tile(np.array(n0, dtype=np.int64), (mc.trials, 1))
+    ev_lo, ev_hi = np.array(event.lower), np.array(event.upper)
+    hits = 0
+    for step in range(mc.horizon):
+        configs, group = np.unique(ns, axis=0, return_inverse=True)
+        for g, n in enumerate(configs.tolist()):
+            rows = group == g
+            x[rows] = model.step_many(x[rows], tuple(n), dt)
+        ns = _jump_configs(config_model, ns, draws[:, k0 + M * step : k0 + M * (step + 1)])
+        admissible = np.array([tuple(n) in event.configs for n in ns.tolist()], dtype=bool)
+        hit = admissible & np.all((x > ev_lo) & (x < ev_hi), axis=1)
+        hits += int(hit.sum())
+        x, ns, draws = x[~hit], ns[~hit], draws[~hit]
     p = hits / mc.trials
     se = math.sqrt(p * (1.0 - p) / mc.trials)
     return p, se
@@ -170,25 +184,18 @@ def empirical_transition(
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     lo, hi = _cell_box(source_cell, spec)
-    counts: dict[tuple[int, ...] | Exterior, int] = {}
-    for _ in range(trials):
-        x0 = [a + rng.random() * (b - a) for a, b in zip(lo, hi)]
-        y = model.step(np.array(x0, dtype=float), source_cell.n, dt)
-        target: tuple[int, ...] | Exterior
-        js = []
-        for l in range(spec.L):
-            v = float(y[l])
-            if v < spec.lower[l] or v > spec.upper[l]:
-                js = []
-                break
-            w = (spec.upper[l] - spec.lower[l]) / spec.partitions[l]
-            k = int(math.floor((v - spec.lower[l]) / w))
-            if k >= spec.partitions[l]:
-                k = spec.partitions[l] - 1
-            js.append(k + 1)
-        target = tuple(js) if js else EXTERIOR
-        counts[target] = counts.get(target, 0) + 1
-    ordered = sorted(
-        counts.items(), key=lambda kv: (kv[0] is EXTERIOR, kv[0] if kv[0] is not EXTERIOR else ())
-    )
-    return [(target, Fraction(c, trials)) for target, c in ordered]
+    u = np.array([rng.random() for _ in range(trials * spec.L)]).reshape(trials, spec.L)
+    ys = np.asarray(model.step_many(_uniform_box(lo, hi, u), source_cell.n, dt), dtype=float)
+    lower, upper = np.array(spec.lower), np.array(spec.upper)
+    parts = np.array(spec.partitions)
+    inside = np.all((ys >= lower) & (ys <= upper), axis=1)
+    w = (upper - lower) / parts
+    # Closed top interval: a point on an upper bound falls in the last cell.
+    js = np.minimum(np.floor((ys[inside] - lower) / w).astype(np.int64), parts - 1) + 1
+    targets, counts = np.unique(js, axis=0, return_counts=True)
+    row: list[tuple[tuple[int, ...] | Exterior, Fraction]] = [
+        (tuple(t), Fraction(c, trials)) for t, c in zip(targets.tolist(), counts.tolist())
+    ]
+    if n_out := trials - int(inside.sum()):
+        row.append((EXTERIOR, Fraction(n_out, trials)))
+    return row

@@ -33,6 +33,7 @@ __all__ = [
     "ScenarioParams",
     "VehicleState",
     "commanded_accel",
+    "control",
     "make_case_study",
     "mode_of",
 ]
@@ -118,55 +119,52 @@ class ScenarioParams:
     def strong_accel(self) -> float:
         return self.strong_brake_g * self.gravity
 
-    def thresholds(self, v_fwd: float) -> tuple[float, float]:
-        """(light, strong) clearance thresholds at the given speed."""
-        if self.fixed_light_clearance is not None:
-            light = self.fixed_light_clearance
-            strong = (
-                self.fixed_strong_clearance
-                if self.fixed_strong_clearance is not None
-                else light / 2.0
-            )
-        else:
-            light = self.t_gap_des * v_fwd
-            strong = light / 2.0
-        return light, strong
+
+# Index order of control()'s modes and commands: 0 lane tracking,
+# 1 vehicle following, 2 light brake, 3 strong brake.
+_MODES = tuple(ControllerMode)
+
+
+def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
+    """Controller mode index into _MODES, and the commands of all modes in that order.
+
+    Elementwise in forward velocity v and x-position x; no hidden memory.
+    The mode follows from the clearance to the target in priority order:
+    beyond sensor range, then inside the strong threshold, then inside the
+    light one, else following. Cruise tracks the speed limit and following a
+    comfort-braking profile that stops standstill_clearance short, both
+    clipped to the comfort acceleration.
+    """
+    p = params
+    c = p.target_x - x
+    if p.fixed_light_clearance is None:
+        light = p.t_gap_des * v
+        strong = light / 2.0
+    else:
+        light = p.fixed_light_clearance
+        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
+    mode = np.where(c > p.sensor_range, 0, np.where(c < strong, 3, np.where(c < light, 2, 1)))
+    comf = p.comfort_accel
+    margin = np.maximum(0.0, c - p.standstill_clearance)
+    v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
+    commands = np.empty((len(_MODES),) + np.shape(c))
+    commands[0] = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
+    commands[1] = np.clip(p.k_gap * (v_des - v), -comf, comf)
+    commands[2] = p.light_accel
+    commands[3] = p.strong_accel
+    return mode, commands
 
 
 def mode_of(state: VehicleState, params: ScenarioParams) -> ControllerMode:
     """Controller mode from clearance alone; no hidden memory."""
-    c = params.target_x - state.x_pos
-    if c > params.sensor_range:
-        return ControllerMode.LANE_TRACKING
-    light, strong = params.thresholds(state.v_fwd)
-    if c < strong:
-        return ControllerMode.STRONG_BRAKE
-    if c < light:
-        return ControllerMode.LIGHT_BRAKE
-    return ControllerMode.VEHICLE_FOLLOWING
-
-
-def _approach_speed(c: float, params: ScenarioParams) -> float:
-    """Comfort-braking speed profile that stops standstill_clearance short."""
-    margin = max(0.0, c - params.standstill_clearance)
-    return min(params.speed_limit, math.sqrt(2.0 * params.comfort_accel * margin))
+    return _MODES[int(control(state.v_fwd, state.x_pos, params)[0])]
 
 
 def commanded_accel(
     state: VehicleState, mode: ControllerMode, params: ScenarioParams
 ) -> float:
     """Longitudinal acceleration the controller asks for in a given mode."""
-    comf = params.comfort_accel
-    if mode is ControllerMode.LANE_TRACKING:
-        a = params.k_speed * (params.speed_limit - state.v_fwd)
-        return float(np.clip(a, -comf, comf))
-    if mode is ControllerMode.VEHICLE_FOLLOWING:
-        c = params.target_x - state.x_pos
-        a = params.k_gap * (_approach_speed(c, params) - state.v_fwd)
-        return float(np.clip(a, -comf, comf))
-    if mode is ControllerMode.LIGHT_BRAKE:
-        return params.light_accel
-    return params.strong_accel
+    return float(control(state.v_fwd, state.x_pos, params)[1][_MODES.index(mode)])
 
 
 class GroundVehicleModel(DynamicsModel):
@@ -175,9 +173,6 @@ class GroundVehicleModel(DynamicsModel):
     def __init__(self, params: ScenarioParams, name: str = "agv"):
         self.params = params
         self.name = name
-
-    def step(self, x: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
-        return self.step_many(np.asarray(x, dtype=float)[None, :], n, dt)[0]
 
     def step_many(self, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
         """Advance a batch of states one time step under a fixed brake state.
@@ -192,44 +187,19 @@ class GroundVehicleModel(DynamicsModel):
             raise ValueError("dt must be positive")
         p = self.params
         delivery = BrakeState(n[0]).delivery
-        out = np.array(xs, dtype=float)
-        if out.ndim != 2 or out.shape[1] != 6:
-            raise ValueError(f"state batch must be (N, 6), got {out.shape}")
+        batch = np.asarray(xs, dtype=float)
+        if batch.ndim != 2 or batch.shape[1] != 6:
+            raise ValueError(f"state batch must be (N, 6), got {batch.shape}")
         h = dt / p.substeps
-        comf = p.comfort_accel
         omega = p.lateral_omega
 
-        v = out[:, IDX_V_FWD]
-        x = out[:, IDX_X]
-        vs = out[:, IDX_V_SIDE]
-        y = out[:, IDX_Y]
-        yr = out[:, IDX_YAW_RATE]
-        yaw = out[:, IDX_YAW]
+        cols = batch.T.copy()  # one contiguous row per state variable, in IDX_* order
+        v, vs, yr, x, y, yaw = cols
 
+        rows = np.arange(len(batch))
         for _ in range(p.substeps):
-            c = p.target_x - x
-            if p.fixed_light_clearance is not None:
-                light = np.full_like(c, p.fixed_light_clearance)
-                strong = np.full_like(
-                    c,
-                    p.fixed_strong_clearance
-                    if p.fixed_strong_clearance is not None
-                    else p.fixed_light_clearance / 2.0,
-                )
-            else:
-                light = p.t_gap_des * v
-                strong = light / 2.0
-
-            a_cruise = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
-            margin = np.maximum(0.0, c - p.standstill_clearance)
-            v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
-            a_follow = np.clip(p.k_gap * (v_des - v), -comf, comf)
-
-            a_cmd = np.select(
-                [c > p.sensor_range, c < strong, c < light],
-                [a_cruise, np.full_like(c, p.strong_accel), np.full_like(c, p.light_accel)],
-                default=a_follow,
-            )
+            mode, commands = control(v, x, p)
+            a_cmd = commands[mode, rows]
             a_app = np.where(a_cmd < 0.0, a_cmd * delivery, a_cmd)
 
             v_new = np.maximum(0.0, v + h * a_app)
@@ -243,6 +213,7 @@ class GroundVehicleModel(DynamicsModel):
             yr += h * (-(omega**2) * yaw - 2.0 * omega * yr)
             yaw += h * yr
 
+        out = np.ascontiguousarray(cols.T)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("vehicle integration produced non-finite state")
         return out

@@ -384,11 +384,31 @@ def test_forward_check_out_of_range_flag_exit_code(tmp_path, args, flag):
 
 
 @pytest.mark.parametrize(
+    "command, args, flag",
+    [
+        ("build-map", ["--samples", "0"], "--samples"),
+        ("build-map", ["--seed", "-1"], "--seed"),
+        ("validate", ["--oracle-trials", "0"], "--oracle-trials"),
+        ("validate", ["--oracle-trials", "-5"], "--oracle-trials"),
+    ],
+)
+def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args, flag):
+    cfg_path, map_path = _built(tmp_path)
+    out = tmp_path / "other.json"
+    where = ["--out", str(out)] if command == "build-map" else ["--map", str(map_path)]
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + where + args)
+    _assert_named_exit_3(res, flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "override, field",
     [
         ({"samples_per_cell": "lots"}, "samples_per_cell"),
         ({"processVariablesNames": 7}, "processVariablesNames"),
         ({"sysConfTransProb": [1, 2]}, "sysConfTransProb"),
+        ({"seed": -3}, "seed"),
+        ({"eventLowerBounds": [8.0, "x"]}, "eventLowerBounds"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):

@@ -7,7 +7,7 @@ import pytest
 
 from _synthetic import IdentityModel, ShiftModel, line_spec
 from cellrisk.bpa import TopEvent, backtrack, forward_check
-from cellrisk.cellspace import CellCoord
+from cellrisk.cellspace import EXTERIOR, CellCoord, id_to_coord
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
 from cellrisk.mapper import build_map, estimate_g
 from cellrisk.oracle import (
@@ -144,3 +144,76 @@ def test_monte_carlo_deterministic_given_seed(baseline_case):
     a = simulate_event_probability(case.model, cfg, case.event, mc, case.dt, spec=case.spec)
     b = simulate_event_probability(case.model, cfg, case.event, mc, case.dt, spec=case.spec)
     assert a == b
+
+
+# Outputs of the scalar oracle, which stepped one trial at a time through
+# model.step, recorded before the oracle stepped its trials as arrays. Exact
+# equality shows that every random stream is drawn in the same order and
+# every hit lands on the same trial.
+FAULTY_BRAKES = ConfigTransitionModel(
+    matrices=(ComponentMatrix(0, [[0.5, 0.3, 0.2], [0.0, 0.6, 0.4], [0.0, 0.0, 1.0]]),)
+)
+
+
+def test_empirical_transition_pinned(baseline_case):
+    case = baseline_case
+    cell = id_to_coord(1870, case.spec)
+    assert cell == CellCoord((1, 1, 1, 75, 1, 1), (3,))
+    row = empirical_transition(case.model, cell, case.spec, case.dt, 2000, seed=11)
+    assert row == [
+        ((1, 1, 1, 75, 1, 1), Fraction(451, 1000)),
+        ((1, 1, 1, 76, 1, 1), Fraction(87, 400)),
+        ((2, 1, 1, 75, 1, 1), Fraction(197, 2000)),
+        ((2, 1, 1, 76, 1, 1), Fraction(217, 1000)),
+        (EXTERIOR, Fraction(2, 125)),
+    ]
+
+
+# A rising hit fraction over the horizon means trials hit at different steps.
+@pytest.mark.parametrize(
+    "horizon, expected",
+    [(1, (0.0075, 0.00431385848168435)),
+     (2, (0.2125, 0.020453835214941964)),
+     (3, (0.29, 0.022688102609076853))],
+)
+def test_monte_carlo_pinned_cell_uniform(baseline_case, horizon, expected):
+    case = baseline_case
+    initial = CellUniform(CellCoord((4, 1, 1, 123, 1, 1), (1,)))
+    mc = MonteCarloConfig(trials=400, horizon=horizon, initial=initial, seed=21)
+    p = simulate_event_probability(
+        case.model, FAULTY_BRAKES, case.event, mc, case.dt, spec=case.spec
+    )
+    assert p == expected
+
+
+@pytest.mark.parametrize(
+    "horizon, expected",
+    [(1, (0.0, 0.0)), (2, (0.48333333333333334, 0.028851471494663966)), (3, (1.0, 0.0))],
+)
+def test_monte_carlo_pinned_point(baseline_case, horizon, expected):
+    case = baseline_case
+    initial = PointInitial((15.0, 0.0, 0.0, 484.0, 0.0, 0.0), (1,))
+    mc = MonteCarloConfig(trials=300, horizon=horizon, initial=initial, seed=22)
+    p = simulate_event_probability(case.model, FAULTY_BRAKES, case.event, mc, case.dt)
+    assert p == expected
+
+
+@pytest.mark.parametrize(
+    "horizon, expected",
+    [(1, (0.11266666666666666, 0.005772720008479218)),
+     (2, (0.37066666666666664, 0.0088180286702658)),
+     (3, (0.5983333333333334, 0.008950429329657053)),
+     (4, (0.6696666666666666, 0.008587068227325363))],
+)
+def test_monte_carlo_pinned_box_two_components(horizon, expected):
+    cfg = ConfigTransitionModel(matrices=(
+        ComponentMatrix(0, [[0.8, 0.2], [0.1, 0.9]]),
+        ComponentMatrix(1, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.0, 0.0, 1.0]]),
+    ))
+    event = TopEvent(
+        lower=(6.0, 0.0), upper=(10.0, 4.0), configs=frozenset({(2, 1), (2, 2), (1, 3)})
+    )
+    initial = BoxUniform((3.0, 1.0), (6.0, 3.0), (1, 1))
+    mc = MonteCarloConfig(trials=3000, horizon=horizon, initial=initial, seed=23)
+    p = simulate_event_probability(ShiftModel((1.25, 0.1)), cfg, event, mc, dt=1.0)
+    assert p == expected

@@ -1,4 +1,4 @@
-"""Property tests of the transition map on random small systems."""
+"""Property tests of the simulator, the transition map and the search on random small systems."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _synthetic import ShiftModel, random_absorbing_map
-from cellrisk.bpa import backtrack, tree_from_dict, tree_to_dict, tree_to_dot
+from cellrisk.bpa import backtrack, forward_check, tree_from_dict, tree_to_dict, tree_to_dot
 from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
 from cellrisk.mapper import build_map, estimate_g, load_map, predecessors, save_map
+from cellrisk.vehicle import make_case_study
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -122,3 +123,61 @@ def test_tree_dict_round_trip(n_cells, n_event, seed, depth):
     loaded = tree_from_dict(tree_to_dict(tree))
     assert tree_to_dict(loaded) == tree_to_dict(tree)
     assert tree_to_dot(loaded) == tree_to_dot(tree)
+
+
+# Wider than the case-study grid (v in [0, 20], x in [0, 600]) on every axis.
+VEHICLE_RANGES = ((-5.0, 30.0), (-10.0, 10.0), (-2.0, 2.0), (-100.0, 800.0), (-10.0, 10.0), (-2.0, 2.0))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["baseline", "modified"]),
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in VEHICLE_RANGES)), min_size=1, max_size=40),
+)
+def test_vehicle_step_many_is_row_independent(variant, brake, rows):
+    # The oracle and the map build both step rows in batches of their own
+    # choosing, so a row's next state must not depend on its batch.
+    case = make_case_study(variant)
+    xs = np.array(rows)
+    batch = case.model.step_many(xs, (brake,), case.dt)
+    for i in range(len(xs)):
+        alone = case.model.step_many(xs[i : i + 1], (brake,), case.dt)[0]
+        assert alone.tobytes() == batch[i].tobytes()
+
+
+def _nodes_by_path(tree) -> dict[tuple[int, ...], tuple[float, float]]:
+    """(q, cumulative) of every node, keyed by its cell ids from the event down."""
+    out = {}
+
+    def walk(node, key):
+        for child in node.children:
+            out[key + (child.cell_id,)] = (child.q, child.cumulative)
+            walk(child, key + (child.cell_id,))
+
+    walk(tree.root, ())
+    return out
+
+
+TRUNCATIONS = st.sampled_from([0.0, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(2, 4),
+       TRUNCATIONS, TRUNCATIONS)
+def test_tree_shrinks_to_a_subset_as_truncation_rises(n_cells, n_event, seed, depth, a, b):
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    loose = _nodes_by_path(backtrack(tmap, event, depth=depth, truncation=min(a, b)))
+    tight = _nodes_by_path(backtrack(tmap, event, depth=depth, truncation=max(a, b)))
+    assert tight.items() <= loose.items()
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4))
+def test_backward_sums_equal_forward_push(n_cells, n_event, seed, depth):
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=0.0)
+    for cid in range(n_cells):
+        dist = np.zeros(n_cells + 1)
+        dist[cid] = 1.0
+        assert abs(tree.cumulative_for_cell(cid) - forward_check(tmap, tree, dist)) <= 1e-9
