@@ -10,6 +10,7 @@ are ranked by probability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -116,7 +117,7 @@ def event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
     return cells
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One search-tree node; the root is synthetic and carries no cell."""
 
@@ -131,9 +132,12 @@ class TreeNode:
     entry_edges: list[tuple[int, float]] | None = None
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and its descendants, depth-first in child order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -183,6 +187,8 @@ def backtrack(
     if not 0.0 <= truncation < 1.0:
         raise ValueError("truncation must be in [0, 1)")
     ev_cells = frozenset(event_cells(event, tmap.spec))
+    # One coordinate per cell, shared by all of its nodes.
+    coord_of = functools.cache(lambda cid: id_to_coord(cid, tmap.spec))
 
     root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
     count = 0
@@ -202,7 +208,7 @@ def backtrack(
         if q < truncation or q <= 0.0:
             continue
         node = TreeNode(
-            coord=id_to_coord(source, tmap.spec),
+            coord=coord_of(source),
             cell_id=source,
             q=q,
             cumulative=q,
@@ -226,7 +232,7 @@ def backtrack(
                 if cumulative < truncation or cumulative <= 0.0:
                     continue
                 node = TreeNode(
-                    coord=id_to_coord(source, tmap.spec),
+                    coord=coord_of(source),
                     cell_id=source,
                     q=q,
                     cumulative=cumulative,
@@ -254,7 +260,7 @@ def backtrack(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedPath:
     """Root-to-leaf path rendered oldest-first (deepest cell toward the event)."""
 
@@ -264,10 +270,7 @@ class RankedPath:
     cumulative: float
 
     def render(self, event_label: str = "TopEvent") -> str:
-        parts = [
-            f"[{' '.join(str(v) for v in c.as_vector())}] (q={q:g})"
-            for c, q in zip(self.cells, self.steps)
-        ]
+        parts = [f"{c.label} (q={q:g})" for c, q in zip(self.cells, self.steps)]
         return " -> ".join(parts + [event_label])
 
 
@@ -379,10 +382,12 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
         configs=frozenset(tuple(c) for c in doc["event"]["configs"]),
     )
     L = len(event.lower)
+    # One coordinate per cell, shared by all of its nodes.
+    coord_of = functools.cache(lambda vector: CellCoord(vector[:L], vector[L:]))
 
     def node(d: dict) -> TreeNode:
         out = TreeNode(
-            coord=CellCoord(d["coord"][:L], d["coord"][L:]),
+            coord=coord_of(tuple(d["coord"])),
             cell_id=d["cell_id"],
             q=d["q"],
             cumulative=d["cumulative"],
@@ -409,8 +414,14 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
 
 
 def write_tree(tree: ScenarioTree, path: str) -> None:
+    """Compact sorted-key JSON of tree_to_dict, encoded in one call.
+
+    json.dumps without indent runs CPython's C encoder; json.dump to a file
+    never does. Both give the same bytes.
+    """
+    text = json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -423,14 +434,10 @@ def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
         f'\t"root" [label="{event_label}", shape=doubleoctagon];',
     ]
     counter = itertools.count()
-    names: dict[int, str] = {}
 
     def emit(node: TreeNode, parent_name: str) -> None:
         name = f"n{next(counter)}"
-        names[id(node)] = name
-        vec = " ".join(str(v) for v in node.coord.as_vector())
-        label = f"[{vec}]\\nP={node.q:g}"
-        attrs = f'label="{label}"'
+        attrs = f'label="{node.coord.label}\\nP={node.q:g}"'
         if node.is_event_cell:
             attrs += ", style=dashed"
         lines.append(f'\t"{name}" [{attrs}];')

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,6 +176,15 @@ class CellCoord:
 
     def as_vector(self) -> tuple[int, ...]:
         return self.j + self.n
+
+    @cached_property
+    def label(self) -> str:
+        """'[j.. n..]', the cell as rendered paths, graphs and text exports show it.
+
+        Built on first use and kept, so coordinates shared between the nodes
+        of one cell build it once.
+        """
+        return f"[{' '.join(map(str, self.as_vector()))}]"
 
 
 @dataclass(eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .mapper import (
     load_map,
     save_map,
 )
-from .vehicle import GroundVehicleModel, make_case_study
+from .vehicle import GroundVehicleModel, ScenarioParams, make_case_study
 
 __all__ = [
     "EXIT_OK",
@@ -111,6 +112,8 @@ _INT = ((int,), "an integer")
 _STR = ((str,), "a string")
 _LIST = ((list,), "a list")
 _MAPPING = ((dict, type(None)), "a mapping")
+_NUMBER = ((int, float), "a number")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
 
 
 def _check_type(value: object, kind: tuple[tuple[type, ...], str], where: str,
@@ -209,6 +212,47 @@ SIMULATORS = {
     "identity": lambda params: IdentityModel(),
 }
 
+# The simulator_params each simulator takes, with the kind of each value; the
+# vehicle takes every ScenarioParams field, typed by its default.
+_AGV_PARAMS = {
+    f.name: _INT if isinstance(f.default, int) else
+    _NUMBER_OR_NULL if f.default is None else _NUMBER
+    for f in dataclasses.fields(ScenarioParams)
+}
+_SIMULATOR_PARAMS = {
+    "agv-baseline": _AGV_PARAMS,
+    "agv-modified": _AGV_PARAMS,
+    "linear-drift": {"velocity": _LIST},
+    "identity": {},
+}
+
+
+def _simulator_param_problems(simulator: str, params: dict, L: int) -> list[str]:
+    """Every problem of a simulator_params mapping for a registered simulator."""
+    problems: list[str] = []
+    kinds = _SIMULATOR_PARAMS[simulator]
+    for key, value in params.items():
+        where = f"simulator_params.{key}"
+        if key not in kinds:
+            problems.append(f"{where} is not a parameter of {simulator}; "
+                            f"known: {sorted(kinds)}")
+            continue
+        if _check_type(value, kinds[key], where, problems) is None:
+            continue
+        if key == "velocity":
+            if len(value) != L:
+                problems.append(f"{where} has {len(value)} entries, expected {L}")
+            for v in value:
+                if _check_type(v, _NUMBER, where, problems) is not None and not math.isfinite(v):
+                    problems.append(f"{where} entries must be finite, got {v}")
+        elif key == "substeps" and value < 1:
+            problems.append(f"{where} must be >= 1, got {value}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{where} must be finite, got {value}")
+    if simulator == "linear-drift" and "velocity" not in params:
+        problems.append("simulator_params.velocity is required by linear-drift")
+    return problems
+
 
 def load_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file.
@@ -300,6 +344,8 @@ def load_config(path: str) -> RunConfig:
         problems.append(
             f"unknown simulator {simulator!r}; registered: {sorted(SIMULATORS)}"
         )
+    else:
+        problems += _simulator_param_problems(simulator, sim_params, L)
     if dt != dt or dt <= 0:
         problems.append(f"dt must be positive, got {dt}")
     if samples < 1:
@@ -421,6 +467,20 @@ def _below(*minimums: tuple[str, int | None, int]) -> list[str]:
             for flag, value, low in minimums if value is not None and value < low]
 
 
+def _unwritable(*outputs: tuple[str, str | None]) -> list[str]:
+    """A problem for every (flag, path) given that cannot be written as a file."""
+    problems = []
+    for flag, path in outputs:
+        if path is None:
+            continue
+        full = os.path.abspath(path)
+        if os.path.isdir(full):
+            problems.append(f"{flag} {path!r} is a directory")
+        elif not os.path.isdir(os.path.dirname(full)):
+            problems.append(f"{flag} {path!r}: directory does not exist")
+    return problems
+
+
 def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoReturn:
     """Name every problem on stderr and exit with a documented code."""
     for p in problems:
@@ -466,7 +526,8 @@ def main() -> None:
 @click.option("--workers", type=int, default=None, help="Override worker count.")
 def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
     """Build the transition map for a configuration and persist it."""
-    if flags := _below(("--seed", seed, 0), ("--samples", samples, 1)):
+    if flags := (_below(("--seed", seed, 0), ("--samples", samples, 1))
+                 + _unwritable(("--out", out_path))):
         _fail("option", flags)
     try:
         cfg = load_config(config_path)
@@ -513,6 +574,8 @@ def run_bpa_cmd(
     flags = _below(("--depth", depth, 1), ("--budget", budget, 1))
     if epsilon is not None and not 0.0 <= epsilon < 1.0:
         flags.insert(0, f"--epsilon must be in [0, 1), got {epsilon}")
+    flags += _unwritable(("--out-tree", out_tree), ("--out-graph", out_graph),
+                         ("--out-report", out_report))
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
@@ -529,8 +592,10 @@ def run_bpa_cmd(
     except BudgetError as exc:
         click.echo(f"budget error: {exc}", err=True)
         sys.exit(EXIT_BUDGET_ERROR)
-    search_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
     paths = rank_paths(tree)
+    t2 = time.perf_counter()
+    nodes = list(tree.nodes())
 
     if out_tree:
         write_tree(tree, out_tree)
@@ -538,6 +603,17 @@ def run_bpa_cmd(
         with open(out_graph, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
     if out_report:
+        vectors = {n.cell_id: n.coord.as_vector() for n in nodes}   # one per cell
+        rows = [
+            {
+                "cells": [vectors[c] for c in p.cell_ids],
+                "steps": p.steps,
+                "cumulative": p.cumulative,
+                "rendered": p.render(),
+            }
+            for p in paths
+        ]
+        t3 = time.perf_counter()
         report = {
             "format": REPORT_FORMAT,
             "version": REPORT_FORMAT_VERSION,
@@ -551,30 +627,26 @@ def run_bpa_cmd(
                 "seed": tmap.metadata.seed,
             },
             "tree": {
-                "nodes": tree.n_nodes,
+                "nodes": len(nodes),
                 "paths": len(paths),
-                "max_depth_reached": max((n.depth for n in tree.nodes()), default=0),
+                "max_depth_reached": max((n.depth for n in nodes), default=0),
                 "event_cells": len(tree.event_cell_ids),
             },
-            "ranked_paths": [
-                {
-                    "cells": [list(c.as_vector()) for c in p.cells],
-                    "steps": list(p.steps),
-                    "cumulative": p.cumulative,
-                    "rendered": p.render(),
-                }
-                for p in paths
-            ],
-            "timings": {"search_seconds": search_s},
+            "ranked_paths": rows,
+            # export_seconds covers the tree and graph writes and the report's
+            # rows, not the report's own encoding and write
+            "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
+                        "export_seconds": t3 - t2},
         }
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
         with open(out_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write(text)
             fh.write("\n")
 
-    click.echo(f"tree: {tree.n_nodes} nodes, {len(paths)} ranked paths")
+    click.echo(f"tree: {len(nodes)} nodes, {len(paths)} ranked paths")
     for p in paths[:10]:
         click.echo(f"  P={p.cumulative:.6g}  {p.render()}")
-    if tree.n_nodes == 0:
+    if not nodes:
         click.echo("no risk-significant paths lead to the Top Event")
         sys.exit(EXIT_NO_PATHS)
     sys.exit(EXIT_OK)
@@ -707,6 +779,8 @@ def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
 @click.option("--out-text", type=click.Path(), default=None)
 def export_cmd(tree_path, out_graph, out_text) -> None:
     """Re-export a stored scenario tree as a graph or readable text."""
+    if flags := _unwritable(("--out-graph", out_graph), ("--out-text", out_text)):
+        _fail("option", flags)
     try:
         with open(tree_path, encoding="utf-8") as fh:
             tree = tree_from_dict(json.load(fh))
@@ -716,8 +790,7 @@ def export_cmd(tree_path, out_graph, out_text) -> None:
         _fail("tree", [f"{tree_path}: {exc}"])
     lines_out = [
         "  " * (n.depth - 1)
-        + f"[{' '.join(str(v) for v in n.coord.as_vector())}] q={n.q:g} "
-        f"cumulative={n.cumulative:g} depth={n.depth}"
+        + f"{n.coord.label} q={n.q:g} cumulative={n.cumulative:g} depth={n.depth}"
         for n in tree.nodes()
     ]
     if out_graph:

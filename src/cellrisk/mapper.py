@@ -443,6 +443,8 @@ def save_map(tmap: TransitionMap, path: str) -> None:
         "simulator": tmap.metadata.simulator,
         "edges": _edge_list(tmap.matrix),
     }
+    # Streamed on purpose: one json.dumps string of the baseline map would be
+    # faster but raises build-map's peak RSS from 59.3 to 62.4 MB.
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from cellrisk.bpa import (
     rank_paths,
     tree_to_dict,
     tree_to_dot,
+    write_tree,
 )
 from cellrisk.cellspace import CellCoord, SpaceSpec, bounds_of, coord_to_id, id_to_coord
 from cellrisk.mapper import BudgetError, TransitionMap
@@ -320,6 +322,30 @@ def test_tree_exports(tmp_path, baseline_map, baseline_case):
     # One labelled node and one edge per tree node.
     assert dot.count("\\nP=") == tree.n_nodes
     assert dot.count(" -> ") == tree.n_nodes
+
+
+# sha256 of the depth-4 tree file and dot graph on the baseline map, recorded
+# while write_tree still streamed through json.dump; `cellrisk run-bpa --depth 4`
+# on configs/agv_baseline.yaml writes the same bytes.
+DEPTH_4_TREE_SHA256 = "a47cffd4c4f2ba7877826bebdbc9b78ccd9de2a8d67e8fb04ddad1c1c3a864e9"
+DEPTH_4_DOT_SHA256 = "e0de4ccbb0285529f91bae7d5d13d9ad03843b7a59bfa42417d1dd66fe2d6c16"
+
+
+def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_case):
+    tree = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8)
+    path = tmp_path / "tree.json"
+    write_tree(tree, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_4_TREE_SHA256
+    assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_4_DOT_SHA256
+
+
+def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_case):
+    tree = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8)
+    by_cell = {}
+    for node in tree.nodes():
+        assert by_cell.setdefault(node.cell_id, node.coord) is node.coord
+        assert node.coord == id_to_coord(node.cell_id, baseline_map.spec)
+    assert len(by_cell) < tree.n_nodes
 
 
 def test_backtrack_rejects_bad_parameters(baseline_map, baseline_case):

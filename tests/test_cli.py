@@ -7,6 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from cellrisk.bpa import rank_paths, tree_from_dict
 from cellrisk.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NO_PATHS,
@@ -141,10 +142,20 @@ def test_build_and_run_pipeline(tmp_path):
     assert doc["format"] == "cellrisk-scenario-tree"
     assert doc["n_nodes"] > 0
     assert dot_path.read_text().startswith("digraph scenario_tree {")
-    report = json.loads(report_path.read_text())
+    text = report_path.read_text()
+    report = json.loads(text)
     assert report["tree"]["paths"] > 0
     assert report["config"]["simulator"] == "linear-drift"
     assert report["ranked_paths"][0]["cumulative"] <= 1.0
+    # Compact sorted-key JSON, the layout of the map and tree files.
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert set(report["timings"]) == {"search_seconds", "rank_seconds", "export_seconds"}
+    paths = rank_paths(tree_from_dict(doc))
+    assert [(r["cells"], r["steps"], r["cumulative"], r["rendered"])
+            for r in report["ranked_paths"]] == [
+        ([list(c.as_vector()) for c in p.cells], list(p.steps), p.cumulative, p.render())
+        for p in paths
+    ]
 
 
 def test_pipeline_byte_identical_across_runs(tmp_path):
@@ -409,6 +420,12 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
         ({"sysConfTransProb": [1, 2]}, "sysConfTransProb"),
         ({"seed": -3}, "seed"),
         ({"eventLowerBounds": [8.0, "x"]}, "eventLowerBounds"),
+        ({"simulator": "agv-baseline", "simulator_params": {"bogus": 1}}, "bogus"),
+        ({"simulator": "agv-baseline", "simulator_params": {"substeps": 0}}, "substeps"),
+        ({"simulator_params": {}}, "velocity"),
+        ({"simulator_params": {"velocity": [1.0, 2.0]}}, "velocity"),
+        ({"simulator_params": {"velocity": [math.nan]}}, "velocity"),
+        ({"simulator": "agv-baseline", "simulator_params": {"gravity": math.inf}}, "gravity"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -420,3 +437,35 @@ def test_config_field_types_are_problems(tmp_path, override, field):
         main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
     )
     _assert_named_exit_3(res, "config error", field)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("build-map", "--out"),
+        ("run-bpa", "--out-tree"),
+        ("run-bpa", "--out-graph"),
+        ("run-bpa", "--out-report"),
+        ("export", "--out-graph"),
+        ("export", "--out-text"),
+    ],
+)
+def test_unwritable_output_path_exit_code(tmp_path, command, flag, where):
+    cfg_path, map_path = _built(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    assert CliRunner().invoke(
+        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
+               "--out-tree", str(tree_path)],
+    ).exit_code == EXIT_OK
+    target = tmp_path / "absent" / "out" if where == "missing-dir" else tmp_path
+    inputs = {
+        "build-map": ["--config", str(cfg_path)],
+        "run-bpa": ["--config", str(cfg_path), "--map", str(map_path)],
+        "export": ["--tree", str(tree_path)],
+    }[command]
+    res = CliRunner().invoke(main, [command] + inputs + [flag, str(target)])
+    _assert_named_exit_3(res, "option error", flag)
+    # Checked before the map is built or the tree searched.
+    assert "built map" not in res.output and "tree:" not in res.output
+    assert not (tmp_path / "absent").exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _synthetic import ShiftModel, random_absorbing_map
-from cellrisk.bpa import backtrack, forward_check, tree_from_dict, tree_to_dict, tree_to_dot
+from cellrisk.bpa import (
+    backtrack,
+    forward_check,
+    tree_from_dict,
+    tree_to_dict,
+    tree_to_dot,
+    write_tree,
+)
 from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
 from cellrisk.mapper import build_map, estimate_g, load_map, predecessors, save_map
@@ -181,3 +189,19 @@ def test_backward_sums_equal_forward_push(n_cells, n_event, seed, depth):
         dist = np.zeros(n_cells + 1)
         dist[cid] = 1.0
         assert abs(tree.cumulative_for_cell(cid) - forward_check(tmap, tree, dist)) <= 1e-9
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4),
+       TRUNCATIONS)
+def test_write_tree_bytes_equal_pure_python_encoder(n_cells, n_event, seed, depth, truncation):
+    # write_tree encodes through CPython's C encoder; iterencode without
+    # _one_shot is the pure-Python one, which json.dump to a file uses.
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    expected = "".join(encoder.iterencode(tree_to_dict(tree))) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tree.json"
+        write_tree(tree, str(path))
+        assert path.read_bytes() == expected.encode("utf-8")
