@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mapper
 from .cellspace import CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from .mapper import BudgetError, TransitionMap, forward_step, predecessors
+from .mapper import BudgetError, TransitionMap, predecessors
 
 __all__ = [
     "RankedPath",
@@ -28,6 +29,7 @@ __all__ = [
     "TreeNode",
     "backtrack",
     "event_cells",
+    "event_probability",
     "forward_check",
     "rank_paths",
     "tree_from_dict",
@@ -315,19 +317,26 @@ def rank_paths(
     return paths
 
 
+def event_probability(
+    tmap: TransitionMap, distribution: np.ndarray, event_ids, steps: int
+) -> float:
+    """Mass on the event cells after pushing a distribution steps forward."""
+    dist = np.asarray(distribution, dtype=float)
+    for _ in range(steps):
+        # Looked up at call time, so a wrapper put on mapper.forward_step
+        # (the benchmark's tracer) sees every push.
+        dist = mapper.forward_step(tmap, dist)
+    return float(dist[sorted(event_ids)].sum())
+
+
 def forward_check(
     tmap: TransitionMap, tree: ScenarioTree, distribution: np.ndarray
 ) -> float:
     """Probability of landing in the event set after the tree's search depth.
 
-    Pushes the distribution forward depth steps and integrates the mass over
-    the event cells; pairs with the backward tree as a consistency oracle.
+    Pairs with the backward tree as a consistency oracle.
     """
-    dist = np.asarray(distribution, dtype=float)
-    for _ in range(tree.depth):
-        dist = forward_step(tmap, dist)
-    ids = sorted(tree.event_cell_ids)
-    return float(dist[ids].sum())
+    return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
 def tree_to_dict(tree: ScenarioTree) -> dict:
@@ -364,13 +373,34 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
     }
 
 
+_NODE_FIELDS = (
+    ("coord", list, "a list"),
+    ("cell_id", int, "an integer"),
+    ("q", (int, float), "a number"),
+    ("cumulative", (int, float), "a number"),
+    ("depth", int, "an integer"),
+    ("event_cell", bool, "a boolean"),
+    ("children", list, "a list"),
+)
+CUMULATIVE_RTOL = 1e-12
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is no number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def tree_from_dict(doc: dict) -> ScenarioTree:
-    """Inverse of tree_to_dict.
+    """Inverse of tree_to_dict, checking every node where it enters.
 
     The file carries no space spec, so spec is None and event_cell_ids
     holds only the event cells that appear in the tree. Raises ValueError
-    for a document that is not a scenario tree, KeyError or TypeError for
-    a malformed one.
+    for a document that is not a scenario tree and for a node with a field
+    of the wrong type, a depth other than its parent's plus one, q outside
+    (0, 1], a cumulative other than its parent's times q (relative
+    tolerance CUMULATIVE_RTOL) or a coordinate whose length is not L + M;
+    the message names the node by its child positions from the root.
+    KeyError or TypeError for a malformed header.
     """
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise ValueError("not a scenario tree file")
@@ -382,25 +412,55 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
         configs=frozenset(tuple(c) for c in doc["event"]["configs"]),
     )
     L = len(event.lower)
+    widths = {len(c) for c in event.configs}
+    if len(widths) != 1:
+        raise ValueError("event configurations differ in length")
+    width = L + widths.pop()
     # One coordinate per cell, shared by all of its nodes.
     coord_of = functools.cache(lambda vector: CellCoord(vector[:L], vector[L:]))
 
-    def node(d: dict) -> TreeNode:
+    def node(d: dict, parent: TreeNode, name: str) -> TreeNode:
+        if not isinstance(d, dict):
+            raise ValueError(f"node {name}: not an object")
+        for key, kind, noun in _NODE_FIELDS:
+            if key not in d:
+                raise ValueError(f"node {name}: missing field {key!r}")
+            if not _is(d[key], kind):
+                raise ValueError(f"node {name}: {key} must be {noun}, got {d[key]!r}")
+        where = f"node {name} (cell {d['cell_id']})"
+        coord, q, cumulative = d["coord"], d["q"], d["cumulative"]
+        if len(coord) != width or not all(_is(v, int) for v in coord):
+            raise ValueError(f"{where}: coord must be {width} integers, got {coord!r}")
+        if d["depth"] != parent.depth + 1:
+            raise ValueError(f"{where}: depth {d['depth']}, expected {parent.depth + 1}")
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"{where}: q {q!r} outside (0, 1]")
+        expected = parent.cumulative * q
+        if not abs(cumulative - expected) <= CUMULATIVE_RTOL * expected:
+            raise ValueError(
+                f"{where}: cumulative {cumulative!r} is not parent cumulative x q = {expected!r}"
+            )
         out = TreeNode(
-            coord=coord_of(tuple(d["coord"])),
+            coord=coord_of(tuple(coord)),
             cell_id=d["cell_id"],
-            q=d["q"],
-            cumulative=d["cumulative"],
+            q=q,
+            cumulative=cumulative,
             depth=d["depth"],
             is_event_cell=d["event_cell"],
-            children=[node(c) for c in d["children"]],
         )
+        out.children = [node(c, out, f"{name}/{i}") for i, c in enumerate(d["children"])]
         if "entry_edges" in d:
-            out.entry_edges = [(t, q) for t, q in d["entry_edges"]]
+            edges = d["entry_edges"]
+            if not _is(edges, list) or not all(
+                _is(e, list) and len(e) == 2 and _is(e[0], int) and _is(e[1], (int, float))
+                for e in edges
+            ):
+                raise ValueError(f"{where}: entry_edges must be [cell id, q] pairs")
+            out.entry_edges = [(t, q) for t, q in edges]
         return out
 
-    root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0,
-                    children=[node(c) for c in doc["root"]["children"]])
+    root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
+    root.children = [node(c, root, str(i)) for i, c in enumerate(doc["root"]["children"])]
     return ScenarioTree(
         root=root,
         spec=None,

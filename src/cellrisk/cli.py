@@ -712,12 +712,17 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     for s in np.flatnonzero(np.abs(sums - 1.0) > mapper_mod.ROW_SUM_TOL):
         failures.append(f"stochasticity: source {s} outgoing mass {float(sums[s])!r}")
     # Transpose integrity: the predecessor index holds exactly the cell-to-cell
-    # entries of the matrix, transposed.
+    # entries of the matrix, transposed. Both sides are put in (target, source)
+    # order and compared entry by entry.
     C = tmap.n_cells
-    fresh = tmap.matrix[:C, :C].T.tocsr()
-    index = tmap.predecessor_index.sorted_indices()
-    if not all(np.array_equal(getattr(fresh, a), getattr(index, a))
-               for a in ("indptr", "indices", "data")):
+    source, target = tmap.matrix.row_ids(), tmap.matrix.indices
+    inner = (source < C) & (target < C)
+    edges = [a[inner] for a in (target, source, tmap.matrix.data)]
+    index = tmap.predecessor_index
+    stored = [index.row_ids(), index.indices, index.data]
+    edges = [a[np.lexsort(edges[1::-1])] for a in edges]
+    stored = [a[np.lexsort(stored[1::-1])] for a in stored]
+    if not all(map(np.array_equal, edges, stored)):
         failures.append("transpose: predecessor index is not the map's transpose")
 
     failures += _duality_selfcheck()
@@ -766,10 +771,7 @@ def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     k = steps if steps is not None else cfg.search_depth
     dist = np.zeros(tmap.n_cells + 1)
     dist[cell_id] = 1.0
-    for _ in range(k):
-        dist = mapper_mod.forward_step(tmap, dist)
-    ids = sorted(event_cells(cfg.event, cfg.spec))
-    prob = float(dist[ids].sum())
+    prob = bpa_mod.event_probability(tmap, dist, event_cells(cfg.event, cfg.spec), k)
     click.echo(f"P(event after {k} steps | start cell {cell_id}) = {prob:.12g}")
 
 
@@ -786,6 +788,8 @@ def export_cmd(tree_path, out_graph, out_text) -> None:
             tree = tree_from_dict(json.load(fh))
     except KeyError as exc:
         _fail("tree", [f"{tree_path}: missing field {exc}"])
+    except RecursionError:
+        _fail("tree", [f"{tree_path}: nodes nested too deeply to read"])
     except (TypeError, ValueError) as exc:
         _fail("tree", [f"{tree_path}: {exc}"])
     lines_out = [

@@ -5,8 +5,9 @@ quadrature: points are sampled uniformly from the cell box, stepped through
 the simulator under the source configuration, and binned by target cell.
 The joint edge probability is the product of that flow term and the
 configuration jump probability. The map is one sparse row-stochastic
-matrix whose last row and column are the absorbing exterior sink; its
-transpose, ordered for backtracking, answers predecessor queries.
+matrix, held as plain CSR arrays, whose last row and column are the
+absorbing exterior sink; its transpose, ordered for backtracking, answers
+predecessor queries.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cellspace import (
     EXTERIOR,
@@ -34,6 +34,7 @@ from .cellspace import (
 from .configuration import ConfigTransitionModel, validate as validate_config
 
 __all__ = [
+    "CSR",
     "BuildError",
     "BudgetError",
     "DynamicsModel",
@@ -88,6 +89,21 @@ class DynamicsModel:
         return self.step_many(np.asarray(x, dtype=float)[None, :], n, dt)[0]
 
 
+class CSR(NamedTuple):
+    """Compressed sparse rows: row r holds indices/data[indptr[r]:indptr[r + 1]].
+
+    Within a row the column indices ascend.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
 @dataclass(frozen=True)
 class MapMetadata:
     seed: int
@@ -108,18 +124,17 @@ class TransitionMap:
     spec: SpaceSpec
     dt: float
     samples_per_cell: int
-    matrix: sp.csr_matrix
+    matrix: CSR
     metadata: MapMetadata
-    predecessor_index: sp.csr_matrix = field(init=False, repr=False)
+    predecessor_index: CSR = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         C = self.n_cells
-        inner = self.matrix[:C, :C].tocoo()
-        order = np.lexsort((inner.row, -inner.data, inner.col))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(inner.col, minlength=C))))
-        self.predecessor_index = sp.csr_matrix(
-            (inner.data[order], inner.row[order], indptr), shape=(C, C)
-        )
+        src, col, q = self.matrix.row_ids(), self.matrix.indices, self.matrix.data
+        inner = (src < C) & (col < C)
+        src, col, q = src[inner], col[inner], q[inner]
+        order = np.lexsort((src, -q, col))
+        self.predecessor_index = CSR(_indptr(col, C), src[order], q[order])
 
     @property
     def n_cells(self) -> int:
@@ -127,18 +142,24 @@ class TransitionMap:
 
     @property
     def n_edges(self) -> int:
-        return self.matrix.nnz - 1  # the exterior's self-loop is implicit
+        return len(self.matrix.data) - 1  # the exterior's self-loop is implicit
 
     def exterior_mass(self, source: int) -> float:
-        return float(self.matrix[source, self.n_cells])
+        # The exterior is the highest column, so it ends its row when present.
+        end = self.matrix.indptr[source + 1] - 1
+        hit = end >= self.matrix.indptr[source] and self.matrix.indices[end] == self.n_cells
+        return float(self.matrix.data[end]) if hit else 0.0
 
     def total_exterior_mass(self) -> float:
         # cumsum adds one term at a time in source order, as a plain loop would.
-        return float(np.cumsum(self.matrix[:-1, -1].toarray())[-1])
+        C = self.n_cells
+        cells = slice(0, self.matrix.indptr[C])
+        exterior = self.matrix.data[cells][self.matrix.indices[cells] == C]
+        return float(np.cumsum(np.append(0.0, exterior))[-1])
 
     def row_sums(self) -> np.ndarray:
         """Outgoing mass of every source cell."""
-        return np.asarray(self.matrix[:-1].sum(axis=1)).ravel()
+        return _row_sums(self.matrix)
 
     def rows(self) -> dict[int, list[tuple[int, float]]]:
         """Every source's edges as (target id or EXTERIOR_ID, q), by target id."""
@@ -164,11 +185,24 @@ class TransitionMap:
         return cls(spec, dt, samples_per_cell, matrix, metadata)
 
 
-def _matrix(C: int, src: np.ndarray, col: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
-    """Canonical CSR from edge arrays (column C is the exterior), plus its self-loop."""
-    return sp.csr_matrix(
-        (np.append(q, 1.0), (np.append(src, C), np.append(col, C))), shape=(C + 1, C + 1)
-    )
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+
+
+def _matrix(C: int, src: np.ndarray, col: np.ndarray, q: np.ndarray) -> CSR:
+    """Canonical CSR from unique edges (column C is the exterior), plus its self-loop.
+
+    Entries are sorted by source, then column: forward_step's sums rely on it.
+    """
+    src, col, q = np.append(src, C), np.append(col, C), np.append(q, 1.0)
+    order = np.lexsort((col, src))
+    return CSR(_indptr(src, C + 1), col[order], q[order])
+
+
+def _row_sums(matrix: CSR) -> np.ndarray:
+    """Outgoing mass of every source cell (every row but the exterior's)."""
+    n_rows = len(matrix.indptr) - 1
+    return np.bincount(matrix.row_ids(), weights=matrix.data, minlength=n_rows)[:-1]
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -176,14 +210,14 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _off_row(matrix: sp.csr_matrix) -> str | None:
+def _off_row(matrix: CSR) -> str | None:
     """The first source whose outgoing mass is off one by more than ROW_SUM_TOL."""
-    sums = np.asarray(matrix[:-1].sum(axis=1)).ravel()
+    sums = _row_sums(matrix)
     k = _first(np.abs(sums - 1.0) > ROW_SUM_TOL)
     return None if k is None else f"source {k}: row sums to {float(sums[k])!r}"
 
 
-def _edge_matrix(C: int, edges, check_rows: bool = True) -> sp.csr_matrix:
+def _edge_matrix(C: int, edges, check_rows: bool = True) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
     Raises MapFormatError for a malformed triple, an id out of range, q
@@ -214,13 +248,14 @@ def _edge_matrix(C: int, edges, check_rows: bool = True) -> sp.csr_matrix:
     return matrix
 
 
-def _edge_list(matrix: sp.csr_matrix) -> list[tuple[int, int, float]]:
+def _edge_list(matrix: CSR) -> list[tuple[int, int, float]]:
     """(source, target, q) triples by source, then target id with the exterior first."""
-    C = matrix.shape[0] - 1
-    cells = matrix[:C].tocoo()
-    tgt = np.where(cells.col == C, EXTERIOR_ID, cells.col)
-    order = np.lexsort((tgt, cells.row))
-    return list(zip(cells.row[order].tolist(), tgt[order].tolist(), cells.data[order].tolist()))
+    C = len(matrix.indptr) - 2
+    cells = slice(0, matrix.indptr[C])
+    src, col = matrix.row_ids()[cells], matrix.indices[cells]
+    tgt = np.where(col == C, EXTERIOR_ID, col)
+    order = np.lexsort((tgt, src))
+    return list(zip(src[order].tolist(), tgt[order].tolist(), matrix.data[cells][order].tolist()))
 
 
 def _flow_counts(
@@ -370,6 +405,9 @@ def build_map(
     if workers <= 1:
         parts = [_sweep(*args, 0, C)]
     else:
+        # Imported here: multiprocessing costs every command start-up otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = math.ceil(C / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep, *args, lo, min(lo + chunk, C))
@@ -397,7 +435,10 @@ def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:
     total = float(dist.sum())
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"distribution sums to {total!r}, expected 1")
-    return np.asarray(dist @ tmap.matrix).ravel()
+    # Edges are stored by source, so each target adds up its sources in
+    # ascending order, as a CSR vector-matrix product does.
+    m = tmap.matrix
+    return np.bincount(m.indices, weights=dist[m.row_ids()] * m.data, minlength=C + 1)
 
 
 def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
@@ -406,8 +447,8 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
     Ties break by ascending source id; an empty list means no inbound flow.
     """
     index = tmap.predecessor_index
-    if not 0 <= target < index.shape[0]:
-        raise ValueError(f"target id {target} outside 0..{index.shape[0] - 1}")
+    if not 0 <= target < tmap.n_cells:
+        raise ValueError(f"target id {target} outside 0..{tmap.n_cells - 1}")
     lo, hi = index.indptr[target], index.indptr[target + 1]
     return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
 

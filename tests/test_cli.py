@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import cellrisk
 from cellrisk.bpa import rank_paths, tree_from_dict
 from cellrisk.cli import (
     EXIT_CONFIG_ERROR,
@@ -305,6 +310,62 @@ def test_export_command(tmp_path):
     # One renderer: the re-export is the graph run-bpa wrote, event cells dashed.
     assert "style=dashed" in gv.read_text()
     assert gv.read_bytes() == run_bpa_gv.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "defect, words",
+    [
+        (lambda node: node.update(depth=None), ["depth"]),
+        (lambda node: node.update(q=7.5, cumulative=-1), ["q 7.5"]),
+        (lambda node: node.update(coord=node["coord"][:-1]), ["coord"]),
+        (lambda node: node.update(cumulative=2.0 * node["cumulative"]), ["cumulative"]),
+    ],
+    ids=["depth-null", "q-out-of-range", "short-coord", "cumulative-not-product"],
+)
+def test_export_malformed_tree_exit_code(tmp_path, defect, words):
+    cfg_path, map_path = _built(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    res = CliRunner().invoke(
+        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
+               "--depth", "2", "--out-tree", str(tree_path)],
+    )
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads(tree_path.read_text())
+    # The defect sits on a depth-2 node, so its parent is a real node.
+    i = next(i for i, n in enumerate(doc["root"]["children"]) if n["children"])
+    defect(doc["root"]["children"][i]["children"][0])
+    tree_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
+    _assert_named_exit_3(res, f"node {i}/0", *words)
+
+
+def test_export_deeply_nested_tree_exit_code(tmp_path):
+    # Each node one level deeper than its parent, nested past Python's recursion limit.
+    node = ('{"cell_id":0,"children":[%s],"coord":[1,1],"cumulative":1.0,'
+            '"depth":%d,"event_cell":false,"q":1.0}')
+    chain = "%s"
+    for depth in range(sys.getrecursionlimit() + 100, 0, -1):
+        chain = chain % (node % ("%s", depth))
+    doc = {"format": "cellrisk-scenario-tree", "version": 1, "search_depth": 2,
+           "truncation": 0.0, "map_simulator": "linear-drift", "map_seed": 0, "n_nodes": 0,
+           "event": {"lower": [8.0], "upper": [10.0], "configs": [[1]]},
+           "root": {"children": ["CHAIN"]}}
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(doc).replace('"CHAIN"', chain % ""))
+    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
+    _assert_named_exit_3(res, "nested too deeply")
+
+
+def test_cli_import_pulls_in_neither_scipy_nor_multiprocessing():
+    # Every command is a fresh process; these two imports would dominate its start-up.
+    src = str(Path(cellrisk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import cellrisk.cli, sys; "
+            "print('scipy' in sys.modules, 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_shipped_case_study_configs_load():

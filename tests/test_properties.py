@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,15 @@ from cellrisk.bpa import (
 )
 from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
-from cellrisk.mapper import build_map, estimate_g, load_map, predecessors, save_map
+from cellrisk.mapper import (
+    TransitionMap,
+    build_map,
+    estimate_g,
+    forward_step,
+    load_map,
+    predecessors,
+    save_map,
+)
 from cellrisk.vehicle import make_case_study
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -205,3 +214,63 @@ def test_write_tree_bytes_equal_pure_python_encoder(n_cells, n_event, seed, dept
         path = Path(tmp) / "tree.json"
         write_tree(tree, str(path))
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+# scipy is the independent oracle for the map's plain CSR arrays.
+def _scipy_matrix(tmap):
+    C = tmap.n_cells
+    m = tmap.matrix
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(C + 1, C + 1))
+
+
+@st.composite
+def shuffled_random_maps(draw):
+    """random_absorbing_map with some edges sent to the exterior, rebuilt from its
+    rows in a drawn order, each row reversed; plus a seeded rng."""
+    n_cells, n_event = draw(st.integers(4, 40)), draw(st.integers(1, 3))
+    tmap, _ = random_absorbing_map(n_cells, n_event, draw(st.integers(0, 2**16)),
+                                   fan_out=draw(st.integers(2, 6)))
+    leaky = draw(st.sets(st.integers(0, n_cells - 1)))
+    rows = {s: [(EXTERIOR_ID if s in leaky and k == 0 else t, q) for k, (t, q) in enumerate(row)]
+            for s, row in tmap.rows().items()}
+    order = draw(st.permutations(range(n_cells)))
+    shuffled = TransitionMap.from_edges(tmap.spec, {s: rows[s][::-1] for s in order})
+    return shuffled, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(shuffled_random_maps(), st.integers(1, 6))
+def test_forward_step_equals_scipy_product_bit_for_bit(system, steps):
+    tmap, rng = system
+    matrix = _scipy_matrix(tmap)
+    for dist in (np.eye(tmap.n_cells + 1)[rng.integers(tmap.n_cells)],
+                 rng.random(tmap.n_cells + 1)):
+        dist = dist / dist.sum()
+        for _ in range(steps):
+            pushed = forward_step(tmap, dist)
+            assert np.array_equal(pushed, np.asarray(dist @ matrix).ravel())
+            dist = pushed
+
+
+@PROPERTY
+@given(shuffled_random_maps())
+def test_predecessor_index_is_scipy_transpose_in_search_order(system):
+    tmap, _ = system
+    C = tmap.n_cells
+    transpose = _scipy_matrix(tmap)[:C, :C].T.tocsr()
+    index = tmap.predecessor_index
+    assert np.array_equal(index.indptr, transpose.indptr)
+    for t in range(C):
+        lo, hi = transpose.indptr[t], transpose.indptr[t + 1]
+        expected = sorted(zip(transpose.indices[lo:hi].tolist(), transpose.data[lo:hi].tolist()),
+                          key=lambda e: (-e[1], e[0]))
+        assert predecessors(tmap, t) == expected
+        assert list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist())) == expected
+
+
+@PROPERTY
+@given(shuffled_random_maps())
+def test_total_exterior_mass_keeps_its_bits(system):
+    tmap, _ = system
+    column = _scipy_matrix(tmap)[:-1, -1].toarray()
+    assert tmap.total_exterior_mass() == float(np.cumsum(column)[-1])
