@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "TopEventError",
     "TreeNode",
     "backtrack",
+    "encode_ranked_paths",
     "event_cells",
     "event_probability",
     "forward_check",
@@ -272,8 +274,12 @@ class RankedPath:
     cumulative: float
 
     def render(self, event_label: str = "TopEvent") -> str:
-        parts = [f"{c.label} (q={q:g})" for c, q in zip(self.cells, self.steps)]
-        return " -> ".join(parts + [event_label])
+        return " -> ".join([*map(_step_text, self.cells, self.steps), event_label])
+
+
+def _step_text(coord: CellCoord, q: float) -> str:
+    """One step of a rendered path; rendered paths and report rows share it."""
+    return f"{coord.label} (q={q:g})"
 
 
 def rank_paths(
@@ -290,29 +296,18 @@ def rank_paths(
     reads forward in time.
     """
     paths: list[RankedPath] = []
-
-    def descend(node: TreeNode, chain: list[TreeNode]) -> None:
-        chain.append(node)
-        if not node.children:
-            ordered = list(reversed(chain))
-            weight = 1.0
-            if initial_distribution is not None:
-                weight = float(initial_distribution[ordered[0].cell_id])
-            paths.append(
-                RankedPath(
-                    cells=tuple(n.coord for n in ordered),
-                    cell_ids=tuple(n.cell_id for n in ordered),
-                    steps=tuple(n.q for n in ordered),
-                    cumulative=chain[-1].cumulative * weight,
-                )
-            )
-        else:
-            for child in node.children:
-                descend(child, chain)
-        chain.pop()
-
-    for child in tree.root.children:
-        descend(child, [])
+    # Each node's tuples are its own entry prepended to its parent's, so the
+    # part of a path shared with other paths is built once.
+    stack = [(child, (), (), ()) for child in reversed(tree.root.children)]
+    while stack:
+        node, cells, ids, steps = stack.pop()
+        cells, ids, steps = (node.coord,) + cells, (node.cell_id,) + ids, (node.q,) + steps
+        if node.children:
+            for child in reversed(node.children):
+                stack.append((child, cells, ids, steps))
+            continue
+        weight = 1.0 if initial_distribution is None else float(initial_distribution[node.cell_id])
+        paths.append(RankedPath(cells, ids, steps, node.cumulative * weight))
     paths.sort(key=lambda p: (-p.cumulative, len(p.cells), p.cell_ids))
     return paths
 
@@ -339,8 +334,30 @@ def forward_check(
     return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
+def _tree_header(tree: ScenarioTree, n_nodes: int) -> dict:
+    """Every field of the tree document but its root node."""
+    return {
+        "format": TREE_FORMAT,
+        "version": TREE_FORMAT_VERSION,
+        "search_depth": tree.depth,
+        "truncation": tree.truncation,
+        "map_simulator": tree.map_simulator,
+        "map_seed": tree.map_seed,
+        "event": {
+            "lower": list(tree.event.lower),
+            "upper": list(tree.event.upper),
+            "configs": sorted(list(c) for c in tree.event.configs),
+        },
+        "n_nodes": n_nodes,
+    }
+
+
 def tree_to_dict(tree: ScenarioTree) -> dict:
-    """Structured document form of a tree (stable field order, versioned)."""
+    """Structured document form of a tree (stable field order, versioned).
+
+    This defines the tree file: write_tree writes the document's compact
+    sorted-key JSON without building it.
+    """
 
     def node_dict(node: TreeNode) -> dict:
         d: dict = {
@@ -356,21 +373,7 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
             d["entry_edges"] = [[t, q] for t, q in node.entry_edges]
         return d
 
-    return {
-        "format": TREE_FORMAT,
-        "version": TREE_FORMAT_VERSION,
-        "search_depth": tree.depth,
-        "truncation": tree.truncation,
-        "map_simulator": tree.map_simulator,
-        "map_seed": tree.map_seed,
-        "event": {
-            "lower": list(tree.event.lower),
-            "upper": list(tree.event.upper),
-            "configs": sorted(list(c) for c in tree.event.configs),
-        },
-        "n_nodes": tree.n_nodes,
-        "root": node_dict(tree.root),
-    }
+    return {**_tree_header(tree, tree.n_nodes), "root": node_dict(tree.root)}
 
 
 _NODE_FIELDS = (
@@ -473,16 +476,76 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
     )
 
 
-def write_tree(tree: ScenarioTree, path: str) -> None:
-    """Compact sorted-key JSON of tree_to_dict, encoded in one call.
+# json.dumps(..., sort_keys=True, separators=(",", ":")) with one encoder.
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    json.dumps without indent runs CPython's C encoder; json.dump to a file
-    never does. Both give the same bytes.
+
+def write_tree(tree: ScenarioTree, path: str) -> None:
+    """Write the compact sorted-key JSON of tree_to_dict(tree), byte for byte.
+
+    Nodes with the same cell id, coordinate and event flag share the text of
+    those fields, so per node only its cumulative, depth and q are written
+    (floats by repr, as json writes them), plus the level-1 entry_edges. The
+    header fields and the entry edges go through json's encoder.
     """
-    text = json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))
+    fragments: dict = {}
+    parts: list[str] = []
+    stack: list = [tree.root]   # nodes, and the text that follows them
+    n_nodes = -1                # the root is not counted
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            parts.append(node)
+            continue
+        n_nodes += 1
+        key = (node.cell_id, node.coord and node.coord.label, node.is_event_cell)
+        if (text := fragments.get(key)) is None:
+            coord = list(node.coord.as_vector()) if node.coord else None
+            text = fragments[key] = (f'{{"cell_id":{_compact(node.cell_id)},"children":[',
+                                     f'],"coord":{_compact(coord)},"cumulative":',
+                                     f',"event_cell":{_compact(node.is_event_cell)},"q":')
+        edges = "" if node.entry_edges is None else ',"entry_edges":' + _compact(node.entry_edges)
+        tail = f'{text[1]}{node.cumulative!r},"depth":{node.depth}{edges}{text[2]}{node.q!r}}}'
+        parts.append(text[0])
+        if not node.children:
+            parts.append(tail)
+            continue
+        stack.append(tail)
+        for child in node.children[:0:-1]:
+            stack += (child, ",")
+        stack.append(node.children[0])
+    # Keys are sorted: "root" sits between "n_nodes" and "search_depth".
+    header = _tree_header(tree, n_nodes)
+    before = _compact({k: v for k, v in header.items() if k < "root"})
+    after = _compact({k: v for k, v in header.items() if k > "root"})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(f'{before[:-1]},"root":{"".join(parts)},{after[1:]}\n')
+
+
+def encode_ranked_paths(paths: list[RankedPath]):
+    """A run report's ranked_paths as JSON text, in slices of 4096 rows.
+
+    Joined, the slices equal json.dumps(rows, sort_keys=True, separators=(",",
+    ":")) of one {"cells": its vectors, "steps", "cumulative", "rendered":
+    path.render()} row per path. Cell vectors, (cell, q) steps and q texts
+    are built once each; one coordinate per cell id, as in one tree's paths.
+    """
+    coords = dict(zip(itertools.chain.from_iterable(p.cell_ids for p in paths),
+                      itertools.chain.from_iterable(p.cells for p in paths)))
+    vector = functools.cache(lambda cid: _compact(list(coords[cid].as_vector())))
+    step = functools.cache(lambda cid, q: _step_text(coords[cid], q))
+    number = functools.cache(repr)
+    yield "["
+    for start in range(0, len(paths), 4096):
+        rows = []
+        for p in paths[start:start + 4096]:
+            rendered = " -> ".join([*map(step, p.cell_ids, p.steps), "TopEvent"])
+            rows.append(f'{{"cells":[{",".join(map(vector, p.cell_ids))}],'
+                        f'"cumulative":{p.cumulative!r},'
+                        f'"rendered":{encode_basestring_ascii(rendered)},'
+                        f'"steps":[{",".join(map(number, p.steps))}]}}')
+        yield ("," if start else "") + ",".join(rows)
+    yield "]"
 
 
 def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
@@ -493,19 +556,18 @@ def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
         '\tnode [shape=box, fontname="Helvetica"];',
         f'\t"root" [label="{event_label}", shape=doubleoctagon];',
     ]
+    attrs_of: dict = {}   # per (cell, q, event flag)
     counter = itertools.count()
-
-    def emit(node: TreeNode, parent_name: str) -> None:
+    stack = [(child, "root") for child in reversed(tree.root.children)]
+    while stack:
+        node, parent = stack.pop()
         name = f"n{next(counter)}"
-        attrs = f'label="{node.coord.label}\\nP={node.q:g}"'
-        if node.is_event_cell:
-            attrs += ", style=dashed"
-        lines.append(f'\t"{name}" [{attrs}];')
-        lines.append(f'\t"{name}" -> "{parent_name}";')
-        for child in node.children:
-            emit(child, name)
-
-    for child in tree.root.children:
-        emit(child, "root")
+        key = (node.coord.label, node.q, node.is_event_cell)
+        if (attrs := attrs_of.get(key)) is None:
+            attrs = attrs_of[key] = (f'label="{node.coord.label}\\nP={node.q:g}"'
+                                     + (", style=dashed" if node.is_event_cell else ""))
+        lines.append(f'\t"{name}" [{attrs}];\n\t"{name}" -> "{parent}";')
+        for child in reversed(node.children):
+            stack.append((child, name))
     lines.append("}")
     return "\n".join(lines) + "\n"

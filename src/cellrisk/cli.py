@@ -80,8 +80,8 @@ class ConfigError(ValueError):
 
 
 def _parse_number(value: object, where: str, problems: list[str]) -> float:
-    """Accept plain numbers plus simple pi expressions like 'pi/3', '-pi/3'."""
-    if isinstance(value, (int, float)):
+    """Accept plain numbers (not booleans) plus pi expressions like 'pi/3', '-pi/3'."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip().replace(" ", "")
@@ -350,6 +350,10 @@ def load_config(path: str) -> RunConfig:
         problems.append(f"dt must be positive, got {dt}")
     if samples < 1:
         problems.append("samples_per_cell must be >= 1")
+    for key, value in (("node_budget", node_budget), ("sample_budget", sample_budget),
+                       ("workers", workers)):
+        if value < 1:
+            problems.append(f"{key} must be >= 1, got {value}")
     if seed < 0:
         problems.append(f"seed must be >= 0, got {seed}")
     if depth < 1:
@@ -526,7 +530,7 @@ def main() -> None:
 @click.option("--workers", type=int, default=None, help="Override worker count.")
 def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
     """Build the transition map for a configuration and persist it."""
-    if flags := (_below(("--seed", seed, 0), ("--samples", samples, 1))
+    if flags := (_below(("--seed", seed, 0), ("--samples", samples, 1), ("--workers", workers, 1))
                  + _unwritable(("--out", out_path))):
         _fail("option", flags)
     try:
@@ -603,21 +607,11 @@ def run_bpa_cmd(
         with open(out_graph, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
     if out_report:
-        vectors = {n.cell_id: n.coord.as_vector() for n in nodes}   # one per cell
-        rows = [
-            {
-                "cells": [vectors[c] for c in p.cell_ids],
-                "steps": p.steps,
-                "cumulative": p.cumulative,
-                "rendered": p.render(),
-            }
-            for p in paths
-        ]
-        t3 = time.perf_counter()
-        report = {
-            "format": REPORT_FORMAT,
-            "version": REPORT_FORMAT_VERSION,
+        # The report's fields in sorted-key order: these, then the rows,
+        # written in slices as they are encoded, then the timings and the rest.
+        head = {
             "config": cfg.normalized_dict(),
+            "format": REPORT_FORMAT,
             "map": {
                 "path": map_path,
                 "sources": tmap.n_cells,
@@ -626,22 +620,25 @@ def run_bpa_cmd(
                 "simulator": tmap.metadata.simulator,
                 "seed": tmap.metadata.seed,
             },
-            "tree": {
-                "nodes": len(nodes),
-                "paths": len(paths),
-                "max_depth_reached": max((n.depth for n in nodes), default=0),
-                "event_cells": len(tree.event_cell_ids),
-            },
-            "ranked_paths": rows,
-            # export_seconds covers the tree and graph writes and the report's
-            # rows, not the report's own encoding and write
-            "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
-                        "export_seconds": t3 - t2},
         }
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        compact = {"sort_keys": True, "separators": (",", ":")}
         with open(out_report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            fh.write(json.dumps(head, **compact)[:-1] + ',"ranked_paths":')
+            fh.writelines(bpa_mod.encode_ranked_paths(paths))
+            tail = {
+                # export_seconds covers the tree and graph writes and the
+                # report's rows, not the report's other fields
+                "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
+                            "export_seconds": time.perf_counter() - t2},
+                "tree": {
+                    "nodes": len(nodes),
+                    "paths": len(paths),
+                    "max_depth_reached": max((n.depth for n in nodes), default=0),
+                    "event_cells": len(tree.event_cell_ids),
+                },
+                "version": REPORT_FORMAT_VERSION,
+            }
+            fh.write("," + json.dumps(tail, **compact)[1:] + "\n")
 
     click.echo(f"tree: {len(nodes)} nodes, {len(paths)} ranked paths")
     for p in paths[:10]:

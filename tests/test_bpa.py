@@ -16,6 +16,7 @@ from cellrisk.bpa import (
     TopEvent,
     TopEventError,
     backtrack,
+    encode_ranked_paths,
     event_cells,
     forward_check,
     rank_paths,
@@ -337,6 +338,24 @@ def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_case):
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_4_TREE_SHA256
     assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_4_DOT_SHA256
+
+
+# The same at depth 6 (44,541 nodes, 32,907 paths), recorded before the tree,
+# graph and report rows were written from shared per-cell fragments, plus the
+# sha256 of the report's ranked_paths as compact sorted-key JSON.
+DEPTH_6_TREE_SHA256 = "09838431cd7e25ae0552fdb124a754282fa6f875e06cc8c37f26c1783403bd9f"
+DEPTH_6_DOT_SHA256 = "05f6e3a198553dd66ebca6383705f3b0de86a794b7f096caff3bbffad4e1fd5f"
+DEPTH_6_RANKED_PATHS_SHA256 = "3146d18904ce2b212164d281840cceda6e87c64afeb012282428d04780712b4a"
+
+
+def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_case):
+    tree = backtrack(baseline_map, baseline_case.event, depth=6, truncation=1e-8)
+    path = tmp_path / "tree.json"
+    write_tree(tree, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_6_TREE_SHA256
+    assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_6_DOT_SHA256
+    rows = "".join(encode_ranked_paths(rank_paths(tree)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
 
 
 def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_case):

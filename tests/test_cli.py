@@ -462,6 +462,8 @@ def test_forward_check_out_of_range_flag_exit_code(tmp_path, args, flag):
         ("build-map", ["--seed", "-1"], "--seed"),
         ("validate", ["--oracle-trials", "0"], "--oracle-trials"),
         ("validate", ["--oracle-trials", "-5"], "--oracle-trials"),
+        ("build-map", ["--workers", "0"], "--workers"),
+        ("build-map", ["--workers", "-2"], "--workers"),
     ],
 )
 def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args, flag):
@@ -487,6 +489,14 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
         ({"simulator_params": {"velocity": [1.0, 2.0]}}, "velocity"),
         ({"simulator_params": {"velocity": [math.nan]}}, "velocity"),
         ({"simulator": "agv-baseline", "simulator_params": {"gravity": math.inf}}, "gravity"),
+        ({"dt": True}, "dt"),
+        ({"truncation": False}, "truncation"),
+        ({"variableUpperBounds": [True]}, "variableUpperBounds"),
+        ({"eventLowerBounds": [False, 1]}, "eventLowerBounds"),
+        ({"node_budget": 0}, "node_budget"),
+        ({"sample_budget": 0}, "sample_budget"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -2}, "workers"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):

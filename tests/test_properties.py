@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from _synthetic import ShiftModel, random_absorbing_map
 from cellrisk.bpa import (
+    RankedPath,
     backtrack,
+    encode_ranked_paths,
     forward_check,
+    rank_paths,
     tree_from_dict,
     tree_to_dict,
     tree_to_dot,
@@ -214,6 +217,77 @@ def test_write_tree_bytes_equal_pure_python_encoder(n_cells, n_event, seed, dept
         path = Path(tmp) / "tree.json"
         write_tree(tree, str(path))
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _descend_rank_paths(tree, initial_distribution=None):
+    """rank_paths as a recursive descent that rebuilds every path from its chain."""
+    paths = []
+
+    def descend(node, chain):
+        chain.append(node)
+        if not node.children:
+            ordered = list(reversed(chain))
+            weight = 1.0
+            if initial_distribution is not None:
+                weight = float(initial_distribution[ordered[0].cell_id])
+            paths.append(RankedPath(
+                cells=tuple(n.coord for n in ordered),
+                cell_ids=tuple(n.cell_id for n in ordered),
+                steps=tuple(n.q for n in ordered),
+                cumulative=chain[-1].cumulative * weight,
+            ))
+        else:
+            for child in node.children:
+                descend(child, chain)
+        chain.pop()
+
+    for child in tree.root.children:
+        descend(child, [])
+    paths.sort(key=lambda p: (-p.cumulative, len(p.cells), p.cell_ids))
+    return paths
+
+
+def _path_bits(paths):
+    return [(p.cells, p.cell_ids, [q.hex() for q in p.steps], p.cumulative.hex())
+            for p in paths]
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
+       TRUNCATIONS, st.booleans())
+def test_rank_paths_equals_recursive_descent(n_cells, n_event, seed, depth, truncation, weighted):
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
+    prior = np.random.default_rng(seed).random(n_cells) if weighted else None
+    assert (_path_bits(rank_paths(tree, initial_distribution=prior))
+            == _path_bits(_descend_rank_paths(tree, initial_distribution=prior)))
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
+       TRUNCATIONS, st.booleans())
+def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, truncation, weighted):
+    # The report rows as run-bpa built them as dicts and encoded with json.dumps.
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
+    prior = np.random.default_rng(seed).random(n_cells) if weighted else None
+    paths = rank_paths(tree, initial_distribution=prior)
+    vectors = {n.cell_id: n.coord.as_vector() for n in tree.nodes()}
+    rows = [
+        {
+            "cells": [vectors[c] for c in p.cell_ids],
+            "steps": p.steps,
+            "cumulative": p.cumulative,
+            "rendered": " -> ".join([f"{c.label} (q={q:g})" for c, q in zip(p.cells, p.steps)]
+                                    + ["TopEvent"]),
+        }
+        for p in paths
+    ]
+    text = "".join(encode_ranked_paths(paths))
+    expected = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    # Split between rows, so that a failure shows the first row that differs
+    # rather than a diff of the whole text.
+    assert text.split("},{") == expected.split("},{")
 
 
 # scipy is the independent oracle for the map's plain CSR arrays.
