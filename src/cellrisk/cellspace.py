@@ -24,6 +24,7 @@ __all__ = [
     "SpaceSpec",
     "SpecMismatchError",
     "StatePoint",
+    "bin_points",
     "bounds_of",
     "cell_of",
     "coord_to_id",
@@ -147,11 +148,6 @@ class SpaceSpec:
                     f"component {m}: state {n_m} outside 1..{self.states[m]}"
                 )
 
-    def all_coords(self):
-        """Iterate every cell coordinate in flat-id order."""
-        for cid in range(self.total_cells):
-            yield id_to_coord(cid, self)
-
 
 @dataclass(frozen=True)
 class CellCoord:
@@ -199,31 +195,34 @@ class StatePoint:
         self.n = tuple(int(v) for v in self.n)
 
 
-def cell_of(point: StatePoint, spec: SpaceSpec) -> CellCoord | Exterior:
-    """Locate the cell containing a point, or EXTERIOR if out of bounds.
+def bin_points(xs: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Flat continuous index of every row of an (N, L) array of states.
 
-    Boxes are half-open below and open above except the top interval of
-    each dimension, which is closed so the upper bound itself is
-    representable.
+    Dimension 1 is fastest-varying; a row outside the box gets
+    total_continuous_cells, the exterior. Boxes are half-open below and open
+    above except the top interval of each dimension, which is closed so the
+    upper bound itself is representable.
     """
+    lower = np.array(spec.lower)
+    inside = np.all((xs >= lower) & (xs <= np.array(spec.upper)), axis=1)
+    idx = np.floor((xs - lower) / np.array(spec.widths)).astype(np.int64)
+    # Clipping closes the top interval (rows outside are replaced below).
+    flat = np.ravel_multi_index(idx.T, spec.partitions, mode="clip", order="F")
+    return np.where(inside, flat, spec.total_continuous_cells)
+
+
+def cell_of(point: StatePoint, spec: SpaceSpec) -> CellCoord | Exterior:
+    """Locate the cell containing a point, or EXTERIOR if out of bounds (see bin_points)."""
     spec.validate_config(point.n)
     x = np.asarray(point.x, dtype=float)
     if x.shape != (spec.L,):
         raise SpecMismatchError(f"point has shape {x.shape}, expected ({spec.L},)")
     if not np.all(np.isfinite(x)):
         raise SpecMismatchError("point has non-finite coordinates")
-    j = []
-    for l in range(spec.L):
-        lo, hi = spec.lower[l], spec.upper[l]
-        if x[l] < lo or x[l] > hi:
-            return EXTERIOR
-        J_l = spec.partitions[l]
-        w = (hi - lo) / J_l
-        idx = int(math.floor((x[l] - lo) / w))
-        if idx >= J_l:
-            idx = J_l - 1  # top interval closed above
-        j.append(idx + 1)
-    return CellCoord(tuple(j), point.n)
+    j = int(bin_points(x[None, :], spec)[0])
+    if j == spec.total_continuous_cells:
+        return EXTERIOR
+    return CellCoord(id_to_coord(j, spec).j, point.n)
 
 
 def bounds_of(cell: CellCoord, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import click
 import numpy as np
@@ -36,9 +36,10 @@ from .bpa import (
     write_tree,
 )
 from .cellspace import SpaceSpec, id_to_coord
-from .configuration import ConfigTransitionModel, component_matrix_from_rows
+from .configuration import ConfigModelError, ConfigTransitionModel, component_matrix_from_rows
 from .mapper import (
     BudgetError,
+    BuildError,
     DynamicsModel,
     MapFormatError,
     TransitionMap,
@@ -79,8 +80,11 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
-def _parse_number(value: object, where: str, problems: list[str]) -> float:
-    """Accept plain numbers (not booleans) plus pi expressions like 'pi/3', '-pi/3'."""
+def _parse_number(value: object, where: str, problems: list[str]) -> float | None:
+    """Accept plain numbers (not booleans) plus pi expressions like 'pi/3', '-pi/3'.
+
+    Anything else is a problem, named in problems, and gives None.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
@@ -104,26 +108,120 @@ def _parse_number(value: object, where: str, problems: list[str]) -> float:
         except (ValueError, ZeroDivisionError):
             pass
     problems.append(f"{where}: cannot interpret {value!r} as a number")
-    return math.nan
-
-
-_REQUIRED = object()
-_INT = ((int,), "an integer")
-_STR = ((str,), "a string")
-_LIST = ((list,), "a list")
-_MAPPING = ((dict, type(None)), "a mapping")
-_NUMBER = ((int, float), "a number")
-_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
-
-
-def _check_type(value: object, kind: tuple[tuple[type, ...], str], where: str,
-                problems: list[str]):
-    """value if it is an instance of kind's types (bools are not integers)."""
-    types, name = kind
-    if isinstance(value, types) and not (isinstance(value, bool) and bool not in types):
-        return value
-    problems.append(f"{where} must be {name}, got {value!r}")
     return None
+
+
+_REQUIRED = object()  # default of a field that must be given
+_OPTIONAL = object()  # default of a field left out of the values when not given
+_BAD = object()  # a value whose problem has been named
+
+# The types each kind accepts (never a boolean). "a number" and "a number or
+# null" are read by _parse_number instead.
+_TYPES = {"an integer": (int,), "a string": (str,), "a list": (list,),
+          "a mapping": (dict, type(None))}
+
+
+class _Field(NamedTuple):
+    """One config key: its kind, default, range and the flag that overrides it.
+
+    A number must be finite and in [low, high), or (low, high) with
+    open_low; a bound of None is no bound. entry is the field every entry
+    of a list is read as.
+    """
+
+    kind: str
+    default: object = _REQUIRED
+    low: float | None = None
+    high: float | None = None
+    open_low: bool = False
+    entry: _Field | None = None
+    flag: str | None = None
+
+
+_NUMBER, _INTEGER = _Field("a number"), _Field("an integer")
+
+# The system description: built into SpaceSpec, the component matrices and TopEvent.
+_SYSTEM = {
+    "numProcessVariables": _Field("an integer", low=1),
+    "processVariablesNames": _Field("a list"),
+    "numSystemComponents": _Field("an integer", low=1),
+    "systemComponentNames": _Field("a list"),
+    "systemComponentStates": _Field("a list", entry=_INTEGER),
+    "systemComponentStateNames": _Field("a list", _OPTIONAL),  # documentation only
+    "variableUpperBounds": _Field("a list", entry=_NUMBER),
+    "variableLowerBounds": _Field("a list", entry=_NUMBER),
+    "numberOfCells": _Field("a list", entry=_INTEGER),
+    "sysConfTransProb": _Field("a list"),
+    "eventUpperBounds": _Field("a list", entry=_NUMBER),
+    "eventLowerBounds": _Field("a list", entry=_NUMBER),
+    "eventConfigs": _Field("a list", _OPTIONAL, entry=_Field("a list", entry=_INTEGER)),
+}
+# The run settings: RunConfig fields of the same names.
+_SETTINGS = {
+    "simulator": _Field("a string"),
+    "simulator_params": _Field("a mapping", None),
+    "dt": _Field("a number", 1.0, low=0.0, open_low=True),
+    "samples_per_cell": _Field("an integer", mapper_mod.DEFAULT_SAMPLES_PER_CELL, low=1,
+                               flag="--samples"),
+    "search_depth": _Field("an integer", 1, low=1, flag="--depth"),
+    "truncation": _Field("a number", 0.0, low=0.0, high=1.0, flag="--epsilon"),
+    "seed": _Field("an integer", 0, low=0, flag="--seed"),
+    "node_budget": _Field("an integer", bpa_mod.DEFAULT_NODE_BUDGET, low=1, flag="--budget"),
+    "workers": _Field("an integer", 1, low=1, flag="--workers"),
+    "sample_budget": _Field("an integer", mapper_mod.DEFAULT_SAMPLE_BUDGET, low=1),
+}
+
+
+def _range_problem(value: object, f: _Field, where: str) -> str | None:
+    """The problem of a number that is not finite or lies outside f's range."""
+    if not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{where} must be finite, got {value}"
+    below = f.low is not None and (value <= f.low if f.open_low else value < f.low)
+    if not below and (f.high is None or value < f.high):
+        return None
+    if f.high is None:
+        return f"{where} must be {'>' if f.open_low else '>='} {f.low}, got {value}"
+    return f"{where} must be in {'(' if f.open_low else '['}{f.low}, {f.high}), got {value}"
+
+
+def _read_value(value: object, f: _Field, where: str, problems: list[str]) -> object:
+    """value read as f's kind and checked against its range, or _BAD with its problem named."""
+    if f.kind == "a number" or (f.kind == "a number or null" and value is not None):
+        value = _parse_number(value, where, problems)
+        if value is None:
+            return _BAD
+    elif f.kind in _TYPES and (isinstance(value, bool) or not isinstance(value, _TYPES[f.kind])):
+        problems.append(f"{where} must be {f.kind}, got {value!r}")
+        return _BAD
+    if f.entry is not None:
+        entries = [_read_value(v, f.entry, f"{where} entry {k + 1}", problems)
+                   for k, v in enumerate(value)]
+        return _BAD if any(e is _BAD for e in entries) else entries
+    if problem := _range_problem(value, f, where):
+        problems.append(problem)
+        return _BAD
+    return value
+
+
+def _read_fields(raw: dict, table: dict[str, _Field], prefix: str, problems: list[str]) -> dict:
+    """raw read by table in one pass, defaults filled in.
+
+    Names every unknown key, missing required field and value of the wrong
+    kind, non-finite or out of range; such values are left out.
+    """
+    problems += [f"unknown field {prefix}{key}" for key in raw if key not in table]
+    values = {}
+    for key, f in table.items():
+        if key in raw:
+            if (value := _read_value(raw[key], f, prefix + key, problems)) is not _BAD:
+                values[key] = value
+        elif f.default is _REQUIRED:
+            problems.append(f"missing required field {prefix + key!r}")
+        elif f.default is not _OPTIONAL:
+            values[key] = f.default
+    return values
 
 
 @dataclass
@@ -162,16 +260,7 @@ class RunConfig:
             "eventUpperBounds": list(self.event.upper),
             "eventLowerBounds": list(self.event.lower),
             "eventConfigs": sorted(list(c) for c in self.event.configs),
-            "simulator": self.simulator,
-            "simulator_params": self.simulator_params,
-            "dt": self.dt,
-            "samples_per_cell": self.samples_per_cell,
-            "search_depth": self.search_depth,
-            "truncation": self.truncation,
-            "seed": self.seed,
-            "node_budget": self.node_budget,
-            "workers": self.workers,
-            "sample_budget": self.sample_budget,
+            **{key: getattr(self, key) for key in _SETTINGS},
         }
 
 
@@ -212,46 +301,19 @@ SIMULATORS = {
     "identity": lambda params: IdentityModel(),
 }
 
-# The simulator_params each simulator takes, with the kind of each value; the
-# vehicle takes every ScenarioParams field, typed by its default.
+# The simulator_params each simulator takes; the vehicle takes any
+# ScenarioParams field, of the kind of its default.
 _AGV_PARAMS = {
-    f.name: _INT if isinstance(f.default, int) else
-    _NUMBER_OR_NULL if f.default is None else _NUMBER
+    f.name: _Field("an integer" if isinstance(f.default, int) else
+                   "a number or null" if f.default is None else "a number", _OPTIONAL)
     for f in dataclasses.fields(ScenarioParams)
-}
+} | {"substeps": _Field("an integer", _OPTIONAL, low=1)}
 _SIMULATOR_PARAMS = {
     "agv-baseline": _AGV_PARAMS,
     "agv-modified": _AGV_PARAMS,
-    "linear-drift": {"velocity": _LIST},
+    "linear-drift": {"velocity": _Field("a list", entry=_NUMBER)},
     "identity": {},
 }
-
-
-def _simulator_param_problems(simulator: str, params: dict, L: int) -> list[str]:
-    """Every problem of a simulator_params mapping for a registered simulator."""
-    problems: list[str] = []
-    kinds = _SIMULATOR_PARAMS[simulator]
-    for key, value in params.items():
-        where = f"simulator_params.{key}"
-        if key not in kinds:
-            problems.append(f"{where} is not a parameter of {simulator}; "
-                            f"known: {sorted(kinds)}")
-            continue
-        if _check_type(value, kinds[key], where, problems) is None:
-            continue
-        if key == "velocity":
-            if len(value) != L:
-                problems.append(f"{where} has {len(value)} entries, expected {L}")
-            for v in value:
-                if _check_type(v, _NUMBER, where, problems) is not None and not math.isfinite(v):
-                    problems.append(f"{where} entries must be finite, got {v}")
-        elif key == "substeps" and value < 1:
-            problems.append(f"{where} must be >= 1, got {value}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"{where} must be finite, got {value}")
-    if simulator == "linear-drift" and "velocity" not in params:
-        problems.append("simulator_params.velocity is required by linear-drift")
-    return problems
 
 
 def load_config(path: str) -> RunConfig:
@@ -267,66 +329,36 @@ def load_config(path: str) -> RunConfig:
 
     problems: list[str] = []
     warnings: list[str] = []
-
-    def field_of(key: str, kind: tuple[tuple[type, ...], str], default=_REQUIRED):
-        """raw[key] (or default) if it has the expected type, else a problem."""
-        if key not in raw:
-            if default is _REQUIRED:
-                problems.append(f"missing required field {key!r}")
-                return None
-            return default
-        return _check_type(raw[key], kind, key, problems)
-
-    L = field_of("numProcessVariables", _INT)
-    M = field_of("numSystemComponents", _INT)
-    names_x = field_of("processVariablesNames", _LIST)
-    names_n = field_of("systemComponentNames", _LIST)
-    states = field_of("systemComponentStates", _LIST)
-    uppers = field_of("variableUpperBounds", _LIST)
-    lowers = field_of("variableLowerBounds", _LIST)
-    cells = field_of("numberOfCells", _LIST)
-    trans = field_of("sysConfTransProb", _LIST)
-    ev_upper = field_of("eventUpperBounds", _LIST)
-    ev_lower = field_of("eventLowerBounds", _LIST)
-    ev_configs = field_of("eventConfigs", _LIST, None)
-    simulator = field_of("simulator", _STR)
-    for key, items in (("systemComponentStates", states), ("numberOfCells", cells)):
-        for k, v in enumerate(items or []):
-            _check_type(v, _INT, f"{key} entry {k + 1}", problems)
-    for k, c in enumerate(ev_configs or []):
-        if _check_type(c, _LIST, f"eventConfigs entry {k + 1}", problems) is not None:
-            for v in c:
-                _check_type(v, _INT, f"eventConfigs entry {k + 1}", problems)
-
-    dt = _parse_number(raw.get("dt", 1.0), "dt", problems)
-    samples = field_of("samples_per_cell", _INT, mapper_mod.DEFAULT_SAMPLES_PER_CELL)
-    depth = field_of("search_depth", _INT, 1)
-    truncation = _parse_number(raw.get("truncation", 0.0), "truncation", problems)
-    seed = field_of("seed", _INT, 0)
-    node_budget = field_of("node_budget", _INT, bpa_mod.DEFAULT_NODE_BUDGET)
-    workers = field_of("workers", _INT, 1)
-    sample_budget = field_of("sample_budget", _INT, mapper_mod.DEFAULT_SAMPLE_BUDGET)
-    sim_params = field_of("simulator_params", _MAPPING, None) or {}
-
+    values = _read_fields(raw, _SYSTEM | _SETTINGS, "", problems)
+    simulator = values.get("simulator")
+    if simulator is not None and simulator not in SIMULATORS:
+        problems.append(
+            f"unknown simulator {simulator!r}; registered: {sorted(SIMULATORS)}"
+        )
+    elif simulator is not None and "simulator_params" in values:
+        values["simulator_params"] = _read_fields(
+            values["simulator_params"] or {}, _SIMULATOR_PARAMS[simulator],
+            "simulator_params.", problems)
     if problems:
         raise ConfigError(problems)
 
-    if len(names_x) != L:
-        problems.append(f"processVariablesNames has {len(names_x)} entries, expected {L}")
-    if len(names_n) != M:
-        problems.append(f"systemComponentNames has {len(names_n)} entries, expected {M}")
-    if len(states) != M:
-        problems.append(f"systemComponentStates has {len(states)} entries, expected {M}")
-    for key, vec in (("variableUpperBounds", uppers), ("variableLowerBounds", lowers)):
-        if len(vec) != L:
-            problems.append(f"{key} has {len(vec)} entries, expected {L}")
+    L, M = values["numProcessVariables"], values["numSystemComponents"]
+    states = values["systemComponentStates"]
+    for key, n in (("processVariablesNames", L), ("systemComponentNames", M),
+                   ("systemComponentStates", M), ("variableUpperBounds", L),
+                   ("variableLowerBounds", L)):
+        if len(values[key]) != n:
+            problems.append(f"{key} has {len(values[key])} entries, expected {n}")
+    velocity = values["simulator_params"].get("velocity")
+    if velocity is not None and len(velocity) != L:
+        problems.append(f"simulator_params.velocity has {len(velocity)} entries, expected {L}")
 
     # numberOfCells may carry a trailing configuration-count shorthand.
-    partitions = list(cells)
+    partitions = values["numberOfCells"]
     if len(partitions) == L + 1:
-        trailing = int(partitions[-1])
+        trailing = partitions[-1]
         partitions = partitions[:-1]
-        expected = math.prod(int(s) for s in states) if len(states) == M else None
+        expected = math.prod(states) if len(states) == M else None
         if expected is not None and trailing != expected:
             warnings.append(
                 f"numberOfCells trailing entry {trailing} does not match the "
@@ -337,47 +369,23 @@ def load_config(path: str) -> RunConfig:
             f"numberOfCells has {len(partitions)} entries, expected {L} or {L + 1}"
         )
 
-    upper_v = [_parse_number(v, "variableUpperBounds", problems) for v in uppers[:L]]
-    lower_v = [_parse_number(v, "variableLowerBounds", problems) for v in lowers[:L]]
-
-    if simulator not in SIMULATORS:
-        problems.append(
-            f"unknown simulator {simulator!r}; registered: {sorted(SIMULATORS)}"
-        )
-    else:
-        problems += _simulator_param_problems(simulator, sim_params, L)
-    if dt != dt or dt <= 0:
-        problems.append(f"dt must be positive, got {dt}")
-    if samples < 1:
-        problems.append("samples_per_cell must be >= 1")
-    for key, value in (("node_budget", node_budget), ("sample_budget", sample_budget),
-                       ("workers", workers)):
-        if value < 1:
-            problems.append(f"{key} must be >= 1, got {value}")
-    if seed < 0:
-        problems.append(f"seed must be >= 0, got {seed}")
-    if depth < 1:
-        problems.append("search_depth must be >= 1")
-    if not 0.0 <= truncation < 1.0:
-        problems.append("truncation must be in [0, 1)")
-
     if problems:
         raise ConfigError(problems)
 
     try:
         spec = SpaceSpec(
-            names_x=tuple(str(s) for s in names_x),
-            names_n=tuple(str(s) for s in names_n),
-            lower=tuple(lower_v),
-            upper=tuple(upper_v),
-            partitions=tuple(int(p) for p in partitions),
-            states=tuple(int(s) for s in states),
+            names_x=tuple(str(s) for s in values["processVariablesNames"]),
+            names_n=tuple(str(s) for s in values["systemComponentNames"]),
+            lower=tuple(values["variableLowerBounds"]),
+            upper=tuple(values["variableUpperBounds"]),
+            partitions=tuple(partitions),
+            states=tuple(states),
         )
     except ValueError as exc:
         raise ConfigError([f"space specification: {exc}"]) from exc
 
     # Transition matrices: for one component a bare matrix is accepted.
-    matrices_raw = trans
+    matrices_raw = values["sysConfTransProb"]
     head = matrices_raw[0] if matrices_raw else None
     if M == 1 and isinstance(head, list) and head and not isinstance(head[0], (list, tuple)):
         matrices_raw = [matrices_raw]
@@ -389,7 +397,9 @@ def load_config(path: str) -> RunConfig:
     for m, rows in enumerate(matrices_raw):
         try:
             comp = component_matrix_from_rows(rows, component_index=m)
-        except (TypeError, ValueError) as exc:
+        except ConfigModelError as exc:  # its message names the component
+            raise ConfigError([f"sysConfTransProb {exc}"]) from exc
+        except TypeError as exc:
             raise ConfigError([f"sysConfTransProb component {m}: {exc}"]) from exc
         if comp.size != spec.states[m]:
             raise ConfigError(
@@ -405,11 +415,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([f"sysConfTransProb: {msg}" for msg in issues])
 
     # Event bounds: L entries, or L+1 with a trailing configuration range.
-    ev_u = list(ev_upper)
-    ev_l = list(ev_lower)
-    configs: frozenset[tuple[int, ...]] | None = None
-    if ev_configs is not None:
-        configs = frozenset(tuple(c) for c in ev_configs)
+    ev_u, ev_l = values["eventUpperBounds"], values["eventLowerBounds"]
+    configs = values.get("eventConfigs")
+    if configs is not None:
+        configs = frozenset(tuple(c) for c in configs)
     if len(ev_u) == L + 1 and len(ev_l) == L + 1:
         if configs is None:
             if M != 1:
@@ -417,11 +426,12 @@ def load_config(path: str) -> RunConfig:
                     ["trailing event-bound configuration shorthand needs M == 1; "
                      "use eventConfigs instead"]
                 )
-            lo_idx = _check_type(ev_l[-1], _INT, "eventLowerBounds configuration entry", problems)
-            hi_idx = _check_type(ev_u[-1], _INT, "eventUpperBounds configuration entry", problems)
+            for key, end in (("eventLowerBounds", ev_l[-1]), ("eventUpperBounds", ev_u[-1])):
+                if not end.is_integer():
+                    problems.append(f"{key} configuration entry must be an integer, got {end}")
             if problems:
                 raise ConfigError(problems)
-            configs = frozenset((i,) for i in range(lo_idx, hi_idx + 1))
+            configs = frozenset((i,) for i in range(int(ev_l[-1]), int(ev_u[-1]) + 1))
         ev_u, ev_l = ev_u[:-1], ev_l[:-1]
     if len(ev_u) != L or len(ev_l) != L:
         raise ConfigError(
@@ -429,46 +439,37 @@ def load_config(path: str) -> RunConfig:
              f"{len(ev_u)}/{len(ev_l)}"]
         )
     if configs is None:
-        configs = frozenset(
-            tuple(c) for c in np.ndindex(*spec.states)
-        )
-        configs = frozenset(tuple(v + 1 for v in c) for c in configs)
-    ev_u_v = [_parse_number(v, "eventUpperBounds", problems) for v in ev_u]
-    ev_l_v = [_parse_number(v, "eventLowerBounds", problems) for v in ev_l]
-    if problems:
-        raise ConfigError(problems)
+        configs = frozenset(tuple(v + 1 for v in c) for c in np.ndindex(*spec.states))
     try:
-        event = TopEvent(lower=tuple(ev_l_v), upper=tuple(ev_u_v), configs=configs)
+        event = TopEvent(lower=tuple(ev_l), upper=tuple(ev_u), configs=configs)
         event.validate_against(spec)
     except ValueError as exc:
         raise ConfigError([f"event definition: {exc}"]) from exc
 
-    return RunConfig(
-        spec=spec,
-        config_model=model,
-        event=event,
-        simulator=str(simulator),
-        simulator_params=dict(sim_params),
-        dt=float(dt),
-        samples_per_cell=samples,
-        search_depth=depth,
-        truncation=truncation,
-        seed=seed,
-        node_budget=node_budget,
-        workers=workers,
-        sample_budget=sample_budget,
-        warnings=warnings,
-    )
+    return RunConfig(spec=spec, config_model=model, event=event, warnings=warnings,
+                     **{key: values[key] for key in _SETTINGS})
 
 
 def _make_simulator(cfg: RunConfig) -> DynamicsModel:
     return SIMULATORS[cfg.simulator](cfg.simulator_params)
 
 
-def _below(*minimums: tuple[str, int | None, int]) -> list[str]:
-    """A problem for every (flag, value, minimum) given with a value below its minimum."""
-    return [f"{flag} must be >= {low}, got {value}"
-            for flag, value, low in minimums if value is not None and value < low]
+def _override(key: str):
+    """The option that overrides a setting, under the flag its table entry names."""
+    f = _SETTINGS[key]
+    return click.option(f.flag, key, type=float if f.kind == "a number" else int,
+                        default=None, help=f"Override the config's {key}.")
+
+
+def _flag_problems(overrides: dict) -> list[str]:
+    """A problem for every override flag given outside its setting's range."""
+    return [problem for key, value in overrides.items() if value is not None
+            and (problem := _range_problem(value, _SETTINGS[key], _SETTINGS[key].flag))]
+
+
+def _overridden(cfg: RunConfig, overrides: dict) -> RunConfig:
+    """cfg with the setting of every override flag given."""
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _unwritable(*outputs: tuple[str, str | None]) -> list[str]:
@@ -497,7 +498,9 @@ def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, Transition
     try:
         cfg = load_config(config_path)
         tmap = load_map(map_path)
-        _check_spec_match(cfg, tmap)
+        if tmap.spec != cfg.spec:
+            raise ConfigError(
+                ["map spec does not match config spec; rebuild the map for this config"])
     except ConfigError as exc:
         _fail("config", exc.problems)
     except MapFormatError as exc:
@@ -510,13 +513,6 @@ def _echo_warnings(cfg: RunConfig) -> None:
         click.echo(f"warning: {w}", err=True)
 
 
-def _check_spec_match(cfg: RunConfig, tmap: TransitionMap) -> None:
-    if tmap.spec != cfg.spec:
-        raise ConfigError(
-            ["map spec does not match config spec; rebuild the map for this config"]
-        )
-
-
 @click.group()
 def main() -> None:
     """Cell-to-cell risk mapping and backtracking scenario search."""
@@ -525,35 +521,29 @@ def main() -> None:
 @main.command("build-map")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--samples", type=int, default=None, help="Override samples per cell.")
-@click.option("--workers", type=int, default=None, help="Override worker count.")
-def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
+@_override("seed")
+@_override("samples_per_cell")
+@_override("workers")
+def build_map_cmd(config_path, out_path, **overrides) -> None:
     """Build the transition map for a configuration and persist it."""
-    if flags := (_below(("--seed", seed, 0), ("--samples", samples, 1), ("--workers", workers, 1))
-                 + _unwritable(("--out", out_path))):
+    if flags := _flag_problems(overrides) + _unwritable(("--out", out_path)):
         _fail("option", flags)
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         _fail("config", exc.problems)
     _echo_warnings(cfg)
+    cfg = _overridden(cfg, overrides)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
     try:
-        tmap = build_map(
-            model,
-            cfg.spec,
-            cfg.config_model,
-            dt=cfg.dt,
-            samples=samples if samples is not None else cfg.samples_per_cell,
-            seed=seed if seed is not None else cfg.seed,
-            workers=workers if workers is not None else cfg.workers,
-            sample_budget=cfg.sample_budget,
-        )
+        tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
+                         samples=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.workers,
+                         sample_budget=cfg.sample_budget)
     except BudgetError as exc:
-        click.echo(f"budget error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET_ERROR)
+        _fail("budget", [str(exc)], EXIT_BUDGET_ERROR)
+    except BuildError as exc:
+        _fail("build", [str(exc)])
     elapsed = time.perf_counter() - t0
     save_map(tmap, out_path)
     click.echo(
@@ -568,34 +558,24 @@ def build_map_cmd(config_path, out_path, seed, samples, workers) -> None:
 @click.option("--out-tree", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-report", type=click.Path(), default=None)
-@click.option("--epsilon", type=float, default=None, help="Override truncation.")
-@click.option("--depth", type=int, default=None, help="Override search depth.")
-@click.option("--budget", type=int, default=None, help="Override node budget.")
-def run_bpa_cmd(
-    config_path, map_path, out_tree, out_graph, out_report, epsilon, depth, budget
-) -> None:
+@_override("truncation")
+@_override("search_depth")
+@_override("node_budget")
+def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overrides) -> None:
     """Backtrack from the Top Event and export tree, graph and report."""
-    flags = _below(("--depth", depth, 1), ("--budget", budget, 1))
-    if epsilon is not None and not 0.0 <= epsilon < 1.0:
-        flags.insert(0, f"--epsilon must be in [0, 1), got {epsilon}")
-    flags += _unwritable(("--out-tree", out_tree), ("--out-graph", out_graph),
-                         ("--out-report", out_report))
+    flags = _flag_problems(overrides) + _unwritable(
+        ("--out-tree", out_tree), ("--out-graph", out_graph), ("--out-report", out_report))
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
     _echo_warnings(cfg)
+    run = _overridden(cfg, overrides)
     t0 = time.perf_counter()
     try:
-        tree = backtrack(
-            tmap,
-            cfg.event,
-            depth=depth if depth is not None else cfg.search_depth,
-            truncation=epsilon if epsilon is not None else cfg.truncation,
-            node_budget=budget if budget is not None else cfg.node_budget,
-        )
+        tree = backtrack(tmap, cfg.event, depth=run.search_depth,
+                         truncation=run.truncation, node_budget=run.node_budget)
     except BudgetError as exc:
-        click.echo(f"budget error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET_ERROR)
+        _fail("budget", [str(exc)], EXIT_BUDGET_ERROR)
     t1 = time.perf_counter()
     paths = rank_paths(tree)
     t2 = time.perf_counter()
@@ -649,55 +629,19 @@ def run_bpa_cmd(
     sys.exit(EXIT_OK)
 
 
-def _duality_selfcheck() -> list[str]:
-    """Built-in backward/forward consistency check on a synthetic system."""
-    failures = []
-    spec = SpaceSpec(
-        names_x=("x",), names_n=("c",),
-        lower=(0.0,), upper=(10.0,), partitions=(10,), states=(1,),
-    )
-    rng = np.random.default_rng(7)
-    edges = {}
-    for s in range(10):
-        if s >= 8:
-            edges[s] = [(s, 1.0)]  # absorbing event block
-            continue
-        targets = sorted(rng.choice(10, size=3, replace=False))
-        weights = rng.random(3)
-        weights /= weights.sum()
-        edges[s] = [(int(t), float(w)) for t, w in zip(targets, weights)]
-    tmap = TransitionMap.from_edges(spec, edges)
-    event = TopEvent(lower=(8.0,), upper=(10.0,), configs=frozenset({(1,)}))
-    tree = backtrack(tmap, event, depth=3, truncation=0.0)
-    for cid in range(10):
-        total = tree.cumulative_for_cell(cid)
-        dist = np.zeros(11)
-        dist[cid] = 1.0
-        fwd = bpa_mod.forward_check(tmap, tree, dist)
-        if abs(total - fwd) > 1e-9:
-            failures.append(
-                f"duality: cell {cid} backward sum {total!r} != forward {fwd!r}"
-            )
-    return failures
-
-
 @main.command("validate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True))
 @click.option("--oracle-trials", type=int, default=2000, show_default=True)
 def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
-    if flags := _below(("--oracle-trials", oracle_trials, 1)):
-        _fail("option", flags)
+    if oracle_trials < 1:
+        _fail("option", [f"--oracle-trials must be >= 1, got {oracle_trials}"])
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         _fail("config", exc.problems)
     failures: list[str] = []
-
-    issues = config_mod.validate(cfg.config_model)
-    failures += [f"config-model: {m}" for m in issues]
-
     try:
         tmap = load_map(map_path, check=False)  # rows are checked below, each named
     except MapFormatError as exc:
@@ -722,12 +666,14 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     if not all(map(np.array_equal, edges, stored)):
         failures.append("transpose: predecessor index is not the map's transpose")
 
-    failures += _duality_selfcheck()
-
-    if not failures and cfg.simulator in SIMULATORS:
+    if not failures:
         model = _make_simulator(cfg)
         cell = id_to_coord(0, cfg.spec)
-        row = mapper_mod.estimate_g(cell, model, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 1)
+        try:
+            row = mapper_mod.estimate_g(cell, model, cfg.spec, cfg.dt, oracle_trials,
+                                        cfg.seed + 1)
+        except BuildError as exc:
+            _fail("build", [str(exc)])
         emp = oracle_mod.empirical_transition(
             model, cell, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 2
         )
@@ -760,8 +706,8 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")
 def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     """Push a point mass forward and report the event-set probability."""
-    if flags := _below(("--steps", steps, 0)):
-        _fail("option", flags)
+    if steps is not None and steps < 0:
+        _fail("option", [f"--steps must be >= 0, got {steps}"])
     cfg, tmap = _load_inputs(config_path, map_path)
     if not 0 <= cell_id < tmap.n_cells:
         _fail("option", [f"--cell must be in [0, {tmap.n_cells}), got {cell_id}"])

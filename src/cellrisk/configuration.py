@@ -61,14 +61,6 @@ class ComponentMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def prob(self, state_from: int, state_to: int) -> float:
-        if not (1 <= state_from <= self.size and 1 <= state_to <= self.size):
-            raise ConfigModelError(
-                f"component {self.component_index}: state pair "
-                f"({state_from}, {state_to}) outside 1..{self.size}"
-            )
-        return float(self.entries[state_from - 1, state_to - 1])
-
 
 @dataclass(frozen=True)
 class ConfigTransitionModel:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,6 +26,7 @@ from .cellspace import (
     CellCoord,
     Exterior,
     SpaceSpec,
+    bin_points,
     coord_to_id,
     id_to_coord,
     sample_cell_array,
@@ -108,7 +108,6 @@ class CSR(NamedTuple):
 class MapMetadata:
     seed: int
     simulator: str
-    built_at: float = 0.0  # wall-clock; in-memory only, never serialized
 
 
 @dataclass(eq=False)
@@ -181,7 +180,7 @@ class TransitionMap:
         """Build a map from explicit edge lists, checked as load_map checks a file."""
         triples = [(s, t, q) for s, row in edges.items() for t, q in row]
         matrix = _edge_matrix(spec.total_cells, triples)
-        metadata = MapMetadata(seed=seed, simulator=simulator, built_at=time.time())
+        metadata = MapMetadata(seed=seed, simulator=simulator)
         return cls(spec, dt, samples_per_cell, matrix, metadata)
 
 
@@ -288,14 +287,8 @@ def _flow_counts(
             f"(sample {k % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
         )
 
-    lower = np.array(spec.lower)
-    inside = np.all((ys >= lower) & (ys <= np.array(spec.upper)), axis=1)
-    idx = np.floor((ys - lower) / np.array(spec.widths)).astype(np.int64)
-    # Flat continuous index, dimension 1 fastest-varying; clipping closes the
-    # top interval above (rows outside the box are binned to the exterior).
-    flat_j = np.ravel_multi_index(idx.T, spec.partitions, mode="clip", order="F")
     n_j = spec.total_continuous_cells
-    target = np.where(inside, flat_j, n_j)
+    target = bin_points(ys, spec)
     keys, counts = np.unique(
         np.repeat(np.arange(len(ids)), samples) * (n_j + 1) + target, return_counts=True
     )
@@ -416,7 +409,7 @@ def build_map(
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*parts)))
     if problem := _off_row(matrix):
         raise BuildError(problem)
-    metadata = MapMetadata(seed=seed, simulator=model.name, built_at=time.time())
+    metadata = MapMetadata(seed=seed, simulator=model.name)
     return TransitionMap(spec, dt, samples, matrix, metadata)
 
 

@@ -213,10 +213,7 @@ class GroundVehicleModel(DynamicsModel):
             yr += h * (-(omega**2) * yaw - 2.0 * omega * yr)
             yaw += h * yr
 
-        out = np.ascontiguousarray(cols.T)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("vehicle integration produced non-finite state")
-        return out
+        return np.ascontiguousarray(cols.T)
 
     def simulate_to_rest(
         self,

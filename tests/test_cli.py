@@ -497,6 +497,11 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
         ({"sample_budget": 0}, "sample_budget"),
         ({"workers": 0}, "workers"),
         ({"workers": -2}, "workers"),
+        ({"samples_per_cel": 5}, "samples_per_cel"),
+        ({"dt": math.inf}, "dt"),
+        ({"search_depth": True}, "search_depth"),
+        ({"truncation": math.nan}, "truncation"),
+        ({"eventConfigs": [[[1]]]}, "eventConfigs"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -508,6 +513,41 @@ def test_config_field_types_are_problems(tmp_path, override, field):
         main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
     )
     _assert_named_exit_3(res, "config error", field)
+
+
+def test_matrix_row_problem_names_its_component_once(tmp_path):
+    # One component given as a one-row matrix whose row has two entries.
+    path = write_config(tmp_path, {"sysConfTransProb": [[None, [0, 1]]]})
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.problems == [
+        "sysConfTransProb component 0: row 1 has 2 entries, expected 1"
+    ]
+
+
+@pytest.mark.parametrize("command", ["build-map", "validate"])
+def test_drift_blow_up_is_a_build_error(tmp_path, command):
+    # dt is finite, but a step of 2 x 1e308 overflows to inf.
+    _, map_path = _built(tmp_path)
+    path = write_config(
+        tmp_path, {"dt": "1e308", "simulator_params": {"velocity": [2.0]}}, name="blow.yaml"
+    )
+    out = tmp_path / "other.json"
+    where = ["--out", str(out)] if command == "build-map" else ["--map", str(map_path)]
+    res = CliRunner().invoke(main, [command, "--config", str(path)] + where)
+    _assert_named_exit_3(res, "build error", "non-finite")
+    assert not out.exists()
+
+
+def test_vehicle_blow_up_is_a_build_error(tmp_path):
+    doc = yaml.safe_load(Path("configs/agv_baseline.yaml").read_text())
+    doc.update(dt="1e308", numberOfCells=[5, 1, 1, 30, 1, 1, 3], samples_per_cell=4)
+    path = tmp_path / "agv.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    res = CliRunner().invoke(
+        main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
+    )
+    _assert_named_exit_3(res, "build error", "non-finite")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
