@@ -15,14 +15,17 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
 from . import mapper
 from .cellspace import CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from .mapper import BudgetError, TransitionMap, predecessors
+from .mapper import CSR, BudgetError, TransitionMap, predecessors
 
 __all__ = [
+    "Level",
+    "PathRanking",
     "RankedPath",
     "ScenarioTree",
     "TopEvent",
@@ -37,6 +40,7 @@ __all__ = [
     "tree_from_dict",
     "tree_to_dict",
     "tree_to_dot",
+    "tree_to_text",
     "write_tree",
 ]
 
@@ -123,7 +127,7 @@ def event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
 
 @dataclass(slots=True)
 class TreeNode:
-    """One search-tree node; the root is synthetic and carries no cell."""
+    """One node of a tree's linked view; the root is synthetic and carries no cell."""
 
     coord: CellCoord | None
     cell_id: int | None
@@ -144,9 +148,41 @@ class TreeNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass
+class Level(NamedTuple):
+    """The nodes of one tree level as arrays, in the search's breadth-first order.
+
+    parent is each node's index in the level above (0, the root, on level
+    1). The children of one parent sit together, the groups in their
+    parents' order; backtrack puts each group in predecessor-index order.
+    """
+
+    cell: np.ndarray        # int64
+    q: np.ndarray           # float64: single-step probability into the parent
+    cumulative: np.ndarray  # float64: product of q from the node up to the event
+    parent: np.ndarray      # int64
+
+
+def _child_starts(levels: list[Level], k: int) -> np.ndarray:
+    """Where the children of each node of levels[k] start in levels[k + 1], then the end."""
+    n = len(levels[k].cell)
+    if k + 1 == len(levels):
+        return np.zeros(n + 1, dtype=np.int64)
+    return np.searchsorted(levels[k + 1].parent, np.arange(n + 1))
+
+
+@dataclass(eq=False)
 class ScenarioTree:
-    root: TreeNode
+    """A search tree held as one Level per depth reached, level 1 first; no level is empty.
+
+    coords holds the coordinate of every cell in the tree, shared by all of
+    its nodes, and entry_edges the per-event-cell breakdown of each level-1
+    node's aggregated entry edge (None where a tree file gives none). A node
+    is an event cell when its cell is in event_cell_ids.
+    """
+
+    levels: list[Level]
+    entry_edges: list[list[tuple[int, float]] | None]
+    coords: dict[int, CellCoord]
     spec: SpaceSpec | None   # None for a tree read back from its file
     event: TopEvent
     event_cell_ids: frozenset[int]
@@ -155,19 +191,82 @@ class ScenarioTree:
     map_simulator: str
     map_seed: int
 
+    @property
+    def n_nodes(self) -> int:
+        return sum(len(level.cell) for level in self.levels)
+
+    @property
+    def max_depth_reached(self) -> int:
+        return len(self.levels)
+
+    def cumulative_for_cell(self, cell_id: int) -> float:
+        """Sum of cumulative probabilities over all nodes holding a cell."""
+        return sum(float(level.cumulative[level.cell == cell_id].sum()) for level in self.levels)
+
+    @functools.cached_property
+    def root(self) -> TreeNode:
+        """The tree as linked TreeNodes, built from the levels on first use."""
+        root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
+        above = [root]
+        for depth, level in enumerate(self.levels, 1):
+            nodes = [TreeNode(self.coords[c], c, q, cumulative, depth, c in self.event_cell_ids)
+                     for c, q, cumulative in zip(level.cell.tolist(), level.q.tolist(),
+                                                 level.cumulative.tolist())]
+            for node, p in zip(nodes, level.parent.tolist()):
+                above[p].children.append(node)
+            above = nodes
+        for node, edges in zip(root.children, self.entry_edges):
+            node.entry_edges = edges
+        return root
+
     def nodes(self):
-        """All non-root nodes, depth-first in deterministic child order."""
+        """All non-root nodes of the linked view, depth-first in child order."""
         for node in self.root.walk():
             if node.coord is not None:
                 yield node
 
-    @property
-    def n_nodes(self) -> int:
-        return sum(1 for _ in self.nodes())
+    def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
+        """All root-to-leaf paths in rank_paths' order, as arrays.
 
-    def cumulative_for_cell(self, cell_id: int) -> float:
-        """Sum of cumulative probabilities over all nodes holding a cell."""
-        return sum(n.cumulative for n in self.nodes() if n.cell_id == cell_id)
+        One lexsort over the leaves: by score, highest first, then by
+        length, then by cell ids from the leaf up.
+        """
+        length, index, cumulative = [_NO_INTS], [_NO_INTS], [_NO_FLOATS]
+        for k, level in enumerate(self.levels):
+            starts = _child_starts(self.levels, k)
+            leaves = np.flatnonzero(starts[1:] == starts[:-1])
+            length.append(np.full(len(leaves), k + 1))
+            index.append(leaves)
+            cumulative.append(level.cumulative[leaves])
+        length, index, cumulative = map(np.concatenate, (length, index, cumulative))
+        cells = _along_paths(self.levels, length, index, "cell")
+        if initial_distribution is not None and len(cells):
+            cumulative = cumulative * np.asarray(initial_distribution, dtype=float)[cells[:, 0]]
+        order = np.lexsort((*cells.T[::-1], length, -cumulative))
+        return PathRanking(self, length[order], index[order], cumulative[order])
+
+
+_NO_INTS, _NO_FLOATS = np.empty(0, dtype=np.int64), np.empty(0)
+
+
+def _along_paths(levels: list[Level], length: np.ndarray, index: np.ndarray,
+                 name: str) -> np.ndarray:
+    """One row per path (leaf level, leaf index): the named field of its nodes
+    from the leaf up, zero past the path's end."""
+    width = int(length.max()) if len(length) else 0
+    kind = getattr(levels[0], name).dtype if levels else np.int64
+    out = np.zeros((len(length), width), dtype=kind)
+    for d in range(1, width + 1):
+        rows = np.flatnonzero(length == d)
+        i = index[rows]
+        for column, level in enumerate(reversed(levels[:d])):
+            out[rows, column] = getattr(level, name)[i]
+            i = level.parent[i]
+    return out
+
+
+# Candidate children held at once while a level is expanded.
+_EXPAND_CHUNK = 1 << 18
 
 
 def backtrack(
@@ -184,18 +283,13 @@ def backtrack(
     Deeper levels expand predecessors while the running path product stays at
     or above the truncation value. Nodes sitting inside the event set are
     kept but never expanded; an earlier event occurrence dominates anything
-    behind it.
+    behind it. Raises BudgetError once more than node_budget nodes are kept.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 <= truncation < 1.0:
         raise ValueError("truncation must be in [0, 1)")
     ev_cells = frozenset(event_cells(event, tmap.spec))
-    # One coordinate per cell, shared by all of its nodes.
-    coord_of = functools.cache(lambda cid: id_to_coord(cid, tmap.spec))
-
-    root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
-    count = 0
 
     entry: dict[int, float] = {}
     detail: dict[int, list[tuple[int, float]]] = {}
@@ -206,54 +300,31 @@ def backtrack(
     for source in entry:
         if entry[source] > 1.0:
             entry[source] = 1.0
+    kept = [(source, q) for source, q in sorted(entry.items(), key=lambda kv: (-kv[1], kv[0]))
+            if not (q < truncation or q <= 0.0)]
+    if len(kept) > node_budget:
+        raise BudgetError(f"scenario tree exceeded node budget {node_budget}")
 
-    level: list[TreeNode] = []
-    for source, q in sorted(entry.items(), key=lambda kv: (-kv[1], kv[0])):
-        if q < truncation or q <= 0.0:
-            continue
-        node = TreeNode(
-            coord=coord_of(source),
-            cell_id=source,
-            q=q,
-            cumulative=q,
-            depth=1,
-            is_event_cell=source in ev_cells,
-            entry_edges=sorted(detail[source]),
-        )
-        root.children.append(node)
-        level.append(node)
-        count += 1
-        if count > node_budget:
+    levels: list[Level] = []
+    if kept:
+        cell, q = map(np.array, zip(*kept))
+        levels.append(Level(cell, q, q, np.zeros(len(kept), dtype=np.int64)))
+    is_event = np.zeros(tmap.n_cells, dtype=bool)
+    is_event[list(ev_cells)] = True
+    while levels and len(levels) < depth:
+        room = node_budget - sum(len(level.cell) for level in levels)
+        level = _expand(levels[-1], tmap.predecessor_index, is_event, truncation, room)
+        if level is None:
             raise BudgetError(f"scenario tree exceeded node budget {node_budget}")
+        if not len(level.cell):
+            break
+        levels.append(level)
 
-    for d in range(2, depth + 1):
-        next_level: list[TreeNode] = []
-        for parent in level:
-            if parent.is_event_cell:
-                continue  # the event is absorbing for the search
-            for source, q in predecessors(tmap, parent.cell_id):
-                cumulative = parent.cumulative * q
-                if cumulative < truncation or cumulative <= 0.0:
-                    continue
-                node = TreeNode(
-                    coord=coord_of(source),
-                    cell_id=source,
-                    q=q,
-                    cumulative=cumulative,
-                    depth=d,
-                    is_event_cell=source in ev_cells,
-                )
-                parent.children.append(node)
-                next_level.append(node)
-                count += 1
-                if count > node_budget:
-                    raise BudgetError(
-                        f"scenario tree exceeded node budget {node_budget}"
-                    )
-        level = next_level
-
+    cells = np.unique(np.concatenate([level.cell for level in levels])) if levels else _NO_INTS
     return ScenarioTree(
-        root=root,
+        levels=levels,
+        entry_edges=[sorted(detail[source]) for source, _ in kept],
+        coords={c: id_to_coord(c, tmap.spec) for c in cells.tolist()},
         spec=tmap.spec,
         event=event,
         event_cell_ids=ev_cells,
@@ -262,6 +333,40 @@ def backtrack(
         map_simulator=tmap.metadata.simulator,
         map_seed=tmap.metadata.seed,
     )
+
+
+def _expand(parents: Level, index: CSR, is_event: np.ndarray, truncation: float,
+            room: int) -> Level | None:
+    """The next level: every kept predecessor of each parent outside the event set.
+
+    Parents are expanded in chunks of about _EXPAND_CHUNK candidate
+    children. Gives None once more than room children are kept.
+    """
+    open_ = np.flatnonzero(~is_event[parents.cell])
+    start = index.indptr[parents.cell[open_]]
+    counts = index.indptr[parents.cell[open_] + 1] - start
+    ends = np.cumsum(counts)   # candidates of the parents up to each one
+    pieces, kept, lo = [], 0, 0
+    while lo < len(open_):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _EXPAND_CHUNK, side="right")), lo + 1)
+        n = counts[lo:hi]
+        parent = np.repeat(open_[lo:hi], n)
+        # Each candidate's position in the predecessor index: its parent's
+        # start plus its place among the parent's candidates.
+        first = ends[lo:hi] - n - base   # each parent's first candidate in the chunk
+        at = np.arange(int(ends[hi - 1]) - base) + np.repeat(start[lo:hi] - first, n)
+        q = index.data[at]
+        cumulative = parents.cumulative[parent] * q
+        keep = ~((cumulative < truncation) | (cumulative <= 0.0))
+        kept += int(np.count_nonzero(keep))
+        if kept > room:
+            return None
+        pieces.append(Level(index.indices[at[keep]], q[keep], cumulative[keep], parent[keep]))
+        lo = hi
+    if not pieces:
+        return Level(_NO_INTS, _NO_FLOATS, _NO_FLOATS, _NO_INTS)
+    return Level(*map(np.concatenate, zip(*pieces)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,6 +387,33 @@ def _step_text(coord: CellCoord, q: float) -> str:
     return f"{coord.label} (q={q:g})"
 
 
+@dataclass(frozen=True, eq=False)
+class PathRanking:
+    """A tree's root-to-leaf paths, most probable first, as arrays.
+
+    Path k ends at node index[k] of level length[k] (1-based, so also the
+    path's length) and scores cumulative[k]: its leaf's cumulative, times
+    the leaf cell's occupancy when ranked under an initial distribution.
+    """
+
+    tree: ScenarioTree
+    length: np.ndarray
+    index: np.ndarray
+    cumulative: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def paths(self, stop: int | None = None) -> list[RankedPath]:
+        """The first stop paths, all by default, as RankedPaths."""
+        args = (self.tree.levels, self.length[:stop], self.index[:stop])
+        coord = self.tree.coords.__getitem__
+        return [RankedPath(tuple(map(coord, ids[:n])), tuple(ids[:n]), tuple(steps[:n]), cumulative)
+                for ids, steps, n, cumulative in zip(
+                    _along_paths(*args, "cell").tolist(), _along_paths(*args, "q").tolist(),
+                    args[1].tolist(), self.cumulative[:stop].tolist())]
+
+
 def rank_paths(
     tree: ScenarioTree,
     initial_distribution: np.ndarray | None = None,
@@ -295,21 +427,7 @@ def rank_paths(
     lexicographic cell ids. Each path is reported deepest node first so it
     reads forward in time.
     """
-    paths: list[RankedPath] = []
-    # Each node's tuples are its own entry prepended to its parent's, so the
-    # part of a path shared with other paths is built once.
-    stack = [(child, (), (), ()) for child in reversed(tree.root.children)]
-    while stack:
-        node, cells, ids, steps = stack.pop()
-        cells, ids, steps = (node.coord,) + cells, (node.cell_id,) + ids, (node.q,) + steps
-        if node.children:
-            for child in reversed(node.children):
-                stack.append((child, cells, ids, steps))
-            continue
-        weight = 1.0 if initial_distribution is None else float(initial_distribution[node.cell_id])
-        paths.append(RankedPath(cells, ids, steps, node.cumulative * weight))
-    paths.sort(key=lambda p: (-p.cumulative, len(p.cells), p.cell_ids))
-    return paths
+    return tree.ranking(initial_distribution).paths()
 
 
 def event_probability(
@@ -334,7 +452,7 @@ def forward_check(
     return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
-def _tree_header(tree: ScenarioTree, n_nodes: int) -> dict:
+def _tree_header(tree: ScenarioTree) -> dict:
     """Every field of the tree document but its root node."""
     return {
         "format": TREE_FORMAT,
@@ -348,7 +466,7 @@ def _tree_header(tree: ScenarioTree, n_nodes: int) -> dict:
             "upper": list(tree.event.upper),
             "configs": sorted(list(c) for c in tree.event.configs),
         },
-        "n_nodes": n_nodes,
+        "n_nodes": tree.n_nodes,
     }
 
 
@@ -356,24 +474,30 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
     """Structured document form of a tree (stable field order, versioned).
 
     This defines the tree file: write_tree writes the document's compact
-    sorted-key JSON without building it.
+    sorted-key JSON without building it. Built from the deepest level up.
     """
-
-    def node_dict(node: TreeNode) -> dict:
-        d: dict = {
-            "coord": list(node.coord.as_vector()) if node.coord else None,
-            "cell_id": node.cell_id,
-            "q": node.q,
-            "cumulative": node.cumulative,
-            "depth": node.depth,
-            "event_cell": node.is_event_cell,
-            "children": [node_dict(c) for c in node.children],
-        }
-        if node.entry_edges is not None:
-            d["entry_edges"] = [[t, q] for t, q in node.entry_edges]
-        return d
-
-    return {**_tree_header(tree, tree.n_nodes), "root": node_dict(tree.root)}
+    below: list[dict] = []
+    for k in reversed(range(len(tree.levels))):
+        level, starts = tree.levels[k], _child_starts(tree.levels, k).tolist()
+        below = [
+            {
+                "coord": list(tree.coords[c].as_vector()),
+                "cell_id": c,
+                "q": q,
+                "cumulative": cumulative,
+                "depth": k + 1,
+                "event_cell": c in tree.event_cell_ids,
+                "children": below[starts[i]:starts[i + 1]],
+            }
+            for i, (c, q, cumulative) in enumerate(zip(
+                level.cell.tolist(), level.q.tolist(), level.cumulative.tolist()))
+        ]
+    for node, edges in zip(below, tree.entry_edges):
+        if edges is not None:
+            node["entry_edges"] = [[t, q] for t, q in edges]
+    root = {"coord": None, "cell_id": None, "q": 1.0, "cumulative": 1.0, "depth": 0,
+            "event_cell": False, "children": below}
+    return {**_tree_header(tree), "root": root}
 
 
 _NODE_FIELDS = (
@@ -399,11 +523,14 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
     The file carries no space spec, so spec is None and event_cell_ids
     holds only the event cells that appear in the tree. Raises ValueError
     for a document that is not a scenario tree and for a node with a field
-    of the wrong type, a depth other than its parent's plus one, q outside
+    of the wrong type, a cell id outside [0, 2**63), a depth other than its
+    parent's plus one, q or cumulative too large for a float, q outside
     (0, 1], a cumulative other than its parent's times q (relative
-    tolerance CUMULATIVE_RTOL) or a coordinate whose length is not L + M;
-    the message names the node by its child positions from the root.
-    KeyError or TypeError for a malformed header.
+    tolerance CUMULATIVE_RTOL), a coordinate whose length is not L + M,
+    entry_edges below level 1, or a coordinate or event flag other than
+    another node's of the same cell; the message
+    names the node by its child positions from the root. KeyError or
+    TypeError for a malformed header. Reads the nodes level by level.
     """
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise ValueError("not a scenario tree file")
@@ -419,56 +546,72 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
     if len(widths) != 1:
         raise ValueError("event configurations differ in length")
     width = L + widths.pop()
-    # One coordinate per cell, shared by all of its nodes.
-    coord_of = functools.cache(lambda vector: CellCoord(vector[:L], vector[L:]))
 
-    def node(d: dict, parent: TreeNode, name: str) -> TreeNode:
-        if not isinstance(d, dict):
-            raise ValueError(f"node {name}: not an object")
-        for key, kind, noun in _NODE_FIELDS:
-            if key not in d:
-                raise ValueError(f"node {name}: missing field {key!r}")
-            if not _is(d[key], kind):
-                raise ValueError(f"node {name}: {key} must be {noun}, got {d[key]!r}")
-        where = f"node {name} (cell {d['cell_id']})"
-        coord, q, cumulative = d["coord"], d["q"], d["cumulative"]
-        if len(coord) != width or not all(_is(v, int) for v in coord):
-            raise ValueError(f"{where}: coord must be {width} integers, got {coord!r}")
-        if d["depth"] != parent.depth + 1:
-            raise ValueError(f"{where}: depth {d['depth']}, expected {parent.depth + 1}")
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"{where}: q {q!r} outside (0, 1]")
-        expected = parent.cumulative * q
-        if not abs(cumulative - expected) <= CUMULATIVE_RTOL * expected:
-            raise ValueError(
-                f"{where}: cumulative {cumulative!r} is not parent cumulative x q = {expected!r}"
-            )
-        out = TreeNode(
-            coord=coord_of(tuple(coord)),
-            cell_id=d["cell_id"],
-            q=q,
-            cumulative=cumulative,
-            depth=d["depth"],
-            is_event_cell=d["event_cell"],
-        )
-        out.children = [node(c, out, f"{name}/{i}") for i, c in enumerate(d["children"])]
-        if "entry_edges" in d:
-            edges = d["entry_edges"]
-            if not _is(edges, list) or not all(
-                _is(e, list) and len(e) == 2 and _is(e[0], int) and _is(e[1], (int, float))
-                for e in edges
-            ):
-                raise ValueError(f"{where}: entry_edges must be [cell id, q] pairs")
-            out.entry_edges = [(t, q) for t, q in edges]
-        return out
+    first_seen: dict[int, tuple] = {}   # cell id -> (coordinate, event flag, node name)
+    levels: list[Level] = []
+    entry_edges: list[list[tuple[int, float]] | None] = []
+    # The nodes of the next level: (node, name, parent index), in parent order.
+    front = [(d, str(i), 0) for i, d in enumerate(doc["root"]["children"])]
+    above = [1.0]   # cumulative of each node of the level above; the root's first
+    while front:
+        depth = len(levels) + 1
+        ids, qs, cumulatives, parents, below = [], [], [], [], []
+        for i, (d, name, p) in enumerate(front):
+            if not isinstance(d, dict):
+                raise ValueError(f"node {name}: not an object")
+            for key, kind, noun in _NODE_FIELDS:
+                if key not in d:
+                    raise ValueError(f"node {name}: missing field {key!r}")
+                if not _is(d[key], kind):
+                    raise ValueError(f"node {name}: {key} must be {noun}, got {d[key]!r}")
+            where = f"node {name} (cell {d['cell_id']})"
+            if not 0 <= d["cell_id"] < 2**63:
+                raise ValueError(f"{where}: cell_id outside [0, 2**63)")
+            if len(d["coord"]) != width or not all(_is(v, int) for v in d["coord"]):
+                raise ValueError(f"{where}: coord must be {width} integers, got {d['coord']!r}")
+            if d["depth"] != depth:
+                raise ValueError(f"{where}: depth {d['depth']}, expected {depth}")
+            try:
+                q, cumulative = float(d["q"]), float(d["cumulative"])
+            except OverflowError:
+                raise ValueError(f"{where}: q or cumulative too large for a float") from None
+            if not 0.0 < q <= 1.0:
+                raise ValueError(f"{where}: q {d['q']!r} outside (0, 1]")
+            expected = above[p] * q
+            if not abs(cumulative - expected) <= CUMULATIVE_RTOL * expected:
+                raise ValueError(f"{where}: cumulative {d['cumulative']!r} is not "
+                                 f"parent cumulative x q = {expected!r}")
+            seen = first_seen.setdefault(d["cell_id"], (tuple(d["coord"]), d["event_cell"], name))
+            if seen[:2] != (tuple(d["coord"]), d["event_cell"]):
+                raise ValueError(f"{where}: coord or event_cell differs from node {seen[2]}'s")
+            if "entry_edges" in d:
+                edges = d["entry_edges"]
+                if not _is(edges, list) or not all(
+                    _is(e, list) and len(e) == 2 and _is(e[0], int) and _is(e[1], (int, float))
+                    for e in edges
+                ):
+                    raise ValueError(f"{where}: entry_edges must be [cell id, q] pairs")
+                if depth != 1:
+                    raise ValueError(f"{where}: entry_edges on a node below level 1")
+            if depth == 1:
+                entry_edges.append(list(map(tuple, d["entry_edges"]))
+                                   if "entry_edges" in d else None)
+            ids.append(d["cell_id"])
+            qs.append(q)
+            cumulatives.append(cumulative)
+            parents.append(p)
+            below += [(c, f"{name}/{j}", i) for j, c in enumerate(d["children"])]
+        levels.append(Level(np.array(ids, dtype=np.int64), np.array(qs), np.array(cumulatives),
+                            np.array(parents, dtype=np.int64)))
+        front, above = below, cumulatives
 
-    root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
-    root.children = [node(c, root, str(i)) for i, c in enumerate(doc["root"]["children"])]
     return ScenarioTree(
-        root=root,
+        levels=levels,
+        entry_edges=entry_edges,
+        coords={c: CellCoord(vector[:L], vector[L:]) for c, (vector, _, _) in first_seen.items()},
         spec=None,
         event=event,
-        event_cell_ids=frozenset(n.cell_id for n in root.walk() if n.is_event_cell),
+        event_cell_ids=frozenset(c for c, (_, flag, _) in first_seen.items() if flag),
         depth=doc["search_depth"],
         truncation=doc["truncation"],
         map_simulator=doc["map_simulator"],
@@ -476,98 +619,174 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
     )
 
 
+def _preorder(levels: list[Level]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each level's preorder numbers (0 for the first level-1 node) and subtree sizes."""
+    starts = [_child_starts(levels, k) for k in range(len(levels))]
+    sizes: list[np.ndarray] = [_NO_INTS] * len(levels)
+    for k in reversed(range(len(levels))):
+        sizes[k] = np.ones(len(levels[k].cell), dtype=np.int64)
+        if k + 1 < len(levels):
+            below = np.concatenate(([0], np.cumsum(sizes[k + 1])))
+            sizes[k] += below[starts[k][1:]] - below[starts[k][:-1]]
+    pre: list[np.ndarray] = []
+    for k, level in enumerate(levels):
+        before = np.cumsum(sizes[k]) - sizes[k]   # sizes of the earlier nodes of the level
+        if k == 0:
+            pre.append(before)
+        else:
+            # A node follows its parent and its earlier siblings' subtrees.
+            first = starts[k - 1][level.parent]
+            pre.append(pre[k - 1][level.parent] + 1 + before - before[first])
+    return pre, sizes
+
+
+def _join_at(parts: list[tuple[np.ndarray, list[str]]], sep: str = "") -> str:
+    """The texts of every (positions, texts) part joined by sep in position order.
+
+    The positions of all parts together are 0, 1, ... once each.
+    """
+    texts = list(itertools.chain.from_iterable(t for _, t in parts))
+    order = np.empty(len(texts), dtype=np.int64)
+    if parts:
+        order[np.concatenate([at for at, _ in parts])] = np.arange(len(texts))
+    return sep.join(map(texts.__getitem__, order.tolist()))
+
+
 # json.dumps(..., sort_keys=True, separators=(",", ":")) with one encoder.
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
+    """A tree-file node's text up to its children, from them to its cumulative,
+    and from its depth to its q, the same for every node of one cell."""
+    return (f'{{"cell_id":{_compact(cell_id)},"children":[',
+            f'],"coord":{_compact(vector)},"cumulative":',
+            f',"event_cell":{_compact(is_event)},"q":')
 
 
 def write_tree(tree: ScenarioTree, path: str) -> None:
     """Write the compact sorted-key JSON of tree_to_dict(tree), byte for byte.
 
-    Nodes with the same cell id, coordinate and event flag share the text of
-    those fields, so per node only its cumulative, depth and q are written
-    (floats by repr, as json writes them), plus the level-1 entry_edges. The
-    header fields and the entry edges go through json's encoder.
+    Nodes of one cell share the text of their cell id, coordinate and event
+    flag, so per node only its cumulative, depth and q are written (floats
+    by repr, as json writes them), plus the level-1 entry_edges. Each node
+    gives the text before its children and the text after them; these go
+    in the order a preorder walk enters and leaves the nodes. The header
+    fields and the entry edges go through json's encoder.
     """
-    fragments: dict = {}
-    parts: list[str] = []
-    stack: list = [tree.root]   # nodes, and the text that follows them
-    n_nodes = -1                # the root is not counted
-    while stack:
-        node = stack.pop()
-        if node.__class__ is str:
-            parts.append(node)
-            continue
-        n_nodes += 1
-        key = (node.cell_id, node.coord and node.coord.label, node.is_event_cell)
-        if (text := fragments.get(key)) is None:
-            coord = list(node.coord.as_vector()) if node.coord else None
-            text = fragments[key] = (f'{{"cell_id":{_compact(node.cell_id)},"children":[',
-                                     f'],"coord":{_compact(coord)},"cumulative":',
-                                     f',"event_cell":{_compact(node.is_event_cell)},"q":')
-        edges = "" if node.entry_edges is None else ',"entry_edges":' + _compact(node.entry_edges)
-        tail = f'{text[1]}{node.cumulative!r},"depth":{node.depth}{edges}{text[2]}{node.q!r}}}'
-        parts.append(text[0])
-        if not node.children:
-            parts.append(tail)
-            continue
-        stack.append(tail)
-        for child in node.children[:0:-1]:
-            stack += (child, ",")
-        stack.append(node.children[0])
+    shared = {c: _node_text(c, list(coord.as_vector()), c in tree.event_cell_ids)
+              for c, coord in tree.coords.items()}
+    after_sibling = {c: "," + text[0] for c, text in shared.items()}
+    number = functools.cache(repr)
+    pre, sizes = _preorder(tree.levels)
+    parts = []
+    for k, level in enumerate(tree.levels):
+        first = np.ones(len(level.cell), dtype=bool)
+        first[1:] = level.parent[1:] != level.parent[:-1]
+        cell = level.cell.tolist()
+        depth = [f',"depth":{k + 1}'] * len(cell)
+        if k == 0:
+            depth = [d if edges is None else f'{d},"entry_edges":{_compact(edges)}'
+                     for d, edges in zip(depth, tree.entry_edges)]
+        opened = [shared[c][0] if f else after_sibling[c] for c, f in zip(cell, first.tolist())]
+        closed = [f"{shared[c][1]}{cumulative!r}{d}{shared[c][2]}{number(q)}}}"
+                  for c, cumulative, d, q in zip(cell, level.cumulative.tolist(), depth,
+                                                 level.q.tolist())]
+        # In a preorder walk the entry of a level-(k+1) node is the 2*pre-k-th
+        # event, its exit the 2*(pre+size)-(k+1)-th.
+        parts += [(2 * pre[k] - k, opened), (2 * (pre[k] + sizes[k]) - (k + 1), closed)]
+    root = _node_text(None, None, False)
+    body = f'{root[0]}{_join_at(parts)}{root[1]}1.0,"depth":0{root[2]}1.0}}'
     # Keys are sorted: "root" sits between "n_nodes" and "search_depth".
-    header = _tree_header(tree, n_nodes)
+    header = _tree_header(tree)
     before = _compact({k: v for k, v in header.items() if k < "root"})
     after = _compact({k: v for k, v in header.items() if k > "root"})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{before[:-1]},"root":{"".join(parts)},{after[1:]}\n')
+        fh.write(f'{before[:-1]},"root":{body},{after[1:]}\n')
 
 
-def encode_ranked_paths(paths: list[RankedPath]):
+def encode_ranked_paths(ranking: PathRanking):
     """A run report's ranked_paths as JSON text, in slices of 4096 rows.
 
     Joined, the slices equal json.dumps(rows, sort_keys=True, separators=(",",
     ":")) of one {"cells": its vectors, "steps", "cumulative", "rendered":
-    path.render()} row per path. Cell vectors, (cell, q) steps and q texts
-    are built once each; one coordinate per cell id, as in one tree's paths.
+    path.render()} row per ranked path. Every node with children gets its
+    path's cells, steps and rendered text from it up to the event once: its
+    own piece followed by its parent's (JSON string escaping composes under
+    concatenation). A row is its leaf's pieces followed by its parent's.
     """
-    coords = dict(zip(itertools.chain.from_iterable(p.cell_ids for p in paths),
-                      itertools.chain.from_iterable(p.cells for p in paths)))
-    vector = functools.cache(lambda cid: _compact(list(coords[cid].as_vector())))
-    step = functools.cache(lambda cid, q: _step_text(coords[cid], q))
+    tree = ranking.tree
+    levels = tree.levels
+    vector = {c: _compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
+    step = functools.cache(
+        lambda c, q: encode_basestring_ascii(_step_text(tree.coords[c], q))[1:-1])
     number = functools.cache(repr)
+    # The (cells, steps, rendered) text of every node with children, by
+    # level; the root's first.
+    pieces = [([""], [""], [" -> TopEvent"])]
+    for k, level in enumerate(levels[:-1]):
+        starts = _child_starts(levels, k)
+        inner = np.flatnonzero(starts[1:] > starts[:-1])
+        above = pieces[-1]
+        cells, steps, rendered = ([None] * len(level.cell) for _ in range(3))
+        for i, c, q, p in zip(inner.tolist(), level.cell[inner].tolist(),
+                              level.q[inner].tolist(), level.parent[inner].tolist()):
+            cells[i] = f",{vector[c]}{above[0][p]}"
+            steps[i] = f",{number(q)}{above[1][p]}"
+            rendered[i] = f" -> {step(c, q)}{above[2][p]}"
+        pieces.append((cells, steps, rendered))
+
+    leaf = [np.empty(len(ranking), dtype=kind) for kind in (np.int64, float, np.int64)]
+    for d, level in enumerate(levels, 1):
+        rows = np.flatnonzero(ranking.length == d)
+        at = ranking.index[rows]
+        for out, values in zip(leaf, (level.cell, level.q, level.parent)):
+            out[rows] = values[at]
     yield "["
-    for start in range(0, len(paths), 4096):
+    for start in range(0, len(ranking), 4096):
         rows = []
-        for p in paths[start:start + 4096]:
-            rendered = " -> ".join([*map(step, p.cell_ids, p.steps), "TopEvent"])
-            rows.append(f'{{"cells":[{",".join(map(vector, p.cell_ids))}],'
-                        f'"cumulative":{p.cumulative!r},'
-                        f'"rendered":{encode_basestring_ascii(rendered)},'
-                        f'"steps":[{",".join(map(number, p.steps))}]}}')
+        window = slice(start, start + 4096)
+        for d, c, q, p, cumulative in zip(ranking.length[window].tolist(),
+                                          *(a[window].tolist() for a in leaf),
+                                          ranking.cumulative[window].tolist()):
+            cells, steps, rendered = pieces[d - 1]
+            rows.append(f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cumulative!r},'
+                        f'"rendered":"{step(c, q)}{rendered[p]}",'
+                        f'"steps":[{number(q)}{steps[p]}]}}')
         yield ("," if start else "") + ",".join(rows)
     yield "]"
 
 
 def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
-    """Graphviz dot rendering; node labels give the cell vector and its q."""
-    lines = [
-        "digraph scenario_tree {",
-        "\trankdir=RL;",
-        '\tnode [shape=box, fontname="Helvetica"];',
-        f'\t"root" [label="{event_label}", shape=doubleoctagon];',
-    ]
-    attrs_of: dict = {}   # per (cell, q, event flag)
-    counter = itertools.count()
-    stack = [(child, "root") for child in reversed(tree.root.children)]
-    while stack:
-        node, parent = stack.pop()
-        name = f"n{next(counter)}"
-        key = (node.coord.label, node.q, node.is_event_cell)
-        if (attrs := attrs_of.get(key)) is None:
-            attrs = attrs_of[key] = (f'label="{node.coord.label}\\nP={node.q:g}"'
-                                     + (", style=dashed" if node.is_event_cell else ""))
-        lines.append(f'\t"{name}" [{attrs}];\n\t"{name}" -> "{parent}";')
-        for child in reversed(node.children):
-            stack.append((child, name))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz dot rendering; node labels give the cell vector and its q.
+
+    Nodes are named n and their preorder number.
+    """
+    g = functools.cache(lambda q: format(q, "g"))
+    label = {c: f'label="{coord.label}\\nP=' for c, coord in tree.coords.items()}
+    style = {c: '", style=dashed' if c in tree.event_cell_ids else '"' for c in tree.coords}
+    pre, _ = _preorder(tree.levels)
+    parts, above = [], ["root"]
+    for level, numbers in zip(tree.levels, pre):
+        names = [f"n{p}" for p in numbers.tolist()]
+        parts.append((numbers, [
+            f'\t"{name}" [{label[c]}{g(q)}{style[c]}];\n\t"{name}" -> "{above[p]}";\n'
+            for c, q, name, p in zip(level.cell.tolist(), level.q.tolist(), names,
+                                     level.parent.tolist())]))
+        above = names
+    return ("digraph scenario_tree {\n\trankdir=RL;\n"
+            '\tnode [shape=box, fontname="Helvetica"];\n'
+            f'\t"root" [label="{event_label}", shape=doubleoctagon];\n{_join_at(parts)}}}\n')
+
+
+def tree_to_text(tree: ScenarioTree) -> str:
+    """One line per node in preorder, indented by depth: cell, q, cumulative, depth."""
+    label = {c: coord.label for c, coord in tree.coords.items()}
+    pre, _ = _preorder(tree.levels)
+    parts = []
+    for d, (level, numbers) in enumerate(zip(tree.levels, pre), 1):
+        indent = "  " * (d - 1)
+        parts.append((numbers, [f"{indent}{label[c]} q={q:g} cumulative={cumulative:g} depth={d}"
+                                for c, q, cumulative in zip(level.cell.tolist(), level.q.tolist(),
+                                                            level.cumulative.tolist())]))
+    return _join_at(parts, "\n")

@@ -30,9 +30,10 @@ from .bpa import (
     TopEvent,
     backtrack,
     event_cells,
-    rank_paths,
+    rank_paths,  # unused here; bench/tracer.py wraps cli.rank_paths by name
     tree_from_dict,
     tree_to_dot,
+    tree_to_text,
     write_tree,
 )
 from .cellspace import SpaceSpec, id_to_coord
@@ -323,7 +324,15 @@ def load_config(path: str) -> RunConfig:
     stopping at the first.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not valid YAML: not UTF-8: {exc}"]) from exc
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError([f"{path}: not valid YAML: {where}{problem}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
 
@@ -577,9 +586,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
     except BudgetError as exc:
         _fail("budget", [str(exc)], EXIT_BUDGET_ERROR)
     t1 = time.perf_counter()
-    paths = rank_paths(tree)
+    ranking = tree.ranking()
     t2 = time.perf_counter()
-    nodes = list(tree.nodes())
 
     if out_tree:
         write_tree(tree, out_tree)
@@ -604,26 +612,26 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
         compact = {"sort_keys": True, "separators": (",", ":")}
         with open(out_report, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(head, **compact)[:-1] + ',"ranked_paths":')
-            fh.writelines(bpa_mod.encode_ranked_paths(paths))
+            fh.writelines(bpa_mod.encode_ranked_paths(ranking))
             tail = {
                 # export_seconds covers the tree and graph writes and the
                 # report's rows, not the report's other fields
                 "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
                             "export_seconds": time.perf_counter() - t2},
                 "tree": {
-                    "nodes": len(nodes),
-                    "paths": len(paths),
-                    "max_depth_reached": max((n.depth for n in nodes), default=0),
+                    "nodes": tree.n_nodes,
+                    "paths": len(ranking),
+                    "max_depth_reached": tree.max_depth_reached,
                     "event_cells": len(tree.event_cell_ids),
                 },
                 "version": REPORT_FORMAT_VERSION,
             }
             fh.write("," + json.dumps(tail, **compact)[1:] + "\n")
 
-    click.echo(f"tree: {len(nodes)} nodes, {len(paths)} ranked paths")
-    for p in paths[:10]:
+    click.echo(f"tree: {tree.n_nodes} nodes, {len(ranking)} ranked paths")
+    for p in ranking.paths(10):
         click.echo(f"  P={p.cumulative:.6g}  {p.render()}")
-    if not nodes:
+    if not tree.n_nodes:
         click.echo("no risk-significant paths lead to the Top Event")
         sys.exit(EXIT_NO_PATHS)
     sys.exit(EXIT_OK)
@@ -735,19 +743,14 @@ def export_cmd(tree_path, out_graph, out_text) -> None:
         _fail("tree", [f"{tree_path}: nodes nested too deeply to read"])
     except (TypeError, ValueError) as exc:
         _fail("tree", [f"{tree_path}: {exc}"])
-    lines_out = [
-        "  " * (n.depth - 1)
-        + f"{n.coord.label} q={n.q:g} cumulative={n.cumulative:g} depth={n.depth}"
-        for n in tree.nodes()
-    ]
     if out_graph:
         with open(out_graph, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
     if out_text:
         with open(out_text, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines_out) + "\n")
+            fh.write(tree_to_text(tree) + "\n")
     if not out_graph and not out_text:
-        click.echo("\n".join(lines_out))
+        click.echo(tree_to_text(tree))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from _synthetic import (
     line_spec,
     random_absorbing_map,
 )
+from cellrisk import bpa
 from cellrisk.bpa import (
     TopEvent,
     TopEventError,
@@ -20,6 +21,7 @@ from cellrisk.bpa import (
     event_cells,
     forward_check,
     rank_paths,
+    tree_from_dict,
     tree_to_dict,
     tree_to_dot,
     write_tree,
@@ -203,6 +205,27 @@ def test_backtrack_node_budget_guard():
         backtrack(tmap, event, depth=6, truncation=0.0, node_budget=50)
 
 
+def test_node_budget_boundary_on_the_baseline(baseline_map, baseline_case):
+    # A budget of exactly the tree's node count passes; one less fails.
+    args = (baseline_map, baseline_case.event)
+    n = backtrack(*args, depth=4, truncation=1e-8).n_nodes
+    assert backtrack(*args, depth=4, truncation=1e-8, node_budget=n).n_nodes == n
+    with pytest.raises(BudgetError):
+        backtrack(*args, depth=4, truncation=1e-8, node_budget=n - 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_backtrack_expands_the_same_tree_in_small_chunks(monkeypatch, chunk):
+    tmap, event = random_absorbing_map(15, n_event=2, seed=11, fan_out=4)
+    whole = backtrack(tmap, event, depth=5, truncation=0.0)
+    monkeypatch.setattr(bpa, "_EXPAND_CHUNK", chunk)
+    chunked = backtrack(tmap, event, depth=5, truncation=0.0)
+    assert [tuple(map(np.ndarray.tobytes, level)) for level in chunked.levels] == [
+        tuple(map(np.ndarray.tobytes, level)) for level in whole.levels]
+    with pytest.raises(BudgetError):
+        backtrack(tmap, event, depth=5, truncation=0.0, node_budget=whole.n_nodes - 1)
+
+
 def test_backward_forward_duality_three_synthetics():
     # With the event absorbing in the map, total backward path probability
     # from a cell equals the k-step forward occupancy of the event set
@@ -354,7 +377,7 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_case):
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_6_TREE_SHA256
     assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_6_DOT_SHA256
-    rows = "".join(encode_ranked_paths(rank_paths(tree)))
+    rows = "".join(encode_ranked_paths(tree.ranking()))
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
 
 
@@ -365,6 +388,18 @@ def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_case):
         assert by_cell.setdefault(node.cell_id, node.coord) is node.coord
         assert node.coord == id_to_coord(node.cell_id, baseline_map.spec)
     assert len(by_cell) < tree.n_nodes
+
+
+def test_tree_from_dict_rejects_two_coordinates_for_one_cell():
+    tmap, event = leaky_chain_map(4, absorb_from=3, p_fwd=0.6)
+    doc = tree_to_dict(backtrack(tmap, event, depth=3, truncation=0.0))
+    # Node 1 holds cell 2 at level 1, and its child 1/1, staying put, cell 2 again.
+    node = doc["root"]["children"][1]["children"][1]
+    assert node["cell_id"] == doc["root"]["children"][1]["cell_id"] == 2
+    tree_from_dict(doc)
+    node["coord"] = [2, 1]
+    with pytest.raises(ValueError, match=r"node 1/1 \(cell 2\): coord or event_cell differs"):
+        tree_from_dict(doc)
 
 
 def test_backtrack_rejects_bad_parameters(baseline_map, baseline_case):

@@ -12,8 +12,9 @@ import yaml
 from click.testing import CliRunner
 
 import cellrisk
-from cellrisk.bpa import rank_paths, tree_from_dict
+from cellrisk.bpa import RankedPath, TreeNode, backtrack, rank_paths, tree_from_dict
 from cellrisk.cli import (
+    EXIT_BUDGET_ERROR,
     EXIT_CONFIG_ERROR,
     EXIT_NO_PATHS,
     EXIT_OK,
@@ -22,6 +23,7 @@ from cellrisk.cli import (
     load_config,
     main,
 )
+from cellrisk.mapper import save_map
 
 DRIFT_CONFIG = {
     "numProcessVariables": 1,
@@ -319,8 +321,12 @@ def test_export_command(tmp_path):
         (lambda node: node.update(q=7.5, cumulative=-1), ["q 7.5"]),
         (lambda node: node.update(coord=node["coord"][:-1]), ["coord"]),
         (lambda node: node.update(cumulative=2.0 * node["cumulative"]), ["cumulative"]),
+        (lambda node: node.update(cell_id=-1), ["cell_id outside"]),
+        (lambda node: node.update(cumulative=10**400), ["too large"]),
+        (lambda node: node.update(entry_edges=[]), ["entry_edges", "below level 1"]),
     ],
-    ids=["depth-null", "q-out-of-range", "short-coord", "cumulative-not-product"],
+    ids=["depth-null", "q-out-of-range", "short-coord", "cumulative-not-product",
+         "negative-cell-id", "huge-integer-cumulative", "entry-edges-below-level-1"],
 )
 def test_export_malformed_tree_exit_code(tmp_path, defect, words):
     cfg_path, map_path = _built(tmp_path)
@@ -580,3 +586,67 @@ def test_unwritable_output_path_exit_code(tmp_path, command, flag, where):
     # Checked before the map is built or the tree searched.
     assert "built map" not in res.output and "tree:" not in res.output
     assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize(
+    "content, words",
+    [
+        (b"a: [1, 2\nb: 3\n", ["not valid YAML", "line 2, column 2"]),
+        (b"\xff\xfeabc: 1\n", ["not valid YAML", "not UTF-8"]),
+    ],
+    ids=["unclosed-list", "not-utf-8"],
+)
+@pytest.mark.parametrize("command", ["build-map", "run-bpa", "validate", "forward-check"])
+def test_config_that_is_not_yaml_exit_code(tmp_path, command, content, words):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_bytes(content)
+    map_path = tmp_path / "map.json"  # never read: the config fails first
+    map_path.write_text("{}")
+    args = {
+        "build-map": ["--out", str(tmp_path / "out.json")],
+        "run-bpa": ["--map", str(map_path)],
+        "validate": ["--map", str(map_path)],
+        "forward-check": ["--map", str(map_path), "--cell", "0"],
+    }[command]
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + args)
+    _assert_named_exit_3(res, "config error", str(cfg_path), *words)
+
+
+def _baseline_map_file(tmp_path, baseline_map):
+    """The suite's baseline map, which configs/agv_baseline.yaml builds, as a file."""
+    map_path = tmp_path / "map.json"
+    save_map(baseline_map, str(map_path))
+    return map_path
+
+
+def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_case):
+    n = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8).n_nodes
+    map_path = _baseline_map_file(tmp_path, baseline_map)
+    args = ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+            "--depth", "4", "--budget"]
+    res = CliRunner().invoke(main, args + [str(n)])
+    assert res.exit_code == EXIT_OK, res.output
+    assert f"tree: {n} nodes" in res.output
+    res = CliRunner().invoke(main, args + [str(n - 1)])
+    assert res.exit_code == EXIT_BUDGET_ERROR, res.output
+    assert f"budget error: scenario tree exceeded node budget {n - 1}" in res.output
+
+
+def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseline_map):
+    # run-bpa searches, ranks and exports from the tree's level arrays; only
+    # the paths it prints become RankedPath objects.
+    made = {TreeNode: 0, RankedPath: 0}
+    for cls in made:
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    map_path = _baseline_map_file(tmp_path, baseline_map)
+    res = CliRunner().invoke(
+        main, ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+               "--depth", "4", "--out-tree", str(tmp_path / "tree.json"),
+               "--out-graph", str(tmp_path / "tree.gv"),
+               "--out-report", str(tmp_path / "report.json")])
+    assert res.exit_code == EXIT_OK, res.output
+    assert made[TreeNode] == 0
+    assert 0 < made[RankedPath] <= 10

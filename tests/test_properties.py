@@ -8,8 +8,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _synthetic import ShiftModel, random_absorbing_map
@@ -27,6 +28,7 @@ from cellrisk.bpa import (
 from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
 from cellrisk.mapper import (
+    BudgetError,
     TransitionMap,
     build_map,
     estimate_g,
@@ -135,14 +137,24 @@ def test_build_is_worker_count_invariant(system):
     assert serial.rows() == parallel.rows()
 
 
+TRUNCATIONS = st.sampled_from([0.0, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
+
+
+def _level_bits(tree):
+    return [(level.cell.tolist(), level.parent.tolist(), [q.hex() for q in level.q.tolist()],
+             [c.hex() for c in level.cumulative.tolist()]) for level in tree.levels]
+
+
 @PROPERTY
-@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4))
-def test_tree_dict_round_trip(n_cells, n_event, seed, depth):
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4),
+       TRUNCATIONS)
+def test_tree_dict_round_trip(n_cells, n_event, seed, depth, truncation):
     tmap, event = random_absorbing_map(n_cells, n_event, seed)
-    tree = backtrack(tmap, event, depth=depth, truncation=0.0)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
     loaded = tree_from_dict(tree_to_dict(tree))
     assert tree_to_dict(loaded) == tree_to_dict(tree)
     assert tree_to_dot(loaded) == tree_to_dot(tree)
+    assert _level_bits(loaded) == _level_bits(tree)
 
 
 # Wider than the case-study grid (v in [0, 20], x in [0, 600]) on every axis.
@@ -179,9 +191,6 @@ def _nodes_by_path(tree) -> dict[tuple[int, ...], tuple[float, float]]:
     return out
 
 
-TRUNCATIONS = st.sampled_from([0.0, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
-
-
 @PROPERTY
 @given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(2, 4),
        TRUNCATIONS, TRUNCATIONS)
@@ -190,6 +199,19 @@ def test_tree_shrinks_to_a_subset_as_truncation_rises(n_cells, n_event, seed, de
     loose = _nodes_by_path(backtrack(tmap, event, depth=depth, truncation=min(a, b)))
     tight = _nodes_by_path(backtrack(tmap, event, depth=depth, truncation=max(a, b)))
     assert tight.items() <= loose.items()
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
+       TRUNCATIONS)
+def test_node_budget_boundary(n_cells, n_event, seed, depth, truncation):
+    # A budget of exactly the tree's node count passes; one less fails.
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    n = backtrack(tmap, event, depth=depth, truncation=truncation).n_nodes
+    assume(n >= 1)
+    assert backtrack(tmap, event, depth=depth, truncation=truncation, node_budget=n).n_nodes == n
+    with pytest.raises(BudgetError):
+        backtrack(tmap, event, depth=depth, truncation=truncation, node_budget=n - 1)
 
 
 @PROPERTY
@@ -283,7 +305,7 @@ def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, trunca
         }
         for p in paths
     ]
-    text = "".join(encode_ranked_paths(paths))
+    text = "".join(encode_ranked_paths(tree.ranking(prior)))
     expected = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     # Split between rows, so that a failure shows the first row that differs
     # rather than a diff of the whole text.
