@@ -35,7 +35,7 @@ from .mapper import (
     save_map,
 )
 from .oracle import MonteCarloConfig, empirical_transition, simulate_event_probability
-from .vehicle import BrakeState, GroundVehicleModel, ScenarioParams, make_case_study
+from .vehicle import BrakeState, GroundVehicleModel, ScenarioParams
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "h",
     "id_to_coord",
     "load_map",
-    "make_case_study",
     "predecessors",
     "rank_paths",
     "rate_matrix_to_step_matrix",

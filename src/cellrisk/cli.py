@@ -48,7 +48,7 @@ from .mapper import (
     load_map,
     save_map,
 )
-from .vehicle import GroundVehicleModel, ScenarioParams, make_case_study
+from .vehicle import GroundVehicleModel, ScenarioParams
 
 __all__ = [
     "EXIT_OK",
@@ -265,15 +265,6 @@ class RunConfig:
         }
 
 
-def _agv_factory(variant: str):
-    def build(params: dict) -> DynamicsModel:
-        case = make_case_study(variant)
-        scenario = dataclasses.replace(case.params, **params) if params else case.params
-        return GroundVehicleModel(scenario, name=f"agv-{variant}")
-
-    return build
-
-
 class LinearDriftModel(DynamicsModel):
     """Constant-velocity drift per dimension; handy demo and test simulator."""
 
@@ -295,9 +286,24 @@ class IdentityModel(DynamicsModel):
         return np.array(xs, dtype=float)
 
 
+# The vehicle's contingency variants: speed-scaled brake thresholds, and a
+# 2 s time gap with fixed 30 m / 15 m thresholds.
+_AGV_SCENARIOS = {
+    "agv-baseline": ScenarioParams(),
+    "agv-modified": ScenarioParams(
+        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0),
+}
+
+
+def _vehicle(name: str):
+    """A vehicle variant's factory; simulator_params override its ScenarioParams fields."""
+    return lambda params: GroundVehicleModel(
+        dataclasses.replace(_AGV_SCENARIOS[name], **params), name=name)
+
+
 SIMULATORS = {
-    "agv-baseline": _agv_factory("baseline"),
-    "agv-modified": _agv_factory("modified"),
+    "agv-baseline": _vehicle("agv-baseline"),
+    "agv-modified": _vehicle("agv-modified"),
     "linear-drift": lambda params: LinearDriftModel(params["velocity"]),
     "identity": lambda params: IdentityModel(),
 }
@@ -310,8 +316,7 @@ _AGV_PARAMS = {
     for f in dataclasses.fields(ScenarioParams)
 } | {"substeps": _Field("an integer", _OPTIONAL, low=1)}
 _SIMULATOR_PARAMS = {
-    "agv-baseline": _AGV_PARAMS,
-    "agv-modified": _AGV_PARAMS,
+    **dict.fromkeys(_AGV_SCENARIOS, _AGV_PARAMS),
     "linear-drift": {"velocity": _Field("a list", entry=_NUMBER)},
     "identity": {},
 }
@@ -361,6 +366,11 @@ def load_config(path: str) -> RunConfig:
     velocity = values["simulator_params"].get("velocity")
     if velocity is not None and len(velocity) != L:
         problems.append(f"simulator_params.velocity has {len(velocity)} entries, expected {L}")
+    if simulator in _AGV_SCENARIOS:
+        scenario = dataclasses.replace(_AGV_SCENARIOS[simulator], **values["simulator_params"])
+        if scenario.fixed_strong_clearance is not None and scenario.fixed_light_clearance is None:
+            problems.append(f"simulator_params: {simulator} ignores fixed_strong_clearance "
+                            f"{scenario.fixed_strong_clearance} unless fixed_light_clearance is set")
 
     # numberOfCells may carry a trailing configuration-count shorthand.
     partitions = values["numberOfCells"]
@@ -502,14 +512,26 @@ def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoRe
     sys.exit(code)
 
 
+def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
+    """How a map differs from what its config builds: spec, dt and simulator.
+
+    Seed and samples per cell are not compared; build-map's flags override them.
+    """
+    problems = ["map spec does not match config spec"] if tmap.spec != cfg.spec else []
+    for key, theirs, ours in (("dt", tmap.dt, cfg.dt),
+                              ("simulator", tmap.metadata.simulator, cfg.simulator)):
+        if theirs != ours:
+            problems.append(f"map {key} {theirs!r} does not match config {key} {ours!r}")
+    return problems
+
+
 def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, TransitionMap]:
     """Config and map of a search command; exit 3 if either is malformed."""
     try:
         cfg = load_config(config_path)
         tmap = load_map(map_path)
-        if tmap.spec != cfg.spec:
-            raise ConfigError(
-                ["map spec does not match config spec; rebuild the map for this config"])
+        if mismatches := _map_mismatches(cfg, tmap):
+            raise ConfigError([f"{m}; rebuild the map for this config" for m in mismatches])
     except ConfigError as exc:
         _fail("config", exc.problems)
     except MapFormatError as exc:
@@ -654,8 +676,7 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
         tmap = load_map(map_path, check=False)  # rows are checked below, each named
     except MapFormatError as exc:
         _fail("map", [str(exc)], EXIT_VALIDATION_FAILURE)
-    if tmap.spec != cfg.spec:
-        failures.append("spec-echo: map spec differs from config spec")
+    failures += [f"spec-echo: {m}" for m in _map_mismatches(cfg, tmap)]
 
     sums = tmap.row_sums()
     for s in np.flatnonzero(np.abs(sums - 1.0) > mapper_mod.ROW_SUM_TOL):

@@ -22,7 +22,7 @@ __all__ = [
     "validate",
 ]
 
-ROW_SUM_TOL = 1e-9
+ROW_SUM_TOL = 1e-9  # for component matrix rows and transition map rows alike
 
 # Sentinel strings accepted in matrix rows for "fill this entry so the row
 # sums to one" (the usual way near-one diagonals are written down).

@@ -31,7 +31,7 @@ from .cellspace import (
     id_to_coord,
     sample_cell_array,
 )
-from .configuration import ConfigTransitionModel, validate as validate_config
+from .configuration import ROW_SUM_TOL, ConfigTransitionModel, validate as validate_config
 
 __all__ = [
     "CSR",
@@ -48,7 +48,6 @@ __all__ = [
     "save_map",
 ]
 
-ROW_SUM_TOL = 1e-9
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
 BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory

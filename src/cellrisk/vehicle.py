@@ -15,32 +15,21 @@ State vector layout (order is fixed and shared with the discretization):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bpa import TopEvent
-from .cellspace import SpaceSpec
-from .configuration import ComponentMatrix, ConfigTransitionModel
 from .mapper import DynamicsModel
 
 __all__ = [
     "BrakeState",
-    "CaseStudy",
-    "ControllerMode",
     "GroundVehicleModel",
     "ScenarioParams",
     "VehicleState",
-    "commanded_accel",
     "control",
-    "make_case_study",
-    "mode_of",
 ]
 
 IDX_V_FWD, IDX_V_SIDE, IDX_YAW_RATE, IDX_X, IDX_Y, IDX_YAW = range(6)
-
-STATE_NAMES = ("Fwd Vel.", "Side Vel.", "Yaw Rate", "x-Pos", "y-Pos", "Yaw")
 
 
 class BrakeState(enum.IntEnum):
@@ -54,13 +43,6 @@ class BrakeState(enum.IntEnum):
     def delivery(self) -> float:
         """Fraction of a braking command the actuator actually delivers."""
         return {1: 1.0, 2: 0.5, 3: 0.25}[int(self)]
-
-
-class ControllerMode(enum.Enum):
-    LANE_TRACKING = "lane-tracking"
-    VEHICLE_FOLLOWING = "vehicle-following"
-    LIGHT_BRAKE = "light-brake"
-    STRONG_BRAKE = "strong-brake"
 
 
 @dataclass(eq=False)
@@ -87,8 +69,9 @@ class ScenarioParams:
     """Scenario geometry, contingency thresholds and controller tuning.
 
     Baseline thresholds scale with speed (light at t_gap_des * v, strong at
-    half that); setting the fixed_* clearances freezes them instead, as the
-    revised contingency does. Gains are tuning values, not scenario facts.
+    half that); fixed_light_clearance freezes them instead, as the revised
+    contingency does, with the strong one at fixed_strong_clearance or half
+    the light. Gains are tuning values, not scenario facts.
     """
 
     speed_limit: float = 15.0
@@ -120,13 +103,9 @@ class ScenarioParams:
         return self.strong_brake_g * self.gravity
 
 
-# Index order of control()'s modes and commands: 0 lane tracking,
-# 1 vehicle following, 2 light brake, 3 strong brake.
-_MODES = tuple(ControllerMode)
-
-
 def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Controller mode index into _MODES, and the commands of all modes in that order.
+    """Controller mode index, and the commands of all modes in index order:
+    0 lane tracking, 1 vehicle following, 2 light brake, 3 strong brake.
 
     Elementwise in forward velocity v and x-position x; no hidden memory.
     The mode follows from the clearance to the target in priority order:
@@ -147,24 +126,12 @@ def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
     comf = p.comfort_accel
     margin = np.maximum(0.0, c - p.standstill_clearance)
     v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
-    commands = np.empty((len(_MODES),) + np.shape(c))
+    commands = np.empty((4,) + np.shape(c))
     commands[0] = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
     commands[1] = np.clip(p.k_gap * (v_des - v), -comf, comf)
     commands[2] = p.light_accel
     commands[3] = p.strong_accel
     return mode, commands
-
-
-def mode_of(state: VehicleState, params: ScenarioParams) -> ControllerMode:
-    """Controller mode from clearance alone; no hidden memory."""
-    return _MODES[int(control(state.v_fwd, state.x_pos, params)[0])]
-
-
-def commanded_accel(
-    state: VehicleState, mode: ControllerMode, params: ScenarioParams
-) -> float:
-    """Longitudinal acceleration the controller asks for in a given mode."""
-    return float(control(state.v_fwd, state.x_pos, params)[1][_MODES.index(mode)])
 
 
 class GroundVehicleModel(DynamicsModel):
@@ -231,67 +198,3 @@ class GroundVehicleModel(DynamicsModel):
                 break
         return VehicleState.from_array(x)
 
-
-BRAKE_STEP_MATRIX = (
-    (1.0 - 4e-7, 2e-7, 2e-7),
-    (0.0, 1.0, 0.0),
-    (0.0, 0.0, 1.0),
-)
-
-
-@dataclass(frozen=True)
-class CaseStudy:
-    model: GroundVehicleModel
-    spec: SpaceSpec
-    config_model: ConfigTransitionModel
-    event: TopEvent
-    dt: float
-    depth: int
-    truncation: float
-    params: ScenarioParams
-
-
-def make_case_study(variant: str = "baseline") -> CaseStudy:
-    """Assemble the full collision scenario for a named contingency variant.
-
-    baseline: speed-scaled brake thresholds (1.3 s time gap), search depth 2.
-    modified: 2 s time gap with fixed 30 m / 15 m thresholds, search depth 3.
-    """
-    if variant not in ("baseline", "modified"):
-        raise ValueError(f"unknown variant {variant!r}")
-    pi = math.pi
-    spec = SpaceSpec(
-        names_x=STATE_NAMES,
-        names_n=("Brake State",),
-        lower=(0.0, -5.0, -0.5, 0.0, -6.0, -pi / 3),
-        upper=(20.0, 5.0, 0.5, 600.0, 6.0, pi / 3),
-        partitions=(5, 1, 1, 150, 1, 1),
-        states=(3,),
-    )
-    config_model = ConfigTransitionModel(
-        matrices=(ComponentMatrix(0, np.array(BRAKE_STEP_MATRIX)),)
-    )
-    event = TopEvent(
-        lower=(0.0, -0.5, -0.5, 500.0, -6.0, -pi / 3),
-        upper=(20.0, 0.5, 0.5, 600.0, 6.0, pi / 3),
-        configs=frozenset({(1,), (2,), (3,)}),
-    )
-    if variant == "baseline":
-        params = ScenarioParams(t_gap_des=1.3)
-        depth = 2
-    else:
-        params = ScenarioParams(
-            t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0
-        )
-        depth = 3
-    model = GroundVehicleModel(params, name=f"agv-{variant}")
-    return CaseStudy(
-        model=model,
-        spec=spec,
-        config_model=config_model,
-        event=event,
-        dt=2.0 / 3.0,
-        depth=depth,
-        truncation=1e-8,
-        params=params,
-    )

@@ -35,10 +35,10 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def baseline_tree(baseline_map, baseline_case):
+def baseline_tree(baseline_map, baseline_config):
     t0 = time.perf_counter()
     tree = backtrack(
-        baseline_map, baseline_case.event, depth=2, truncation=1e-8
+        baseline_map, baseline_config.event, depth=2, truncation=1e-8
     )
     return {"tree": tree, "seconds": time.perf_counter() - t0}
 
@@ -100,9 +100,9 @@ def test_criterion_1b_exact_fault_entry_edge(baseline_tree):
     report("1b (exact 2e-7 edge)", bool(hits), f"{len(hits)} matching edges")
 
 
-def test_criterion_2_truncation_subgraph(baseline_map, baseline_case):
-    loose = backtrack(baseline_map, baseline_case.event, depth=2, truncation=1e-8)
-    tight = backtrack(baseline_map, baseline_case.event, depth=2, truncation=3e-7)
+def test_criterion_2_truncation_subgraph(baseline_map, baseline_config):
+    loose = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
+    tight = backtrack(baseline_map, baseline_config.event, depth=2, truncation=3e-7)
 
     def path_keyed(tree):
         out = {}
@@ -140,18 +140,18 @@ def test_criterion_2_truncation_subgraph(baseline_map, baseline_case):
         "contingency uses, so a complete-space search tree cannot be empty"
     ),
 )
-def test_criterion_3_modified_contingency_empty_tree(modified_map, modified_case):
+def test_criterion_3_modified_contingency_empty_tree(modified_map, modified_config):
     tree = backtrack(
-        modified_map, modified_case.event,
-        depth=modified_case.depth, truncation=modified_case.truncation,
+        modified_map, modified_config.event,
+        depth=modified_config.search_depth, truncation=modified_config.truncation,
     )
     report("3 (modified tree empty)", tree.n_nodes == 0, f"nodes={tree.n_nodes}")
 
 
-def test_criterion_4_nominal_safety(baseline_case, baseline_tree):
-    case = baseline_case
-    nominal = case.model.simulate_to_rest(
-        VehicleState(v_fwd=15.0), BrakeState.NORMAL, case.dt
+def test_criterion_4_nominal_safety(baseline_config, baseline_model, baseline_tree):
+    cfg, model = baseline_config, baseline_model
+    nominal = model.simulate_to_rest(
+        VehicleState(v_fwd=15.0), BrakeState.NORMAL, cfg.dt
     )
     ok = nominal.x_pos < 500.0 and nominal.v_fwd <= 1e-6
     details = [f"nominal rest at x={nominal.x_pos:.2f}"]
@@ -160,7 +160,7 @@ def test_criterion_4_nominal_safety(baseline_case, baseline_tree):
         node.coord.n[0] for node in baseline_tree["tree"].nodes() if node.coord
     }
     for brake in (BrakeState.MINOR_FAULT, BrakeState.MAJOR_FAULT):
-        end = case.model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, case.dt)
+        end = model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, cfg.dt)
         crossed = end.x_pos >= 500.0
         in_tree = int(brake) in tree_configs
         ok = ok and (crossed or in_tree)
@@ -168,9 +168,10 @@ def test_criterion_4_nominal_safety(baseline_case, baseline_tree):
     report("4 (nominal safety)", ok, "; ".join(details))
 
 
-def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_case):
+def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_config,
+                                                     baseline_model):
     spec = baseline_map.spec
-    H = baseline_case.config_model.matrices[0].entries
+    H = baseline_config.config_model.matrices[0].entries
     n_j = spec.total_continuous_cells
 
     worst_row = 0.0
@@ -183,7 +184,7 @@ def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_case
         g_row = {
             (t if isinstance(t, tuple) else EXTERIOR_ID): float(g)
             for t, g in estimate_g(
-                coord, baseline_case.model, spec, baseline_map.dt,
+                coord, baseline_model, spec, baseline_map.dt,
                 baseline_map.samples_per_cell, baseline_map.metadata.seed,
             )
         }
@@ -240,7 +241,7 @@ def _mc_against_map(model, cfg, event, spec, tmap, start_cell, horizon, trials, 
     return p_mc, p_map, 3.0 * math.hypot(se_mc, se_map)
 
 
-def test_criterion_7_oracle_equivalence(baseline_case):
+def test_criterion_7_oracle_equivalence(baseline_config, baseline_model):
     trials = 100_000
     checks = []
 
@@ -295,29 +296,29 @@ def test_criterion_7_oracle_equivalence(baseline_case):
     # overlapping the box counts wholly), so the point-level oracle is
     # compared against the event box expanded to the enclosing cell
     # boundaries; the event cell set is unchanged by the expansion.
-    case = baseline_case
+    cfg, model = baseline_config, baseline_model
     no_fault = ConfigTransitionModel(matrices=(ComponentMatrix(0, np.eye(3)),))
     tmap = build_map(
-        case.model, case.spec, no_fault, dt=case.dt, samples=200, seed=SUITE_SEED
+        model, cfg.spec, no_fault, dt=cfg.dt, samples=200, seed=SUITE_SEED
     )
     aligned_event = TopEvent(
         lower=(0.0, -5.0, -0.5, 500.0, -6.0, -math.pi / 3),
         upper=(20.0, 5.0, 0.5, 600.0, 6.0, math.pi / 3),
-        configs=case.event.configs,
+        configs=cfg.event.configs,
     )
     from cellrisk.bpa import event_cells
 
-    assert event_cells(aligned_event, case.spec) == event_cells(case.event, case.spec)
+    assert event_cells(aligned_event, cfg.spec) == event_cells(cfg.event, cfg.spec)
     # One step from a braking cell: both estimators discretize identically.
     start = CellCoord((4, 1, 1, 124, 1, 1), (1,))
     p_mc, p_map, tol = _mc_against_map(
-        case.model, no_fault, aligned_event, case.spec, tmap, start, 1, trials, SUITE_SEED
+        model, no_fault, aligned_event, cfg.spec, tmap, start, 1, trials, SUITE_SEED
     )
     checks.append(("case-study-1step", p_mc, p_map, tol))
     # Two steps from far upstream: the event is out of reach, exactly zero.
     start = CellCoord((4, 1, 1, 10, 1, 1), (1,))
     p_mc, p_map, tol = _mc_against_map(
-        case.model, no_fault, aligned_event, case.spec, tmap, start, 2, 2000, SUITE_SEED
+        model, no_fault, aligned_event, cfg.spec, tmap, start, 2, 2000, SUITE_SEED
     )
     checks.append(("case-study-upstream", p_mc, p_map, max(tol, 1e-12)))
 
@@ -338,15 +339,15 @@ def test_criterion_7_oracle_equivalence(baseline_case):
         "~10x the points"
     ),
 )
-def test_criterion_8_quadrature_convergence(baseline_case):
-    case = baseline_case
+def test_criterion_8_quadrature_convergence(baseline_config, baseline_model):
+    cfg, model = baseline_config, baseline_model
     m100 = build_map(
-        case.model, case.spec, case.config_model, dt=case.dt, samples=100, seed=SUITE_SEED
+        model, cfg.spec, cfg.config_model, dt=cfg.dt, samples=100, seed=SUITE_SEED
     )
     m400 = build_map(
-        case.model, case.spec, case.config_model, dt=case.dt, samples=400, seed=SUITE_SEED
+        model, cfg.spec, cfg.config_model, dt=cfg.dt, samples=400, seed=SUITE_SEED
     )
-    n_j = case.spec.total_continuous_cells
+    n_j = cfg.spec.total_continuous_cells
 
     def flow_rows(tmap):
         rows = {}

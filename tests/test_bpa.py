@@ -47,8 +47,8 @@ def scan_event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
     return out
 
 
-def test_event_cells_case_study(baseline_case):
-    spec, event = baseline_case.spec, baseline_case.event
+def test_event_cells_case_study(baseline_config):
+    spec, event = baseline_config.spec, baseline_config.event
     got = event_cells(event, spec)
     assert got == scan_event_cells(event, spec)
     # Structure: x-position cells 126..150, every speed cell, every config.
@@ -168,9 +168,9 @@ def test_backtrack_truncation_prunes_low_probability_branches():
     assert all(n.cumulative >= 5e-3 for n in tight.nodes())
 
 
-def test_backtrack_is_deterministic(baseline_map, baseline_case):
-    a = backtrack(baseline_map, baseline_case.event, depth=2, truncation=1e-8)
-    b = backtrack(baseline_map, baseline_case.event, depth=2, truncation=1e-8)
+def test_backtrack_is_deterministic(baseline_map, baseline_config):
+    a = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
+    b = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
 
     def flatten(tree):
         return [
@@ -192,8 +192,8 @@ def test_backtrack_children_ordered_by_q():
     assert entry == sorted(entry, reverse=True)
 
 
-def test_backtrack_monotone_cumulative(baseline_map, baseline_case):
-    tree = backtrack(baseline_map, baseline_case.event, depth=2, truncation=1e-8)
+def test_backtrack_monotone_cumulative(baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
     for node in tree.nodes():
         for child in node.children:
             assert child.cumulative <= node.cumulative + 1e-15
@@ -205,9 +205,9 @@ def test_backtrack_node_budget_guard():
         backtrack(tmap, event, depth=6, truncation=0.0, node_budget=50)
 
 
-def test_node_budget_boundary_on_the_baseline(baseline_map, baseline_case):
+def test_node_budget_boundary_on_the_baseline(baseline_map, baseline_config):
     # A budget of exactly the tree's node count passes; one less fails.
-    args = (baseline_map, baseline_case.event)
+    args = (baseline_map, baseline_config.event)
     n = backtrack(*args, depth=4, truncation=1e-8).n_nodes
     assert backtrack(*args, depth=4, truncation=1e-8, node_budget=n).n_nodes == n
     with pytest.raises(BudgetError):
@@ -333,8 +333,8 @@ def test_rank_paths_ties_break_by_length_then_ids():
     assert [p.cell_ids for p in paths] == [(1,), (4,), (2, 0)]
 
 
-def test_tree_exports(tmp_path, baseline_map, baseline_case):
-    tree = backtrack(baseline_map, baseline_case.event, depth=2, truncation=1e-8)
+def test_tree_exports(tmp_path, baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
     doc = tree_to_dict(tree)
     assert doc["format"] == "cellrisk-scenario-tree"
     assert doc["n_nodes"] == tree.n_nodes
@@ -355,8 +355,8 @@ DEPTH_4_TREE_SHA256 = "a47cffd4c4f2ba7877826bebdbc9b78ccd9de2a8d67e8fb04ddad1c1c
 DEPTH_4_DOT_SHA256 = "e0de4ccbb0285529f91bae7d5d13d9ad03843b7a59bfa42417d1dd66fe2d6c16"
 
 
-def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_case):
-    tree = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8)
+def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
     path = tmp_path / "tree.json"
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_4_TREE_SHA256
@@ -371,8 +371,8 @@ DEPTH_6_DOT_SHA256 = "05f6e3a198553dd66ebca6383705f3b0de86a794b7f096caff3bbffad4
 DEPTH_6_RANKED_PATHS_SHA256 = "3146d18904ce2b212164d281840cceda6e87c64afeb012282428d04780712b4a"
 
 
-def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_case):
-    tree = backtrack(baseline_map, baseline_case.event, depth=6, truncation=1e-8)
+def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=6, truncation=1e-8)
     path = tmp_path / "tree.json"
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_6_TREE_SHA256
@@ -381,8 +381,8 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_case):
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
 
 
-def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_case):
-    tree = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8)
+def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
     by_cell = {}
     for node in tree.nodes():
         assert by_cell.setdefault(node.cell_id, node.coord) is node.coord
@@ -402,8 +402,8 @@ def test_tree_from_dict_rejects_two_coordinates_for_one_cell():
         tree_from_dict(doc)
 
 
-def test_backtrack_rejects_bad_parameters(baseline_map, baseline_case):
+def test_backtrack_rejects_bad_parameters(baseline_map, baseline_config):
     with pytest.raises(ValueError):
-        backtrack(baseline_map, baseline_case.event, depth=0, truncation=0.1)
+        backtrack(baseline_map, baseline_config.event, depth=0, truncation=0.1)
     with pytest.raises(ValueError):
-        backtrack(baseline_map, baseline_case.event, depth=2, truncation=1.0)
+        backtrack(baseline_map, baseline_config.event, depth=2, truncation=1.0)

@@ -235,6 +235,37 @@ def test_spec_mismatch_between_config_and_map(tmp_path):
     assert res.exit_code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("command", ["run-bpa", "forward-check", "validate"])
+@pytest.mark.parametrize(
+    "override, field",
+    [({"dt": "1/2"}, "dt"), ({"simulator": "identity", "simulator_params": {}}, "simulator")],
+)
+def test_dt_or_simulator_mismatch_between_config_and_map(tmp_path, command, override, field):
+    # The map was built for another step or by another simulator.
+    _, map_path = _built(tmp_path)
+    other_cfg = write_config(tmp_path, override, name="other.yaml")
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    res = CliRunner().invoke(
+        main, [command, "--config", str(other_cfg), "--map", str(map_path)] + extra
+    )
+    if command == "validate":
+        assert res.exit_code == EXIT_VALIDATION_FAILURE, res.output
+        assert f"FAIL spec-echo: map {field} " in res.output
+    else:
+        _assert_named_exit_3(res, "config error", f"map {field} ")
+
+
+def test_seed_and_samples_overrides_are_not_a_mismatch(tmp_path):
+    cfg_path = write_config(tmp_path)
+    map_path = tmp_path / "map.json"
+    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path), "--out",
+                                    str(map_path), "--seed", "5", "--samples", "32"])
+    assert res.exit_code == EXIT_OK, res.output
+    for command in ("run-bpa", "validate"):
+        res = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--map", str(map_path)])
+        assert res.exit_code == EXIT_OK, res.output
+
+
 def test_validate_healthy_and_corrupted(tmp_path):
     runner = CliRunner()
     cfg_path = write_config(tmp_path)
@@ -508,6 +539,8 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
         ({"search_depth": True}, "search_depth"),
         ({"truncation": math.nan}, "truncation"),
         ({"eventConfigs": [[[1]]]}, "eventConfigs"),
+        ({"simulator": "agv-baseline", "simulator_params": {"fixed_strong_clearance": 10.0}},
+         "fixed_strong_clearance"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -533,8 +566,11 @@ def test_matrix_row_problem_names_its_component_once(tmp_path):
 
 @pytest.mark.parametrize("command", ["build-map", "validate"])
 def test_drift_blow_up_is_a_build_error(tmp_path, command):
-    # dt is finite, but a step of 2 x 1e308 overflows to inf.
+    # dt is finite, but a step of 2 x 1e308 overflows to inf. The map is
+    # given the config's dt, so validate reaches its oracle row.
     _, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    map_path.write_text(json.dumps(dict(doc, dt=1e308)))
     path = write_config(
         tmp_path, {"dt": "1e308", "simulator_params": {"velocity": [2.0]}}, name="blow.yaml"
     )
@@ -619,8 +655,8 @@ def _baseline_map_file(tmp_path, baseline_map):
     return map_path
 
 
-def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_case):
-    n = backtrack(baseline_map, baseline_case.event, depth=4, truncation=1e-8).n_nodes
+def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_config):
+    n = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8).n_nodes
     map_path = _baseline_map_file(tmp_path, baseline_map)
     args = ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
             "--depth", "4", "--budget"]

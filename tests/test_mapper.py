@@ -135,10 +135,10 @@ def test_build_map_rows_stochastic_and_positive(baseline_map):
         assert all(q > 0.0 for _, q in edges)
 
 
-def test_h_g_factorization_invariant(baseline_map, baseline_case):
+def test_h_g_factorization_invariant(baseline_map, baseline_config):
     # For every stored edge, q divided by the configuration entry must be
     # independent of the target configuration.
-    H = baseline_case.config_model.matrices[0].entries
+    H = baseline_config.config_model.matrices[0].entries
     n_j = baseline_map.spec.total_continuous_cells
     checked = 0
     for s, edges in baseline_map.rows().items():

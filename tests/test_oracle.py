@@ -117,14 +117,14 @@ def test_empirical_transition_deterministic():
     assert a == b
 
 
-def test_empirical_transition_agrees_with_quadrature_case_study(baseline_case):
+def test_empirical_transition_agrees_with_quadrature_case_study(baseline_config, baseline_model):
     # Independent re-estimate of one engine row; total variation within
     # two-sample binomial concentration at 10^4 trials each.
-    case = baseline_case
+    cfg, model = baseline_config, baseline_model
     cell = CellCoord((4, 1, 1, 120, 1, 1), (1,))  # braking region, normal brakes
     trials = 10_000
-    engine = estimate_g(cell, case.model, case.spec, case.dt, trials, seed=10)
-    independent = empirical_transition(case.model, cell, case.spec, case.dt, trials, seed=11)
+    engine = estimate_g(cell, model, cfg.spec, cfg.dt, trials, seed=10)
+    independent = empirical_transition(model, cell, cfg.spec, cfg.dt, trials, seed=11)
     e = {t if isinstance(t, tuple) else "ext": float(g) for t, g in engine}
     o = {t if isinstance(t, tuple) else "ext": float(g) for t, g in independent}
     keys = set(e) | set(o)
@@ -132,17 +132,17 @@ def test_empirical_transition_agrees_with_quadrature_case_study(baseline_case):
     assert tv <= 0.03
 
 
-def test_monte_carlo_deterministic_given_seed(baseline_case):
-    case = baseline_case
-    cfg = identity_config(states=3)
+def test_monte_carlo_deterministic_given_seed(baseline_config, baseline_model):
+    cfg, model = baseline_config, baseline_model
+    jumps = identity_config(states=3)
     mc = MonteCarloConfig(
         trials=300,
         horizon=1,
         initial=CellUniform(CellCoord((4, 1, 1, 124, 1, 1), (1,))),
         seed=12,
     )
-    a = simulate_event_probability(case.model, cfg, case.event, mc, case.dt, spec=case.spec)
-    b = simulate_event_probability(case.model, cfg, case.event, mc, case.dt, spec=case.spec)
+    a = simulate_event_probability(model, jumps, cfg.event, mc, cfg.dt, spec=cfg.spec)
+    b = simulate_event_probability(model, jumps, cfg.event, mc, cfg.dt, spec=cfg.spec)
     assert a == b
 
 
@@ -155,11 +155,11 @@ FAULTY_BRAKES = ConfigTransitionModel(
 )
 
 
-def test_empirical_transition_pinned(baseline_case):
-    case = baseline_case
-    cell = id_to_coord(1870, case.spec)
+def test_empirical_transition_pinned(baseline_config, baseline_model):
+    cfg, model = baseline_config, baseline_model
+    cell = id_to_coord(1870, cfg.spec)
     assert cell == CellCoord((1, 1, 1, 75, 1, 1), (3,))
-    row = empirical_transition(case.model, cell, case.spec, case.dt, 2000, seed=11)
+    row = empirical_transition(model, cell, cfg.spec, cfg.dt, 2000, seed=11)
     assert row == [
         ((1, 1, 1, 75, 1, 1), Fraction(451, 1000)),
         ((1, 1, 1, 76, 1, 1), Fraction(87, 400)),
@@ -176,12 +176,12 @@ def test_empirical_transition_pinned(baseline_case):
      (2, (0.2125, 0.020453835214941964)),
      (3, (0.29, 0.022688102609076853))],
 )
-def test_monte_carlo_pinned_cell_uniform(baseline_case, horizon, expected):
-    case = baseline_case
+def test_monte_carlo_pinned_cell_uniform(baseline_config, baseline_model, horizon, expected):
+    cfg, model = baseline_config, baseline_model
     initial = CellUniform(CellCoord((4, 1, 1, 123, 1, 1), (1,)))
     mc = MonteCarloConfig(trials=400, horizon=horizon, initial=initial, seed=21)
     p = simulate_event_probability(
-        case.model, FAULTY_BRAKES, case.event, mc, case.dt, spec=case.spec
+        model, FAULTY_BRAKES, cfg.event, mc, cfg.dt, spec=cfg.spec
     )
     assert p == expected
 
@@ -190,11 +190,11 @@ def test_monte_carlo_pinned_cell_uniform(baseline_case, horizon, expected):
     "horizon, expected",
     [(1, (0.0, 0.0)), (2, (0.48333333333333334, 0.028851471494663966)), (3, (1.0, 0.0))],
 )
-def test_monte_carlo_pinned_point(baseline_case, horizon, expected):
-    case = baseline_case
+def test_monte_carlo_pinned_point(baseline_config, baseline_model, horizon, expected):
+    cfg, model = baseline_config, baseline_model
     initial = PointInitial((15.0, 0.0, 0.0, 484.0, 0.0, 0.0), (1,))
     mc = MonteCarloConfig(trials=300, horizon=horizon, initial=initial, seed=22)
-    p = simulate_event_probability(case.model, FAULTY_BRAKES, case.event, mc, case.dt)
+    p = simulate_event_probability(model, FAULTY_BRAKES, cfg.event, mc, cfg.dt)
     assert p == expected
 
 

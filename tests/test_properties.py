@@ -37,7 +37,6 @@ from cellrisk.mapper import (
     predecessors,
     save_map,
 )
-from cellrisk.vehicle import make_case_study
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -167,14 +166,17 @@ VEHICLE_RANGES = ((-5.0, 30.0), (-10.0, 10.0), (-2.0, 2.0), (-100.0, 800.0), (-1
     st.sampled_from([1, 2, 3]),
     st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in VEHICLE_RANGES)), min_size=1, max_size=40),
 )
-def test_vehicle_step_many_is_row_independent(variant, brake, rows):
+def test_vehicle_step_many_is_row_independent(
+    baseline_config, baseline_model, modified_config, modified_model, variant, brake, rows
+):
     # The oracle and the map build both step rows in batches of their own
     # choosing, so a row's next state must not depend on its batch.
-    case = make_case_study(variant)
+    cfg, model = {"baseline": (baseline_config, baseline_model),
+                  "modified": (modified_config, modified_model)}[variant]
     xs = np.array(rows)
-    batch = case.model.step_many(xs, (brake,), case.dt)
+    batch = model.step_many(xs, (brake,), cfg.dt)
     for i in range(len(xs)):
-        alone = case.model.step_many(xs[i : i + 1], (brake,), case.dt)[0]
+        alone = model.step_many(xs[i : i + 1], (brake,), cfg.dt)[0]
         assert alone.tobytes() == batch[i].tobytes()
 
 

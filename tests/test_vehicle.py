@@ -4,68 +4,65 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from conftest import CONFIGS
+from cellrisk.cli import ConfigError, load_config
 from cellrisk.vehicle import (
     BrakeState,
-    ControllerMode,
     GroundVehicleModel,
     ScenarioParams,
     VehicleState,
-    commanded_accel,
-    make_case_study,
-    mode_of,
+    control,
 )
 
 BASE = ScenarioParams(t_gap_des=1.3)
 
+# control()'s mode indices, which also index its commands.
+LANE_TRACKING, VEHICLE_FOLLOWING, LIGHT_BRAKE, STRONG_BRAKE = range(4)
+
 
 def test_mode_far_from_target_is_lane_tracking():
-    assert mode_of(VehicleState(v_fwd=15.0, x_pos=0.0), BASE) is ControllerMode.LANE_TRACKING
+    assert control(15.0, 0.0, BASE)[0] == LANE_TRACKING
 
 
 def test_mode_light_brake_inside_desired_gap():
     # c = 19 against a desired clearance of 1.3 * 15 = 19.5.
-    state = VehicleState(v_fwd=15.0, x_pos=481.0)
-    assert mode_of(state, BASE) is ControllerMode.LIGHT_BRAKE
+    assert control(15.0, 481.0, BASE)[0] == LIGHT_BRAKE
 
 
 def test_mode_strong_brake_inside_half_gap():
-    state = VehicleState(v_fwd=15.0, x_pos=492.0)  # c = 8 < 9.75
-    assert mode_of(state, BASE) is ControllerMode.STRONG_BRAKE
+    assert control(15.0, 492.0, BASE)[0] == STRONG_BRAKE  # c = 8 < 9.75
 
 
 def test_mode_following_between_sensor_and_gap():
-    state = VehicleState(v_fwd=15.0, x_pos=430.0)  # c = 70
-    assert mode_of(state, BASE) is ControllerMode.VEHICLE_FOLLOWING
+    assert control(15.0, 430.0, BASE)[0] == VEHICLE_FOLLOWING  # c = 70
 
 
 def test_mode_fixed_thresholds():
     params = ScenarioParams(
         t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0
     )
-    assert mode_of(VehicleState(v_fwd=15.0, x_pos=471.0), params) is ControllerMode.LIGHT_BRAKE
-    assert mode_of(VehicleState(v_fwd=15.0, x_pos=486.0), params) is ControllerMode.STRONG_BRAKE
-    assert mode_of(VehicleState(v_fwd=15.0, x_pos=440.0), params) is ControllerMode.VEHICLE_FOLLOWING
+    assert control(15.0, 471.0, params)[0] == LIGHT_BRAKE
+    assert control(15.0, 486.0, params)[0] == STRONG_BRAKE
+    assert control(15.0, 440.0, params)[0] == VEHICLE_FOLLOWING
 
 
 def test_commanded_accel_brake_levels():
-    state = VehicleState(v_fwd=15.0, x_pos=490.0)
-    assert commanded_accel(state, ControllerMode.STRONG_BRAKE, BASE) == -0.8 * 9.81
-    assert commanded_accel(state, ControllerMode.LIGHT_BRAKE, BASE) == -0.3 * 9.81
-    assert commanded_accel(state, ControllerMode.STRONG_BRAKE, BASE) == pytest.approx(-7.848)
-    assert commanded_accel(state, ControllerMode.LIGHT_BRAKE, BASE) == pytest.approx(-2.943)
+    commands = control(15.0, 490.0, BASE)[1]
+    assert commands[STRONG_BRAKE] == -0.8 * 9.81
+    assert commands[LIGHT_BRAKE] == -0.3 * 9.81
+    assert commands[STRONG_BRAKE] == pytest.approx(-7.848)
+    assert commands[LIGHT_BRAKE] == pytest.approx(-2.943)
 
 
 def test_commanded_accel_cruise_at_limit_is_zero():
-    state = VehicleState(v_fwd=BASE.speed_limit, x_pos=0.0)
-    assert commanded_accel(state, ControllerMode.LANE_TRACKING, BASE) == 0.0
+    assert control(BASE.speed_limit, 0.0, BASE)[1][LANE_TRACKING] == 0.0
 
 
 def test_commanded_accel_comfort_bounded():
-    slow = VehicleState(v_fwd=0.0, x_pos=0.0)
-    assert commanded_accel(slow, ControllerMode.LANE_TRACKING, BASE) <= BASE.comfort_accel
-    fast = VehicleState(v_fwd=30.0, x_pos=0.0)
-    assert commanded_accel(fast, ControllerMode.LANE_TRACKING, BASE) >= -BASE.comfort_accel
+    assert control(0.0, 0.0, BASE)[1][LANE_TRACKING] <= BASE.comfort_accel
+    assert control(30.0, 0.0, BASE)[1][LANE_TRACKING] >= -BASE.comfort_accel
 
 
 def closed_form_brake(v0: float, x0: float, accel: float, dt: float, substeps: int):
@@ -166,30 +163,28 @@ def test_lateral_regulator_decays_toward_zero():
     assert abs(arr[2]) < 0.05 and abs(arr[5]) < 0.2
 
 
-def stopping_distance(brake: BrakeState) -> float:
-    case = make_case_study("baseline")
-    end = case.model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, case.dt)
-    return end.x_pos
+def stopping_distance(model, dt, brake: BrakeState) -> float:
+    return model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, dt).x_pos
 
 
-def test_brake_monotonicity():
-    d_normal = stopping_distance(BrakeState.NORMAL)
-    d_minor = stopping_distance(BrakeState.MINOR_FAULT)
-    d_major = stopping_distance(BrakeState.MAJOR_FAULT)
+def test_brake_monotonicity(baseline_config, baseline_model):
+    args = (baseline_model, baseline_config.dt)
+    d_normal = stopping_distance(*args, BrakeState.NORMAL)
+    d_minor = stopping_distance(*args, BrakeState.MINOR_FAULT)
+    d_major = stopping_distance(*args, BrakeState.MAJOR_FAULT)
     assert d_normal < d_minor < d_major
 
 
-def test_nominal_safety_baseline():
-    case = make_case_study("baseline")
-    end = case.model.simulate_to_rest(VehicleState(v_fwd=15.0), BrakeState.NORMAL, case.dt)
+def test_nominal_safety_baseline(baseline_config, baseline_model):
+    end = baseline_model.simulate_to_rest(
+        VehicleState(v_fwd=15.0), BrakeState.NORMAL, baseline_config.dt)
     assert end.v_fwd == pytest.approx(0.0, abs=1e-6)
     assert end.x_pos < 500.0
 
 
-def test_faults_cross_target_baseline():
-    case = make_case_study("baseline")
+def test_faults_cross_target_baseline(baseline_config, baseline_model):
     for brake in (BrakeState.MINOR_FAULT, BrakeState.MAJOR_FAULT):
-        end = case.model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, case.dt)
+        end = baseline_model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, baseline_config.dt)
         assert end.x_pos >= 500.0
 
 
@@ -199,37 +194,42 @@ def test_brake_state_delivery_fractions():
     assert BrakeState.MAJOR_FAULT.delivery == 0.25
 
 
-def test_case_study_baseline_fields():
-    case = make_case_study("baseline")
-    assert case.spec.total_cells == 2250
-    assert case.spec.partitions == (5, 1, 1, 150, 1, 1)
-    assert case.spec.states == (3,)
-    assert case.spec.upper == (20.0, 5.0, 0.5, 600.0, 6.0, math.pi / 3)
-    assert case.spec.lower == (0.0, -5.0, -0.5, 0.0, -6.0, -math.pi / 3)
-    assert case.dt == pytest.approx(2.0 / 3.0)
-    assert case.depth == 2
-    assert case.truncation == 1e-8
-    assert case.params.t_gap_des == 1.3
+def test_case_study_baseline_fields(baseline_config, baseline_model):
+    cfg = baseline_config
+    assert cfg.spec.total_cells == 2250
+    assert cfg.spec.partitions == (5, 1, 1, 150, 1, 1)
+    assert cfg.spec.states == (3,)
+    assert cfg.spec.upper == (20.0, 5.0, 0.5, 600.0, 6.0, math.pi / 3)
+    assert cfg.spec.lower == (0.0, -5.0, -0.5, 0.0, -6.0, -math.pi / 3)
+    assert cfg.dt == pytest.approx(2.0 / 3.0)
+    assert cfg.search_depth == 2
+    assert cfg.truncation == 1e-8
+    assert baseline_model.params.t_gap_des == 1.3
     # Two steps cover roughly the time gap at which the contingency starts.
-    assert case.depth * case.dt == pytest.approx(4.0 / 3.0)
-    H = case.config_model.matrices[0].entries
+    assert cfg.search_depth * cfg.dt == pytest.approx(4.0 / 3.0)
+    H = cfg.config_model.matrices[0].entries
     assert H[0, 1] == 2e-7 and H[0, 2] == 2e-7 and H[0, 0] == 1.0 - 4e-7
     assert H[1, 0] == 0.0 and H[2, 0] == 0.0
-    assert case.event.lower[3] == 500.0 and case.event.upper[3] == 600.0
-    assert case.event.configs == frozenset({(1,), (2,), (3,)})
+    assert cfg.event.lower[3] == 500.0 and cfg.event.upper[3] == 600.0
+    assert cfg.event.configs == frozenset({(1,), (2,), (3,)})
 
 
-def test_case_study_modified_fields():
-    case = make_case_study("modified")
-    assert case.params.t_gap_des == 2.0
-    assert case.params.fixed_light_clearance == 30.0
-    assert case.params.fixed_strong_clearance == 15.0
-    assert case.depth == 3
+def test_case_study_modified_fields(baseline_config, modified_config, modified_model):
+    cfg, params = modified_config, modified_model.params
+    assert params.t_gap_des == 2.0
+    assert params.fixed_light_clearance == 30.0
+    assert params.fixed_strong_clearance == 15.0
+    assert cfg.search_depth == 3
     # Three steps amount to the revised two-second time gap.
-    assert case.depth * case.dt == pytest.approx(2.0)
-    assert case.spec == make_case_study("baseline").spec
+    assert cfg.search_depth * cfg.dt == pytest.approx(2.0)
+    assert cfg.spec == baseline_config.spec
 
 
-def test_case_study_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        make_case_study("aggressive")
+def test_case_study_rejects_unknown_variant(tmp_path):
+    doc = yaml.safe_load((CONFIGS / "agv_baseline.yaml").read_text())
+    doc["simulator"] = "agv-aggressive"
+    path = tmp_path / "aggressive.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert any("agv-aggressive" in p for p in err.value.problems)
