@@ -11,12 +11,9 @@ from .cellspace import (
     EXTERIOR,
     CellCoord,
     SpaceSpec,
-    StatePoint,
     bounds_of,
-    cell_of,
     coord_to_id,
     id_to_coord,
-    sample_cell,
 )
 from .configuration import (
     ComponentMatrix,
@@ -51,13 +48,11 @@ __all__ = [
     "ScenarioParams",
     "ScenarioTree",
     "SpaceSpec",
-    "StatePoint",
     "TopEvent",
     "TransitionMap",
     "backtrack",
     "bounds_of",
     "build_map",
-    "cell_of",
     "coord_to_id",
     "empirical_transition",
     "estimate_g",
@@ -70,7 +65,6 @@ __all__ = [
     "predecessors",
     "rank_paths",
     "rate_matrix_to_step_matrix",
-    "sample_cell",
     "save_map",
     "simulate_event_probability",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -21,16 +21,16 @@ import numpy as np
 
 from . import mapper
 from .cellspace import CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from .mapper import CSR, BudgetError, TransitionMap, predecessors
+from .mapper import CSR, BudgetError, TransitionMap, _check_fields, _is, _list_of, _of, predecessors
 
 __all__ = [
     "Level",
+    "Node",
     "PathRanking",
     "RankedPath",
     "ScenarioTree",
     "TopEvent",
     "TopEventError",
-    "TreeNode",
     "backtrack",
     "encode_ranked_paths",
     "event_cells",
@@ -38,7 +38,6 @@ __all__ = [
     "forward_check",
     "rank_paths",
     "tree_from_dict",
-    "tree_to_dict",
     "tree_to_dot",
     "tree_to_text",
     "write_tree",
@@ -125,29 +124,6 @@ def event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
     return cells
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """One node of a tree's linked view; the root is synthetic and carries no cell."""
-
-    coord: CellCoord | None
-    cell_id: int | None
-    q: float                 # single-step probability into the parent
-    cumulative: float
-    depth: int
-    is_event_cell: bool = False
-    children: list[TreeNode] = field(default_factory=list)
-    # Level-1 detail: per-event-cell breakdown of the aggregated entry edge.
-    entry_edges: list[tuple[int, float]] | None = None
-
-    def walk(self):
-        """This node and its descendants, depth-first in child order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-
 class Level(NamedTuple):
     """The nodes of one tree level as arrays, in the search's breadth-first order.
 
@@ -160,6 +136,16 @@ class Level(NamedTuple):
     q: np.ndarray           # float64: single-step probability into the parent
     cumulative: np.ndarray  # float64: product of q from the node up to the event
     parent: np.ndarray      # int64
+
+
+class Node(NamedTuple):
+    """One node's row of its level's arrays, with its depth (1 on level 1)."""
+
+    depth: int
+    cell: int
+    q: float
+    cumulative: float
+    parent: int
 
 
 def _child_starts(levels: list[Level], k: int) -> np.ndarray:
@@ -203,27 +189,12 @@ class ScenarioTree:
         """Sum of cumulative probabilities over all nodes holding a cell."""
         return sum(float(level.cumulative[level.cell == cell_id].sum()) for level in self.levels)
 
-    @functools.cached_property
-    def root(self) -> TreeNode:
-        """The tree as linked TreeNodes, built from the levels on first use."""
-        root = TreeNode(coord=None, cell_id=None, q=1.0, cumulative=1.0, depth=0)
-        above = [root]
-        for depth, level in enumerate(self.levels, 1):
-            nodes = [TreeNode(self.coords[c], c, q, cumulative, depth, c in self.event_cell_ids)
-                     for c, q, cumulative in zip(level.cell.tolist(), level.q.tolist(),
-                                                 level.cumulative.tolist())]
-            for node, p in zip(nodes, level.parent.tolist()):
-                above[p].children.append(node)
-            above = nodes
-        for node, edges in zip(root.children, self.entry_edges):
-            node.entry_edges = edges
-        return root
-
     def nodes(self):
-        """All non-root nodes of the linked view, depth-first in child order."""
-        for node in self.root.walk():
-            if node.coord is not None:
-                yield node
+        """One Node per node, level by level, each level in its order."""
+        for depth, level in enumerate(self.levels, 1):
+            for row in zip(level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(),
+                           level.parent.tolist()):
+                yield Node(depth, *row)
 
     def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
         """All root-to-leaf paths in rank_paths' order, as arrays.
@@ -470,77 +441,54 @@ def _tree_header(tree: ScenarioTree) -> dict:
     }
 
 
-def tree_to_dict(tree: ScenarioTree) -> dict:
-    """Structured document form of a tree (stable field order, versioned).
-
-    This defines the tree file: write_tree writes the document's compact
-    sorted-key JSON without building it. Built from the deepest level up.
-    """
-    below: list[dict] = []
-    for k in reversed(range(len(tree.levels))):
-        level, starts = tree.levels[k], _child_starts(tree.levels, k).tolist()
-        below = [
-            {
-                "coord": list(tree.coords[c].as_vector()),
-                "cell_id": c,
-                "q": q,
-                "cumulative": cumulative,
-                "depth": k + 1,
-                "event_cell": c in tree.event_cell_ids,
-                "children": below[starts[i]:starts[i + 1]],
-            }
-            for i, (c, q, cumulative) in enumerate(zip(
-                level.cell.tolist(), level.q.tolist(), level.cumulative.tolist()))
-        ]
-    for node, edges in zip(below, tree.entry_edges):
-        if edges is not None:
-            node["entry_edges"] = [[t, q] for t, q in edges]
-    root = {"coord": None, "cell_id": None, "q": 1.0, "cumulative": 1.0, "depth": 0,
-            "event_cell": False, "children": below}
-    return {**_tree_header(tree), "root": root}
-
-
+# The fields tree_from_dict checks: the header's (_tree_header writes them), then each node's.
+_TREE_FIELDS = (
+    ("search_depth", _of(int), "an integer"),
+    ("truncation", _of((int, float), 0, 1), "a number in [0, 1)"),
+    ("map_simulator", _of(str), "a string"),
+    ("map_seed", _of(int), "an integer"),
+    ("event", _of(dict), "an object"),
+    ("event.lower", _list_of(_of((int, float))), "a list of numbers"),
+    ("event.upper", _list_of(_of((int, float))), "a list of numbers"),
+    ("event.configs", _list_of(_list_of(_of(int))), "a list of integer lists"),
+    ("n_nodes", _of(int), "an integer"),
+    ("root", _of(dict), "an object"),
+    ("root.children", _of(list), "a list"),
+)
 _NODE_FIELDS = (
-    ("coord", list, "a list"),
-    ("cell_id", int, "an integer"),
-    ("q", (int, float), "a number"),
-    ("cumulative", (int, float), "a number"),
-    ("depth", int, "an integer"),
-    ("event_cell", bool, "a boolean"),
-    ("children", list, "a list"),
+    ("coord", _of(list), "a list"),
+    ("cell_id", _of(int), "an integer"),
+    ("q", _of((int, float)), "a number"),
+    ("cumulative", _of((int, float)), "a number"),
+    ("depth", _of(int), "an integer"),
+    ("event_cell", _of(bool), "a boolean"),
+    ("children", _of(list), "a list"),
 )
 CUMULATIVE_RTOL = 1e-12
 
 
-def _is(value, kind) -> bool:
-    """isinstance, except that a JSON boolean is no number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def tree_from_dict(doc: dict) -> ScenarioTree:
-    """Inverse of tree_to_dict, checking every node where it enters.
+    """The tree of a document write_tree writes, checked where it enters.
 
     The file carries no space spec, so spec is None and event_cell_ids
     holds only the event cells that appear in the tree. Raises ValueError
-    for a document that is not a scenario tree and for a node with a field
+    for a document that is not a scenario tree, a header field missing or
+    of the wrong type (_TREE_FIELDS), an n_nodes other than the nodes read
+    or a search_depth below the levels read, and for a node with a field
     of the wrong type, a cell id outside [0, 2**63), a depth other than its
     parent's plus one, q or cumulative too large for a float, q outside
     (0, 1], a cumulative other than its parent's times q (relative
-    tolerance CUMULATIVE_RTOL), a coordinate whose length is not L + M,
-    entry_edges below level 1, or a coordinate or event flag other than
-    another node's of the same cell; the message
-    names the node by its child positions from the root. KeyError or
-    TypeError for a malformed header. Reads the nodes level by level.
+    tolerance CUMULATIVE_RTOL), a coordinate that is not L + M integers
+    >= 1, entry_edges below level 1, or a coordinate or event flag other
+    than another node's of the same cell; the message names the node by
+    its child positions from the root. Reads the nodes level by level.
     """
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise ValueError("not a scenario tree file")
     if doc.get("version") != TREE_FORMAT_VERSION:
         raise ValueError(f"unsupported tree version {doc.get('version')}")
-    event = TopEvent(
-        lower=doc["event"]["lower"],
-        upper=doc["event"]["upper"],
-        configs=frozenset(tuple(c) for c in doc["event"]["configs"]),
-    )
+    _check_fields(doc, _TREE_FIELDS)
+    event = TopEvent(**doc["event"])
     L = len(event.lower)
     widths = {len(c) for c in event.configs}
     if len(widths) != 1:
@@ -559,16 +507,13 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
         for i, (d, name, p) in enumerate(front):
             if not isinstance(d, dict):
                 raise ValueError(f"node {name}: not an object")
-            for key, kind, noun in _NODE_FIELDS:
-                if key not in d:
-                    raise ValueError(f"node {name}: missing field {key!r}")
-                if not _is(d[key], kind):
-                    raise ValueError(f"node {name}: {key} must be {noun}, got {d[key]!r}")
+            _check_fields(d, _NODE_FIELDS, f"node {name}: ")
             where = f"node {name} (cell {d['cell_id']})"
             if not 0 <= d["cell_id"] < 2**63:
                 raise ValueError(f"{where}: cell_id outside [0, 2**63)")
-            if len(d["coord"]) != width or not all(_is(v, int) for v in d["coord"]):
-                raise ValueError(f"{where}: coord must be {width} integers, got {d['coord']!r}")
+            if len(d["coord"]) != width or not all(_is(v, int) and v >= 1 for v in d["coord"]):
+                raise ValueError(f"{where}: coord must be {width} integers >= 1, "
+                                 f"got {d['coord']!r}")
             if d["depth"] != depth:
                 raise ValueError(f"{where}: depth {d['depth']}, expected {depth}")
             try:
@@ -604,6 +549,10 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
         levels.append(Level(np.array(ids, dtype=np.int64), np.array(qs), np.array(cumulatives),
                             np.array(parents, dtype=np.int64)))
         front, above = below, cumulatives
+    if doc["n_nodes"] != (n := sum(len(level.cell) for level in levels)):
+        raise ValueError(f"n_nodes {doc['n_nodes']}, but {n} nodes read")
+    if doc["search_depth"] < len(levels):
+        raise ValueError(f"search_depth {doc['search_depth']} below the {len(levels)} levels read")
 
     return ScenarioTree(
         levels=levels,
@@ -665,11 +614,16 @@ def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
 
 
 def write_tree(tree: ScenarioTree, path: str) -> None:
-    """Write the compact sorted-key JSON of tree_to_dict(tree), byte for byte.
+    """Write the tree file: one JSON object, keys sorted, compact separators.
 
-    Nodes of one cell share the text of their cell id, coordinate and event
-    flag, so per node only its cumulative, depth and q are written (floats
-    by repr, as json writes them), plus the level-1 entry_edges. Each node
+    Its fields are _tree_header's plus root: a node with coord and cell_id
+    null, q and cumulative 1.0, depth 0 and event_cell false. Every node
+    has coord (its cell's vector), cell_id, q, cumulative, depth,
+    event_cell and children, each level in its order; a level-1 node with
+    entry edges also has entry_edges, [event cell id, q] pairs. Nodes of
+    one cell share the text of their cell id, coordinate and event flag,
+    so per node only its cumulative, depth and q are written (floats by
+    repr, as json writes them), plus the level-1 entry_edges. Each node
     gives the text before its children and the text after them; these go
     in the order a preorder walk enters and leaves the nodes. The header
     fields and the entry edges go through json's encoder.

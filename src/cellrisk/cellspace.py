@@ -23,17 +23,14 @@ __all__ = [
     "SpaceSpecError",
     "SpaceSpec",
     "SpecMismatchError",
-    "StatePoint",
     "bin_points",
     "bounds_of",
-    "cell_of",
     "coord_to_id",
     "id_to_coord",
-    "sample_cell",
     "sample_cell_array",
 ]
 
-DEFAULT_CELL_CAP = 10_000_000
+CELL_CAP = 10_000_000
 
 
 class SpaceSpecError(ValueError):
@@ -78,7 +75,6 @@ class SpaceSpec:
     upper: tuple[float, ...]
     partitions: tuple[int, ...]
     states: tuple[int, ...]
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names_x", tuple(self.names_x))
@@ -104,10 +100,8 @@ class SpaceSpec:
         for m, n_m in enumerate(self.states):
             if n_m < 1:
                 raise SpaceSpecError(f"component {m}: state count must be >= 1")
-        if self.total_cells > self.cell_cap:
-            raise SpaceSpecError(
-                f"total cell count {self.total_cells} exceeds cap {self.cell_cap}"
-            )
+        if self.total_cells > CELL_CAP:
+            raise SpaceSpecError(f"total cell count {self.total_cells} exceeds cap {CELL_CAP}")
 
     @property
     def L(self) -> int:
@@ -183,18 +177,6 @@ class CellCoord:
         return f"[{' '.join(map(str, self.as_vector()))}]"
 
 
-@dataclass(eq=False)
-class StatePoint:
-    """Continuous state x paired with a configuration vector n."""
-
-    x: np.ndarray
-    n: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.n = tuple(int(v) for v in self.n)
-
-
 def bin_points(xs: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """Flat continuous index of every row of an (N, L) array of states.
 
@@ -209,20 +191,6 @@ def bin_points(xs: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     # Clipping closes the top interval (rows outside are replaced below).
     flat = np.ravel_multi_index(idx.T, spec.partitions, mode="clip", order="F")
     return np.where(inside, flat, spec.total_continuous_cells)
-
-
-def cell_of(point: StatePoint, spec: SpaceSpec) -> CellCoord | Exterior:
-    """Locate the cell containing a point, or EXTERIOR if out of bounds (see bin_points)."""
-    spec.validate_config(point.n)
-    x = np.asarray(point.x, dtype=float)
-    if x.shape != (spec.L,):
-        raise SpecMismatchError(f"point has shape {x.shape}, expected ({spec.L},)")
-    if not np.all(np.isfinite(x)):
-        raise SpecMismatchError("point has non-finite coordinates")
-    j = int(bin_points(x[None, :], spec)[0])
-    if j == spec.total_continuous_cells:
-        return EXTERIOR
-    return CellCoord(id_to_coord(j, spec).j, point.n)
 
 
 def bounds_of(cell: CellCoord, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -242,17 +210,6 @@ def sample_cell_array(
     lo, hi = bounds_of(cell, spec)
     rng = np.random.default_rng(seed)
     return lo + rng.random((count, spec.L)) * (hi - lo)
-
-
-def sample_cell(
-    cell: CellCoord, spec: SpaceSpec, count: int, seed: int | np.random.SeedSequence
-) -> list[StatePoint]:
-    """Draw points independently and uniformly from the cell box.
-
-    Deterministic for a given seed; every point carries the cell's n.
-    """
-    xs = sample_cell_array(cell, spec, count, seed)
-    return [StatePoint(x, cell.n) for x in xs]
 
 
 def coord_to_id(coord: CellCoord, spec: SpaceSpec) -> int:

@@ -513,13 +513,15 @@ def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoRe
 
 
 def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
-    """How a map differs from what its config builds: spec, dt and simulator.
+    """How a map differs from what its config builds: spec, dt and simulator with its params.
 
     Seed and samples per cell are not compared; build-map's flags override them.
     """
     problems = ["map spec does not match config spec"] if tmap.spec != cfg.spec else []
     for key, theirs, ours in (("dt", tmap.dt, cfg.dt),
-                              ("simulator", tmap.metadata.simulator, cfg.simulator)):
+                              ("simulator", tmap.metadata.simulator, cfg.simulator),
+                              ("simulator_params", tmap.metadata.simulator_params,
+                               cfg.simulator_params)):
         if theirs != ours:
             problems.append(f"map {key} {theirs!r} does not match config {key} {ours!r}")
     return problems
@@ -576,6 +578,8 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
     except BuildError as exc:
         _fail("build", [str(exc)])
     elapsed = time.perf_counter() - t0
+    # build_map sees only the simulator; the map also records the params it was made with.
+    tmap.metadata = dataclasses.replace(tmap.metadata, simulator_params=cfg.simulator_params)
     save_map(tmap, out_path)
     click.echo(
         f"built map: {tmap.n_cells} sources, {tmap.n_edges} edges, "
@@ -758,8 +762,6 @@ def export_cmd(tree_path, out_graph, out_text) -> None:
     try:
         with open(tree_path, encoding="utf-8") as fh:
             tree = tree_from_dict(json.load(fh))
-    except KeyError as exc:
-        _fail("tree", [f"{tree_path}: missing field {exc}"])
     except RecursionError:
         _fail("tree", [f"{tree_path}: nodes nested too deeply to read"])
     except (TypeError, ValueError) as exc:

@@ -107,6 +107,7 @@ class CSR(NamedTuple):
 class MapMetadata:
     seed: int
     simulator: str
+    simulator_params: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -172,7 +173,7 @@ class TransitionMap:
         spec: SpaceSpec,
         edges: dict[int, list[tuple[int, float]]],
         dt: float = 1.0,
-        samples_per_cell: int = 0,
+        samples_per_cell: int = 1,
         simulator: str = "analytic",
         seed: int = 0,
     ) -> TransitionMap:
@@ -448,14 +449,6 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
 _SPEC_FIELDS = ("names_x", "names_n", "lower", "upper", "partitions", "states")
 
 
-def _spec_to_dict(spec: SpaceSpec) -> dict:
-    return {f: list(getattr(spec, f)) for f in _SPEC_FIELDS}
-
-
-def _spec_from_dict(d: dict) -> SpaceSpec:
-    return SpaceSpec(**{f: tuple(d[f]) for f in _SPEC_FIELDS})
-
-
 def save_map(tmap: TransitionMap, path: str) -> None:
     """Persist a map as versioned JSON.
 
@@ -469,13 +462,15 @@ def save_map(tmap: TransitionMap, path: str) -> None:
     doc = {
         "format": MAP_FORMAT,
         "version": MAP_FORMAT_VERSION,
-        "spec": _spec_to_dict(tmap.spec),
+        "spec": {f: list(getattr(tmap.spec, f)) for f in _SPEC_FIELDS},
         "dt": tmap.dt,
         "samples_per_cell": tmap.samples_per_cell,
         "seed": tmap.metadata.seed,
         "simulator": tmap.metadata.simulator,
         "edges": _edge_list(tmap.matrix),
     }
+    if tmap.metadata.simulator_params:
+        doc["simulator_params"] = tmap.metadata.simulator_params
     # Streamed on purpose: one json.dumps string of the baseline map would be
     # faster but raises build-map's peak RSS from 59.3 to 62.4 MB.
     with open(path, "w", encoding="utf-8") as fh:
@@ -483,12 +478,53 @@ def save_map(tmap: TransitionMap, path: str) -> None:
         fh.write("\n")
 
 
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is no number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _of(kind, low=None, high=None):
+    """Test of a value of kind (see _is) in [low, high); a bound of None is no bound."""
+    return lambda v: _is(v, kind) and (low is None or v >= low) and (high is None or v < high)
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+def _check_fields(doc: dict, fields, where: str = "") -> None:
+    """Raise ValueError for the first of fields (dotted key, test, what it must
+    be) that doc lacks or whose value fails its test, naming the field."""
+    for key, test, noun in fields:
+        value = doc
+        for part in key.split("."):
+            if part not in value:
+                raise ValueError(f"{where}missing field {key!r}")
+            value = value[part]
+        if not test(value):
+            raise ValueError(f"{where}{key} must be {noun}, got {value!r}")
+
+
+# The map header fields load_map checks before it builds anything.
+_MAP_FIELDS = (
+    ("spec", _of(dict), "an object"),
+    ("spec.partitions", _list_of(_of(int)), "a list of integers"),
+    ("spec.states", _list_of(_of(int)), "a list of integers"),
+    ("dt", _of((int, float)), "a number"),
+    ("samples_per_cell", _of(int, 1), "an integer >= 1"),
+    ("seed", _of(int, 0), "an integer >= 0"),
+    ("simulator", _of(str), "a string"),
+    ("simulator_params", _of(dict), "an object"),
+)
+
+
 def load_map(path: str, check: bool = True) -> TransitionMap:
     """Load a map persisted by save_map, checking it where it enters.
 
-    Raises MapFormatError for a file that is not a map, an id out of range,
-    q outside (0, 1], a duplicate edge and, with check, a row that does not
-    sum to one.
+    Raises MapFormatError for a file that is not a map, a header field of
+    the wrong type or range (see _MAP_FIELDS), an id out of range, q
+    outside (0, 1], a duplicate edge and, with check, a row that does not
+    sum to one. A file without simulator_params was built with none.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -499,12 +535,13 @@ def load_map(path: str, check: bool = True) -> TransitionMap:
         raise MapFormatError(f"{path}: not a transition map file")
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise MapFormatError(f"{path}: unsupported version {doc.get('version')}")
+    doc = {"simulator_params": {}, **doc}
     try:
-        spec = _spec_from_dict(doc["spec"])
+        _check_fields(doc, _MAP_FIELDS)
+        spec = SpaceSpec(**{f: tuple(doc["spec"][f]) for f in _SPEC_FIELDS})
         matrix = _edge_matrix(spec.total_cells, doc["edges"], check)
-        metadata = MapMetadata(seed=int(doc["seed"]), simulator=doc["simulator"])
-        dt, samples = float(doc["dt"]), int(doc["samples_per_cell"])
-        return TransitionMap(spec, dt, samples, matrix, metadata)
+        metadata = MapMetadata(doc["seed"], doc["simulator"], doc["simulator_params"])
+        return TransitionMap(spec, float(doc["dt"]), doc["samples_per_cell"], matrix, metadata)
     except KeyError as exc:
         raise MapFormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -114,3 +114,50 @@ def ring_shift_map(n_cells: int) -> TransitionMap:
     spec = line_spec(n_cells)
     edges = {s: [((s + 1) % n_cells, 1.0)] for s in range(n_cells)}
     return TransitionMap.from_edges(spec, edges)
+
+
+def tree_to_dict(tree) -> dict:
+    """The tree file's document, node by node: the reference for write_tree's bytes.
+
+    Built from the deepest level up, each node's children gathered by their
+    parent index; the tree file is this document as compact sorted-key JSON.
+    """
+    below: list[dict] = []
+    for k in reversed(range(len(tree.levels))):
+        level = tree.levels[k]
+        children: list[list[dict]] = [[] for _ in range(len(level.cell))]
+        if k + 1 < len(tree.levels):
+            for node, p in zip(below, tree.levels[k + 1].parent.tolist()):
+                children[p].append(node)
+        below = [
+            {
+                "coord": list(tree.coords[c].as_vector()),
+                "cell_id": c,
+                "q": q,
+                "cumulative": cumulative,
+                "depth": k + 1,
+                "event_cell": c in tree.event_cell_ids,
+                "children": kids,
+            }
+            for c, q, cumulative, kids in zip(
+                level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(), children)
+        ]
+    for node, edges in zip(below, tree.entry_edges):
+        if edges is not None:
+            node["entry_edges"] = [[t, q] for t, q in edges]
+    return {
+        "format": "cellrisk-scenario-tree",
+        "version": 1,
+        "search_depth": tree.depth,
+        "truncation": tree.truncation,
+        "map_simulator": tree.map_simulator,
+        "map_seed": tree.map_seed,
+        "event": {
+            "lower": list(tree.event.lower),
+            "upper": list(tree.event.upper),
+            "configs": sorted(list(c) for c in tree.event.configs),
+        },
+        "n_nodes": tree.n_nodes,
+        "root": {"coord": None, "cell_id": None, "q": 1.0, "cumulative": 1.0, "depth": 0,
+                 "event_cell": False, "children": below},
+    }

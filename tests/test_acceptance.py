@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from _synthetic import chain_map, leaky_chain_map, random_absorbing_map
+from _synthetic import chain_map, leaky_chain_map, random_absorbing_map, tree_to_dict
 from cellrisk.bpa import backtrack, forward_check, rank_paths
 from cellrisk.cellspace import EXTERIOR_ID, CellCoord, coord_to_id, id_to_coord
 from cellrisk.cli import main as cli_main
@@ -91,11 +91,14 @@ def test_criterion_1b_exact_fault_entry_edge(baseline_tree):
     # minor-fault parent equals the configured transition entry exactly.
     tree = baseline_tree["tree"]
     hits = []
-    for parent in tree.nodes():
-        if parent.coord is None or parent.coord.n[0] != BrakeState.MINOR_FAULT:
+    stack = list(tree_to_dict(tree)["root"]["children"])
+    while stack:
+        parent = stack.pop()
+        stack.extend(parent["children"])
+        if tree.coords[parent["cell_id"]].n[0] != BrakeState.MINOR_FAULT:
             continue
-        for child in parent.children:
-            if child.coord.n[0] == BrakeState.NORMAL and child.q == 2e-7:
+        for child in parent["children"]:
+            if tree.coords[child["cell_id"]].n[0] == BrakeState.NORMAL and child["q"] == 2e-7:
                 hits.append((child, parent))
     report("1b (exact 2e-7 edge)", bool(hits), f"{len(hits)} matching edges")
 
@@ -108,12 +111,12 @@ def test_criterion_2_truncation_subgraph(baseline_map, baseline_config):
         out = {}
 
         def walk(node, key):
-            for child in node.children:
-                k = key + (child.cell_id,)
-                out[k] = (child.q, child.cumulative, child.depth)
+            for child in node["children"]:
+                k = key + (child["cell_id"],)
+                out[k] = (child["q"], child["cumulative"], child["depth"])
                 walk(child, k)
 
-        walk(tree.root, ())
+        walk(tree_to_dict(tree)["root"], ())
         return out
 
     loose_nodes, tight_nodes = path_keyed(loose), path_keyed(tight)
@@ -156,9 +159,7 @@ def test_criterion_4_nominal_safety(baseline_config, baseline_model, baseline_tr
     ok = nominal.x_pos < 500.0 and nominal.v_fwd <= 1e-6
     details = [f"nominal rest at x={nominal.x_pos:.2f}"]
 
-    tree_configs = {
-        node.coord.n[0] for node in baseline_tree["tree"].nodes() if node.coord
-    }
+    tree_configs = {coord.n[0] for coord in baseline_tree["tree"].coords.values()}
     for brake in (BrakeState.MINOR_FAULT, BrakeState.MAJOR_FAULT):
         end = model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, cfg.dt)
         crossed = end.x_pos >= 500.0

@@ -11,6 +11,7 @@ from _synthetic import (
     leaky_chain_map,
     line_spec,
     random_absorbing_map,
+    tree_to_dict,
 )
 from cellrisk import bpa
 from cellrisk.bpa import (
@@ -22,7 +23,6 @@ from cellrisk.bpa import (
     forward_check,
     rank_paths,
     tree_from_dict,
-    tree_to_dict,
     tree_to_dot,
     write_tree,
 )
@@ -30,6 +30,19 @@ from cellrisk.cellspace import CellCoord, SpaceSpec, bounds_of, coord_to_id, id_
 from cellrisk.mapper import BudgetError, TransitionMap
 
 PI = math.pi
+
+
+def at(tree, depth: int, cell: int) -> int:
+    """Index in its level of the one node of a cell at a depth."""
+    (i,) = np.flatnonzero(tree.levels[depth - 1].cell == cell)
+    return int(i)
+
+
+def children(tree, depth: int, i: int) -> list[int]:
+    """Indices in level depth + 1 of the children of node i of level depth (0, the root)."""
+    if depth == len(tree.levels):
+        return []
+    return np.flatnonzero(tree.levels[depth].parent == i).tolist()
 
 
 def scan_event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
@@ -103,28 +116,29 @@ def test_backtrack_deterministic_chain_structure():
     #   level 3: cell 0 under cell 1.
     tmap, event = chain_map(5, absorb_from=3)
     tree = backtrack(tmap, event, depth=3, truncation=0.0)
-    lvl1 = {n.cell_id: n for n in tree.root.children}
-    assert set(lvl1) == {2, 3, 4}
-    assert lvl1[2].q == 1.0 and not lvl1[2].is_event_cell
-    assert lvl1[3].is_event_cell and lvl1[3].children == []
-    assert lvl1[4].is_event_cell and lvl1[4].children == []
-    assert [n.cell_id for n in lvl1[2].children] == [1]
-    node1 = lvl1[2].children[0]
-    assert node1.cumulative == 1.0
-    assert [n.cell_id for n in node1.children] == [0]
-    assert node1.children[0].depth == 3
+    level1, level2, level3 = tree.levels
+    assert set(level1.cell.tolist()) == {2, 3, 4}
+    i2 = at(tree, 1, 2)
+    assert level1.q[i2] == 1.0 and 2 not in tree.event_cell_ids
+    assert 3 in tree.event_cell_ids and children(tree, 1, at(tree, 1, 3)) == []
+    assert 4 in tree.event_cell_ids and children(tree, 1, at(tree, 1, 4)) == []
+    assert level2.cell[children(tree, 1, i2)].tolist() == [1]
+    (node1,) = children(tree, 1, i2)
+    assert level2.cumulative[node1] == 1.0
+    assert level3.cell[children(tree, 2, node1)].tolist() == [0]
 
 
 def test_backtrack_leaky_chain_cumulative_products():
     # Cell i moves forward w.p. 0.6, stays w.p. 0.4; event absorbs at cell 3.
     tmap, event = leaky_chain_map(4, absorb_from=3, p_fwd=0.6)
     tree = backtrack(tmap, event, depth=2, truncation=0.0)
-    lvl1 = {n.cell_id: n for n in tree.root.children}
+    level1, level2 = tree.levels
     # Only cell 2 enters the event from outside; the event cell self-loops.
-    assert lvl1[2].q == 0.6
-    kids = {n.cell_id: n for n in lvl1[2].children}
-    assert kids[2].q == 0.4 and kids[2].cumulative == pytest.approx(0.24)
-    assert kids[1].q == 0.6 and kids[1].cumulative == pytest.approx(0.36)
+    i2 = at(tree, 1, 2)
+    assert level1.q[i2] == 0.6
+    kids = {level2.cell[j]: j for j in children(tree, 1, i2)}
+    assert level2.q[kids[2]] == 0.4 and level2.cumulative[kids[2]] == pytest.approx(0.24)
+    assert level2.q[kids[1]] == 0.6 and level2.cumulative[kids[1]] == pytest.approx(0.36)
 
 
 def test_backtrack_identity_event_cell_retained_not_expanded():
@@ -136,9 +150,8 @@ def test_backtrack_identity_event_cell_retained_not_expanded():
     tmap = TransitionMap.from_edges(spec, edges)
     event = TopEvent(lower=(2.0,), upper=(3.0,), configs=frozenset({(1,)}))
     tree = backtrack(tmap, event, depth=5, truncation=0.5)
-    assert [n.cell_id for n in tree.root.children] == [2]
-    node = tree.root.children[0]
-    assert node.q == 1.0 and node.is_event_cell and node.children == []
+    assert tree.levels[0].cell.tolist() == [2]
+    assert tree.levels[0].q[0] == 1.0 and 2 in tree.event_cell_ids and children(tree, 1, 0) == []
     assert tree.n_nodes == 1
 
 
@@ -149,9 +162,9 @@ def test_backtrack_entry_aggregation_sums_across_event_cells():
     tmap = TransitionMap.from_edges(spec, edges)
     event = TopEvent(lower=(1.0,), upper=(3.0,), configs=frozenset({(1,)}))
     tree = backtrack(tmap, event, depth=1, truncation=0.0)
-    lvl1 = {n.cell_id: n for n in tree.root.children}
-    assert lvl1[0].q == 1.0
-    assert sorted(lvl1[0].entry_edges) == [(1, 0.5), (2, 0.5)]
+    i0 = at(tree, 1, 0)
+    assert tree.levels[0].q[i0] == 1.0
+    assert sorted(tree.entry_edges[i0]) == [(1, 0.5), (2, 0.5)]
 
 
 def test_backtrack_truncation_prunes_low_probability_branches():
@@ -162,10 +175,12 @@ def test_backtrack_truncation_prunes_low_probability_branches():
     def paths_set(tree):
         return {p.cell_ids for p in rank_paths(tree)}
 
-    loose_nodes = {(n.depth, n.cell_id, round(n.cumulative, 15)) for n in loose.nodes()}
-    tight_nodes = {(n.depth, n.cell_id, round(n.cumulative, 15)) for n in tight.nodes()}
-    assert tight_nodes < loose_nodes
-    assert all(n.cumulative >= 5e-3 for n in tight.nodes())
+    def rows(tree):
+        return {(d, c, round(cumulative, 15)) for d, level in enumerate(tree.levels, 1)
+                for c, cumulative in zip(level.cell.tolist(), level.cumulative.tolist())}
+
+    assert rows(tight) < rows(loose)
+    assert all((level.cumulative >= 5e-3).all() for level in tight.levels)
 
 
 def test_backtrack_is_deterministic(baseline_map, baseline_config):
@@ -173,10 +188,7 @@ def test_backtrack_is_deterministic(baseline_map, baseline_config):
     b = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
 
     def flatten(tree):
-        return [
-            (n.depth, n.cell_id, n.q, n.cumulative, n.is_event_cell)
-            for n in tree.nodes()
-        ]
+        return [(*n, n.cell in tree.event_cell_ids) for n in tree.nodes()]
 
     assert flatten(a) == flatten(b)
 
@@ -184,19 +196,19 @@ def test_backtrack_is_deterministic(baseline_map, baseline_config):
 def test_backtrack_children_ordered_by_q():
     tmap, event = random_absorbing_map(12, n_event=2, seed=5)
     tree = backtrack(tmap, event, depth=3, truncation=0.0)
-    for node in [tree.root, *tree.nodes()]:
-        qs = [c.q for c in node.children]
-        assert qs == sorted(qs, reverse=True) or node is tree.root
+    for depth, level in enumerate(tree.levels[1:], 1):
+        for i in range(len(tree.levels[depth - 1].cell)):
+            qs = level.q[children(tree, depth, i)].tolist()
+            assert qs == sorted(qs, reverse=True)
     # Level 1 is ordered by aggregated entry probability.
-    entry = [c.q for c in tree.root.children]
+    entry = tree.levels[0].q.tolist()
     assert entry == sorted(entry, reverse=True)
 
 
 def test_backtrack_monotone_cumulative(baseline_map, baseline_config):
     tree = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
-    for node in tree.nodes():
-        for child in node.children:
-            assert child.cumulative <= node.cumulative + 1e-15
+    for above, level in zip(tree.levels, tree.levels[1:]):
+        assert (level.cumulative <= above.cumulative[level.parent] + 1e-15).all()
 
 
 def test_backtrack_node_budget_guard():
@@ -249,10 +261,9 @@ def test_backward_forward_duality_three_synthetics():
 def test_forward_check_depth_one_point_mass():
     tmap, event = leaky_chain_map(4, absorb_from=3, p_fwd=0.6)
     tree = backtrack(tmap, event, depth=1, truncation=0.0)
-    leaf = {n.cell_id: n for n in tree.root.children}[2]
     dist = np.zeros(tmap.n_cells + 1)
     dist[2] = 1.0
-    assert forward_check(tmap, tree, dist) == leaf.q
+    assert forward_check(tmap, tree, dist) == tree.levels[0].q[at(tree, 1, 2)]
 
 
 def test_forward_check_non_ancestor_contributes_zero():
@@ -383,11 +394,11 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config)
 
 def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):
     tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
-    by_cell = {}
-    for node in tree.nodes():
-        assert by_cell.setdefault(node.cell_id, node.coord) is node.coord
-        assert node.coord == id_to_coord(node.cell_id, baseline_map.spec)
-    assert len(by_cell) < tree.n_nodes
+    cells = set(np.concatenate([level.cell for level in tree.levels]).tolist())
+    assert set(tree.coords) == cells
+    for c, coord in tree.coords.items():
+        assert coord == id_to_coord(c, baseline_map.spec)
+    assert len(tree.coords) < tree.n_nodes
 
 
 def test_tree_from_dict_rejects_two_coordinates_for_one_cell():

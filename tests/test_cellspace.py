@@ -11,15 +11,21 @@ from cellrisk.cellspace import (
     SpaceSpec,
     SpaceSpecError,
     SpecMismatchError,
-    StatePoint,
+    bin_points,
     bounds_of,
-    cell_of,
     coord_to_id,
     id_to_coord,
-    sample_cell,
+    sample_cell_array,
 )
 
 PI = math.pi
+
+
+def cells_of(xs, n, spec: SpaceSpec) -> list:
+    """The cell of every row of xs under configuration n, or EXTERIOR: bin_points, then
+    id_to_coord of the continuous index."""
+    return [EXTERIOR if j == spec.total_continuous_cells else CellCoord(id_to_coord(j, spec).j, n)
+            for j in bin_points(np.atleast_2d(xs), spec).tolist()]
 
 
 def agv_spec() -> SpaceSpec:
@@ -58,7 +64,7 @@ def scan_interval(lo: float, hi: float, parts: int, x: float) -> int:
 def test_cell_of_agv_example():
     spec = agv_spec()
     x = [12.0, 0.0, 0.0, 488.0, 0.0, 0.0]
-    got = cell_of(StatePoint(np.array(x), (1,)), spec)
+    (got,) = cells_of(np.array(x), (1,), spec)
     # Independent oracle: scan every interval in each dimension.
     expected = tuple(
         scan_interval(spec.lower[l], spec.upper[l], spec.partitions[l], x[l])
@@ -70,26 +76,18 @@ def test_cell_of_agv_example():
 
 def test_cell_of_lower_corner():
     spec = tiny_spec()
-    pt = StatePoint(np.array(spec.lower), (1,))
-    assert cell_of(pt, spec) == CellCoord((1, 1), (1,))
+    assert cells_of(np.array(spec.lower), (1,), spec) == [CellCoord((1, 1), (1,))]
 
 
 def test_cell_of_upper_bound_maps_to_top_cell():
     spec = tiny_spec()
-    pt = StatePoint(np.array(spec.upper), (2,))
-    assert cell_of(pt, spec) == CellCoord((3, 2), (2,))
+    assert cells_of(np.array(spec.upper), (2,), spec) == [CellCoord((3, 2), (2,))]
 
 
 def test_cell_of_out_of_bounds_is_exterior():
     spec = agv_spec()
-    pt = StatePoint(np.array([25.0, 0.0, 0.0, 100.0, 0.0, 0.0]), (1,))
-    assert cell_of(pt, spec) is EXTERIOR
-
-
-def test_cell_of_rejects_bad_config():
-    spec = tiny_spec()
-    with pytest.raises(SpecMismatchError):
-        cell_of(StatePoint(np.zeros(2), (5,)), spec)
+    (got,) = cells_of(np.array([25.0, 0.0, 0.0, 100.0, 0.0, 0.0]), (1,), spec)
+    assert got is EXTERIOR
 
 
 def test_bounds_of_examples():
@@ -100,7 +98,7 @@ def test_bounds_of_examples():
     lo, hi = bounds_of(CellCoord((1, 1, 1, 126, 1, 1), (1,)), spec)
     assert lo[3] == 500.0 and hi[3] == 504.0
     # Cross-check: the box lower corner falls back into the same cell.
-    inside = cell_of(StatePoint(np.array([0.0, -5.0, -0.5, 500.0, -6.0, -PI / 3]), (1,)), spec)
+    (inside,) = cells_of(np.array([0.0, -5.0, -0.5, 500.0, -6.0, -PI / 3]), (1,), spec)
     assert inside.j[3] == 126
 
     spec2 = tiny_spec()
@@ -112,19 +110,17 @@ def test_bounds_of_examples():
 def test_sample_cell_containment_and_config():
     spec = agv_spec()
     cell = CellCoord((4, 1, 1, 123, 1, 1), (2,))
-    points = sample_cell(cell, spec, 1000, seed=5)
-    assert len(points) == 1000
-    for pt in points:
-        assert cell_of(pt, spec) == cell
-        assert pt.n == (2,)
+    xs = sample_cell_array(cell, spec, 1000, seed=5)
+    assert xs.shape == (1000, spec.L)
+    assert cells_of(xs, cell.n, spec) == [cell] * 1000
 
 
 def test_sample_cell_deterministic():
     spec = tiny_spec()
     cell = CellCoord((2, 1), (1,))
-    a = sample_cell(cell, spec, 50, seed=7)
-    b = sample_cell(cell, spec, 50, seed=7)
-    assert all(np.array_equal(p.x, q.x) for p, q in zip(a, b))
+    a = sample_cell_array(cell, spec, 50, seed=7)
+    b = sample_cell_array(cell, spec, 50, seed=7)
+    assert np.array_equal(a, b)
 
 
 def test_sample_cell_means_match_uniform_moments():
@@ -132,7 +128,7 @@ def test_sample_cell_means_match_uniform_moments():
     cell = CellCoord((4, 1, 1, 123, 1, 1), (1,))
     lo, hi = bounds_of(cell, spec)
     count = 10_000
-    xs = np.stack([p.x for p in sample_cell(cell, spec, count, seed=11)])
+    xs = sample_cell_array(cell, spec, count, seed=11)
     mid = (lo + hi) / 2
     se = (hi - lo) / math.sqrt(12.0) / math.sqrt(count)
     assert np.all(np.abs(xs.mean(axis=0) - mid) <= 3 * se)
@@ -186,7 +182,7 @@ def test_partition_cover_unique_membership():
             if inside:
                 hits.append(coord.j)
         assert len(hits) == 1
-        assert cell_of(StatePoint(x, (1,)), spec).j == hits[0]
+        assert cells_of(x, (1,), spec)[0].j == hits[0]
 
 
 def test_volume_conservation():
@@ -207,7 +203,7 @@ def test_midpoint_round_trip_exhaustive():
     for cid in range(spec.total_cells):
         coord = id_to_coord(cid, spec)
         lo, hi = bounds_of(coord, spec)
-        assert cell_of(StatePoint((lo + hi) / 2, coord.n), spec) == coord
+        assert cells_of((lo + hi) / 2, coord.n, spec) == [coord]
 
 
 def test_spec_invariant_rejections():
@@ -218,4 +214,4 @@ def test_spec_invariant_rejections():
     with pytest.raises(SpaceSpecError):
         SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (2,), (0,))  # states < 1
     with pytest.raises(SpaceSpecError):
-        SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (10**9,), (10,), cell_cap=10**6)
+        SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (10**9,), (10,))

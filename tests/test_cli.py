@@ -12,7 +12,7 @@ import yaml
 from click.testing import CliRunner
 
 import cellrisk
-from cellrisk.bpa import RankedPath, TreeNode, backtrack, rank_paths, tree_from_dict
+from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_from_dict
 from cellrisk.cli import (
     EXIT_BUDGET_ERROR,
     EXIT_CONFIG_ERROR,
@@ -238,10 +238,11 @@ def test_spec_mismatch_between_config_and_map(tmp_path):
 @pytest.mark.parametrize("command", ["run-bpa", "forward-check", "validate"])
 @pytest.mark.parametrize(
     "override, field",
-    [({"dt": "1/2"}, "dt"), ({"simulator": "identity", "simulator_params": {}}, "simulator")],
+    [({"dt": "1/2"}, "dt"), ({"simulator": "identity", "simulator_params": {}}, "simulator"),
+     ({"simulator_params": {"velocity": [2.0]}}, "simulator_params")],
 )
 def test_dt_or_simulator_mismatch_between_config_and_map(tmp_path, command, override, field):
-    # The map was built for another step or by another simulator.
+    # The map was built for another step, by another simulator or with other params.
     _, map_path = _built(tmp_path)
     other_cfg = write_config(tmp_path, override, name="other.yaml")
     extra = ["--cell", "0"] if command == "forward-check" else []
@@ -355,9 +356,11 @@ def test_export_command(tmp_path):
         (lambda node: node.update(cell_id=-1), ["cell_id outside"]),
         (lambda node: node.update(cumulative=10**400), ["too large"]),
         (lambda node: node.update(entry_edges=[]), ["entry_edges", "below level 1"]),
+        (lambda node: node.update(coord=[-1] + node["coord"][1:]), ["coord", "integers >= 1"]),
     ],
     ids=["depth-null", "q-out-of-range", "short-coord", "cumulative-not-product",
-         "negative-cell-id", "huge-integer-cumulative", "entry-edges-below-level-1"],
+         "negative-cell-id", "huge-integer-cumulative", "entry-edges-below-level-1",
+         "coord-below-one"],
 )
 def test_export_malformed_tree_exit_code(tmp_path, defect, words):
     cfg_path, map_path = _built(tmp_path)
@@ -374,6 +377,44 @@ def test_export_malformed_tree_exit_code(tmp_path, defect, words):
     tree_path.write_text(json.dumps(doc))
     res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
     _assert_named_exit_3(res, f"node {i}/0", *words)
+
+
+@pytest.mark.parametrize(
+    "defect, words",
+    [
+        (lambda doc: doc.update(n_nodes=doc["n_nodes"] + 1), ["n_nodes", "nodes read"]),
+        (lambda doc: doc.update(search_depth="x"), ["search_depth must be an integer"]),
+        (lambda doc: doc.update(search_depth=1), ["search_depth 1 below the 2 levels read"]),
+        (lambda doc: doc.update(truncation="x"), ["truncation must be a number in [0, 1)"]),
+        (lambda doc: doc.update(truncation=1.0), ["truncation must be a number in [0, 1)"]),
+        (lambda doc: doc.update(map_simulator=3), ["map_simulator must be a string"]),
+        (lambda doc: doc.update(map_seed=1.5), ["map_seed must be an integer"]),
+        (lambda doc: doc["event"].update(lower=["8"]), ["event.lower must be a list of numbers"]),
+        (lambda doc: doc["event"].update(configs=[[1.5]]),
+         ["event.configs must be a list of integer lists"]),
+        (lambda doc: doc.update(event=None), ["event must be an object"]),
+        (lambda doc: doc.update(root=None), ["root must be an object"]),
+        (lambda doc: doc.pop("map_seed"), ["missing field 'map_seed'"]),
+    ],
+    ids=["n-nodes-off", "search-depth-string", "search-depth-below-levels",
+         "truncation-string", "truncation-one", "simulator-number", "seed-float",
+         "event-bound-string", "event-config-float", "event-null", "root-null",
+         "seed-missing"],
+)
+def test_export_malformed_tree_header_exit_code(tmp_path, defect, words):
+    cfg_path, map_path = _built(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    res = CliRunner().invoke(
+        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
+               "--depth", "2", "--out-tree", str(tree_path)],
+    )
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads(tree_path.read_text())
+    assert any(n["children"] for n in doc["root"]["children"])   # two levels
+    defect(doc)
+    tree_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
+    _assert_named_exit_3(res, "tree error", *words)
 
 
 def test_export_deeply_nested_tree_exit_code(tmp_path):
@@ -456,6 +497,26 @@ def test_malformed_map_exit_code(tmp_path, command):
         main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
     )
     _assert_named_exit_3(res, "map error", "source id outside")
+
+
+@pytest.mark.parametrize(
+    "defect, words",
+    [
+        (lambda doc: doc.update(seed=1.5), ["seed must be an integer >= 0"]),
+        (lambda doc: doc.update(seed=True), ["seed must be an integer >= 0"]),
+        (lambda doc: doc.update(samples_per_cell=-5), ["samples_per_cell must be an integer >= 1"]),
+        # int() would read 10.7 as the config's 10 and the map would match.
+        (lambda doc: doc["spec"].update(partitions=[10.7]), ["spec.partitions must be"]),
+    ],
+    ids=["seed-float", "seed-boolean", "samples-negative", "partitions-float"],
+)
+def test_run_bpa_malformed_map_header_exit_code(tmp_path, defect, words):
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    defect(doc)
+    map_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
+    _assert_named_exit_3(res, "map error", *words)
 
 
 @pytest.mark.parametrize(
@@ -567,10 +628,10 @@ def test_matrix_row_problem_names_its_component_once(tmp_path):
 @pytest.mark.parametrize("command", ["build-map", "validate"])
 def test_drift_blow_up_is_a_build_error(tmp_path, command):
     # dt is finite, but a step of 2 x 1e308 overflows to inf. The map is
-    # given the config's dt, so validate reaches its oracle row.
+    # given the config's dt and velocity, so validate reaches its oracle row.
     _, map_path = _built(tmp_path)
     doc = json.loads(map_path.read_text())
-    map_path.write_text(json.dumps(dict(doc, dt=1e308)))
+    map_path.write_text(json.dumps(dict(doc, dt=1e308, simulator_params={"velocity": [2.0]})))
     path = write_config(
         tmp_path, {"dt": "1e308", "simulator_params": {"velocity": [2.0]}}, name="blow.yaml"
     )
@@ -671,7 +732,7 @@ def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_conf
 def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseline_map):
     # run-bpa searches, ranks and exports from the tree's level arrays; only
     # the paths it prints become RankedPath objects.
-    made = {TreeNode: 0, RankedPath: 0}
+    made = {RankedPath: 0}
     for cls in made:
         def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
             made[_cls] += 1
@@ -684,5 +745,4 @@ def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseli
                "--out-graph", str(tmp_path / "tree.gv"),
                "--out-report", str(tmp_path / "report.json")])
     assert res.exit_code == EXIT_OK, res.output
-    assert made[TreeNode] == 0
     assert 0 < made[RankedPath] <= 10

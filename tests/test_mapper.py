@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -370,3 +371,47 @@ def test_load_map_unchecked_keeps_off_rows_for_validation(tmp_path):
     edges, _ = MALFORMED_EDGES["row-sum-off"]
     tmap = load_map(str(_write_map(tmp_path, edges)), check=False)
     assert tmap.row_sums()[3] == pytest.approx(0.98)
+
+
+MALFORMED_HEADERS = {
+    "seed-not-an-integer": (lambda doc: doc.update(seed=1.5), "seed must be an integer >= 0"),
+    "seed-boolean": (lambda doc: doc.update(seed=True), "seed must be an integer >= 0"),
+    "seed-negative": (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0"),
+    "samples-negative": (lambda doc: doc.update(samples_per_cell=-5),
+                         "samples_per_cell must be an integer >= 1"),
+    "partitions-not-integers": (lambda doc: doc["spec"].update(partitions=[4.7]),
+                                "spec.partitions must be a list of integers"),
+    "states-not-integers": (lambda doc: doc["spec"].update(states=[1.0]),
+                            "spec.states must be a list of integers"),
+    "dt-not-a-number": (lambda doc: doc.update(dt="1"), "dt must be a number"),
+    "simulator-not-a-string": (lambda doc: doc.update(simulator=3),
+                               "simulator must be a string"),
+    "simulator-params-not-an-object": (lambda doc: doc.update(simulator_params=[1.0]),
+                                       "simulator_params must be an object"),
+    "spec-missing": (lambda doc: doc.pop("spec"), "missing field 'spec'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_load_map_rejects_malformed_header(tmp_path, case):
+    defect, message = MALFORMED_HEADERS[case]
+    path = _write_map(tmp_path, [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]])
+    doc = json.loads(path.read_text())
+    defect(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapFormatError, match=re.escape(message)):
+        load_map(str(path))
+
+
+def test_simulator_params_saved_only_when_given(tmp_path):
+    spec = line_spec(4)
+    edges = {s: [(s, 1.0)] for s in range(4)}
+    path = tmp_path / "map.json"
+    save_map(TransitionMap.from_edges(spec, edges), str(path))
+    assert "simulator_params" not in json.loads(path.read_text())
+    assert load_map(str(path)).metadata.simulator_params == {}
+    tmap = TransitionMap.from_edges(spec, edges)
+    tmap.metadata = dataclasses.replace(tmap.metadata, simulator_params={"velocity": [0.5]})
+    save_map(tmap, str(path))
+    assert json.loads(path.read_text())["simulator_params"] == {"velocity": [0.5]}
+    assert load_map(str(path)).metadata.simulator_params == {"velocity": [0.5]}

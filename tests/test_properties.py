@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import ShiftModel, random_absorbing_map
+from _synthetic import ShiftModel, random_absorbing_map, tree_to_dict
 from cellrisk.bpa import (
     RankedPath,
     backtrack,
@@ -21,7 +21,6 @@ from cellrisk.bpa import (
     forward_check,
     rank_paths,
     tree_from_dict,
-    tree_to_dict,
     tree_to_dot,
     write_tree,
 )
@@ -185,11 +184,11 @@ def _nodes_by_path(tree) -> dict[tuple[int, ...], tuple[float, float]]:
     out = {}
 
     def walk(node, key):
-        for child in node.children:
-            out[key + (child.cell_id,)] = (child.q, child.cumulative)
-            walk(child, key + (child.cell_id,))
+        for child in node["children"]:
+            out[key + (child["cell_id"],)] = (child["q"], child["cumulative"])
+            walk(child, key + (child["cell_id"],))
 
-    walk(tree.root, ())
+    walk(tree_to_dict(tree)["root"], ())
     return out
 
 
@@ -244,28 +243,29 @@ def test_write_tree_bytes_equal_pure_python_encoder(n_cells, n_event, seed, dept
 
 
 def _descend_rank_paths(tree, initial_distribution=None):
-    """rank_paths as a recursive descent that rebuilds every path from its chain."""
-    paths = []
+    """rank_paths as a recursive descent over the tree document that rebuilds every
+    path from its chain."""
+    paths, L = [], len(tree.event.lower)
 
     def descend(node, chain):
         chain.append(node)
-        if not node.children:
+        if not node["children"]:
             ordered = list(reversed(chain))
             weight = 1.0
             if initial_distribution is not None:
-                weight = float(initial_distribution[ordered[0].cell_id])
+                weight = float(initial_distribution[ordered[0]["cell_id"]])
             paths.append(RankedPath(
-                cells=tuple(n.coord for n in ordered),
-                cell_ids=tuple(n.cell_id for n in ordered),
-                steps=tuple(n.q for n in ordered),
-                cumulative=chain[-1].cumulative * weight,
+                cells=tuple(CellCoord(n["coord"][:L], n["coord"][L:]) for n in ordered),
+                cell_ids=tuple(n["cell_id"] for n in ordered),
+                steps=tuple(n["q"] for n in ordered),
+                cumulative=chain[-1]["cumulative"] * weight,
             ))
         else:
-            for child in node.children:
+            for child in node["children"]:
                 descend(child, chain)
         chain.pop()
 
-    for child in tree.root.children:
+    for child in tree_to_dict(tree)["root"]["children"]:
         descend(child, [])
     paths.sort(key=lambda p: (-p.cumulative, len(p.cells), p.cell_ids))
     return paths
@@ -296,7 +296,7 @@ def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, trunca
     tree = backtrack(tmap, event, depth=depth, truncation=truncation)
     prior = np.random.default_rng(seed).random(n_cells) if weighted else None
     paths = rank_paths(tree, initial_distribution=prior)
-    vectors = {n.cell_id: n.coord.as_vector() for n in tree.nodes()}
+    vectors = {c: coord.as_vector() for c, coord in tree.coords.items()}
     rows = [
         {
             "cells": [vectors[c] for c in p.cell_ids],
