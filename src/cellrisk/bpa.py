@@ -169,7 +169,6 @@ class ScenarioTree:
     levels: list[Level]
     entry_edges: list[list[tuple[int, float]] | None]
     coords: dict[int, CellCoord]
-    spec: SpaceSpec | None   # None for a tree read back from its file
     event: TopEvent
     event_cell_ids: frozenset[int]
     depth: int
@@ -296,13 +295,12 @@ def backtrack(
         levels=levels,
         entry_edges=[sorted(detail[source]) for source, _ in kept],
         coords={c: id_to_coord(c, tmap.spec) for c in cells.tolist()},
-        spec=tmap.spec,
         event=event,
         event_cell_ids=ev_cells,
         depth=depth,
         truncation=truncation,
-        map_simulator=tmap.metadata.simulator,
-        map_seed=tmap.metadata.seed,
+        map_simulator=tmap.simulator,
+        map_seed=tmap.seed,
     )
 
 
@@ -470,8 +468,8 @@ CUMULATIVE_RTOL = 1e-12
 def tree_from_dict(doc: dict) -> ScenarioTree:
     """The tree of a document write_tree writes, checked where it enters.
 
-    The file carries no space spec, so spec is None and event_cell_ids
-    holds only the event cells that appear in the tree. Raises ValueError
+    The file carries no space spec, so event_cell_ids holds only the
+    event cells that appear in the tree. Raises ValueError
     for a document that is not a scenario tree, a header field missing or
     of the wrong type (_TREE_FIELDS), an n_nodes other than the nodes read
     or a search_depth below the levels read, and for a node with a field
@@ -558,7 +556,6 @@ def tree_from_dict(doc: dict) -> ScenarioTree:
         levels=levels,
         entry_edges=entry_edges,
         coords={c: CellCoord(vector[:L], vector[L:]) for c, (vector, _, _) in first_seen.items()},
-        spec=None,
         event=event,
         event_cell_ids=frozenset(c for c, (_, flag, _) in first_seen.items() if flag),
         depth=doc["search_depth"],

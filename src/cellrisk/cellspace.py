@@ -213,23 +213,14 @@ def sample_cell_array(
 
 
 def coord_to_id(coord: CellCoord, spec: SpaceSpec) -> int:
-    """Flatten a coordinate to 0-based id, dimension 1 fastest-varying."""
+    """Flatten a coordinate to 0-based id over spec.radices(), dimension 1 fastest-varying."""
     coord.validate(spec)
-    digits = [v - 1 for v in coord.as_vector()]
-    cid = 0
-    for digit, radix in zip(reversed(digits), reversed(spec.radices())):
-        cid = cid * radix + digit
-    return cid
+    return int(np.ravel_multi_index([v - 1 for v in coord.as_vector()], spec.radices(), order="F"))
 
 
 def id_to_coord(cid: int, spec: SpaceSpec) -> CellCoord:
     """Inverse of coord_to_id."""
     if not 0 <= cid < spec.total_cells:
         raise SpecMismatchError(f"id {cid} outside 0..{spec.total_cells - 1}")
-    digits = []
-    rem = cid
-    for radix in spec.radices():
-        digits.append(rem % radix + 1)
-        rem //= radix
-    L = spec.L
-    return CellCoord(tuple(digits[:L]), tuple(digits[L:]))
+    digits = [int(d) + 1 for d in np.unravel_index(cid, spec.radices(), order="F")]
+    return CellCoord(tuple(digits[: spec.L]), tuple(digits[spec.L :]))

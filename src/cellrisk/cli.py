@@ -418,8 +418,6 @@ def load_config(path: str) -> RunConfig:
             comp = component_matrix_from_rows(rows, component_index=m)
         except ConfigModelError as exc:  # its message names the component
             raise ConfigError([f"sysConfTransProb {exc}"]) from exc
-        except TypeError as exc:
-            raise ConfigError([f"sysConfTransProb component {m}: {exc}"]) from exc
         if comp.size != spec.states[m]:
             raise ConfigError(
                 [
@@ -518,26 +516,17 @@ def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
     Seed and samples per cell are not compared; build-map's flags override them.
     """
     problems = ["map spec does not match config spec"] if tmap.spec != cfg.spec else []
-    for key, theirs, ours in (("dt", tmap.dt, cfg.dt),
-                              ("simulator", tmap.metadata.simulator, cfg.simulator),
-                              ("simulator_params", tmap.metadata.simulator_params,
-                               cfg.simulator_params)):
-        if theirs != ours:
+    for key in ("dt", "simulator", "simulator_params"):
+        if (theirs := getattr(tmap, key)) != (ours := getattr(cfg, key)):
             problems.append(f"map {key} {theirs!r} does not match config {key} {ours!r}")
     return problems
 
 
 def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, TransitionMap]:
-    """Config and map of a search command; exit 3 if either is malformed."""
-    try:
-        cfg = load_config(config_path)
-        tmap = load_map(map_path)
-        if mismatches := _map_mismatches(cfg, tmap):
-            raise ConfigError([f"{m}; rebuild the map for this config" for m in mismatches])
-    except ConfigError as exc:
-        _fail("config", exc.problems)
-    except MapFormatError as exc:
-        _fail("map", [str(exc)])
+    """Config and map of a search command; a map built for another config is a config error."""
+    cfg, tmap = load_config(config_path), load_map(map_path)
+    if mismatches := _map_mismatches(cfg, tmap):
+        raise ConfigError([f"{m}; rebuild the map for this config" for m in mismatches])
     return cfg, tmap
 
 
@@ -546,7 +535,26 @@ def _echo_warnings(cfg: RunConfig) -> None:
         click.echo(f"warning: {w}", err=True)
 
 
-@click.group()
+_EXITS = {
+    ConfigError: ("config", EXIT_CONFIG_ERROR),
+    MapFormatError: ("map", EXIT_CONFIG_ERROR),
+    BuildError: ("build", EXIT_CONFIG_ERROR),
+    BudgetError: ("budget", EXIT_BUDGET_ERROR),
+}
+
+
+class _Commands(click.Group):
+    """The commands; one that raises an error in _EXITS exits with its (kind, exit code)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXITS) as exc:
+            kind, code = next(v for t, v in _EXITS.items() if isinstance(exc, t))
+            _fail(kind, getattr(exc, "problems", [str(exc)]), code)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Cell-to-cell risk mapping and backtracking scenario search."""
 
@@ -561,25 +569,17 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
     """Build the transition map for a configuration and persist it."""
     if flags := _flag_problems(overrides) + _unwritable(("--out", out_path)):
         _fail("option", flags)
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        _fail("config", exc.problems)
+    cfg = load_config(config_path)
     _echo_warnings(cfg)
     cfg = _overridden(cfg, overrides)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
-    try:
-        tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
-                         samples=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.workers,
-                         sample_budget=cfg.sample_budget)
-    except BudgetError as exc:
-        _fail("budget", [str(exc)], EXIT_BUDGET_ERROR)
-    except BuildError as exc:
-        _fail("build", [str(exc)])
+    tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
+                     samples=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.workers,
+                     sample_budget=cfg.sample_budget)
     elapsed = time.perf_counter() - t0
     # build_map sees only the simulator; the map also records the params it was made with.
-    tmap.metadata = dataclasses.replace(tmap.metadata, simulator_params=cfg.simulator_params)
+    tmap.simulator_params = cfg.simulator_params
     save_map(tmap, out_path)
     click.echo(
         f"built map: {tmap.n_cells} sources, {tmap.n_edges} edges, "
@@ -606,11 +606,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
     _echo_warnings(cfg)
     run = _overridden(cfg, overrides)
     t0 = time.perf_counter()
-    try:
-        tree = backtrack(tmap, cfg.event, depth=run.search_depth,
-                         truncation=run.truncation, node_budget=run.node_budget)
-    except BudgetError as exc:
-        _fail("budget", [str(exc)], EXIT_BUDGET_ERROR)
+    tree = backtrack(tmap, cfg.event, depth=run.search_depth,
+                     truncation=run.truncation, node_budget=run.node_budget)
     t1 = time.perf_counter()
     ranking = tree.ranking()
     t2 = time.perf_counter()
@@ -631,8 +628,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
                 "sources": tmap.n_cells,
                 "edges": tmap.n_edges,
                 "exterior_mass": tmap.total_exterior_mass(),
-                "simulator": tmap.metadata.simulator,
-                "seed": tmap.metadata.seed,
+                "simulator": tmap.simulator,
+                "seed": tmap.seed,
             },
         }
         compact = {"sort_keys": True, "separators": (",", ":")}
@@ -671,10 +668,7 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
     if oracle_trials < 1:
         _fail("option", [f"--oracle-trials must be >= 1, got {oracle_trials}"])
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        _fail("config", exc.problems)
+    cfg = load_config(config_path)
     failures: list[str] = []
     try:
         tmap = load_map(map_path, check=False)  # rows are checked below, each named
@@ -702,11 +696,7 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     if not failures:
         model = _make_simulator(cfg)
         cell = id_to_coord(0, cfg.spec)
-        try:
-            row = mapper_mod.estimate_g(cell, model, cfg.spec, cfg.dt, oracle_trials,
-                                        cfg.seed + 1)
-        except BuildError as exc:
-            _fail("build", [str(exc)])
+        row = mapper_mod.estimate_g(cell, model, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 1)
         emp = oracle_mod.empirical_transition(
             model, cell, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 2
         )

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9  # for component matrix rows and transition map rows alike
+SNAP_TOL = 1e-3  # how far a written diagonal may be from the value that fills its row
 
 # Sentinel strings accepted in matrix rows for "fill this entry so the row
 # sums to one" (the usual way near-one diagonals are written down).
@@ -134,53 +135,50 @@ def rate_matrix_to_step_matrix(
     return ComponentMatrix(component_index, step)
 
 
-def component_matrix_from_rows(
-    rows: Sequence[Sequence[object]],
-    component_index: int = 0,
-    normalize_tol: float = 1e-3,
-) -> ComponentMatrix:
+def component_matrix_from_rows(rows: list, component_index: int = 0) -> ComponentMatrix:
     """Build a component matrix from row lists as written in a config file.
 
     At most one entry per row may be a derive sentinel ("~1"); it is filled
     with one minus the rest of the row. A plain numeric diagonal within
-    normalize_tol of that value is snapped to it, restoring exact row
+    SNAP_TOL of that value is snapped to it, restoring exact row
     stochasticity. Rows that are malformed beyond the tolerance are kept
-    as-is for validate() to report.
+    as-is for validate() to report. A matrix or row that is not a list, or an
+    entry neither a number nor a sentinel, raises ConfigModelError naming it.
     """
+    where = f"component {component_index}"
+    if not isinstance(rows, list):
+        raise ConfigModelError(f"{where}: matrix must be a list of rows, got {rows!r}")
     size = len(rows)
     out = np.zeros((size, size), dtype=float)
     for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ConfigModelError(f"{where}: row {i + 1} must be a list, got {row!r}")
         if len(row) != size:
             raise ConfigModelError(
-                f"component {component_index}: row {i + 1} has {len(row)} entries, expected {size}"
+                f"{where}: row {i + 1} has {len(row)} entries, expected {size}"
             )
         derive_at: int | None = None
         for k, entry in enumerate(row):
-            if isinstance(entry, str):
-                if entry.strip() in DERIVE_ENTRY:
-                    if derive_at is not None:
-                        raise ConfigModelError(
-                            f"component {component_index}: row {i + 1} has multiple derive entries"
-                        )
-                    derive_at = k
-                else:
-                    raise ConfigModelError(
-                        f"component {component_index}: row {i + 1} entry {k + 1!r} is not a number"
-                    )
+            if isinstance(entry, str) and entry.strip() in DERIVE_ENTRY:
+                if derive_at is not None:
+                    raise ConfigModelError(f"{where}: row {i + 1} has multiple derive entries")
+                derive_at = k
+            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                out[i, k] = entry
             else:
-                out[i, k] = float(entry)
+                raise ConfigModelError(
+                    f"{where}: row {i + 1} entry {k + 1} is not a number, got {entry!r}"
+                )
         if derive_at is not None:
             rest = out[i].sum()
             if rest > 1.0:
-                raise ConfigModelError(
-                    f"component {component_index}: row {i + 1} off-entries sum to {rest} > 1"
-                )
+                raise ConfigModelError(f"{where}: row {i + 1} off-entries sum to {rest} > 1")
             out[i, derive_at] = 1.0 - rest
         else:
             # Snap a near-one diagonal written as a rounded value.
             off_sum = float(np.sum(np.delete(out[i], i)))
             residual = 1.0 - off_sum
-            if 0.0 <= residual <= 1.0 and abs(out[i, i] - residual) <= normalize_tol:
+            if 0.0 <= residual <= 1.0 and abs(out[i, i] - residual) <= SNAP_TOL:
                 out[i, i] = residual
     return ComponentMatrix(component_index, out)
 

@@ -103,13 +103,6 @@ class CSR(NamedTuple):
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
 
-@dataclass(frozen=True)
-class MapMetadata:
-    seed: int
-    simulator: str
-    simulator_params: dict = field(default_factory=dict)
-
-
 @dataclass(eq=False)
 class TransitionMap:
     """Sparse single-step map held as one (C+1) x (C+1) CSR matrix.
@@ -118,13 +111,16 @@ class TransitionMap:
     column are the exterior sink, whose row is its absorbing self-loop. The
     predecessor index is derived once from the matrix: its transpose over
     the C cells, each row ordered by descending q then ascending source id.
+    The fields before the matrix record its build and are its file's header (_MAP_FIELDS).
     """
 
     spec: SpaceSpec
     dt: float
     samples_per_cell: int
+    seed: int
+    simulator: str
+    simulator_params: dict
     matrix: CSR
-    metadata: MapMetadata
     predecessor_index: CSR = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -180,8 +176,7 @@ class TransitionMap:
         """Build a map from explicit edge lists, checked as load_map checks a file."""
         triples = [(s, t, q) for s, row in edges.items() for t, q in row]
         matrix = _edge_matrix(spec.total_cells, triples)
-        metadata = MapMetadata(seed=seed, simulator=simulator)
-        return cls(spec, dt, samples_per_cell, matrix, metadata)
+        return cls(spec, dt, samples_per_cell, seed, simulator, {}, matrix)
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -409,8 +404,7 @@ def build_map(
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*parts)))
     if problem := _off_row(matrix):
         raise BuildError(problem)
-    metadata = MapMetadata(seed=seed, simulator=model.name)
-    return TransitionMap(spec, dt, samples, matrix, metadata)
+    return TransitionMap(spec, dt, samples, seed, model.name, {}, matrix)
 
 
 def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:
@@ -446,38 +440,6 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
     return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
 
 
-_SPEC_FIELDS = ("names_x", "names_n", "lower", "upper", "partitions", "states")
-
-
-def save_map(tmap: TransitionMap, path: str) -> None:
-    """Persist a map as versioned JSON.
-
-    Layout: format/version header, spec echo, build parameters, then the
-    edge list as [source id, target id, q] triples by source then target,
-    with -1 (sorting first) marking the exterior sink, whose self-loop is
-    implicit. Floats are written with shortest round-trip repr, so a load
-    followed by a save is byte-identical. Wall-clock metadata is excluded
-    to keep rebuilds with equal seeds byte-identical.
-    """
-    doc = {
-        "format": MAP_FORMAT,
-        "version": MAP_FORMAT_VERSION,
-        "spec": {f: list(getattr(tmap.spec, f)) for f in _SPEC_FIELDS},
-        "dt": tmap.dt,
-        "samples_per_cell": tmap.samples_per_cell,
-        "seed": tmap.metadata.seed,
-        "simulator": tmap.metadata.simulator,
-        "edges": _edge_list(tmap.matrix),
-    }
-    if tmap.metadata.simulator_params:
-        doc["simulator_params"] = tmap.metadata.simulator_params
-    # Streamed on purpose: one json.dumps string of the baseline map would be
-    # faster but raises build-map's peak RSS from 59.3 to 62.4 MB.
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _is(value, kind) -> bool:
     """isinstance, except that a JSON boolean is no number."""
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
@@ -505,9 +467,13 @@ def _check_fields(doc: dict, fields, where: str = "") -> None:
             raise ValueError(f"{where}{key} must be {noun}, got {value!r}")
 
 
-# The map header fields load_map checks before it builds anything.
+# The map file's header, which save_map writes and load_map checks, key by key.
 _MAP_FIELDS = (
     ("spec", _of(dict), "an object"),
+    ("spec.names_x", _list_of(_of(str)), "a list of strings"),
+    ("spec.names_n", _list_of(_of(str)), "a list of strings"),
+    ("spec.lower", _list_of(_of((int, float))), "a list of numbers"),
+    ("spec.upper", _list_of(_of((int, float))), "a list of numbers"),
     ("spec.partitions", _list_of(_of(int)), "a list of integers"),
     ("spec.states", _list_of(_of(int)), "a list of integers"),
     ("dt", _of((int, float)), "a number"),
@@ -516,6 +482,34 @@ _MAP_FIELDS = (
     ("simulator", _of(str), "a string"),
     ("simulator_params", _of(dict), "an object"),
 )
+_SPEC_FIELDS = tuple(key[5:] for key, _, _ in _MAP_FIELDS if key.startswith("spec."))
+_BUILD_FIELDS = tuple(key for key, _, _ in _MAP_FIELDS if not key.startswith("spec"))
+
+
+def save_map(tmap: TransitionMap, path: str) -> None:
+    """Persist a map as versioned JSON.
+
+    Layout: format/version header, spec echo, build parameters, then the
+    edge list as [source id, target id, q] triples by source then target,
+    with -1 (sorting first) marking the exterior sink, whose self-loop is
+    implicit. Floats are written with shortest round-trip repr, so a load
+    followed by a save is byte-identical. Wall-clock metadata is excluded
+    to keep rebuilds with equal seeds byte-identical.
+    """
+    doc = {
+        "format": MAP_FORMAT,
+        "version": MAP_FORMAT_VERSION,
+        "spec": {f: list(getattr(tmap.spec, f)) for f in _SPEC_FIELDS},
+        **{key: getattr(tmap, key) for key in _BUILD_FIELDS},
+        "edges": _edge_list(tmap.matrix),
+    }
+    if not tmap.simulator_params:
+        del doc["simulator_params"]
+    # Streamed on purpose: one json.dumps string of the baseline map would be
+    # faster but raises build-map's peak RSS from 59.3 to 62.4 MB.
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_map(path: str, check: bool = True) -> TransitionMap:
@@ -540,8 +534,8 @@ def load_map(path: str, check: bool = True) -> TransitionMap:
         _check_fields(doc, _MAP_FIELDS)
         spec = SpaceSpec(**{f: tuple(doc["spec"][f]) for f in _SPEC_FIELDS})
         matrix = _edge_matrix(spec.total_cells, doc["edges"], check)
-        metadata = MapMetadata(doc["seed"], doc["simulator"], doc["simulator_params"])
-        return TransitionMap(spec, float(doc["dt"]), doc["samples_per_cell"], matrix, metadata)
+        build = {key: doc[key] for key in _BUILD_FIELDS} | {"dt": float(doc["dt"])}
+        return TransitionMap(spec, matrix=matrix, **build)
     except KeyError as exc:
         raise MapFormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -186,7 +186,7 @@ def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_conf
             (t if isinstance(t, tuple) else EXTERIOR_ID): float(g)
             for t, g in estimate_g(
                 coord, baseline_model, spec, baseline_map.dt,
-                baseline_map.samples_per_cell, baseline_map.metadata.seed,
+                baseline_map.samples_per_cell, baseline_map.seed,
             )
         }
         for t, q in edges:

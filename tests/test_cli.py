@@ -12,7 +12,8 @@ import yaml
 from click.testing import CliRunner
 
 import cellrisk
-from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_from_dict
+from _synthetic import tree_to_dict
+from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_from_dict, write_tree
 from cellrisk.cli import (
     EXIT_BUDGET_ERROR,
     EXIT_CONFIG_ERROR,
@@ -346,6 +347,24 @@ def test_export_command(tmp_path):
     assert gv.read_bytes() == run_bpa_gv.read_bytes()
 
 
+def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, baseline_config):
+    tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
+    tree_path, txt = tmp_path / "tree.json", tmp_path / "tree.txt"
+    write_tree(tree, str(tree_path))
+    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path), "--out-text", str(txt)])
+    assert res.exit_code == EXIT_OK, res.output
+    # One line per node of the reference document, children in order, indented by depth.
+    lines, stack = [], list(reversed(tree_to_dict(tree)["root"]["children"]))
+    while stack:
+        node = stack.pop()
+        label = " ".join(map(str, node["coord"]))
+        lines.append(f"{'  ' * (node['depth'] - 1)}[{label}] q={node['q']:g} "
+                     f"cumulative={node['cumulative']:g} depth={node['depth']}")
+        stack += reversed(node["children"])
+    assert len(lines) == tree.n_nodes
+    assert txt.read_text() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "defect, words",
     [
@@ -499,6 +518,18 @@ def test_malformed_map_exit_code(tmp_path, command):
     _assert_named_exit_3(res, "map error", "source id outside")
 
 
+# Spec fields that SpaceSpec would coerce into the config's spec: the float
+# 0.0, the name tuple ("x",), and 1.0 (which differs from the config's 10.0).
+SPEC_DEFECTS = {
+    "lower-strings": (lambda doc: doc["spec"].update(lower=["0"]),
+                      ["spec.lower must be a list of numbers"]),
+    "upper-boolean": (lambda doc: doc["spec"].update(upper=[True]),
+                      ["spec.upper must be a list of numbers"]),
+    "names-x-string": (lambda doc: doc["spec"].update(names_x="x"),
+                       ["spec.names_x must be a list of strings"]),
+}
+
+
 @pytest.mark.parametrize(
     "defect, words",
     [
@@ -507,8 +538,9 @@ def test_malformed_map_exit_code(tmp_path, command):
         (lambda doc: doc.update(samples_per_cell=-5), ["samples_per_cell must be an integer >= 1"]),
         # int() would read 10.7 as the config's 10 and the map would match.
         (lambda doc: doc["spec"].update(partitions=[10.7]), ["spec.partitions must be"]),
+        *SPEC_DEFECTS.values(),
     ],
-    ids=["seed-float", "seed-boolean", "samples-negative", "partitions-float"],
+    ids=["seed-float", "seed-boolean", "samples-negative", "partitions-float", *SPEC_DEFECTS],
 )
 def test_run_bpa_malformed_map_header_exit_code(tmp_path, defect, words):
     cfg_path, map_path = _built(tmp_path)
@@ -517,6 +549,24 @@ def test_run_bpa_malformed_map_header_exit_code(tmp_path, defect, words):
     map_path.write_text(json.dumps(doc))
     res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
     _assert_named_exit_3(res, "map error", *words)
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_DEFECTS))
+@pytest.mark.parametrize("command", ["forward-check", "validate"])
+def test_malformed_map_spec_exit_code(tmp_path, command, case):
+    defect, words = SPEC_DEFECTS[case]
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    defect(doc)
+    map_path.write_text(json.dumps(doc))
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
+    )
+    code = EXIT_VALIDATION_FAILURE if command == "validate" else EXIT_CONFIG_ERROR
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    assert "map error" in res.output and words[0] in res.output
 
 
 @pytest.mark.parametrize(
@@ -573,6 +623,15 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
     assert not out.exists()
 
 
+# Two components where DRIFT_CONFIG has one.
+TWO_COMPONENTS = {
+    "numSystemComponents": 2,
+    "systemComponentNames": ["a", "b"],
+    "systemComponentStates": [2, 2],
+    "sysConfTransProb": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+}
+
+
 @pytest.mark.parametrize(
     "override, field",
     [
@@ -602,6 +661,21 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
         ({"eventConfigs": [[[1]]]}, "eventConfigs"),
         ({"simulator": "agv-baseline", "simulator_params": {"fixed_strong_clearance": 10.0}},
          "fixed_strong_clearance"),
+        ({"sysConfTransProb": [[[True, False], [0, 1]]]}, "component 0: row 1 entry 1 is not"),
+        ({"sysConfTransProb": [[[1, 0], [0, False]]]}, "component 0: row 2 entry 2 is not"),
+        ({"sysConfTransProb": [5]}, "component 0: matrix must be a list"),
+        ({"sysConfTransProb": [[[1, 0], 5]]}, "component 0: row 2 must be a list"),
+        ({"sysConfTransProb": [[[None, 1.0e-4], [0, 1]]]}, "component 0: row 1 entry 1 is not"),
+        ({"eventLowerBounds": [8.0, 1.5]},
+         "eventLowerBounds configuration entry must be an integer, got 1.5"),
+        (TWO_COMPONENTS, "trailing event-bound configuration shorthand needs M == 1"),
+        ({"eventLowerBounds": [8.0, 1, 1], "eventUpperBounds": [10.0, 2, 2]},
+         "event bounds must have 1 or 2 entries, got 3/3"),
+        ({"numberOfCells": [10, 2, 2]}, "numberOfCells has 3 entries, expected 1 or 2"),
+        ({"variableLowerBounds": [10.0]}, "lower bound 10.0 must be < upper 10.0"),
+        ({"sysConfTransProb": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+         "sysConfTransProb component 0 is 3x3, expected 2x2"),
+        ({"eventUpperBounds": [12.0, 2]}, "event definition: "),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -613,6 +687,12 @@ def test_config_field_types_are_problems(tmp_path, override, field):
         main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
     )
     _assert_named_exit_3(res, "config error", field)
+
+
+def test_event_bounds_without_configs_admit_every_configuration(tmp_path):
+    bounds = {"eventLowerBounds": [8.0], "eventUpperBounds": [10.0]}
+    cfg = load_config(str(write_config(tmp_path, {**TWO_COMPONENTS, **bounds})))
+    assert cfg.event.configs == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_matrix_row_problem_names_its_component_once(tmp_path):

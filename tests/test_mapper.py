@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -277,8 +276,8 @@ def test_persistence_round_trip(tmp_path, baseline_map):
     assert [predecessors(loaded, t) for t in range(loaded.n_cells)] == [
         predecessors(baseline_map, t) for t in range(baseline_map.n_cells)
     ]
-    assert loaded.metadata.seed == baseline_map.metadata.seed
-    assert loaded.metadata.simulator == baseline_map.metadata.simulator
+    assert loaded.seed == baseline_map.seed
+    assert loaded.simulator == baseline_map.simulator
     # Re-saving the loaded map is byte-identical: the format round-trips.
     path2 = tmp_path / "map2.json"
     save_map(loaded, str(path2))
@@ -389,6 +388,13 @@ MALFORMED_HEADERS = {
     "simulator-params-not-an-object": (lambda doc: doc.update(simulator_params=[1.0]),
                                        "simulator_params must be an object"),
     "spec-missing": (lambda doc: doc.pop("spec"), "missing field 'spec'"),
+    # SpaceSpec would read these as the float 0.0 or 1.0 and the name tuple ("x",).
+    "lower-strings": (lambda doc: doc["spec"].update(lower=["0"]),
+                      "spec.lower must be a list of numbers"),
+    "upper-boolean": (lambda doc: doc["spec"].update(upper=[True]),
+                      "spec.upper must be a list of numbers"),
+    "names-x-string": (lambda doc: doc["spec"].update(names_x="x"),
+                       "spec.names_x must be a list of strings"),
 }
 
 
@@ -409,9 +415,9 @@ def test_simulator_params_saved_only_when_given(tmp_path):
     path = tmp_path / "map.json"
     save_map(TransitionMap.from_edges(spec, edges), str(path))
     assert "simulator_params" not in json.loads(path.read_text())
-    assert load_map(str(path)).metadata.simulator_params == {}
+    assert load_map(str(path)).simulator_params == {}
     tmap = TransitionMap.from_edges(spec, edges)
-    tmap.metadata = dataclasses.replace(tmap.metadata, simulator_params={"velocity": [0.5]})
+    tmap.simulator_params = {"velocity": [0.5]}
     save_map(tmap, str(path))
     assert json.loads(path.read_text())["simulator_params"] == {"velocity": [0.5]}
-    assert load_map(str(path)).metadata.simulator_params == {"velocity": [0.5]}
+    assert load_map(str(path)).simulator_params == {"velocity": [0.5]}
