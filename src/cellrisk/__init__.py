@@ -8,7 +8,7 @@ enumerate and rank the event sequences that reach it.
 
 from .bpa import ScenarioTree, TopEvent, backtrack, event_cells, forward_check, rank_paths
 from .cellspace import (
-    EXTERIOR,
+    EXTERIOR_ID,
     CellCoord,
     SpaceSpec,
     bounds_of,
@@ -37,7 +37,7 @@ from .vehicle import BrakeState, GroundVehicleModel, ScenarioParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXTERIOR",
+    "EXTERIOR_ID",
     "BrakeState",
     "CellCoord",
     "ComponentMatrix",

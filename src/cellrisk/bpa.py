@@ -263,7 +263,7 @@ def backtrack(
 
     entry: dict[int, float] = {}
     detail: dict[int, list[tuple[int, float]]] = {}
-    for target in ev_cells:
+    for target in ev_cells:  # set order, so the float sums' last bits follow CPython's set layout
         for source, q in predecessors(tmap, target):
             entry[source] = entry.get(source, 0.0) + q
             detail.setdefault(source, []).append((target, q))

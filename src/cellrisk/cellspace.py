@@ -16,10 +16,8 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "EXTERIOR",
     "EXTERIOR_ID",
     "CellCoord",
-    "Exterior",
     "SpaceSpecError",
     "SpaceSpec",
     "SpecMismatchError",
@@ -41,23 +39,7 @@ class SpecMismatchError(ValueError):
     """Raised when a point, coordinate or id does not belong to the spec."""
 
 
-class Exterior:
-    """Singleton sentinel for states outside the declared bounds."""
-
-    _instance: Exterior | None = None
-
-    def __new__(cls) -> Exterior:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EXTERIOR"
-
-
-EXTERIOR = Exterior()
-
-# Flat-id marker for the exterior sink in edge lists and on-disk formats.
+# Names the exterior sink, states outside the bounds, in flow rows, edge lists and files.
 EXTERIOR_ID = -1
 
 

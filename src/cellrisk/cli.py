@@ -700,10 +700,8 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
         emp = oracle_mod.empirical_transition(
             model, cell, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 2
         )
-        row_d = {(t if isinstance(t, tuple) else "exterior"): float(g) for t, g in row}
-        emp_d = {(t if isinstance(t, tuple) else "exterior"): float(g) for t, g in emp}
-        keys = set(row_d) | set(emp_d)
-        tv = 0.5 * sum(abs(row_d.get(k, 0.0) - emp_d.get(k, 0.0)) for k in keys)
+        row_d, emp_d = dict(row), dict(emp)
+        tv = 0.5 * sum(abs(row_d.get(k, 0) - emp_d.get(k, 0)) for k in row_d | emp_d)
         # 0.05 is calibrated for the default 2000 trials; scale with the
         # sampling standard error for other counts.
         tol = 0.05 * math.sqrt(2000.0 / oracle_trials)

@@ -21,10 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cellspace import (
-    EXTERIOR,
     EXTERIOR_ID,
     CellCoord,
-    Exterior,
     SpaceSpec,
     bin_points,
     coord_to_id,
@@ -297,23 +295,22 @@ def estimate_g(
     dt: float,
     samples: int,
     seed: int,
-) -> list[tuple[tuple[int, ...] | Exterior, Fraction]]:
+) -> list[tuple[tuple[int, ...] | int, Fraction]]:
     """Equal-weight quadrature estimate of the continuous flow from one cell.
 
-    Returns (target j-coordinate or EXTERIOR, count/samples) pairs sorted by
+    Returns (target j-coordinate or EXTERIOR_ID, count/samples) pairs sorted by
     flattened target index with the exterior entry last; the fractions sum
     to exactly one.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    source_cell.validate(spec)
     source_id = coord_to_id(source_cell, spec)
     _, targets, counts = _flow_counts(
         model, spec, dt, samples, seed, range(source_id, source_id + 1)
     )
     n_j = spec.total_continuous_cells  # flat target ids below n_j are j-digits
     return [
-        (EXTERIOR if t == n_j else id_to_coord(t, spec).j, Fraction(c, samples))
+        (EXTERIOR_ID if t == n_j else id_to_coord(t, spec).j, Fraction(c, samples))
         for t, c in zip(targets.tolist(), counts.tolist())
     ]
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bpa import TopEvent
-from .cellspace import EXTERIOR, CellCoord, Exterior, SpaceSpec
+from .cellspace import EXTERIOR_ID, CellCoord, SpaceSpec
 from .configuration import ConfigTransitionModel
 from .mapper import DynamicsModel
 
@@ -172,7 +172,7 @@ def empirical_transition(
     dt: float,
     trials: int,
     seed: int = 0,
-) -> list[tuple[tuple[int, ...] | Exterior, Fraction]]:
+) -> list[tuple[tuple[int, ...] | int, Fraction]]:
     """Re-estimate one flow row with an independent sampling and binning path.
 
     Mirrors the quadrature definition (uniform points from the source box,
@@ -193,9 +193,9 @@ def empirical_transition(
     # Closed top interval: a point on an upper bound falls in the last cell.
     js = np.minimum(np.floor((ys[inside] - lower) / w).astype(np.int64), parts - 1) + 1
     targets, counts = np.unique(js, axis=0, return_counts=True)
-    row: list[tuple[tuple[int, ...] | Exterior, Fraction]] = [
+    row: list[tuple[tuple[int, ...] | int, Fraction]] = [
         (tuple(t), Fraction(c, trials)) for t, c in zip(targets.tolist(), counts.tolist())
     ]
     if n_out := trials - int(inside.sum()):
-        row.append((EXTERIOR, Fraction(n_out, trials)))
+        row.append((EXTERIOR_ID, Fraction(n_out, trials)))
     return row

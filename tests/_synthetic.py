@@ -1,4 +1,4 @@
-"""Hand-built systems used as oracles: tiny specs, analytic maps, toy models."""
+"""Hand-built systems used as oracles: tiny specs and analytic maps."""
 
 from __future__ import annotations
 
@@ -6,32 +6,7 @@ import numpy as np
 
 from cellrisk.bpa import TopEvent
 from cellrisk.cellspace import SpaceSpec
-from cellrisk.mapper import DynamicsModel, TransitionMap
-
-
-class IdentityModel(DynamicsModel):
-    name = "identity"
-
-    def step(self, x, n, dt):
-        return np.asarray(x, dtype=float)
-
-    def step_many(self, xs, n, dt):
-        return np.array(xs, dtype=float)
-
-
-class ShiftModel(DynamicsModel):
-    """Constant drift: x' = x + velocity * dt, per dimension."""
-
-    name = "shift"
-
-    def __init__(self, velocity):
-        self.velocity = np.atleast_1d(np.asarray(velocity, dtype=float))
-
-    def step(self, x, n, dt):
-        return np.asarray(x, dtype=float) + self.velocity * dt
-
-    def step_many(self, xs, n, dt):
-        return np.asarray(xs, dtype=float) + self.velocity * dt
+from cellrisk.mapper import TransitionMap
 
 
 def line_spec(n_cells: int, width: float = 1.0, states: int = 1) -> SpaceSpec:

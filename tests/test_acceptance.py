@@ -26,7 +26,8 @@ from cellrisk.oracle import CellUniform, MonteCarloConfig, simulate_event_probab
 from cellrisk.vehicle import BrakeState, VehicleState
 
 from conftest import SUITE_SEED
-from _synthetic import ShiftModel, line_spec
+from _synthetic import line_spec
+from cellrisk.cli import LinearDriftModel
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -183,7 +184,7 @@ def test_criterion_5_stochasticity_and_factorization(baseline_map, baseline_conf
         # stored edge is exactly the flow times the configuration entry.
         coord = id_to_coord(source, spec)
         g_row = {
-            (t if isinstance(t, tuple) else EXTERIOR_ID): float(g)
+            t: float(g)
             for t, g in estimate_g(
                 coord, baseline_model, spec, baseline_map.dt,
                 baseline_map.samples_per_cell, baseline_map.seed,
@@ -257,7 +258,7 @@ def test_criterion_7_oracle_equivalence(baseline_config, baseline_model):
     )
     corpus.append(
         (
-            ShiftModel(1.0), cfg_a, spec_a,
+            LinearDriftModel(1.0), cfg_a, spec_a,
             TopEvent(lower=(6.0,), upper=(10.0,), configs=frozenset({(2,)})),
             CellCoord((4,), (1,)), 3,
         )
@@ -266,7 +267,7 @@ def test_criterion_7_oracle_equivalence(baseline_config, baseline_model):
     cfg_b = ConfigTransitionModel(matrices=(ComponentMatrix(0, [[1.0]]),))
     corpus.append(
         (
-            ShiftModel(2.0), cfg_b, spec_b,
+            LinearDriftModel(2.0), cfg_b, spec_b,
             TopEvent(lower=(9.0,), upper=(12.0,), configs=frozenset({(1,)})),
             CellCoord((4,), (1,)), 3,
         )
@@ -280,7 +281,7 @@ def test_criterion_7_oracle_equivalence(baseline_config, baseline_model):
     # 0.219 from the healthy start.
     corpus.append(
         (
-            ShiftModel(1.0), cfg_c, spec_c,
+            LinearDriftModel(1.0), cfg_c, spec_c,
             TopEvent(lower=(5.0,), upper=(8.0,), configs=frozenset({(2,)})),
             CellCoord((4,), (1,)), 3,
         )

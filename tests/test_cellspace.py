@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellrisk.cellspace import (
-    EXTERIOR,
+    EXTERIOR_ID,
     CellCoord,
     SpaceSpec,
     SpaceSpecError,
@@ -22,9 +22,9 @@ PI = math.pi
 
 
 def cells_of(xs, n, spec: SpaceSpec) -> list:
-    """The cell of every row of xs under configuration n, or EXTERIOR: bin_points, then
+    """The cell of every row of xs under configuration n, or EXTERIOR_ID: bin_points, then
     id_to_coord of the continuous index."""
-    return [EXTERIOR if j == spec.total_continuous_cells else CellCoord(id_to_coord(j, spec).j, n)
+    return [EXTERIOR_ID if j == spec.total_continuous_cells else CellCoord(id_to_coord(j, spec).j, n)
             for j in bin_points(np.atleast_2d(xs), spec).tolist()]
 
 
@@ -87,7 +87,7 @@ def test_cell_of_upper_bound_maps_to_top_cell():
 def test_cell_of_out_of_bounds_is_exterior():
     spec = agv_spec()
     (got,) = cells_of(np.array([25.0, 0.0, 0.0, 100.0, 0.0, 0.0]), (1,), spec)
-    assert got is EXTERIOR
+    assert got == EXTERIOR_ID
 
 
 def test_bounds_of_examples():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 import cellrisk
 from _synthetic import tree_to_dict
 from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_from_dict, write_tree
+from cellrisk.cellspace import EXTERIOR_ID
 from cellrisk.cli import (
     EXIT_BUDGET_ERROR,
     EXIT_CONFIG_ERROR,
@@ -121,6 +123,19 @@ def test_load_config_warns_on_trailing_cell_count_mismatch(tmp_path):
     cfg = load_config(str(path))
     assert cfg.spec.partitions == (10,)
     assert any("trailing entry 7" in w for w in cfg.warnings)
+
+
+def test_build_map_echoes_trailing_cell_count_warning(tmp_path):
+    cfg_path = write_config(tmp_path, {
+        "systemComponentStates": [3],
+        "systemComponentStateNames": [["ok", "degraded", "failed"]],
+        "sysConfTransProb": [[["~1", 1.0e-4, 0], [0, 1, 0], [0, 0, 1]]],
+        "numberOfCells": [10, 4],
+    })
+    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path),
+                                    "--out", str(tmp_path / "map.json")])
+    assert res.exit_code == EXIT_OK, res.output
+    assert "warning: numberOfCells trailing entry 4 " in res.output
 
 
 def test_build_and_run_pipeline(tmp_path):
@@ -288,6 +303,16 @@ def test_validate_healthy_and_corrupted(tmp_path):
     assert "stochasticity" in res.output
 
 
+def test_validate_oracle_row_disagreement_exit_code(tmp_path, monkeypatch):
+    # An engine row that sends everything to the exterior disagrees with the oracle.
+    cfg_path, map_path = _built(tmp_path)
+    monkeypatch.setattr("cellrisk.mapper.estimate_g",
+                        lambda *args: [(EXTERIOR_ID, Fraction(1))])
+    res = CliRunner().invoke(main, ["validate", "--config", str(cfg_path), "--map", str(map_path)])
+    assert res.exit_code == EXIT_VALIDATION_FAILURE, res.output
+    assert "FAIL oracle-row: total-variation" in res.output
+
+
 def test_validate_handles_exterior_rows(tmp_path):
     # The vehicle scenario's first cell leaks a little lateral mass to the
     # exterior, exercising the oracle spot check's exterior branch.
@@ -363,6 +388,10 @@ def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, base
         stack += reversed(node["children"])
     assert len(lines) == tree.n_nodes
     assert txt.read_text() == "\n".join(lines) + "\n"
+    # With neither output flag, export prints the same text.
+    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    assert res.output == txt.read_text()
 
 
 @pytest.mark.parametrize(
@@ -538,9 +567,12 @@ SPEC_DEFECTS = {
         (lambda doc: doc.update(samples_per_cell=-5), ["samples_per_cell must be an integer >= 1"]),
         # int() would read 10.7 as the config's 10 and the map would match.
         (lambda doc: doc["spec"].update(partitions=[10.7]), ["spec.partitions must be"]),
+        (lambda doc: doc.pop("edges"), ["missing field 'edges'"]),
+        (lambda doc: doc.update(version=2), ["unsupported version 2"]),
         *SPEC_DEFECTS.values(),
     ],
-    ids=["seed-float", "seed-boolean", "samples-negative", "partitions-float", *SPEC_DEFECTS],
+    ids=["seed-float", "seed-boolean", "samples-negative", "partitions-float",
+         "edges-missing", "version-2", *SPEC_DEFECTS],
 )
 def test_run_bpa_malformed_map_header_exit_code(tmp_path, defect, words):
     cfg_path, map_path = _built(tmp_path)
@@ -770,8 +802,9 @@ def test_unwritable_output_path_exit_code(tmp_path, command, flag, where):
     [
         (b"a: [1, 2\nb: 3\n", ["not valid YAML", "line 2, column 2"]),
         (b"\xff\xfeabc: 1\n", ["not valid YAML", "not UTF-8"]),
+        (b"- 1\n- 2\n", ["top level must be a mapping"]),
     ],
-    ids=["unclosed-list", "not-utf-8"],
+    ids=["unclosed-list", "not-utf-8", "top-level-list"],
 )
 @pytest.mark.parametrize("command", ["build-map", "run-bpa", "validate", "forward-check"])
 def test_config_that_is_not_yaml_exit_code(tmp_path, command, content, words):

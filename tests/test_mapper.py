@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _synthetic import IdentityModel, ShiftModel, line_spec, ring_shift_map
-from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, id_to_coord
+from _synthetic import line_spec, ring_shift_map
+from cellrisk.cellspace import EXTERIOR_ID, id_to_coord
+from cellrisk.cli import IdentityModel, LinearDriftModel
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigTransitionModel,
@@ -51,21 +52,21 @@ def test_estimate_g_identity_is_self_loop():
 
 def test_estimate_g_full_width_shift():
     spec = line_spec(5)
-    model = ShiftModel(1.0)  # one cell width per unit time
+    model = LinearDriftModel(1.0)  # one cell width per unit time
     for cid in range(4):
         coord = id_to_coord(cid, spec)
         row = estimate_g(coord, model, spec, dt=1.0, samples=200, seed=2)
         assert row == [((coord.j[0] + 1,), Fraction(1))]
     top = id_to_coord(4, spec)
     row = estimate_g(top, model, spec, dt=1.0, samples=200, seed=2)
-    assert row == [(EXTERIOR, Fraction(1))]
+    assert row == [(EXTERIOR_ID, Fraction(1))]
 
 
 def test_estimate_g_half_width_shift_splits():
     # Analytic overlap oracle: a half-width shift leaves exactly half the
     # box in place, so both targets carry probability 0.5.
     spec = line_spec(8)
-    model = ShiftModel(0.5)
+    model = LinearDriftModel(0.5)
     samples = 10_000
     coord = id_to_coord(3, spec)
     row = dict(estimate_g(coord, model, spec, dt=1.0, samples=samples, seed=3))
@@ -77,7 +78,7 @@ def test_estimate_g_half_width_shift_splits():
 
 def test_estimate_g_fractions_sum_to_one_exactly():
     spec = line_spec(8)
-    row = estimate_g(id_to_coord(2, spec), ShiftModel(0.37), spec, 1.0, 777, seed=4)
+    row = estimate_g(id_to_coord(2, spec), LinearDriftModel(0.37), spec, 1.0, 777, seed=4)
     assert sum(g for _, g in row) == Fraction(1)
 
 
@@ -104,7 +105,7 @@ def test_build_map_composes_h_and_g_exactly():
     # Full-width shift makes g = 1 on the single continuous edge, so the
     # joint edges carry the configuration entries verbatim.
     spec = line_spec(5, states=3)
-    tmap = build_map(ShiftModel(1.0), spec, brake_config(), dt=1.0, samples=100, seed=6)
+    tmap = build_map(LinearDriftModel(1.0), spec, brake_config(), dt=1.0, samples=100, seed=6)
     src = 0  # cell (1,), Normal
     row = dict(tmap.rows()[src])
     n_j = spec.total_continuous_cells
@@ -117,8 +118,8 @@ def test_build_map_factorization_splits():
     # With a half-width shift the minor-fault edge is the measured g times
     # the configured jump probability, recovered by dividing h back out.
     spec = line_spec(5, states=3)
-    tmap = build_map(ShiftModel(0.5), spec, brake_config(), dt=1.0, samples=200, seed=7)
-    g_row = dict(estimate_g(id_to_coord(0, spec), ShiftModel(0.5), spec, 1.0, 200, seed=7))
+    tmap = build_map(LinearDriftModel(0.5), spec, brake_config(), dt=1.0, samples=200, seed=7)
+    g_row = dict(estimate_g(id_to_coord(0, spec), LinearDriftModel(0.5), spec, 1.0, 200, seed=7))
     n_j = spec.total_continuous_cells
     row = dict(tmap.rows()[0])
     for target_j, g in g_row.items():
@@ -205,7 +206,7 @@ def test_predecessors_identity_and_shift():
     ident = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=20, seed=10)
     assert predecessors(ident, 2) == [(2, 1.0)]
 
-    shift = build_map(ShiftModel(1.0), spec, identity_config(), dt=1.0, samples=20, seed=10)
+    shift = build_map(LinearDriftModel(1.0), spec, identity_config(), dt=1.0, samples=20, seed=10)
     assert predecessors(shift, 2) == [(1, 1.0)]
     assert predecessors(shift, 0) == []
 
@@ -246,8 +247,8 @@ def test_build_reproducible_bit_identical(tmp_path):
     cfg = ConfigTransitionModel(
         matrices=(ComponentMatrix(0, [[0.9, 0.1], [0.0, 1.0]]),)
     )
-    a = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
-    b = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
+    a = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
+    b = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=64, seed=12)
     assert a.rows() == b.rows()
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_map(a, str(pa))
@@ -260,8 +261,8 @@ def test_build_worker_count_invariant():
     cfg = ConfigTransitionModel(
         matrices=(ComponentMatrix(0, [[0.9, 0.1], [0.0, 1.0]]),)
     )
-    serial = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=1)
-    parallel = build_map(ShiftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=2)
+    serial = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=1)
+    parallel = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=2)
     assert serial.rows() == parallel.rows()
 
 
@@ -297,7 +298,7 @@ def test_quadrature_convergence_synthetic():
     # Estimates at 100 and 400 samples share the seed stream, so the first
     # hundred draws coincide and differences stay well inside binomial noise.
     spec = line_spec(8)
-    model = ShiftModel(0.4)
+    model = LinearDriftModel(0.4)
     for cid in range(7):
         coord = id_to_coord(cid, spec)
         g100 = dict(estimate_g(coord, model, spec, 1.0, 100, seed=14))
@@ -309,10 +310,10 @@ def test_quadrature_convergence_synthetic():
 
 def test_exterior_mass_accounting():
     spec = line_spec(4)
-    tmap = build_map(ShiftModel(1.0), spec, identity_config(), dt=1.0, samples=30, seed=15)
+    tmap = build_map(LinearDriftModel(1.0), spec, identity_config(), dt=1.0, samples=30, seed=15)
     assert tmap.exterior_mass(3) == 1.0
     assert tmap.exterior_mass(0) == 0.0
-    # Exterior never appears in the backward index.
+    # The exterior never appears in the backward index.
     assert len(tmap.predecessor_index.indptr) == tmap.n_cells + 1
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _synthetic import IdentityModel, ShiftModel, line_spec
+from _synthetic import line_spec
 from cellrisk.bpa import TopEvent, backtrack, forward_check
-from cellrisk.cellspace import EXTERIOR, CellCoord, id_to_coord
+from cellrisk.cellspace import EXTERIOR_ID, CellCoord, id_to_coord
+from cellrisk.cli import IdentityModel, LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
 from cellrisk.mapper import build_map, estimate_g
 from cellrisk.oracle import (
@@ -50,7 +51,7 @@ def test_shift_event_probability_agreement_with_cell_map():
     # configuration channel makes the probability nontrivial. The Monte
     # Carlo estimate must then agree within sampling noise alone.
     spec = line_spec(10, states=2)
-    model = ShiftModel(1.0)
+    model = LinearDriftModel(1.0)
     cfg = ConfigTransitionModel(
         matrices=(ComponentMatrix(0, [[0.7, 0.3], [0.0, 1.0]]),)
     )
@@ -82,7 +83,7 @@ def test_event_requires_admissible_configuration():
     mc = MonteCarloConfig(
         trials=100, horizon=3, initial=PointInitial((2.5,), (1,)), seed=5
     )
-    p, _ = simulate_event_probability(ShiftModel(1.0), cfg, event, mc, dt=1.0)
+    p, _ = simulate_event_probability(LinearDriftModel(1.0), cfg, event, mc, dt=1.0)
     assert p == 0.0
 
 
@@ -106,14 +107,14 @@ def test_empirical_transition_identity_single_edge():
 
 def test_empirical_transition_frequencies_sum_exactly():
     spec = line_spec(6)
-    row = empirical_transition(ShiftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 977, seed=8)
+    row = empirical_transition(LinearDriftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 977, seed=8)
     assert sum(f for _, f in row) == Fraction(1)
 
 
 def test_empirical_transition_deterministic():
     spec = line_spec(6)
-    a = empirical_transition(ShiftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
-    b = empirical_transition(ShiftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
+    a = empirical_transition(LinearDriftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
+    b = empirical_transition(LinearDriftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
     assert a == b
 
 
@@ -125,8 +126,8 @@ def test_empirical_transition_agrees_with_quadrature_case_study(baseline_config,
     trials = 10_000
     engine = estimate_g(cell, model, cfg.spec, cfg.dt, trials, seed=10)
     independent = empirical_transition(model, cell, cfg.spec, cfg.dt, trials, seed=11)
-    e = {t if isinstance(t, tuple) else "ext": float(g) for t, g in engine}
-    o = {t if isinstance(t, tuple) else "ext": float(g) for t, g in independent}
+    e = {t: float(g) for t, g in engine}
+    o = {t: float(g) for t, g in independent}
     keys = set(e) | set(o)
     tv = 0.5 * sum(abs(e.get(k, 0.0) - o.get(k, 0.0)) for k in keys)
     assert tv <= 0.03
@@ -165,7 +166,7 @@ def test_empirical_transition_pinned(baseline_config, baseline_model):
         ((1, 1, 1, 76, 1, 1), Fraction(87, 400)),
         ((2, 1, 1, 75, 1, 1), Fraction(197, 2000)),
         ((2, 1, 1, 76, 1, 1), Fraction(217, 1000)),
-        (EXTERIOR, Fraction(2, 125)),
+        (EXTERIOR_ID, Fraction(2, 125)),
     ]
 
 
@@ -215,5 +216,5 @@ def test_monte_carlo_pinned_box_two_components(horizon, expected):
     )
     initial = BoxUniform((3.0, 1.0), (6.0, 3.0), (1, 1))
     mc = MonteCarloConfig(trials=3000, horizon=horizon, initial=initial, seed=23)
-    p = simulate_event_probability(ShiftModel((1.25, 0.1)), cfg, event, mc, dt=1.0)
+    p = simulate_event_probability(LinearDriftModel((1.25, 0.1)), cfg, event, mc, dt=1.0)
     assert p == expected

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import ShiftModel, random_absorbing_map, tree_to_dict
+from _synthetic import random_absorbing_map, tree_to_dict
 from cellrisk.bpa import (
     RankedPath,
     backtrack,
@@ -24,7 +24,8 @@ from cellrisk.bpa import (
     tree_to_dot,
     write_tree,
 )
-from cellrisk.cellspace import EXTERIOR, EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
+from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
+from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
 from cellrisk.mapper import (
     BudgetError,
@@ -67,7 +68,7 @@ def systems(draw):
                              max_size=len(partitions)))
     samples = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2**32 - 1))
-    return spec, ConfigTransitionModel(tuple(matrices)), ShiftModel(velocity), samples, seed
+    return spec, ConfigTransitionModel(tuple(matrices)), LinearDriftModel(velocity), samples, seed
 
 
 @PROPERTY
@@ -80,7 +81,7 @@ def test_build_rows_are_h_times_g_bit_for_bit(system):
         coord = id_to_coord(s, spec)
         expected = {}
         for target, g in estimate_g(coord, model, spec, 1.0, samples, seed):
-            if target is EXTERIOR:
+            if target == EXTERIOR_ID:
                 expected[EXTERIOR_ID] = float(g)
                 continue
             for n_next in all_configs:
