@@ -82,30 +82,18 @@ class ConfigError(ValueError):
 
 
 def _parse_number(value: object, where: str, problems: list[str]) -> float | None:
-    """Accept plain numbers (not booleans) plus pi expressions like 'pi/3', '-pi/3'.
+    """A plain number (not a boolean), or text [-](pi|<float>)[/<float>] like 'pi/3', '-2/3'.
 
-    Anything else is a problem, named in problems, and gives None.
+    Spaces are ignored. Anything else is a problem, named in problems, and gives None.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip().replace(" ", "")
-        sign = 1.0
-        if text.startswith("-"):
-            sign = -1.0
-            text = text[1:]
-        if text.startswith("0-"):  # tolerated "0-pi/3" spelling
-            sign = -1.0
-            text = text[2:]
+        sign = -1.0 if text.startswith("-") else 1.0
+        num, slash, den = text.removeprefix("-").partition("/")
         try:
-            if text == "pi":
-                return sign * math.pi
-            if text.startswith("pi/"):
-                return sign * math.pi / float(text[3:])
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return sign * float(num) / float(den)
-            return sign * float(text)
+            return sign * (math.pi if num == "pi" else float(num)) / (float(den) if slash else 1.0)
         except (ValueError, ZeroDivisionError):
             pass
     problems.append(f"{where}: cannot interpret {value!r} as a number")
@@ -403,11 +391,7 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError([f"space specification: {exc}"]) from exc
 
-    # Transition matrices: for one component a bare matrix is accepted.
-    matrices_raw = values["sysConfTransProb"]
-    head = matrices_raw[0] if matrices_raw else None
-    if M == 1 and isinstance(head, list) and head and not isinstance(head[0], (list, tuple)):
-        matrices_raw = [matrices_raw]
+    matrices_raw = values["sysConfTransProb"]  # one list of row lists per component
     if len(matrices_raw) != M:
         raise ConfigError(
             [f"sysConfTransProb has {len(matrices_raw)} matrices, expected {M}"]
@@ -522,17 +506,20 @@ def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
     return problems
 
 
+def _read_config(config_path: str) -> RunConfig:
+    """A command's config, its warnings echoed on stderr."""
+    cfg = load_config(config_path)
+    for w in cfg.warnings:
+        click.echo(f"warning: {w}", err=True)
+    return cfg
+
+
 def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, TransitionMap]:
     """Config and map of a search command; a map built for another config is a config error."""
-    cfg, tmap = load_config(config_path), load_map(map_path)
+    cfg, tmap = _read_config(config_path), load_map(map_path)
     if mismatches := _map_mismatches(cfg, tmap):
         raise ConfigError([f"{m}; rebuild the map for this config" for m in mismatches])
     return cfg, tmap
-
-
-def _echo_warnings(cfg: RunConfig) -> None:
-    for w in cfg.warnings:
-        click.echo(f"warning: {w}", err=True)
 
 
 _EXITS = {
@@ -569,9 +556,7 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
     """Build the transition map for a configuration and persist it."""
     if flags := _flag_problems(overrides) + _unwritable(("--out", out_path)):
         _fail("option", flags)
-    cfg = load_config(config_path)
-    _echo_warnings(cfg)
-    cfg = _overridden(cfg, overrides)
+    cfg = _overridden(_read_config(config_path), overrides)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
     tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
@@ -603,7 +588,6 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
-    _echo_warnings(cfg)
     run = _overridden(cfg, overrides)
     t0 = time.perf_counter()
     tree = backtrack(tmap, cfg.event, depth=run.search_depth,
@@ -668,7 +652,10 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
     if oracle_trials < 1:
         _fail("option", [f"--oracle-trials must be >= 1, got {oracle_trials}"])
-    cfg = load_config(config_path)
+    cfg = _read_config(config_path)
+    if oracle_trials > cfg.sample_budget:  # before the oracle allocates trials x L draws
+        raise BudgetError(f"--oracle-trials {oracle_trials} exceeds sample_budget "
+                          f"{cfg.sample_budget}")
     failures: list[str] = []
     try:
         tmap = load_map(map_path, check=False)  # rows are checked below, each named
@@ -679,20 +666,6 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     sums = tmap.row_sums()
     for s in np.flatnonzero(np.abs(sums - 1.0) > mapper_mod.ROW_SUM_TOL):
         failures.append(f"stochasticity: source {s} outgoing mass {float(sums[s])!r}")
-    # Transpose integrity: the predecessor index holds exactly the cell-to-cell
-    # entries of the matrix, transposed. Both sides are put in (target, source)
-    # order and compared entry by entry.
-    C = tmap.n_cells
-    source, target = tmap.matrix.row_ids(), tmap.matrix.indices
-    inner = (source < C) & (target < C)
-    edges = [a[inner] for a in (target, source, tmap.matrix.data)]
-    index = tmap.predecessor_index
-    stored = [index.row_ids(), index.indices, index.data]
-    edges = [a[np.lexsort(edges[1::-1])] for a in edges]
-    stored = [a[np.lexsort(stored[1::-1])] for a in stored]
-    if not all(map(np.array_equal, edges, stored)):
-        failures.append("transpose: predecessor index is not the map's transpose")
-
     if not failures:
         model = _make_simulator(cfg)
         cell = id_to_coord(0, cfg.spec)

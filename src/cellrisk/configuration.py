@@ -25,9 +25,9 @@ __all__ = [
 ROW_SUM_TOL = 1e-9  # for component matrix rows and transition map rows alike
 SNAP_TOL = 1e-3  # how far a written diagonal may be from the value that fills its row
 
-# Sentinel strings accepted in matrix rows for "fill this entry so the row
-# sums to one" (the usual way near-one diagonals are written down).
-DERIVE_ENTRY = ("~1", "≈1", "~ 1", "≈ 1", "approx1")
+# The matrix entry that means "fill this entry so the row sums to one" (the
+# usual way near-one diagonals are written down).
+DERIVE_ENTRY = "~1"
 
 
 class ConfigModelError(ValueError):
@@ -159,7 +159,7 @@ def component_matrix_from_rows(rows: list, component_index: int = 0) -> Componen
             )
         derive_at: int | None = None
         for k, entry in enumerate(row):
-            if isinstance(entry, str) and entry.strip() in DERIVE_ENTRY:
+            if isinstance(entry, str) and entry.strip() == DERIVE_ENTRY:
                 if derive_at is not None:
                     raise ConfigModelError(f"{where}: row {i + 1} has multiple derive entries")
                 derive_at = k

@@ -163,18 +163,15 @@ class TransitionMap:
 
     @classmethod
     def from_edges(
-        cls,
-        spec: SpaceSpec,
-        edges: dict[int, list[tuple[int, float]]],
-        dt: float = 1.0,
-        samples_per_cell: int = 1,
-        simulator: str = "analytic",
-        seed: int = 0,
+        cls, spec: SpaceSpec, edges: dict[int, list[tuple[int, float]]]
     ) -> TransitionMap:
-        """Build a map from explicit edge lists, checked as load_map checks a file."""
+        """A map of explicit edge lists, checked as load_map checks a file.
+
+        Its build record is fixed: dt 1, one sample per cell, seed 0, simulator "analytic".
+        """
         triples = [(s, t, q) for s, row in edges.items() for t, q in row]
         matrix = _edge_matrix(spec.total_cells, triples)
-        return cls(spec, dt, samples_per_cell, seed, simulator, {}, matrix)
+        return cls(spec, 1.0, 1, 0, "analytic", {}, matrix)
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -405,17 +402,11 @@ def build_map(
 
 
 def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:
-    """Push a distribution one step forward; exterior (last entry) absorbs.
-
-    Accepts a vector over cells, or cells plus exterior; always returns the
-    cells-plus-exterior form.
-    """
+    """Push a distribution over the cells plus the exterior (last entry, absorbing) one step."""
     C = tmap.n_cells
     dist = np.asarray(distribution, dtype=float)
-    if dist.shape == (C,):
-        dist = np.concatenate([dist, [0.0]])
-    elif dist.shape != (C + 1,):
-        raise ValueError(f"distribution must have length {C} or {C + 1}")
+    if dist.shape != (C + 1,):
+        raise ValueError(f"distribution must have length {C + 1}, got shape {dist.shape}")
     total = float(dist.sum())
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"distribution sums to {total!r}, expected 1")

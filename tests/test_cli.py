@@ -125,16 +125,24 @@ def test_load_config_warns_on_trailing_cell_count_mismatch(tmp_path):
     assert any("trailing entry 7" in w for w in cfg.warnings)
 
 
-def test_build_map_echoes_trailing_cell_count_warning(tmp_path):
+@pytest.mark.parametrize("command, args", [
+    ("build-map", ["--out", "other.json"]),
+    ("run-bpa", ["--map", "map.json"]),
+    ("validate", ["--map", "map.json"]),
+    ("forward-check", ["--map", "map.json", "--cell", "0"]),
+], ids=["build-map", "run-bpa", "validate", "forward-check"])
+def test_config_readers_echo_trailing_cell_count_warning(tmp_path, monkeypatch, command, args):
+    monkeypatch.chdir(tmp_path)
     cfg_path = write_config(tmp_path, {
         "systemComponentStates": [3],
         "systemComponentStateNames": [["ok", "degraded", "failed"]],
         "sysConfTransProb": [[["~1", 1.0e-4, 0], [0, 1, 0], [0, 0, 1]]],
         "numberOfCells": [10, 4],
     })
-    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path),
-                                    "--out", str(tmp_path / "map.json")])
+    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path), "--out", "map.json"])
     assert res.exit_code == EXIT_OK, res.output
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + args)
+    assert res.exit_code in (EXIT_OK, EXIT_NO_PATHS), res.output
     assert "warning: numberOfCells trailing entry 4 " in res.output
 
 
@@ -708,6 +716,10 @@ TWO_COMPONENTS = {
         ({"sysConfTransProb": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
          "sysConfTransProb component 0 is 3x3, expected 2x2"),
         ({"eventUpperBounds": [12.0, 2]}, "event definition: "),
+        ({"dt": "0-1/2"}, "dt"),
+        ({"sysConfTransProb": [[["≈1", 1.0e-4], [0, 1]]]}, "component 0: row 1 entry 1 is not"),
+        ({"sysConfTransProb": [["~1", 1.0e-4], [0, 1]]},
+         "sysConfTransProb has 2 matrices, expected 1"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -721,6 +733,34 @@ def test_config_field_types_are_problems(tmp_path, override, field):
     _assert_named_exit_3(res, "config error", field)
 
 
+@pytest.mark.parametrize("value, number", [
+    ("pi", math.pi), ("-pi", -math.pi), ("pi/3", math.pi / 3), ("-pi/3", -math.pi / 3),
+    ("2/3", 2 / 3), ("-2/3", -2 / 3), (" 2 / 3 ", 2 / 3), ("1e-3", 1e-3),
+    ("pi/-3", math.pi / -3), (3, 3.0), (2.5, 2.5),
+])
+def test_parse_number_reads_the_documented_grammar(value, number):
+    problems = []
+    assert cellrisk.cli._parse_number(value, "x", problems) == number
+    assert problems == []
+
+
+@pytest.mark.parametrize("value", ["0-pi/3", "pi/", "2/", "/3", "pi/0", "+pi", "2*pi", True])
+def test_parse_number_rejects_other_spellings(value):
+    problems = []
+    assert cellrisk.cli._parse_number(value, "x", problems) is None
+    assert problems == [f"x: cannot interpret {value!r} as a number"]
+
+
+def test_oracle_trials_above_the_sample_budget_exit_code(tmp_path):
+    _, map_path = _built(tmp_path)
+    cfg_path = write_config(tmp_path, {"sample_budget": 100}, name="budget.yaml")
+    validate = ["validate", "--config", str(cfg_path), "--map", str(map_path), "--oracle-trials"]
+    res = CliRunner().invoke(main, validate + ["101"])
+    assert res.exit_code == EXIT_BUDGET_ERROR, res.output
+    assert "budget error: --oracle-trials 101 exceeds sample_budget 100" in res.output
+    assert CliRunner().invoke(main, validate + ["100"]).exit_code != EXIT_BUDGET_ERROR
+
+
 def test_event_bounds_without_configs_admit_every_configuration(tmp_path):
     bounds = {"eventLowerBounds": [8.0], "eventUpperBounds": [10.0]}
     cfg = load_config(str(write_config(tmp_path, {**TWO_COMPONENTS, **bounds})))
@@ -729,7 +769,7 @@ def test_event_bounds_without_configs_admit_every_configuration(tmp_path):
 
 def test_matrix_row_problem_names_its_component_once(tmp_path):
     # One component given as a one-row matrix whose row has two entries.
-    path = write_config(tmp_path, {"sysConfTransProb": [[None, [0, 1]]]})
+    path = write_config(tmp_path, {"sysConfTransProb": [[[None, [0, 1]]]]})
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert err.value.problems == [

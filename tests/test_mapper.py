@@ -195,6 +195,11 @@ def test_forward_step_uniform_through_doubly_stochastic():
     assert np.allclose(out[:6], 1.0 / 6.0, atol=1e-12)
 
 
+def test_forward_step_rejects_a_vector_without_the_exterior():
+    with pytest.raises(ValueError, match="must have length"):
+        forward_step(ring_shift_map(3), np.full(3, 1.0 / 3.0))
+
+
 def test_forward_step_rejects_unnormalized():
     tmap = ring_shift_map(3)
     with pytest.raises(ValueError):
