@@ -21,7 +21,7 @@ import numpy as np
 
 from . import mapper
 from .cellspace import CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from .mapper import CSR, BudgetError, TransitionMap, _check_fields, _is, _list_of, _of, predecessors
+from .mapper import CSR, BudgetError, TransitionMap, predecessors
 
 __all__ = [
     "Level",
@@ -37,7 +37,6 @@ __all__ = [
     "event_probability",
     "forward_check",
     "rank_paths",
-    "tree_from_dict",
     "tree_to_dot",
     "tree_to_text",
     "write_tree",
@@ -162,12 +161,12 @@ class ScenarioTree:
 
     coords holds the coordinate of every cell in the tree, shared by all of
     its nodes, and entry_edges the per-event-cell breakdown of each level-1
-    node's aggregated entry edge (None where a tree file gives none). A node
-    is an event cell when its cell is in event_cell_ids.
+    node's aggregated entry edge. A node is an event cell when its cell is
+    in event_cell_ids.
     """
 
     levels: list[Level]
-    entry_edges: list[list[tuple[int, float]] | None]
+    entry_edges: list[list[tuple[int, float]]]
     coords: dict[int, CellCoord]
     event: TopEvent
     event_cell_ids: frozenset[int]
@@ -439,132 +438,6 @@ def _tree_header(tree: ScenarioTree) -> dict:
     }
 
 
-# The fields tree_from_dict checks: the header's (_tree_header writes them), then each node's.
-_TREE_FIELDS = (
-    ("search_depth", _of(int), "an integer"),
-    ("truncation", _of((int, float), 0, 1), "a number in [0, 1)"),
-    ("map_simulator", _of(str), "a string"),
-    ("map_seed", _of(int), "an integer"),
-    ("event", _of(dict), "an object"),
-    ("event.lower", _list_of(_of((int, float))), "a list of numbers"),
-    ("event.upper", _list_of(_of((int, float))), "a list of numbers"),
-    ("event.configs", _list_of(_list_of(_of(int))), "a list of integer lists"),
-    ("n_nodes", _of(int), "an integer"),
-    ("root", _of(dict), "an object"),
-    ("root.children", _of(list), "a list"),
-)
-_NODE_FIELDS = (
-    ("coord", _of(list), "a list"),
-    ("cell_id", _of(int), "an integer"),
-    ("q", _of((int, float)), "a number"),
-    ("cumulative", _of((int, float)), "a number"),
-    ("depth", _of(int), "an integer"),
-    ("event_cell", _of(bool), "a boolean"),
-    ("children", _of(list), "a list"),
-)
-CUMULATIVE_RTOL = 1e-12
-
-
-def tree_from_dict(doc: dict) -> ScenarioTree:
-    """The tree of a document write_tree writes, checked where it enters.
-
-    The file carries no space spec, so event_cell_ids holds only the
-    event cells that appear in the tree. Raises ValueError
-    for a document that is not a scenario tree, a header field missing or
-    of the wrong type (_TREE_FIELDS), an n_nodes other than the nodes read
-    or a search_depth below the levels read, and for a node with a field
-    of the wrong type, a cell id outside [0, 2**63), a depth other than its
-    parent's plus one, q or cumulative too large for a float, q outside
-    (0, 1], a cumulative other than its parent's times q (relative
-    tolerance CUMULATIVE_RTOL), a coordinate that is not L + M integers
-    >= 1, entry_edges below level 1, or a coordinate or event flag other
-    than another node's of the same cell; the message names the node by
-    its child positions from the root. Reads the nodes level by level.
-    """
-    if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
-        raise ValueError("not a scenario tree file")
-    if doc.get("version") != TREE_FORMAT_VERSION:
-        raise ValueError(f"unsupported tree version {doc.get('version')}")
-    _check_fields(doc, _TREE_FIELDS)
-    event = TopEvent(**doc["event"])
-    L = len(event.lower)
-    widths = {len(c) for c in event.configs}
-    if len(widths) != 1:
-        raise ValueError("event configurations differ in length")
-    width = L + widths.pop()
-
-    first_seen: dict[int, tuple] = {}   # cell id -> (coordinate, event flag, node name)
-    levels: list[Level] = []
-    entry_edges: list[list[tuple[int, float]] | None] = []
-    # The nodes of the next level: (node, name, parent index), in parent order.
-    front = [(d, str(i), 0) for i, d in enumerate(doc["root"]["children"])]
-    above = [1.0]   # cumulative of each node of the level above; the root's first
-    while front:
-        depth = len(levels) + 1
-        ids, qs, cumulatives, parents, below = [], [], [], [], []
-        for i, (d, name, p) in enumerate(front):
-            if not isinstance(d, dict):
-                raise ValueError(f"node {name}: not an object")
-            _check_fields(d, _NODE_FIELDS, f"node {name}: ")
-            where = f"node {name} (cell {d['cell_id']})"
-            if not 0 <= d["cell_id"] < 2**63:
-                raise ValueError(f"{where}: cell_id outside [0, 2**63)")
-            if len(d["coord"]) != width or not all(_is(v, int) and v >= 1 for v in d["coord"]):
-                raise ValueError(f"{where}: coord must be {width} integers >= 1, "
-                                 f"got {d['coord']!r}")
-            if d["depth"] != depth:
-                raise ValueError(f"{where}: depth {d['depth']}, expected {depth}")
-            try:
-                q, cumulative = float(d["q"]), float(d["cumulative"])
-            except OverflowError:
-                raise ValueError(f"{where}: q or cumulative too large for a float") from None
-            if not 0.0 < q <= 1.0:
-                raise ValueError(f"{where}: q {d['q']!r} outside (0, 1]")
-            expected = above[p] * q
-            if not abs(cumulative - expected) <= CUMULATIVE_RTOL * expected:
-                raise ValueError(f"{where}: cumulative {d['cumulative']!r} is not "
-                                 f"parent cumulative x q = {expected!r}")
-            seen = first_seen.setdefault(d["cell_id"], (tuple(d["coord"]), d["event_cell"], name))
-            if seen[:2] != (tuple(d["coord"]), d["event_cell"]):
-                raise ValueError(f"{where}: coord or event_cell differs from node {seen[2]}'s")
-            if "entry_edges" in d:
-                edges = d["entry_edges"]
-                if not _is(edges, list) or not all(
-                    _is(e, list) and len(e) == 2 and _is(e[0], int) and _is(e[1], (int, float))
-                    for e in edges
-                ):
-                    raise ValueError(f"{where}: entry_edges must be [cell id, q] pairs")
-                if depth != 1:
-                    raise ValueError(f"{where}: entry_edges on a node below level 1")
-            if depth == 1:
-                entry_edges.append(list(map(tuple, d["entry_edges"]))
-                                   if "entry_edges" in d else None)
-            ids.append(d["cell_id"])
-            qs.append(q)
-            cumulatives.append(cumulative)
-            parents.append(p)
-            below += [(c, f"{name}/{j}", i) for j, c in enumerate(d["children"])]
-        levels.append(Level(np.array(ids, dtype=np.int64), np.array(qs), np.array(cumulatives),
-                            np.array(parents, dtype=np.int64)))
-        front, above = below, cumulatives
-    if doc["n_nodes"] != (n := sum(len(level.cell) for level in levels)):
-        raise ValueError(f"n_nodes {doc['n_nodes']}, but {n} nodes read")
-    if doc["search_depth"] < len(levels):
-        raise ValueError(f"search_depth {doc['search_depth']} below the {len(levels)} levels read")
-
-    return ScenarioTree(
-        levels=levels,
-        entry_edges=entry_edges,
-        coords={c: CellCoord(vector[:L], vector[L:]) for c, (vector, _, _) in first_seen.items()},
-        event=event,
-        event_cell_ids=frozenset(c for c, (_, flag, _) in first_seen.items() if flag),
-        depth=doc["search_depth"],
-        truncation=doc["truncation"],
-        map_simulator=doc["map_simulator"],
-        map_seed=doc["map_seed"],
-    )
-
-
 def _preorder(levels: list[Level]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each level's preorder numbers (0 for the first level-1 node) and subtree sizes."""
     starts = [_child_starts(levels, k) for k in range(len(levels))]
@@ -616,8 +489,8 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
     Its fields are _tree_header's plus root: a node with coord and cell_id
     null, q and cumulative 1.0, depth 0 and event_cell false. Every node
     has coord (its cell's vector), cell_id, q, cumulative, depth,
-    event_cell and children, each level in its order; a level-1 node with
-    entry edges also has entry_edges, [event cell id, q] pairs. Nodes of
+    event_cell and children, each level in its order; a level-1 node also
+    has entry_edges, [event cell id, q] pairs. Nodes of
     one cell share the text of their cell id, coordinate and event flag,
     so per node only its cumulative, depth and q are written (floats by
     repr, as json writes them), plus the level-1 entry_edges. Each node
@@ -637,7 +510,7 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         cell = level.cell.tolist()
         depth = [f',"depth":{k + 1}'] * len(cell)
         if k == 0:
-            depth = [d if edges is None else f'{d},"entry_edges":{_compact(edges)}'
+            depth = [f'{d},"entry_edges":{_compact(edges)}'
                      for d, edges in zip(depth, tree.entry_edges)]
         opened = [shared[c][0] if f else after_sibling[c] for c, f in zip(cell, first.tolist())]
         closed = [f"{shared[c][1]}{cumulative!r}{d}{shared[c][2]}{number(q)}}}"

@@ -31,7 +31,6 @@ from .bpa import (
     backtrack,
     event_cells,
     rank_paths,  # unused here; bench/tracer.py wraps cli.rank_paths by name
-    tree_from_dict,
     tree_to_dot,
     tree_to_text,
     write_tree,
@@ -84,7 +83,9 @@ class ConfigError(ValueError):
 def _parse_number(value: object, where: str, problems: list[str]) -> float | None:
     """A plain number (not a boolean), or text [-](pi|<float>)[/<float>] like 'pi/3', '-2/3'.
 
-    Spaces are ignored. Anything else is a problem, named in problems, and gives None.
+    Spaces are ignored. The numerator's one sign is the leading '-' and no
+    '+' is read anywhere; a denominator may carry its own '-'. Anything else
+    is a problem, named in problems, and gives None.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
@@ -92,10 +93,12 @@ def _parse_number(value: object, where: str, problems: list[str]) -> float | Non
         text = value.strip().replace(" ", "")
         sign = -1.0 if text.startswith("-") else 1.0
         num, slash, den = text.removeprefix("-").partition("/")
-        try:
-            return sign * (math.pi if num == "pi" else float(num)) / (float(den) if slash else 1.0)
-        except (ValueError, ZeroDivisionError):
-            pass
+        if "+" not in text and not num.startswith("-"):
+            try:
+                return (sign * (math.pi if num == "pi" else float(num))
+                        / (float(den) if slash else 1.0))
+            except (ValueError, ZeroDivisionError):
+                pass
     problems.append(f"{where}: cannot interpret {value!r} as a number")
     return None
 
@@ -531,11 +534,18 @@ _EXITS = {
 
 
 class _Commands(click.Group):
-    """The commands; one that raises an error in _EXITS exits with its (kind, exit code)."""
+    """The commands; one that raises an error in _EXITS exits with its (kind, exit code).
+
+    A usage error (unknown command, bad or missing option) exits
+    EXIT_CONFIG_ERROR with click's message, not click's 2, which is EXIT_NO_PATHS.
+    """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG_ERROR
+            raise
         except tuple(_EXITS) as exc:
             kind, code = next(v for t, v in _EXITS.items() if isinstance(exc, t))
             _fail(kind, getattr(exc, "problems", [str(exc)]), code)
@@ -578,13 +588,16 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
 @click.option("--out-tree", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-report", type=click.Path(), default=None)
+@click.option("--out-text", type=click.Path(), default=None)
 @_override("truncation")
 @_override("search_depth")
 @_override("node_budget")
-def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overrides) -> None:
-    """Backtrack from the Top Event and export tree, graph and report."""
+def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text,
+                **overrides) -> None:
+    """Backtrack from the Top Event and write tree, graph, report and indented text."""
     flags = _flag_problems(overrides) + _unwritable(
-        ("--out-tree", out_tree), ("--out-graph", out_graph), ("--out-report", out_report))
+        ("--out-tree", out_tree), ("--out-graph", out_graph), ("--out-report", out_report),
+        ("--out-text", out_text))
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
@@ -601,6 +614,9 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
     if out_graph:
         with open(out_graph, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
+    if out_text:
+        with open(out_text, "w", encoding="utf-8") as fh:
+            fh.write(tree_to_text(tree) + "\n")
     if out_report:
         # The report's fields in sorted-key order: these, then the rows,
         # written in slices as they are encoded, then the timings and the rest.
@@ -621,8 +637,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, **overri
             fh.write(json.dumps(head, **compact)[:-1] + ',"ranked_paths":')
             fh.writelines(bpa_mod.encode_ranked_paths(ranking))
             tail = {
-                # export_seconds covers the tree and graph writes and the
-                # report's rows, not the report's other fields
+                # export_seconds covers the tree, graph and text writes and
+                # the report's rows, not the report's other fields
                 "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
                             "export_seconds": time.perf_counter() - t2},
                 "tree": {
@@ -710,31 +726,6 @@ def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     dist[cell_id] = 1.0
     prob = bpa_mod.event_probability(tmap, dist, event_cells(cfg.event, cfg.spec), k)
     click.echo(f"P(event after {k} steps | start cell {cell_id}) = {prob:.12g}")
-
-
-@main.command("export")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
-@click.option("--out-graph", type=click.Path(), default=None)
-@click.option("--out-text", type=click.Path(), default=None)
-def export_cmd(tree_path, out_graph, out_text) -> None:
-    """Re-export a stored scenario tree as a graph or readable text."""
-    if flags := _unwritable(("--out-graph", out_graph), ("--out-text", out_text)):
-        _fail("option", flags)
-    try:
-        with open(tree_path, encoding="utf-8") as fh:
-            tree = tree_from_dict(json.load(fh))
-    except RecursionError:
-        _fail("tree", [f"{tree_path}: nodes nested too deeply to read"])
-    except (TypeError, ValueError) as exc:
-        _fail("tree", [f"{tree_path}: {exc}"])
-    if out_graph:
-        with open(out_graph, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_dot(tree))
-    if out_text:
-        with open(out_text, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_text(tree) + "\n")
-    if not out_graph and not out_text:
-        click.echo(tree_to_text(tree))
 
 
 if __name__ == "__main__":

@@ -428,31 +428,27 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
     return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
 
 
-def _is(value, kind) -> bool:
-    """isinstance, except that a JSON boolean is no number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def _of(kind, low=None, high=None):
-    """Test of a value of kind (see _is) in [low, high); a bound of None is no bound."""
-    return lambda v: _is(v, kind) and (low is None or v >= low) and (high is None or v < high)
+    """Test of a value of kind, not a boolean, in [low, high); a bound of None is no bound."""
+    return lambda v: (isinstance(v, kind) and not isinstance(v, bool)
+                      and (low is None or v >= low) and (high is None or v < high))
 
 
 def _list_of(test):
     return lambda v: isinstance(v, list) and all(map(test, v))
 
 
-def _check_fields(doc: dict, fields, where: str = "") -> None:
+def _check_fields(doc: dict, fields) -> None:
     """Raise ValueError for the first of fields (dotted key, test, what it must
     be) that doc lacks or whose value fails its test, naming the field."""
     for key, test, noun in fields:
         value = doc
         for part in key.split("."):
             if part not in value:
-                raise ValueError(f"{where}missing field {key!r}")
+                raise ValueError(f"missing field {key!r}")
             value = value[part]
         if not test(value):
-            raise ValueError(f"{where}{key} must be {noun}, got {value!r}")
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
 
 
 # The map file's header, which save_map writes and load_map checks, key by key.

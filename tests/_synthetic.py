@@ -118,8 +118,7 @@ def tree_to_dict(tree) -> dict:
                 level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(), children)
         ]
     for node, edges in zip(below, tree.entry_edges):
-        if edges is not None:
-            node["entry_edges"] = [[t, q] for t, q in edges]
+        node["entry_edges"] = [[t, q] for t, q in edges]
     return {
         "format": "cellrisk-scenario-tree",
         "version": 1,

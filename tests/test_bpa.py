@@ -22,8 +22,8 @@ from cellrisk.bpa import (
     event_cells,
     forward_check,
     rank_paths,
-    tree_from_dict,
     tree_to_dot,
+    tree_to_text,
     write_tree,
 )
 from cellrisk.cellspace import CellCoord, SpaceSpec, bounds_of, coord_to_id, id_to_coord
@@ -364,6 +364,9 @@ def test_tree_exports(tmp_path, baseline_map, baseline_config):
 # on configs/agv_baseline.yaml writes the same bytes.
 DEPTH_4_TREE_SHA256 = "a47cffd4c4f2ba7877826bebdbc9b78ccd9de2a8d67e8fb04ddad1c1c3a864e9"
 DEPTH_4_DOT_SHA256 = "e0de4ccbb0285529f91bae7d5d13d9ad03843b7a59bfa42417d1dd66fe2d6c16"
+# sha256 of the indented text (3,653 lines), recorded from the `export --out-text`
+# command that wrote it before `run-bpa --out-text` did; depth 6 gives 44,541 lines.
+DEPTH_4_TEXT_SHA256 = "bba9afdd3bc1cd65d5ed5393f042e0342d072ed6727387391e9edabd2a537c0b"
 
 
 def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_config):
@@ -372,6 +375,8 @@ def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_config)
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_4_TREE_SHA256
     assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_4_DOT_SHA256
+    text = (tree_to_text(tree) + "\n").encode()
+    assert hashlib.sha256(text).hexdigest() == DEPTH_4_TEXT_SHA256
 
 
 # The same at depth 6 (44,541 nodes, 32,907 paths), recorded before the tree,
@@ -380,6 +385,7 @@ def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_config)
 DEPTH_6_TREE_SHA256 = "09838431cd7e25ae0552fdb124a754282fa6f875e06cc8c37f26c1783403bd9f"
 DEPTH_6_DOT_SHA256 = "05f6e3a198553dd66ebca6383705f3b0de86a794b7f096caff3bbffad4e1fd5f"
 DEPTH_6_RANKED_PATHS_SHA256 = "3146d18904ce2b212164d281840cceda6e87c64afeb012282428d04780712b4a"
+DEPTH_6_TEXT_SHA256 = "97913dc8e4b24d04819fd8f4eb5be486e0a77a2ee9d1ee39f42b0be9ebe15735"
 
 
 def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config):
@@ -390,6 +396,8 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config)
     assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_6_DOT_SHA256
     rows = "".join(encode_ranked_paths(tree.ranking()))
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
+    text = (tree_to_text(tree) + "\n").encode()
+    assert hashlib.sha256(text).hexdigest() == DEPTH_6_TEXT_SHA256
 
 
 def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):
@@ -399,18 +407,6 @@ def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):
     for c, coord in tree.coords.items():
         assert coord == id_to_coord(c, baseline_map.spec)
     assert len(tree.coords) < tree.n_nodes
-
-
-def test_tree_from_dict_rejects_two_coordinates_for_one_cell():
-    tmap, event = leaky_chain_map(4, absorb_from=3, p_fwd=0.6)
-    doc = tree_to_dict(backtrack(tmap, event, depth=3, truncation=0.0))
-    # Node 1 holds cell 2 at level 1, and its child 1/1, staying put, cell 2 again.
-    node = doc["root"]["children"][1]["children"][1]
-    assert node["cell_id"] == doc["root"]["children"][1]["cell_id"] == 2
-    tree_from_dict(doc)
-    node["coord"] = [2, 1]
-    with pytest.raises(ValueError, match=r"node 1/1 \(cell 2\): coord or event_cell differs"):
-        tree_from_dict(doc)
 
 
 def test_backtrack_rejects_bad_parameters(baseline_map, baseline_config):

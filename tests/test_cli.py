@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import cellrisk
 from _synthetic import tree_to_dict
-from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_from_dict, write_tree
+from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_to_dot
 from cellrisk.cellspace import EXTERIOR_ID
 from cellrisk.cli import (
     EXIT_BUDGET_ERROR,
@@ -26,7 +26,7 @@ from cellrisk.cli import (
     load_config,
     main,
 )
-from cellrisk.mapper import save_map
+from cellrisk.mapper import load_map, save_map
 
 DRIFT_CONFIG = {
     "numProcessVariables": 1,
@@ -181,7 +181,9 @@ def test_build_and_run_pipeline(tmp_path):
     # Compact sorted-key JSON, the layout of the map and tree files.
     assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     assert set(report["timings"]) == {"search_seconds", "rank_seconds", "export_seconds"}
-    paths = rank_paths(tree_from_dict(doc))
+    cfg = load_config(str(cfg_path))
+    paths = rank_paths(backtrack(load_map(str(map_path)), cfg.event, depth=cfg.search_depth,
+                                 truncation=cfg.truncation))
     assert [(r["cells"], r["steps"], r["cumulative"], r["rendered"])
             for r in report["ranked_paths"]] == [
         ([list(c.as_vector()) for c in p.cells], list(p.steps), p.cumulative, p.render())
@@ -354,37 +356,30 @@ def test_forward_check_command(tmp_path):
     assert "P(event after 1 steps | start cell 7)" in res.output
 
 
-def test_export_command(tmp_path):
-    runner = CliRunner()
-    cfg_path = write_config(tmp_path)
-    map_path = tmp_path / "map.json"
-    tree_path = tmp_path / "tree.json"
-    runner.invoke(main, ["build-map", "--config", str(cfg_path), "--out", str(map_path)])
-    run_bpa_gv = tmp_path / "run_bpa.gv"
-    runner.invoke(
+def test_run_bpa_graph_and_text_outputs(tmp_path):
+    cfg_path, map_path = _built(tmp_path)
+    gv, txt = tmp_path / "tree.gv", tmp_path / "tree.txt"
+    res = CliRunner().invoke(
         main,
         ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
-         "--out-tree", str(tree_path), "--out-graph", str(run_bpa_gv)],
+         "--out-graph", str(gv), "--out-text", str(txt)],
     )
-    gv = tmp_path / "exported.gv"
-    txt = tmp_path / "exported.txt"
-    res = runner.invoke(
-        main,
-        ["export", "--tree", str(tree_path), "--out-graph", str(gv), "--out-text", str(txt)],
-    )
-    assert res.exit_code == EXIT_OK
-    assert gv.read_text().startswith("digraph")
+    assert res.exit_code == EXIT_OK, res.output
     assert "cumulative=" in txt.read_text()
-    # One renderer: the re-export is the graph run-bpa wrote, event cells dashed.
+    # One renderer: the graph is tree_to_dot of the same search, event cells dashed.
+    cfg = load_config(str(cfg_path))
+    tree = backtrack(load_map(str(map_path)), cfg.event, depth=cfg.search_depth,
+                     truncation=cfg.truncation)
     assert "style=dashed" in gv.read_text()
-    assert gv.read_bytes() == run_bpa_gv.read_bytes()
+    assert gv.read_bytes() == tree_to_dot(tree).encode()
 
 
 def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, baseline_config):
     tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
-    tree_path, txt = tmp_path / "tree.json", tmp_path / "tree.txt"
-    write_tree(tree, str(tree_path))
-    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path), "--out-text", str(txt)])
+    map_path, txt = _baseline_map_file(tmp_path, baseline_map), tmp_path / "tree.txt"
+    res = CliRunner().invoke(
+        main, ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+               "--depth", "4", "--out-text", str(txt)])
     assert res.exit_code == EXIT_OK, res.output
     # One line per node of the reference document, children in order, indented by depth.
     lines, stack = [], list(reversed(tree_to_dict(tree)["root"]["children"]))
@@ -396,98 +391,6 @@ def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, base
         stack += reversed(node["children"])
     assert len(lines) == tree.n_nodes
     assert txt.read_text() == "\n".join(lines) + "\n"
-    # With neither output flag, export prints the same text.
-    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    assert res.output == txt.read_text()
-
-
-@pytest.mark.parametrize(
-    "defect, words",
-    [
-        (lambda node: node.update(depth=None), ["depth"]),
-        (lambda node: node.update(q=7.5, cumulative=-1), ["q 7.5"]),
-        (lambda node: node.update(coord=node["coord"][:-1]), ["coord"]),
-        (lambda node: node.update(cumulative=2.0 * node["cumulative"]), ["cumulative"]),
-        (lambda node: node.update(cell_id=-1), ["cell_id outside"]),
-        (lambda node: node.update(cumulative=10**400), ["too large"]),
-        (lambda node: node.update(entry_edges=[]), ["entry_edges", "below level 1"]),
-        (lambda node: node.update(coord=[-1] + node["coord"][1:]), ["coord", "integers >= 1"]),
-    ],
-    ids=["depth-null", "q-out-of-range", "short-coord", "cumulative-not-product",
-         "negative-cell-id", "huge-integer-cumulative", "entry-edges-below-level-1",
-         "coord-below-one"],
-)
-def test_export_malformed_tree_exit_code(tmp_path, defect, words):
-    cfg_path, map_path = _built(tmp_path)
-    tree_path = tmp_path / "tree.json"
-    res = CliRunner().invoke(
-        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
-               "--depth", "2", "--out-tree", str(tree_path)],
-    )
-    assert res.exit_code == EXIT_OK, res.output
-    doc = json.loads(tree_path.read_text())
-    # The defect sits on a depth-2 node, so its parent is a real node.
-    i = next(i for i, n in enumerate(doc["root"]["children"]) if n["children"])
-    defect(doc["root"]["children"][i]["children"][0])
-    tree_path.write_text(json.dumps(doc))
-    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
-    _assert_named_exit_3(res, f"node {i}/0", *words)
-
-
-@pytest.mark.parametrize(
-    "defect, words",
-    [
-        (lambda doc: doc.update(n_nodes=doc["n_nodes"] + 1), ["n_nodes", "nodes read"]),
-        (lambda doc: doc.update(search_depth="x"), ["search_depth must be an integer"]),
-        (lambda doc: doc.update(search_depth=1), ["search_depth 1 below the 2 levels read"]),
-        (lambda doc: doc.update(truncation="x"), ["truncation must be a number in [0, 1)"]),
-        (lambda doc: doc.update(truncation=1.0), ["truncation must be a number in [0, 1)"]),
-        (lambda doc: doc.update(map_simulator=3), ["map_simulator must be a string"]),
-        (lambda doc: doc.update(map_seed=1.5), ["map_seed must be an integer"]),
-        (lambda doc: doc["event"].update(lower=["8"]), ["event.lower must be a list of numbers"]),
-        (lambda doc: doc["event"].update(configs=[[1.5]]),
-         ["event.configs must be a list of integer lists"]),
-        (lambda doc: doc.update(event=None), ["event must be an object"]),
-        (lambda doc: doc.update(root=None), ["root must be an object"]),
-        (lambda doc: doc.pop("map_seed"), ["missing field 'map_seed'"]),
-    ],
-    ids=["n-nodes-off", "search-depth-string", "search-depth-below-levels",
-         "truncation-string", "truncation-one", "simulator-number", "seed-float",
-         "event-bound-string", "event-config-float", "event-null", "root-null",
-         "seed-missing"],
-)
-def test_export_malformed_tree_header_exit_code(tmp_path, defect, words):
-    cfg_path, map_path = _built(tmp_path)
-    tree_path = tmp_path / "tree.json"
-    res = CliRunner().invoke(
-        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
-               "--depth", "2", "--out-tree", str(tree_path)],
-    )
-    assert res.exit_code == EXIT_OK, res.output
-    doc = json.loads(tree_path.read_text())
-    assert any(n["children"] for n in doc["root"]["children"])   # two levels
-    defect(doc)
-    tree_path.write_text(json.dumps(doc))
-    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
-    _assert_named_exit_3(res, "tree error", *words)
-
-
-def test_export_deeply_nested_tree_exit_code(tmp_path):
-    # Each node one level deeper than its parent, nested past Python's recursion limit.
-    node = ('{"cell_id":0,"children":[%s],"coord":[1,1],"cumulative":1.0,'
-            '"depth":%d,"event_cell":false,"q":1.0}')
-    chain = "%s"
-    for depth in range(sys.getrecursionlimit() + 100, 0, -1):
-        chain = chain % (node % ("%s", depth))
-    doc = {"format": "cellrisk-scenario-tree", "version": 1, "search_depth": 2,
-           "truncation": 0.0, "map_simulator": "linear-drift", "map_seed": 0, "n_nodes": 0,
-           "event": {"lower": [8.0], "upper": [10.0], "configs": [[1]]},
-           "root": {"children": ["CHAIN"]}}
-    tree_path = tmp_path / "tree.json"
-    tree_path.write_text(json.dumps(doc).replace('"CHAIN"', chain % ""))
-    res = CliRunner().invoke(main, ["export", "--tree", str(tree_path)])
-    _assert_named_exit_3(res, "nested too deeply")
 
 
 def test_cli_import_pulls_in_neither_scipy_nor_multiprocessing():
@@ -529,6 +432,24 @@ def _assert_named_exit_3(res, *words):
     assert "Traceback" not in res.output
     for word in words:
         assert word in res.output
+
+
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (["run-bpa", "CONFIG", "MAP", "--depth", "abc"], ["Invalid value for '--depth'"]),
+        (["run-bpa", "--config", "nope.yaml", "MAP"], ["Invalid value for '--config'"]),
+        (["run-bpa", "CONFIG"], ["Missing option '--map'"]),
+        (["export", "--tree", "t.json"], ["No such command 'export'"]),
+    ],
+    ids=["depth-not-an-integer", "config-missing", "map-not-given", "unknown-command"],
+)
+def test_usage_error_exit_code(tmp_path, args, words):
+    # Click's own exit code for these, 2, is EXIT_NO_PATHS.
+    cfg_path, map_path = _built(tmp_path)
+    given = {"CONFIG": ["--config", str(cfg_path)], "MAP": ["--map", str(map_path)]}
+    res = CliRunner().invoke(main, [a for arg in args for a in given.get(arg, [arg])])
+    _assert_named_exit_3(res, *words)
 
 
 @pytest.mark.parametrize("command", ["run-bpa", "forward-check"])
@@ -744,7 +665,8 @@ def test_parse_number_reads_the_documented_grammar(value, number):
     assert problems == []
 
 
-@pytest.mark.parametrize("value", ["0-pi/3", "pi/", "2/", "/3", "pi/0", "+pi", "2*pi", True])
+@pytest.mark.parametrize("value", ["0-pi/3", "pi/", "2/", "/3", "pi/0", "+pi", "2*pi", True,
+                                   "--3", "-+3", "+3", "pi/+3", "2/+3"])
 def test_parse_number_rejects_other_spellings(value):
     problems = []
     assert cellrisk.cli._parse_number(value, "x", problems) is None
@@ -813,22 +735,15 @@ def test_vehicle_blow_up_is_a_build_error(tmp_path):
         ("run-bpa", "--out-tree"),
         ("run-bpa", "--out-graph"),
         ("run-bpa", "--out-report"),
-        ("export", "--out-graph"),
-        ("export", "--out-text"),
+        ("run-bpa", "--out-text"),
     ],
 )
 def test_unwritable_output_path_exit_code(tmp_path, command, flag, where):
     cfg_path, map_path = _built(tmp_path)
-    tree_path = tmp_path / "tree.json"
-    assert CliRunner().invoke(
-        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path),
-               "--out-tree", str(tree_path)],
-    ).exit_code == EXIT_OK
     target = tmp_path / "absent" / "out" if where == "missing-dir" else tmp_path
     inputs = {
         "build-map": ["--config", str(cfg_path)],
         "run-bpa": ["--config", str(cfg_path), "--map", str(map_path)],
-        "export": ["--tree", str(tree_path)],
     }[command]
     res = CliRunner().invoke(main, [command] + inputs + [flag, str(target)])
     _assert_named_exit_3(res, "option error", flag)

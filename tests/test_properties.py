@@ -20,8 +20,6 @@ from cellrisk.bpa import (
     encode_ranked_paths,
     forward_check,
     rank_paths,
-    tree_from_dict,
-    tree_to_dot,
     write_tree,
 )
 from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
@@ -137,23 +135,6 @@ def test_build_is_worker_count_invariant(system):
 
 
 TRUNCATIONS = st.sampled_from([0.0, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
-
-
-def _level_bits(tree):
-    return [(level.cell.tolist(), level.parent.tolist(), [q.hex() for q in level.q.tolist()],
-             [c.hex() for c in level.cumulative.tolist()]) for level in tree.levels]
-
-
-@PROPERTY
-@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4),
-       TRUNCATIONS)
-def test_tree_dict_round_trip(n_cells, n_event, seed, depth, truncation):
-    tmap, event = random_absorbing_map(n_cells, n_event, seed)
-    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
-    loaded = tree_from_dict(tree_to_dict(tree))
-    assert tree_to_dict(loaded) == tree_to_dict(tree)
-    assert tree_to_dot(loaded) == tree_to_dot(tree)
-    assert _level_bits(loaded) == _level_bits(tree)
 
 
 # Wider than the case-study grid (v in [0, 20], x in [0, 600]) on every axis.
