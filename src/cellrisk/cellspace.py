@@ -184,9 +184,10 @@ def bounds_of(cell: CellCoord, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def sample_cell_array(
-    cell: CellCoord, spec: SpaceSpec, count: int, seed: int | np.random.SeedSequence
+    cell: CellCoord, spec: SpaceSpec, count: int,
+    seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> np.ndarray:
-    """Uniform points from the cell box as a (count, L) array."""
+    """Uniform points from the cell box as a (count, L) array; a Generator is drawn from as is."""
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = bounds_of(cell, spec)

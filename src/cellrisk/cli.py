@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
 import click
@@ -233,7 +233,6 @@ class RunConfig:
     node_budget: int
     workers: int
     sample_budget: int
-    warnings: list[str] = field(default_factory=list)
 
     def normalized_dict(self) -> dict:
         return {
@@ -316,8 +315,8 @@ _SIMULATOR_PARAMS = {
 def load_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
-    Every detected problem is collected and reported together rather than
-    stopping at the first.
+    Two stages, the field table and then the structure, each name every
+    problem they find before ConfigError is raised.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -333,7 +332,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([f"{path}: top level must be a mapping"])
 
     problems: list[str] = []
-    warnings: list[str] = []
     values = _read_fields(raw, _SYSTEM | _SETTINGS, "", problems)
     simulator = values.get("simulator")
     if simulator is not None and simulator not in SIMULATORS:
@@ -347,13 +345,26 @@ def load_config(path: str) -> RunConfig:
     if problems:
         raise ConfigError(problems)
 
+    # Stage two, the structure; a check that needs an earlier result is
+    # skipped when that result failed.
     L, M = values["numProcessVariables"], values["numSystemComponents"]
-    states = values["systemComponentStates"]
-    for key, n in (("processVariablesNames", L), ("systemComponentNames", M),
-                   ("systemComponentStates", M), ("variableUpperBounds", L),
-                   ("variableLowerBounds", L)):
-        if len(values[key]) != n:
-            problems.append(f"{key} has {len(values[key])} entries, expected {n}")
+    states, partitions = values["systemComponentStates"], values["numberOfCells"]
+    lengths = [f"{key} has {len(values[key])} entries, expected {n}"
+               for key, n in (("processVariablesNames", L), ("systemComponentNames", M),
+                              ("systemComponentStates", M), ("variableUpperBounds", L),
+                              ("variableLowerBounds", L))
+               if len(values[key]) != n]
+    # numberOfCells may carry a trailing configuration count, which must match.
+    if len(partitions) == L + 1:
+        if len(states) == M and partitions[-1] != math.prod(states):
+            problems.append(
+                f"numberOfCells trailing entry {partitions[-1]} does not match the "
+                f"configuration count {math.prod(states)} implied by systemComponentStates"
+            )
+        partitions = partitions[:-1]
+    elif len(partitions) != L:
+        lengths.append(f"numberOfCells has {len(partitions)} entries, expected {L} or {L + 1}")
+    problems += lengths
     velocity = values["simulator_params"].get("velocity")
     if velocity is not None and len(velocity) != L:
         problems.append(f"simulator_params.velocity has {len(velocity)} entries, expected {L}")
@@ -362,95 +373,71 @@ def load_config(path: str) -> RunConfig:
         if scenario.fixed_strong_clearance is not None and scenario.fixed_light_clearance is None:
             problems.append(f"simulator_params: {simulator} ignores fixed_strong_clearance "
                             f"{scenario.fixed_strong_clearance} unless fixed_light_clearance is set")
-
-    # numberOfCells may carry a trailing configuration-count shorthand.
-    partitions = values["numberOfCells"]
-    if len(partitions) == L + 1:
-        trailing = partitions[-1]
-        partitions = partitions[:-1]
-        expected = math.prod(states) if len(states) == M else None
-        if expected is not None and trailing != expected:
-            warnings.append(
-                f"numberOfCells trailing entry {trailing} does not match the "
-                f"configuration count {expected} implied by systemComponentStates"
+    spec = None
+    if not lengths:
+        try:
+            spec = SpaceSpec(
+                names_x=tuple(str(s) for s in values["processVariablesNames"]),
+                names_n=tuple(str(s) for s in values["systemComponentNames"]),
+                lower=tuple(values["variableLowerBounds"]),
+                upper=tuple(values["variableUpperBounds"]),
+                partitions=tuple(partitions),
+                states=tuple(states),
             )
-    elif len(partitions) != L:
-        problems.append(
-            f"numberOfCells has {len(partitions)} entries, expected {L} or {L + 1}"
-        )
+        except ValueError as exc:
+            problems.append(f"space specification: {exc}")
 
-    if problems:
-        raise ConfigError(problems)
-
-    try:
-        spec = SpaceSpec(
-            names_x=tuple(str(s) for s in values["processVariablesNames"]),
-            names_n=tuple(str(s) for s in values["systemComponentNames"]),
-            lower=tuple(values["variableLowerBounds"]),
-            upper=tuple(values["variableUpperBounds"]),
-            partitions=tuple(partitions),
-            states=tuple(states),
-        )
-    except ValueError as exc:
-        raise ConfigError([f"space specification: {exc}"]) from exc
-
-    matrices_raw = values["sysConfTransProb"]  # one list of row lists per component
-    if len(matrices_raw) != M:
-        raise ConfigError(
-            [f"sysConfTransProb has {len(matrices_raw)} matrices, expected {M}"]
-        )
+    matrices = values["sysConfTransProb"]  # one list of row lists per component
+    if len(matrices) != M:
+        problems.append(f"sysConfTransProb has {len(matrices)} matrices, expected {M}")
     comps = []
-    for m, rows in enumerate(matrices_raw):
+    for m, rows in enumerate(matrices):
         try:
             comp = component_matrix_from_rows(rows, component_index=m)
         except ConfigModelError as exc:  # its message names the component
-            raise ConfigError([f"sysConfTransProb {exc}"]) from exc
-        if comp.size != spec.states[m]:
-            raise ConfigError(
-                [
-                    f"sysConfTransProb component {m} is {comp.size}x{comp.size}, "
-                    f"expected {spec.states[m]}x{spec.states[m]}"
-                ]
-            )
+            problems.append(f"sysConfTransProb {exc}")
+            continue
         comps.append(comp)
-    model = ConfigTransitionModel(matrices=tuple(comps))
-    issues = config_mod.validate(model)
-    if issues:
-        raise ConfigError([f"sysConfTransProb: {msg}" for msg in issues])
+        if spec is not None and len(matrices) == M and comp.size != spec.states[m]:
+            problems.append(f"sysConfTransProb component {m} is {comp.size}x{comp.size}, "
+                            f"expected {spec.states[m]}x{spec.states[m]}")
+    if len(comps) == len(matrices) == M:
+        model = ConfigTransitionModel(matrices=tuple(comps))
+        problems += [f"sysConfTransProb: {msg}" for msg in config_mod.validate(model)]
 
     # Event bounds: L entries, or L+1 with a trailing configuration range.
     ev_u, ev_l = values["eventUpperBounds"], values["eventLowerBounds"]
-    configs = values.get("eventConfigs")
-    if configs is not None:
-        configs = frozenset(tuple(c) for c in configs)
-    if len(ev_u) == L + 1 and len(ev_l) == L + 1:
+    configs = frozenset(map(tuple, values["eventConfigs"])) if "eventConfigs" in values else None
+    bounds = []  # the problems of the bounds
+    if len(ev_u) == len(ev_l) == L + 1:
+        (ev_l, first), (ev_u, last) = (ev_l[:-1], ev_l[-1]), (ev_u[:-1], ev_u[-1])
+        if configs is not None:
+            bounds.append(f"eventConfigs and the eventLowerBounds/eventUpperBounds trailing "
+                          f"configuration range {first:g}..{last:g} both given; give one")
+        elif M != 1:
+            bounds.append("trailing event-bound configuration shorthand needs M == 1; "
+                          "use eventConfigs instead")
+        else:
+            bounds += [f"{key} configuration entry must be an integer, got {end}"
+                       for key, end in (("eventLowerBounds", first), ("eventUpperBounds", last))
+                       if not end.is_integer()]
+            configs = frozenset((i,) for i in range(int(first), int(last) + 1))
+    elif len(ev_u) != L or len(ev_l) != L:
+        bounds.append(f"event bounds must have {L} or {L + 1} entries, got "
+                      f"{len(ev_u)}/{len(ev_l)}")
+    problems += bounds
+    if spec is not None and not bounds:
         if configs is None:
-            if M != 1:
-                raise ConfigError(
-                    ["trailing event-bound configuration shorthand needs M == 1; "
-                     "use eventConfigs instead"]
-                )
-            for key, end in (("eventLowerBounds", ev_l[-1]), ("eventUpperBounds", ev_u[-1])):
-                if not end.is_integer():
-                    problems.append(f"{key} configuration entry must be an integer, got {end}")
-            if problems:
-                raise ConfigError(problems)
-            configs = frozenset((i,) for i in range(int(ev_l[-1]), int(ev_u[-1]) + 1))
-        ev_u, ev_l = ev_u[:-1], ev_l[:-1]
-    if len(ev_u) != L or len(ev_l) != L:
-        raise ConfigError(
-            [f"event bounds must have {L} or {L + 1} entries, got "
-             f"{len(ev_u)}/{len(ev_l)}"]
-        )
-    if configs is None:
-        configs = frozenset(tuple(v + 1 for v in c) for c in np.ndindex(*spec.states))
-    try:
-        event = TopEvent(lower=tuple(ev_l), upper=tuple(ev_u), configs=configs)
-        event.validate_against(spec)
-    except ValueError as exc:
-        raise ConfigError([f"event definition: {exc}"]) from exc
+            configs = frozenset(tuple(v + 1 for v in c) for c in np.ndindex(*spec.states))
+        try:
+            event = TopEvent(lower=tuple(ev_l), upper=tuple(ev_u), configs=configs)
+            event.validate_against(spec)
+        except ValueError as exc:
+            problems.append(f"event definition: {exc}")
 
-    return RunConfig(spec=spec, config_model=model, event=event, warnings=warnings,
+    if problems:
+        raise ConfigError(problems)
+    return RunConfig(spec=spec, config_model=model, event=event,
                      **{key: values[key] for key in _SETTINGS})
 
 
@@ -476,10 +463,11 @@ def _overridden(cfg: RunConfig, overrides: dict) -> RunConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _unwritable(*outputs: tuple[str, str | None]) -> list[str]:
-    """A problem for every (flag, path) given that cannot be written as a file."""
-    problems = []
-    for flag, path in outputs:
+def _unwritable(inputs: dict[str, str], outputs: dict[str, str | None]) -> list[str]:
+    """A problem for every output path that is a directory, lies in none, or is the same
+    file as an input or an earlier output (both flags named)."""
+    problems, taken = [], {os.path.realpath(path): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
         if path is None:
             continue
         full = os.path.abspath(path)
@@ -487,6 +475,10 @@ def _unwritable(*outputs: tuple[str, str | None]) -> list[str]:
             problems.append(f"{flag} {path!r} is a directory")
         elif not os.path.isdir(os.path.dirname(full)):
             problems.append(f"{flag} {path!r}: directory does not exist")
+        elif (real := os.path.realpath(full)) in taken:
+            problems.append(f"{flag} {path!r} is the same file as {taken[real]}")
+        else:
+            taken[real] = flag
     return problems
 
 
@@ -509,17 +501,9 @@ def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
     return problems
 
 
-def _read_config(config_path: str) -> RunConfig:
-    """A command's config, its warnings echoed on stderr."""
-    cfg = load_config(config_path)
-    for w in cfg.warnings:
-        click.echo(f"warning: {w}", err=True)
-    return cfg
-
-
 def _load_inputs(config_path: str, map_path: str) -> tuple[RunConfig, TransitionMap]:
     """Config and map of a search command; a map built for another config is a config error."""
-    cfg, tmap = _read_config(config_path), load_map(map_path)
+    cfg, tmap = load_config(config_path), load_map(map_path)
     if mismatches := _map_mismatches(cfg, tmap):
         raise ConfigError([f"{m}; rebuild the map for this config" for m in mismatches])
     return cfg, tmap
@@ -536,9 +520,16 @@ _EXITS = {
 class _Commands(click.Group):
     """The commands; one that raises an error in _EXITS exits with its (kind, exit code).
 
-    A usage error (unknown command, bad or missing option) exits
+    A usage error (no or an unknown command, bad or missing option) exits
     EXIT_CONFIG_ERROR with click's message, not click's 2, which is EXIT_NO_PATHS.
     """
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:  # the group's own arguments, or none at all
+            exc.exit_code = EXIT_CONFIG_ERROR
+            raise
 
     def invoke(self, ctx: click.Context):
         try:
@@ -564,9 +555,10 @@ def main() -> None:
 @_override("workers")
 def build_map_cmd(config_path, out_path, **overrides) -> None:
     """Build the transition map for a configuration and persist it."""
-    if flags := _flag_problems(overrides) + _unwritable(("--out", out_path)):
+    if flags := _flag_problems(overrides) + _unwritable({"--config": config_path},
+                                                        {"--out": out_path}):
         _fail("option", flags)
-    cfg = _overridden(_read_config(config_path), overrides)
+    cfg = _overridden(load_config(config_path), overrides)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
     tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
@@ -596,8 +588,9 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
                 **overrides) -> None:
     """Backtrack from the Top Event and write tree, graph, report and indented text."""
     flags = _flag_problems(overrides) + _unwritable(
-        ("--out-tree", out_tree), ("--out-graph", out_graph), ("--out-report", out_report),
-        ("--out-text", out_text))
+        {"--config": config_path, "--map": map_path},
+        {"--out-tree": out_tree, "--out-graph": out_graph, "--out-report": out_report,
+         "--out-text": out_text})
     if flags:
         _fail("option", flags)
     cfg, tmap = _load_inputs(config_path, map_path)
@@ -668,20 +661,15 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
     if oracle_trials < 1:
         _fail("option", [f"--oracle-trials must be >= 1, got {oracle_trials}"])
-    cfg = _read_config(config_path)
-    if oracle_trials > cfg.sample_budget:  # before the oracle allocates trials x L draws
+    cfg = load_config(config_path)
+    if oracle_trials > cfg.sample_budget:  # before any trial is drawn
         raise BudgetError(f"--oracle-trials {oracle_trials} exceeds sample_budget "
                           f"{cfg.sample_budget}")
-    failures: list[str] = []
     try:
-        tmap = load_map(map_path, check=False)  # rows are checked below, each named
+        tmap = load_map(map_path)
     except MapFormatError as exc:
         _fail("map", [str(exc)], EXIT_VALIDATION_FAILURE)
-    failures += [f"spec-echo: {m}" for m in _map_mismatches(cfg, tmap)]
-
-    sums = tmap.row_sums()
-    for s in np.flatnonzero(np.abs(sums - 1.0) > mapper_mod.ROW_SUM_TOL):
-        failures.append(f"stochasticity: source {s} outgoing mass {float(sums[s])!r}")
+    failures = [f"spec-echo: {m}" for m in _map_mismatches(cfg, tmap)]
     if not failures:
         model = _make_simulator(cfg)
         cell = id_to_coord(0, cfg.spec)

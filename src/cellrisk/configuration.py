@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9  # for component matrix rows and transition map rows alike
-SNAP_TOL = 1e-3  # how far a written diagonal may be from the value that fills its row
 
 # The matrix entry that means "fill this entry so the row sums to one" (the
 # usual way near-one diagonals are written down).
@@ -139,11 +138,10 @@ def component_matrix_from_rows(rows: list, component_index: int = 0) -> Componen
     """Build a component matrix from row lists as written in a config file.
 
     At most one entry per row may be a derive sentinel ("~1"); it is filled
-    with one minus the rest of the row. A plain numeric diagonal within
-    SNAP_TOL of that value is snapped to it, restoring exact row
-    stochasticity. Rows that are malformed beyond the tolerance are kept
-    as-is for validate() to report. A matrix or row that is not a list, or an
-    entry neither a number nor a sentinel, raises ConfigModelError naming it.
+    with one minus the rest of the row. Every other entry is kept as written,
+    a rounded diagonal too, for validate() to report. A matrix or row that is
+    not a list, or an entry neither a number nor a sentinel, raises
+    ConfigModelError naming it.
     """
     where = f"component {component_index}"
     if not isinstance(rows, list):
@@ -174,12 +172,6 @@ def component_matrix_from_rows(rows: list, component_index: int = 0) -> Componen
             if rest > 1.0:
                 raise ConfigModelError(f"{where}: row {i + 1} off-entries sum to {rest} > 1")
             out[i, derive_at] = 1.0 - rest
-        else:
-            # Snap a near-one diagonal written as a rounded value.
-            off_sum = float(np.sum(np.delete(out[i], i)))
-            residual = 1.0 - off_sum
-            if 0.0 <= residual <= 1.0 and abs(out[i, i] - residual) <= SNAP_TOL:
-                out[i, i] = residual
     return ComponentMatrix(component_index, out)
 
 

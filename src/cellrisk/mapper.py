@@ -199,19 +199,19 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _off_row(matrix: CSR) -> str | None:
-    """The first source whose outgoing mass is off one by more than ROW_SUM_TOL."""
+def _off_rows(matrix: CSR) -> str | None:
+    """Every source whose outgoing mass is off one by more than ROW_SUM_TOL, each named."""
     sums = _row_sums(matrix)
-    k = _first(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    return None if k is None else f"source {k}: row sums to {float(sums[k])!r}"
+    off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    return "; ".join(f"source {k}: row sums to {float(sums[k])!r}" for k in off) or None
 
 
-def _edge_matrix(C: int, edges, check_rows: bool = True) -> CSR:
+def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
     Raises MapFormatError for a malformed triple, an id out of range, q
-    outside (0, 1], a duplicate (source, target) pair and, with check_rows,
-    a source whose outgoing mass differs from one by more than ROW_SUM_TOL.
+    outside (0, 1], a duplicate (source, target) pair and a source whose
+    outgoing mass differs from one by more than ROW_SUM_TOL.
     """
     try:
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
@@ -232,7 +232,7 @@ def _edge_matrix(C: int, edges, check_rows: bool = True) -> CSR:
         if (k := _first(bad)) is not None:
             raise MapFormatError(f"edge [{src[k]}, {tgt[k]}, {float(q[k])!r}]: {problem}")
     matrix = _matrix(C, src, col, q)
-    if check_rows and (problem := _off_row(matrix)):
+    if problem := _off_rows(matrix):
         raise MapFormatError(problem)
     return matrix
 
@@ -253,35 +253,38 @@ def _flow_counts(
     """Sample, step and bin consecutive source cells sharing one configuration.
 
     Each source draws from its own stream, spawned from the build seed by its
-    id. Returns (source id, flat target j, count) arrays sorted by source then
+    id. Rows, source after source, are drawn, stepped and binned in blocks of
+    at most BLOCK_ROWS, so memory is bounded whatever the sample count.
+    Returns (source id, flat target j, count) arrays sorted by source then
     target, where target total_continuous_cells stands for the exterior.
     """
     coords = [id_to_coord(s, spec) for s in ids]
-    xs = np.concatenate([
-        sample_cell_array(c, spec, samples, np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        for s, c in zip(ids, coords)
-    ])
-    ys = np.empty_like(xs)
-    for i in range(0, len(xs), BLOCK_ROWS):  # every block under one configuration
-        block = xs[i : i + BLOCK_ROWS]
-        out = np.asarray(model.step_many(block, coords[0].n, dt), dtype=float)
-        if out.shape != block.shape:
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+            for s in ids]
+    n_j, total = spec.total_continuous_cells, len(ids) * samples
+    parts = []
+    for lo in range(0, total, BLOCK_ROWS):  # every block under one configuration
+        hi = min(total, lo + BLOCK_ROWS)
+        xs = np.concatenate([
+            sample_cell_array(coords[c], spec, min(hi, (c + 1) * samples) - max(lo, c * samples),
+                              rngs[c])
+            for c in range(lo // samples, (hi - 1) // samples + 1)
+        ])
+        ys = np.asarray(model.step_many(xs, coords[0].n, dt), dtype=float)
+        if ys.shape != xs.shape:
             raise BuildError(
-                f"simulator returned shape {out.shape} for cell {coords[i // samples]}, "
-                f"expected {block.shape}"
+                f"simulator returned shape {ys.shape} for cell {coords[lo // samples]}, "
+                f"expected {xs.shape}"
             )
-        ys[i : i + BLOCK_ROWS] = out
-    if (k := _first(~np.isfinite(ys).all(axis=1))) is not None:
-        raise BuildError(
-            f"simulator returned non-finite state from cell {coords[k // samples]} "
-            f"(sample {k % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
-        )
-
-    n_j = spec.total_continuous_cells
-    target = bin_points(ys, spec)
-    keys, counts = np.unique(
-        np.repeat(np.arange(len(ids)), samples) * (n_j + 1) + target, return_counts=True
-    )
+        if (k := _first(~np.isfinite(ys).all(axis=1))) is not None:
+            raise BuildError(
+                f"simulator returned non-finite state from cell {coords[(lo + k) // samples]} "
+                f"(sample {(lo + k) % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
+            )
+        cells = np.arange(lo, hi) // samples
+        parts.append(np.unique(cells * (n_j + 1) + bin_points(ys, spec), return_counts=True))
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.bincount(where, weights=np.concatenate([c for _, c in parts])).astype(np.int64)
     return ids.start + keys // (n_j + 1), keys % (n_j + 1), counts
 
 
@@ -396,7 +399,7 @@ def build_map(
                        for lo in range(0, C, chunk)]
             parts = [f.result() for f in futures]
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*parts)))
-    if problem := _off_row(matrix):
+    if problem := _off_rows(matrix):
         raise BuildError(problem)
     return TransitionMap(spec, dt, samples, seed, model.name, {}, matrix)
 
@@ -496,13 +499,13 @@ def save_map(tmap: TransitionMap, path: str) -> None:
         fh.write("\n")
 
 
-def load_map(path: str, check: bool = True) -> TransitionMap:
+def load_map(path: str) -> TransitionMap:
     """Load a map persisted by save_map, checking it where it enters.
 
     Raises MapFormatError for a file that is not a map, a header field of
     the wrong type or range (see _MAP_FIELDS), an id out of range, q
-    outside (0, 1], a duplicate edge and, with check, a row that does not
-    sum to one. A file without simulator_params was built with none.
+    outside (0, 1], a duplicate edge and every row that does not sum to
+    one. A file without simulator_params was built with none.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -517,7 +520,7 @@ def load_map(path: str, check: bool = True) -> TransitionMap:
     try:
         _check_fields(doc, _MAP_FIELDS)
         spec = SpaceSpec(**{f: tuple(doc["spec"][f]) for f in _SPEC_FIELDS})
-        matrix = _edge_matrix(spec.total_cells, doc["edges"], check)
+        matrix = _edge_matrix(spec.total_cells, doc["edges"])
         build = {key: doc[key] for key in _BUILD_FIELDS} | {"dt": float(doc["dt"])}
         return TransitionMap(spec, matrix=matrix, **build)
     except KeyError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,8 @@ __all__ = [
     "empirical_transition",
     "simulate_event_probability",
 ]
+
+BLOCK_TRIALS = 5_000  # trials drawn, stepped and binned at once by empirical_transition
 
 
 @dataclass(frozen=True)
@@ -177,25 +180,33 @@ def empirical_transition(
 
     Mirrors the quadrature definition (uniform points from the source box,
     one step under the source configuration, relative frequencies by target
-    cell) without touching the engine's sampling or binning code. The
-    returned frequencies sum to exactly one.
+    cell) without touching the engine's sampling or binning code. Trials
+    run in blocks of BLOCK_TRIALS, all drawn from one stream, so memory is
+    bounded whatever the trial count. The returned frequencies sum to
+    exactly one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     lo, hi = _cell_box(source_cell, spec)
-    u = np.array([rng.random() for _ in range(trials * spec.L)]).reshape(trials, spec.L)
-    ys = np.asarray(model.step_many(_uniform_box(lo, hi, u), source_cell.n, dt), dtype=float)
     lower, upper = np.array(spec.lower), np.array(spec.upper)
     parts = np.array(spec.partitions)
-    inside = np.all((ys >= lower) & (ys <= upper), axis=1)
     w = (upper - lower) / parts
-    # Closed top interval: a point on an upper bound falls in the last cell.
-    js = np.minimum(np.floor((ys[inside] - lower) / w).astype(np.int64), parts - 1) + 1
-    targets, counts = np.unique(js, axis=0, return_counts=True)
+    counts: Counter = Counter()  # trials by target j-coordinate
+    n_out = 0
+    for done in range(0, trials, BLOCK_TRIALS):
+        k = min(BLOCK_TRIALS, trials - done)
+        u = np.array([rng.random() for _ in range(k * spec.L)]).reshape(k, spec.L)
+        ys = np.asarray(model.step_many(_uniform_box(lo, hi, u), source_cell.n, dt), dtype=float)
+        inside = np.all((ys >= lower) & (ys <= upper), axis=1)
+        # Closed top interval: a point on an upper bound falls in the last cell.
+        js = np.minimum(np.floor((ys[inside] - lower) / w).astype(np.int64), parts - 1) + 1
+        targets, c = np.unique(js, axis=0, return_counts=True)
+        counts.update(dict(zip(map(tuple, targets.tolist()), c.tolist())))
+        n_out += k - int(inside.sum())
     row: list[tuple[tuple[int, ...] | int, Fraction]] = [
-        (tuple(t), Fraction(c, trials)) for t, c in zip(targets.tolist(), counts.tolist())
+        (t, Fraction(c, trials)) for t, c in sorted(counts.items())
     ]
-    if n_out := trials - int(inside.sum()):
+    if n_out:
         row.append((EXTERIOR_ID, Fraction(n_out, trials)))
     return row

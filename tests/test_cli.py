@@ -118,32 +118,52 @@ def test_load_config_rejects_malformed_matrix_row(tmp_path):
     assert any("row 1" in p for p in err.value.problems)
 
 
-def test_load_config_warns_on_trailing_cell_count_mismatch(tmp_path):
-    path = write_config(tmp_path, {"numberOfCells": [10, 7]})
-    cfg = load_config(str(path))
-    assert cfg.spec.partitions == (10,)
-    assert any("trailing entry 7" in w for w in cfg.warnings)
+# Inputs whose every problem must end the run, named: none may pass with a
+# warning, a repaired entry or an ignored field, and both problems of
+# matrix-and-event must be named in one pass.
+ONE_VERDICT_PER_PROBLEM = {
+    "trailing-cell-count": ({"numberOfCells": [10, 7]},
+                            ["numberOfCells trailing entry 7 does not match the configuration "
+                             "count 2 implied by systemComponentStates"]),
+    "rounded-diagonal": ({"sysConfTransProb": [[[0.999, 0.0005], [0, 1]]]},
+                         ["sysConfTransProb: component 0 row 1: sums to 0.9994"]),
+    "event-configs-and-range": ({"eventConfigs": [[2]], "eventUpperBounds": [10.0, 1],
+                                 "eventLowerBounds": [8.0, 1]},
+                                ["eventConfigs and the eventLowerBounds/eventUpperBounds trailing "
+                                 "configuration range 1..1 both given"]),
+    "matrix-and-event": ({"sysConfTransProb": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                          "eventUpperBounds": [12.0, 2]},
+                         ["sysConfTransProb component 0 is 3x3, expected 2x2",
+                          "event definition: "]),
+}
 
 
-@pytest.mark.parametrize("command, args", [
-    ("build-map", ["--out", "other.json"]),
-    ("run-bpa", ["--map", "map.json"]),
-    ("validate", ["--map", "map.json"]),
-    ("forward-check", ["--map", "map.json", "--cell", "0"]),
-], ids=["build-map", "run-bpa", "validate", "forward-check"])
-def test_config_readers_echo_trailing_cell_count_warning(tmp_path, monkeypatch, command, args):
-    monkeypatch.chdir(tmp_path)
-    cfg_path = write_config(tmp_path, {
-        "systemComponentStates": [3],
-        "systemComponentStateNames": [["ok", "degraded", "failed"]],
-        "sysConfTransProb": [[["~1", 1.0e-4, 0], [0, 1, 0], [0, 0, 1]]],
-        "numberOfCells": [10, 4],
-    })
-    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path), "--out", "map.json"])
-    assert res.exit_code == EXIT_OK, res.output
+@pytest.mark.parametrize("case", sorted(ONE_VERDICT_PER_PROBLEM))
+def test_load_config_names_every_problem_once(tmp_path, case):
+    override, words = ONE_VERDICT_PER_PROBLEM[case]
+    with pytest.raises(ConfigError) as err:
+        load_config(str(write_config(tmp_path, override)))
+    assert len(err.value.problems) == len(words)
+    for problem, word in zip(err.value.problems, words):
+        assert problem.startswith(word), err.value.problems
+
+
+@pytest.mark.parametrize("command", ["build-map", "run-bpa", "validate", "forward-check"])
+@pytest.mark.parametrize("case", sorted(ONE_VERDICT_PER_PROBLEM))
+def test_config_readers_reject_every_problem(tmp_path, case, command):
+    override, words = ONE_VERDICT_PER_PROBLEM[case]
+    cfg_path = write_config(tmp_path, override)
+    map_path = tmp_path / "map.json"  # never read: the config fails first
+    map_path.write_text("{}")
+    args = {
+        "build-map": ["--out", str(tmp_path / "out.json")],
+        "run-bpa": ["--map", str(map_path)],
+        "validate": ["--map", str(map_path)],
+        "forward-check": ["--map", str(map_path), "--cell", "0"],
+    }[command]
     res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + args)
-    assert res.exit_code in (EXIT_OK, EXIT_NO_PATHS), res.output
-    assert "warning: numberOfCells trailing entry 4 " in res.output
+    _assert_named_exit_3(res, *(f"config error: {word}" for word in words))
+    assert "warning" not in res.output and not (tmp_path / "out.json").exists()
 
 
 def test_build_and_run_pipeline(tmp_path):
@@ -310,7 +330,7 @@ def test_validate_healthy_and_corrupted(tmp_path):
     bad_path.write_text(json.dumps(doc))
     res = runner.invoke(main, ["validate", "--config", str(cfg_path), "--map", str(bad_path)])
     assert res.exit_code == EXIT_VALIDATION_FAILURE
-    assert "stochasticity" in res.output
+    assert "row sums to" in res.output
 
 
 def test_validate_oracle_row_disagreement_exit_code(tmp_path, monkeypatch):
@@ -641,6 +661,13 @@ TWO_COMPONENTS = {
         ({"sysConfTransProb": [[["≈1", 1.0e-4], [0, 1]]]}, "component 0: row 1 entry 1 is not"),
         ({"sysConfTransProb": [["~1", 1.0e-4], [0, 1]]},
          "sysConfTransProb has 2 matrices, expected 1"),
+        ({"processVariablesNames": ["x", "y"]}, "processVariablesNames has 2 entries, expected 1"),
+        ({"systemComponentNames": []}, "systemComponentNames has 0 entries, expected 1"),
+        ({"systemComponentStates": [2, 2]}, "systemComponentStates has 2 entries, expected 1"),
+        ({"variableUpperBounds": [10.0, 11.0]}, "variableUpperBounds has 2 entries, expected 1"),
+        ({"variableLowerBounds": []}, "variableLowerBounds has 0 entries, expected 1"),
+        ({"sysConfTransProb": [[[0.25, "~1"], ["~1", 1.5]]]},
+         "component 0: row 2 off-entries sum to 1.5 > 1"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -699,6 +726,7 @@ def test_matrix_row_problem_names_its_component_once(tmp_path):
     ]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("command", ["build-map", "validate"])
 def test_drift_blow_up_is_a_build_error(tmp_path, command):
     # dt is finite, but a step of 2 x 1e308 overflows to inf. The map is
@@ -716,6 +744,7 @@ def test_drift_blow_up_is_a_build_error(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_vehicle_blow_up_is_a_build_error(tmp_path):
     doc = yaml.safe_load(Path("configs/agv_baseline.yaml").read_text())
     doc.update(dt="1e308", numberOfCells=[5, 1, 1, 30, 1, 1, 3], samples_per_cell=4)
@@ -750,6 +779,53 @@ def test_unwritable_output_path_exit_code(tmp_path, command, flag, where):
     # Checked before the map is built or the tree searched.
     assert "built map" not in res.output and "tree:" not in res.output
     assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, other",
+    [
+        ("build-map", "--out", "--config"),
+        ("run-bpa", "--out-report", "--map"),
+        ("run-bpa", "--out-text", "--out-tree"),
+    ],
+)
+def test_colliding_output_path_exit_code(tmp_path, command, flag, other):
+    cfg_path, map_path = _built(tmp_path)
+    inputs = {"--config": cfg_path, "--map": map_path}
+    before = {path: path.read_bytes() for path in inputs.values()}
+    target = inputs.get(other, tmp_path / "same.out")
+    args = [command, "--config", str(cfg_path)]
+    args += ["--map", str(map_path)] if command == "run-bpa" else []
+    if other not in inputs:
+        args += [other, str(target)]
+    # Another spelling of the same path still collides.
+    res = CliRunner().invoke(main, args + [flag, os.path.relpath(target)])
+    _assert_named_exit_3(res, "option error", flag, f"is the same file as {other}")
+    assert "built map" not in res.output and "tree:" not in res.output
+    assert {path: path.read_bytes() for path in inputs.values()} == before
+    assert not (tmp_path / "same.out").exists()
+
+
+def test_bare_command_is_a_usage_error():
+    res = CliRunner().invoke(main, [])
+    assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+    assert "Usage:" in res.output
+    assert CliRunner().invoke(main, ["--help"]).exit_code == EXIT_OK
+
+
+def test_every_off_map_row_is_named(tmp_path):
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    sources = sorted({doc["edges"][0][0], doc["edges"][-1][0]})
+    for edge in (doc["edges"][0], doc["edges"][-1]):
+        edge[2] *= 0.5
+    map_path.write_text(json.dumps(doc))
+    named = [f"source {s}: row sums to" for s in sources]
+    res = CliRunner().invoke(main, ["validate", "--config", str(cfg_path), "--map", str(map_path)])
+    assert res.exit_code == EXIT_VALIDATION_FAILURE, res.output
+    assert all(word in res.output for word in named)
+    res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
+    _assert_named_exit_3(res, "map error", *named)
 
 
 @pytest.mark.parametrize(

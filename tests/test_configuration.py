@@ -112,10 +112,11 @@ def test_validate_reports_negative_entry():
     assert any("outside [0, 1]" in msg for msg in issues)
 
 
-def test_loader_snaps_rounded_diagonal():
+def test_loader_keeps_rounded_diagonal():
     comp = component_matrix_from_rows([[1.0, 2e-7, 2e-7], [0, 1, 0], [0, 0, 1]])
-    assert comp.entries[0, 0] == 1.0 - 4e-7
-    assert validate(ConfigTransitionModel(matrices=(comp,))) == []
+    assert comp.entries[0, 0] == 1.0
+    issues = validate(ConfigTransitionModel(matrices=(comp,)))
+    assert len(issues) == 1 and issues[0].startswith("component 0 row 1: sums to 1.0000003")
 
 
 def test_loader_keeps_genuinely_bad_rows():

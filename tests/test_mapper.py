@@ -94,6 +94,30 @@ def test_estimate_g_rejects_nonfinite_simulator():
         estimate_g(id_to_coord(0, spec), Broken(), spec, 1.0, 10, seed=0)
 
 
+def test_simulator_of_the_wrong_shape_is_a_build_error():
+    class Truncating(DynamicsModel):
+        def step_many(self, xs, n, dt):
+            return np.array(xs, dtype=float)[:-1]
+
+    spec = line_spec(3)
+    with pytest.raises(BuildError, match=r"simulator returned shape \(9, 1\) for cell .*"
+                                         r"expected \(10, 1\)"):
+        estimate_g(id_to_coord(0, spec), Truncating(), spec, 1.0, 10, seed=0)
+
+
+def test_blocks_of_any_size_give_the_same_rows_and_map(monkeypatch):
+    # 30 samples a cell in blocks of 7 rows: blocks end inside cells and
+    # span two of them, and one cell's stream continues across blocks.
+    spec, model = line_spec(8, states=3), LinearDriftModel(0.37)
+    cells = [id_to_coord(s, spec) for s in range(spec.total_cells)]
+    rows = [estimate_g(c, model, spec, 1.0, 30, seed=4) for c in cells]
+    tmap = build_map(model, spec, brake_config(), dt=1.0, samples=30, seed=4)
+    monkeypatch.setattr("cellrisk.mapper.BLOCK_ROWS", 7)
+    assert rows == [estimate_g(c, model, spec, 1.0, 30, seed=4) for c in cells]
+    blocked = build_map(model, spec, brake_config(), dt=1.0, samples=30, seed=4)
+    assert all(np.array_equal(a, b) for a, b in zip(tmap.matrix, blocked.matrix))
+
+
 def test_build_map_identity_is_identity():
     spec = line_spec(4)
     tmap = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=50, seed=5)
@@ -342,6 +366,8 @@ MALFORMED_EDGES = {
                     "source 3: row sums to"),
     "duplicate-edge": ([[0, 0, 0.5], [0, 0, 0.5], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
                        "duplicate"),
+    "non-integer-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 2.5, 1.0]],
+                       "edges must be [source, target, q] triples: need integer ids"),
 }
 
 
@@ -372,10 +398,11 @@ def test_load_map_rejects_non_map_json(tmp_path):
         load_map(str(path))
 
 
-def test_load_map_unchecked_keeps_off_rows_for_validation(tmp_path):
-    edges, _ = MALFORMED_EDGES["row-sum-off"]
-    tmap = load_map(str(_write_map(tmp_path, edges)), check=False)
-    assert tmap.row_sums()[3] == pytest.approx(0.98)
+def test_load_map_names_every_off_row(tmp_path):
+    edges = [[0, 0, 0.5], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 0.25], [3, 2, 0.5]]
+    with pytest.raises(MapFormatError) as err:
+        load_map(str(_write_map(tmp_path, edges)))
+    assert str(err.value).endswith("source 0: row sums to 0.5; source 3: row sums to 0.75")
 
 
 MALFORMED_HEADERS = {

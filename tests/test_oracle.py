@@ -7,7 +7,7 @@ import pytest
 
 from _synthetic import line_spec
 from cellrisk.bpa import TopEvent, backtrack, forward_check
-from cellrisk.cellspace import EXTERIOR_ID, CellCoord, id_to_coord
+from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, id_to_coord
 from cellrisk.cli import IdentityModel, LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
 from cellrisk.mapper import build_map, estimate_g
@@ -116,6 +116,16 @@ def test_empirical_transition_deterministic():
     a = empirical_transition(LinearDriftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
     b = empirical_transition(LinearDriftModel(0.43), CellCoord((2,), (1,)), spec, 1.0, 200, seed=9)
     assert a == b
+
+
+def test_empirical_transition_blocks_of_any_size_give_the_same_row(monkeypatch):
+    spec = SpaceSpec(("x", "y"), ("c",), (0.0, 0.0), (4.0, 4.0), (4, 4), (1,))
+    model = LinearDriftModel([0.43, -0.61])
+    cell = CellCoord((2, 3), (1,))
+    row = empirical_transition(model, cell, spec, 1.0, 200, seed=9)
+    assert len(row) == 4  # four target cells
+    monkeypatch.setattr("cellrisk.oracle.BLOCK_TRIALS", 7)
+    assert empirical_transition(model, cell, spec, 1.0, 200, seed=9) == row
 
 
 def test_empirical_transition_agrees_with_quadrature_case_study(baseline_config, baseline_model):
