@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -312,6 +313,22 @@ def test_persistence_round_trip(tmp_path, baseline_map):
     path2 = tmp_path / "map2.json"
     save_map(loaded, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of the map files of the shipped configs at the suite seed and 200
+# samples per cell, as `build-map` writes them (recorded before the blocked
+# sampler, the batch controller and the sliced writer).
+MAP_SHA256 = {
+    "baseline_map": "75d2d32bbc26fd33669dc6a6a0ed4959632904b9bc4ad937e15f338d4d358990",
+    "modified_map": "e420977e227c3d7b88bc949041db97d2e85154b3235fcc042885befe92ac024d",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MAP_SHA256))
+def test_map_bytes_pinned(tmp_path, request, fixture):
+    path = tmp_path / "map.json"
+    save_map(request.getfixturevalue(fixture), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MAP_SHA256[fixture]
 
 
 def test_sample_budget_guard():
