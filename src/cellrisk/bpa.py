@@ -289,7 +289,11 @@ def backtrack(
             break
         levels.append(level)
 
-    cells = np.unique(np.concatenate([level.cell for level in levels])) if levels else _NO_INTS
+    # A mask, not np.unique, which imports numpy.ma on its first plain call.
+    in_tree = np.zeros(tmap.n_cells, dtype=bool)
+    for level in levels:
+        in_tree[level.cell] = True
+    cells = np.flatnonzero(in_tree)
     return ScenarioTree(
         levels=levels,
         entry_edges=[sorted(detail[source]) for source, _ in kept],

@@ -23,6 +23,7 @@ __all__ = [
     "SpecMismatchError",
     "bin_points",
     "bounds_of",
+    "cell_boxes",
     "coord_to_id",
     "id_to_coord",
     "sample_cell_array",
@@ -175,12 +176,18 @@ def bin_points(xs: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     return np.where(inside, flat, spec.total_continuous_cells)
 
 
+def cell_boxes(j, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes of cells as (lower, upper) arrays from their 1-based continuous
+    digits j, elementwise: one vector for one cell, one row per cell of a (K, L) array."""
+    w = np.array(spec.widths)
+    lo = np.array(spec.lower) + (np.asarray(j) - 1) * w
+    return lo, lo + w
+
+
 def bounds_of(cell: CellCoord, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Box of a cell as (lower, upper) vectors; volume is prod(upper - lower)."""
     cell.validate(spec)
-    w = np.array(spec.widths)
-    lo = np.array(spec.lower) + (np.array(cell.j) - 1) * w
-    return lo, lo + w
+    return cell_boxes(cell.j, spec)
 
 
 def sample_cell_array(

@@ -25,9 +25,10 @@ from .cellspace import (
     CellCoord,
     SpaceSpec,
     bin_points,
+    cell_boxes,
     coord_to_id,
     id_to_coord,
-    sample_cell_array,
+    sample_cell_array,  # unused here; bench/tracer.py wraps mapper.sample_cell_array by name
 )
 from .configuration import ROW_SUM_TOL, ConfigTransitionModel, validate as validate_config
 
@@ -49,6 +50,7 @@ __all__ = [
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
 BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory
+EDGE_SLICE = 4_096  # map file edges encoded per write
 
 MAP_FORMAT = "cellrisk-transition-map"
 MAP_FORMAT_VERSION = 1
@@ -157,7 +159,7 @@ class TransitionMap:
     def rows(self) -> dict[int, list[tuple[int, float]]]:
         """Every source's edges as (target id or EXTERIOR_ID, q), by target id."""
         out: dict[int, list[tuple[int, float]]] = {s: [] for s in range(self.n_cells)}
-        for s, t, q in _edge_list(self.matrix):
+        for s, t, q in zip(*(a.tolist() for a in _edge_arrays(self.matrix))):
             out[s].append((t, q))
         return out
 
@@ -209,9 +211,10 @@ def _off_rows(matrix: CSR) -> str | None:
 def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
-    Raises MapFormatError for a malformed triple, an id out of range, q
-    outside (0, 1], a duplicate (source, target) pair and a source whose
-    outgoing mass differs from one by more than ROW_SUM_TOL.
+    Raises MapFormatError for a malformed triple, and one naming every
+    triple with an id out of range, q outside (0, 1] or a duplicate
+    (source, target) pair, check by check; failing those, one naming every
+    source whose outgoing mass differs from one by more than ROW_SUM_TOL.
     """
     try:
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
@@ -223,28 +226,32 @@ def _edge_matrix(C: int, edges) -> CSR:
     col = np.where(tgt == EXTERIOR_ID, C, tgt)
     dup = np.ones(len(src), dtype=bool)  # every repeat of a (source, target) pair
     dup[np.unique(src * (C + 1) + col, return_index=True)[1]] = False
-    for bad, problem in (
-        ((src < 0) | (src >= C), f"source id outside 0..{C - 1}"),
-        ((tgt < EXTERIOR_ID) | (tgt >= C), f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
-        (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
-        (dup, "duplicate (source, target) pair"),
-    ):
-        if (k := _first(bad)) is not None:
-            raise MapFormatError(f"edge [{src[k]}, {tgt[k]}, {float(q[k])!r}]: {problem}")
+    named = "; ".join(
+        f"edge [{src[k]}, {tgt[k]}, {float(q[k])!r}]: {problem}"
+        for bad, problem in (
+            ((src < 0) | (src >= C), f"source id outside 0..{C - 1}"),
+            ((tgt < EXTERIOR_ID) | (tgt >= C), f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
+            (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
+            (dup, "duplicate (source, target) pair"),
+        )
+        for k in np.flatnonzero(bad)
+    )
+    if named:
+        raise MapFormatError(named)
     matrix = _matrix(C, src, col, q)
     if problem := _off_rows(matrix):
         raise MapFormatError(problem)
     return matrix
 
 
-def _edge_list(matrix: CSR) -> list[tuple[int, int, float]]:
-    """(source, target, q) triples by source, then target id with the exterior first."""
+def _edge_arrays(matrix: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, target, q) arrays by source, then target id with the exterior first."""
     C = len(matrix.indptr) - 2
     cells = slice(0, matrix.indptr[C])
     src, col = matrix.row_ids()[cells], matrix.indices[cells]
     tgt = np.where(col == C, EXTERIOR_ID, col)
     order = np.lexsort((tgt, src))
-    return list(zip(src[order].tolist(), tgt[order].tolist(), matrix.data[cells][order].tolist()))
+    return src[order], tgt[order], matrix.data[cells][order]
 
 
 def _flow_counts(
@@ -252,36 +259,42 @@ def _flow_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample, step and bin consecutive source cells sharing one configuration.
 
-    Each source draws from its own stream, spawned from the build seed by its
-    id. Rows, source after source, are drawn, stepped and binned in blocks of
-    at most BLOCK_ROWS, so memory is bounded whatever the sample count.
-    Returns (source id, flat target j, count) arrays sorted by source then
-    target, where target total_continuous_cells stands for the exterior.
+    Each source draws its unit points from its own stream, spawned from the
+    build seed by its id, and scales them into its box as sample_cell_array
+    does, bit for bit. Rows, source after source, are drawn, stepped and
+    binned in blocks of at most BLOCK_ROWS, so memory is bounded whatever the
+    sample count. Returns (source id, flat target j, count) arrays sorted by
+    source then target, where target total_continuous_cells stands for the
+    exterior.
     """
-    coords = [id_to_coord(s, spec) for s in ids]
+    digits = np.unravel_index(np.arange(ids.start, ids.stop), spec.radices(), order="F")
+    box_lo, box_hi = cell_boxes(np.stack(digits[: spec.L], axis=1) + 1, spec)
+    box_width = box_hi - box_lo
+    n = tuple(int(d[0]) + 1 for d in digits[spec.L :])
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
             for s in ids]
     n_j, total = spec.total_continuous_cells, len(ids) * samples
     parts = []
     for lo in range(0, total, BLOCK_ROWS):  # every block under one configuration
         hi = min(total, lo + BLOCK_ROWS)
-        xs = np.concatenate([
-            sample_cell_array(coords[c], spec, min(hi, (c + 1) * samples) - max(lo, c * samples),
-                              rngs[c])
+        cells = np.arange(lo, hi) // samples
+        u = np.concatenate([
+            rngs[c].random((min(hi, (c + 1) * samples) - max(lo, c * samples), spec.L))
             for c in range(lo // samples, (hi - 1) // samples + 1)
         ])
-        ys = np.asarray(model.step_many(xs, coords[0].n, dt), dtype=float)
+        xs = box_lo[cells] + u * box_width[cells]
+        ys = np.asarray(model.step_many(xs, n, dt), dtype=float)
         if ys.shape != xs.shape:
             raise BuildError(
-                f"simulator returned shape {ys.shape} for cell {coords[lo // samples]}, "
-                f"expected {xs.shape}"
+                f"simulator returned shape {ys.shape} for cell "
+                f"{id_to_coord(ids[lo // samples], spec)}, expected {xs.shape}"
             )
         if (k := _first(~np.isfinite(ys).all(axis=1))) is not None:
             raise BuildError(
-                f"simulator returned non-finite state from cell {coords[(lo + k) // samples]} "
+                f"simulator returned non-finite state from cell "
+                f"{id_to_coord(ids[(lo + k) // samples], spec)} "
                 f"(sample {(lo + k) % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
             )
-        cells = np.arange(lo, hi) // samples
         parts.append(np.unique(cells * (n_j + 1) + bin_points(ys, spec), return_counts=True))
     keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
     counts = np.bincount(where, weights=np.concatenate([c for _, c in parts])).astype(np.int64)
@@ -488,15 +501,23 @@ def save_map(tmap: TransitionMap, path: str) -> None:
         "version": MAP_FORMAT_VERSION,
         "spec": {f: list(getattr(tmap.spec, f)) for f in _SPEC_FIELDS},
         **{key: getattr(tmap, key) for key in _BUILD_FIELDS},
-        "edges": _edge_list(tmap.matrix),
     }
     if not tmap.simulator_params:
         del doc["simulator_params"]
-    # Streamed on purpose: one json.dumps string of the baseline map would be
-    # faster but raises build-map's peak RSS from 59.3 to 62.4 MB.
+    # The header keys sort around "edges"; the edges are written between
+    # them in slices of EDGE_SLICE rows, each as json.dump would write it.
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    head = json.dumps({k: v for k, v in doc.items() if k < "edges"}, **compact)
+    tail = json.dumps({k: v for k, v in doc.items() if k > "edges"}, **compact)
+    src, tgt, q = _edge_arrays(tmap.matrix)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(head[:-1] + ',"edges":[')
+        for lo in range(0, len(q), EDGE_SLICE):
+            part = slice(lo, lo + EDGE_SLICE)
+            fh.write(("," if lo else "") + ",".join(
+                f"[{s},{t},{w!r}]"
+                for s, t, w in zip(src[part].tolist(), tgt[part].tolist(), q[part].tolist())))
+        fh.write("]," + tail[1:] + "\n")
 
 
 def load_map(path: str) -> TransitionMap:

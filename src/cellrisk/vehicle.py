@@ -104,34 +104,38 @@ class ScenarioParams:
 
 
 def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Controller mode index, and the commands of all modes in index order:
-    0 lane tracking, 1 vehicle following, 2 light brake, 3 strong brake.
+    """Controller mode index and commanded acceleration, elementwise.
 
-    Elementwise in forward velocity v and x-position x; no hidden memory.
-    The mode follows from the clearance to the target in priority order:
-    beyond sensor range, then inside the strong threshold, then inside the
-    light one, else following. Cruise tracks the speed limit and following a
-    comfort-braking profile that stops standstill_clearance short, both
-    clipped to the comfort acceleration.
+    Modes: 0 lane tracking, 1 vehicle following, 2 light brake, 3 strong
+    brake. Elementwise in forward velocity v and x-position x; no hidden
+    memory. The mode follows from the clearance to the target in priority
+    order: beyond sensor range, then inside the strong threshold, then inside
+    the light one, else following. Cruise tracks the speed limit and
+    following a comfort-braking profile that stops standstill_clearance
+    short, both clipped to the comfort acceleration. When every clearance is
+    beyond sensor range only the cruise command is computed.
     """
     p = params
     c = p.target_x - x
+    comf = p.comfort_accel
+    far = c > p.sensor_range
+    cruise = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
+    if np.all(far):
+        return np.zeros(np.shape(c), dtype=np.int64), cruise
     if p.fixed_light_clearance is None:
         light = p.t_gap_des * v
         strong = light / 2.0
     else:
         light = p.fixed_light_clearance
         strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
-    mode = np.where(c > p.sensor_range, 0, np.where(c < strong, 3, np.where(c < light, 2, 1)))
-    comf = p.comfort_accel
+    close, near = c < strong, c < light
+    mode = np.where(far, 0, np.where(close, 3, np.where(near, 2, 1)))
     margin = np.maximum(0.0, c - p.standstill_clearance)
     v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
-    commands = np.empty((4,) + np.shape(c))
-    commands[0] = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
-    commands[1] = np.clip(p.k_gap * (v_des - v), -comf, comf)
-    commands[2] = p.light_accel
-    commands[3] = p.strong_accel
-    return mode, commands
+    follow = np.clip(p.k_gap * (v_des - v), -comf, comf)
+    accel = np.where(far, cruise, np.where(close, p.strong_accel,
+                                           np.where(near, p.light_accel, follow)))
+    return mode, accel
 
 
 class GroundVehicleModel(DynamicsModel):
@@ -161,24 +165,23 @@ class GroundVehicleModel(DynamicsModel):
         omega = p.lateral_omega
 
         cols = batch.T.copy()  # one contiguous row per state variable, in IDX_* order
-        v, vs, yr, x, y, yaw = cols
+        v, x = cols[IDX_V_FWD], cols[IDX_X]
+        # Views into cols: (v_side, yaw_rate) and the (y, yaw) they drive, row by row.
+        rates, poses = cols[IDX_V_SIDE : IDX_YAW_RATE + 1], cols[IDX_Y : IDX_YAW + 1]
 
-        rows = np.arange(len(batch))
         for _ in range(p.substeps):
-            mode, commands = control(v, x, p)
-            a_cmd = commands[mode, rows]
-            a_app = np.where(a_cmd < 0.0, a_cmd * delivery, a_cmd)
+            a = control(v, x, p)[1]
+            if delivery != 1.0:
+                a = np.where(a < 0.0, a * delivery, a)
 
-            v_new = np.maximum(0.0, v + h * a_app)
+            v_new = np.maximum(0.0, v + h * a)
             x += h * 0.5 * (v + v_new)
             v[:] = v_new
 
             # Critically damped pairs (y, v_side) and (yaw, yaw_rate),
             # semi-implicit Euler; stable at omega * h << 1.
-            vs += h * (-(omega**2) * y - 2.0 * omega * vs)
-            y += h * vs
-            yr += h * (-(omega**2) * yaw - 2.0 * omega * yr)
-            yaw += h * yr
+            rates += h * (-(omega**2) * poses - 2.0 * omega * rates)
+            poses += h * rates
 
         return np.ascontiguousarray(cols.T)
 

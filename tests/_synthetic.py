@@ -1,4 +1,4 @@
-"""Hand-built systems used as oracles: tiny specs and analytic maps."""
+"""Hand-built systems used as oracles: tiny specs, analytic maps and reference encoders and kernels."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 from cellrisk.bpa import TopEvent
 from cellrisk.cellspace import SpaceSpec
 from cellrisk.mapper import TransitionMap
+from cellrisk.vehicle import BrakeState
 
 
 def line_spec(n_cells: int, width: float = 1.0, states: int = 1) -> SpaceSpec:
@@ -135,3 +136,48 @@ def tree_to_dict(tree) -> dict:
         "root": {"coord": None, "cell_id": None, "q": 1.0, "cumulative": 1.0, "depth": 0,
                  "event_cell": False, "children": below},
     }
+
+
+def reference_control(v, x, p):
+    """Mode index and the commands of all modes (0 lane tracking, 1 following,
+    2 light brake, 3 strong brake): the reference for vehicle.control."""
+    c = p.target_x - x
+    if p.fixed_light_clearance is None:
+        light = p.t_gap_des * v
+        strong = light / 2.0
+    else:
+        light = p.fixed_light_clearance
+        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
+    mode = np.where(c > p.sensor_range, 0, np.where(c < strong, 3, np.where(c < light, 2, 1)))
+    comf = p.comfort_accel
+    margin = np.maximum(0.0, c - p.standstill_clearance)
+    v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
+    commands = np.empty((4,) + np.shape(c))
+    commands[0] = np.clip(p.k_speed * (p.speed_limit - v), -comf, comf)
+    commands[1] = np.clip(p.k_gap * (v_des - v), -comf, comf)
+    commands[2] = p.light_accel
+    commands[3] = p.strong_accel
+    return mode, commands
+
+
+def reference_step_many(p, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
+    """One vehicle step of an (N, 6) batch, every mode's command built and the
+    row's gathered on each substep: the reference for GroundVehicleModel.step_many."""
+    delivery = BrakeState(n[0]).delivery
+    h = dt / p.substeps
+    omega = p.lateral_omega
+    cols = np.asarray(xs, dtype=float).T.copy()
+    v, vs, yr, x, y, yaw = cols
+    rows = np.arange(len(xs))
+    for _ in range(p.substeps):
+        mode, commands = reference_control(v, x, p)
+        a_cmd = commands[mode, rows]
+        a_app = np.where(a_cmd < 0.0, a_cmd * delivery, a_cmd)
+        v_new = np.maximum(0.0, v + h * a_app)
+        x += h * 0.5 * (v + v_new)
+        v[:] = v_new
+        vs += h * (-(omega**2) * y - 2.0 * omega * vs)
+        y += h * vs
+        yr += h * (-(omega**2) * yaw - 2.0 * omega * yr)
+        yaw += h * yr
+    return np.ascontiguousarray(cols.T)

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +418,18 @@ def test_backtrack_rejects_bad_parameters(baseline_map, baseline_config):
         backtrack(baseline_map, baseline_config.event, depth=0, truncation=0.1)
     with pytest.raises(ValueError):
         backtrack(baseline_map, baseline_config.event, depth=2, truncation=1.0)
+
+
+def test_backtrack_leaves_numpy_ma_unimported():
+    # A plain np.unique imports numpy.ma, about 18 ms of every run-bpa's start-up.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests), str(tests.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from _synthetic import random_absorbing_map; "
+            "from cellrisk.bpa import backtrack; "
+            "tmap, event = random_absorbing_map(12, n_event=2, seed=5); "
+            "backtrack(tmap, event, depth=3, truncation=0.0); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]

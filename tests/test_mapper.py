@@ -385,6 +385,12 @@ MALFORMED_EDGES = {
                        "duplicate"),
     "non-integer-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 2.5, 1.0]],
                        "edges must be [source, target, q] triples: need integer ids"),
+    # Every bad triple is named, check by check, in one error.
+    "every-bad-triple-named": ([[1, 1, 1.5], [2, 2, 1.5], [3, 9, 1.0], [5, 0, 1.0]],
+                               "edge [5, 0, 1.0]: source id outside 0..3; "
+                               "edge [3, 9, 1.0]: target id outside 0..3 or -1; "
+                               "edge [1, 1, 1.5]: q outside (0, 1]; "
+                               "edge [2, 2, 1.5]: q outside (0, 1]"),
 }
 
 

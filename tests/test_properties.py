@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import random_absorbing_map, tree_to_dict
+from _synthetic import random_absorbing_map, reference_step_many, tree_to_dict
 from cellrisk.bpa import (
     RankedPath,
     backtrack,
@@ -22,11 +24,21 @@ from cellrisk.bpa import (
     rank_paths,
     write_tree,
 )
-from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from cellrisk.cli import LinearDriftModel
+from cellrisk import mapper
+from cellrisk.cellspace import (
+    EXTERIOR_ID,
+    CellCoord,
+    SpaceSpec,
+    bin_points,
+    coord_to_id,
+    id_to_coord,
+    sample_cell_array,
+)
+from cellrisk.cli import SIMULATORS, LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
 from cellrisk.mapper import (
     BudgetError,
+    DynamicsModel,
     TransitionMap,
     build_map,
     estimate_g,
@@ -159,6 +171,111 @@ def test_vehicle_step_many_is_row_independent(
     for i in range(len(xs)):
         alone = model.step_many(xs[i : i + 1], (brake,), cfg.dt)[0]
         assert alone.tobytes() == batch[i].tobytes()
+
+
+@st.composite
+def vehicle_batches(draw, params):
+    """(N, 6) states with x-positions at the controller's thresholds for params.
+
+    Each row sits near the sensor-range edge, the light or the strong
+    clearance at its speed, past the target, or anywhere on the wide grid;
+    speeds include standstill. Some batches are beyond sensor range
+    throughout, where the controller computes only the cruise command.
+    """
+    far_only = draw(st.booleans())
+    n_rows = draw(st.integers(1, 30))
+    rows = []
+    for _ in range(n_rows):
+        row = list(draw(st.tuples(*(st.floats(lo, hi) for lo, hi in VEHICLE_RANGES))))
+        v = draw(st.sampled_from([0.0, row[0], params.speed_limit]))
+        if params.fixed_light_clearance is None:
+            light = params.t_gap_des * v
+            strong = light / 2.0
+        else:
+            light, strong = params.fixed_light_clearance, params.fixed_strong_clearance
+        if far_only:
+            x = draw(st.floats(VEHICLE_RANGES[3][0],
+                               params.target_x - params.sensor_range - 25.0))
+        else:
+            clearance = draw(st.sampled_from([params.sensor_range, light, strong, None]))
+            if clearance is None:
+                x = draw(st.one_of(st.floats(*VEHICLE_RANGES[3]),
+                                   st.floats(params.target_x, VEHICLE_RANGES[3][1])))
+            else:
+                x = params.target_x - clearance + draw(
+                    st.sampled_from([0.0, 1e-12, -1e-12, 1e-3, -1e-3, 0.2, -0.2]))
+        row[0], row[3] = v, x
+        rows.append(row)
+    return np.array(rows)
+
+
+SCENARIOS = st.sampled_from(["agv-baseline", "agv-modified"])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # A plain bool: pytest's diff of two byte strings would slow every shrink step.
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(SCENARIOS, st.sampled_from([1, 2, 3]), st.sampled_from([2.0 / 3.0, 0.1, 1.5]), st.data())
+def test_vehicle_step_many_equals_gathered_commands_reference(name, brake, dt, data):
+    model = SIMULATORS[name]({})
+    xs = data.draw(vehicle_batches(model.params))
+    expected = reference_step_many(model.params, xs, (brake,), dt)
+    assert _same_bits(model.step_many(xs, (brake,), dt), expected)
+
+
+@PROPERTY
+@given(SCENARIOS, st.sampled_from([1, 2, 3]), st.data())
+def test_vehicle_step_many_equals_any_split(name, brake, data):
+    # Rows are independent bit for bit (DynamicsModel), though the
+    # controller's cruise-only case looks at the whole batch.
+    model = SIMULATORS[name]({})
+    xs = np.concatenate([data.draw(vehicle_batches(model.params)) for _ in range(2)])
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(xs) - 1), max_size=4))) if len(xs) > 1 else []
+    whole = model.step_many(xs, (brake,), 2.0 / 3.0)
+    pieces = [model.step_many(part, (brake,), 2.0 / 3.0) for part in np.split(xs, cuts)]
+    assert _same_bits(np.concatenate(pieces), whole)
+
+
+class _Recording(DynamicsModel):
+    """Delegates to a model and keeps every batch it is asked to step."""
+
+    def __init__(self, inner):
+        self.inner, self.batches = inner, []
+
+    def step_many(self, xs, n, dt):
+        self.batches.append(xs.copy())
+        return self.inner.step_many(xs, n, dt)
+
+
+@PROPERTY
+@given(systems(), st.integers(1, 40), st.data())
+def test_flow_counts_equal_per_source_draws(system, block_rows, data):
+    # Sources split across blocks keep drawing from their own streams.
+    spec, _, model, samples, seed = system
+    lower = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=spec.L, max_size=spec.L))
+    sizes = data.draw(st.lists(st.floats(0.1, 30.0), min_size=spec.L, max_size=spec.L))
+    spec = dataclasses.replace(spec, lower=lower, upper=[a + b for a, b in zip(lower, sizes)])
+    n_j = spec.total_continuous_cells
+    base = n_j * data.draw(st.integers(0, spec.total_configs - 1))
+    start = data.draw(st.integers(0, n_j - 1))
+    ids = range(base + start, base + data.draw(st.integers(start + 1, n_j)))
+    recording = _Recording(model)
+    with mock.patch.object(mapper, "BLOCK_ROWS", block_rows):
+        got = mapper._flow_counts(recording, spec, 1.0, samples, seed, ids)
+    points, expected = [], []
+    for s in ids:
+        coord = id_to_coord(s, spec)
+        xs = sample_cell_array(coord, spec, samples,
+                               np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        points.append(xs)
+        targets, counts = np.unique(bin_points(model.step_many(xs, coord.n, 1.0), spec),
+                                    return_counts=True)
+        expected += [(s, t, c) for t, c in zip(targets.tolist(), counts.tolist())]
+    assert _same_bits(np.concatenate(recording.batches), np.concatenate(points))
+    assert list(zip(*(a.tolist() for a in got))) == expected
 
 
 def _nodes_by_path(tree) -> dict[tuple[int, ...], tuple[float, float]]:

@@ -18,7 +18,7 @@ from cellrisk.vehicle import (
 
 BASE = ScenarioParams(t_gap_des=1.3)
 
-# control()'s mode indices, which also index its commands.
+# control()'s mode indices.
 LANE_TRACKING, VEHICLE_FOLLOWING, LIGHT_BRAKE, STRONG_BRAKE = range(4)
 
 
@@ -49,20 +49,25 @@ def test_mode_fixed_thresholds():
 
 
 def test_commanded_accel_brake_levels():
-    commands = control(15.0, 490.0, BASE)[1]
-    assert commands[STRONG_BRAKE] == -0.8 * 9.81
-    assert commands[LIGHT_BRAKE] == -0.3 * 9.81
-    assert commands[STRONG_BRAKE] == pytest.approx(-7.848)
-    assert commands[LIGHT_BRAKE] == pytest.approx(-2.943)
+    strong = control(15.0, 492.0, BASE)  # c = 8 < 19.5 / 2
+    light = control(15.0, 481.0, BASE)  # c = 19 < 19.5
+    assert strong[0] == STRONG_BRAKE and light[0] == LIGHT_BRAKE
+    assert strong[1] == -0.8 * 9.81
+    assert light[1] == -0.3 * 9.81
+    assert strong[1] == pytest.approx(-7.848)
+    assert light[1] == pytest.approx(-2.943)
 
 
 def test_commanded_accel_cruise_at_limit_is_zero():
-    assert control(BASE.speed_limit, 0.0, BASE)[1][LANE_TRACKING] == 0.0
+    mode, accel = control(BASE.speed_limit, 0.0, BASE)
+    assert mode == LANE_TRACKING and accel == 0.0
 
 
 def test_commanded_accel_comfort_bounded():
-    assert control(0.0, 0.0, BASE)[1][LANE_TRACKING] <= BASE.comfort_accel
-    assert control(30.0, 0.0, BASE)[1][LANE_TRACKING] >= -BASE.comfort_accel
+    for v in (0.0, 30.0):
+        assert control(v, 0.0, BASE)[0] == LANE_TRACKING
+    assert control(0.0, 0.0, BASE)[1] <= BASE.comfort_accel
+    assert control(30.0, 0.0, BASE)[1] >= -BASE.comfort_accel
 
 
 def closed_form_brake(v0: float, x0: float, accel: float, dt: float, substeps: int):
