@@ -196,11 +196,6 @@ def _row_sums(matrix: CSR) -> np.ndarray:
     return np.bincount(matrix.row_ids(), weights=matrix.data, minlength=n_rows)[:-1]
 
 
-def _first(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def _off_rows(matrix: CSR) -> str | None:
     """Every source whose outgoing mass is off one by more than ROW_SUM_TOL, each named."""
     sums = _row_sums(matrix)
@@ -277,24 +272,25 @@ def _flow_counts(
     parts = []
     for lo in range(0, total, BLOCK_ROWS):  # every block under one configuration
         hi = min(total, lo + BLOCK_ROWS)
-        cells = np.arange(lo, hi) // samples
-        u = np.concatenate([
-            rngs[c].random((min(hi, (c + 1) * samples) - max(lo, c * samples), spec.L))
-            for c in range(lo // samples, (hi - 1) // samples + 1)
-        ])
-        xs = box_lo[cells] + u * box_width[cells]
+        sources = range(lo // samples, (hi - 1) // samples + 1)
+        sizes = [min(hi, (c + 1) * samples) - max(lo, c * samples) for c in sources]
+        u = np.concatenate([rngs[c].random((k, spec.L)) for c, k in zip(sources, sizes)])
+        box = slice(sources.start, sources.stop)
+        xs = np.repeat(box_lo[box], sizes, axis=0) + u * np.repeat(box_width[box], sizes, axis=0)
         ys = np.asarray(model.step_many(xs, n, dt), dtype=float)
         if ys.shape != xs.shape:
             raise BuildError(
                 f"simulator returned shape {ys.shape} for cell "
                 f"{id_to_coord(ids[lo // samples], spec)}, expected {xs.shape}"
             )
-        if (k := _first(~np.isfinite(ys).all(axis=1))) is not None:
+        if not np.isfinite(ys).all():
+            k = int(np.flatnonzero(~np.isfinite(ys).all(axis=1))[0])
             raise BuildError(
                 f"simulator returned non-finite state from cell "
                 f"{id_to_coord(ids[(lo + k) // samples], spec)} "
                 f"(sample {(lo + k) % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
             )
+        cells = np.repeat(np.arange(sources.start, sources.stop), sizes)
         parts.append(np.unique(cells * (n_j + 1) + bin_points(ys, spec), return_counts=True))
     keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
     counts = np.bincount(where, weights=np.concatenate([c for _, c in parts])).astype(np.int64)
