@@ -1,4 +1,4 @@
-"""Hand-built systems used as oracles: tiny specs, analytic maps and reference encoders and kernels."""
+"""Hand-built systems used as oracles: tiny specs, analytic maps, reference encoders and kernels."""
 
 from __future__ import annotations
 

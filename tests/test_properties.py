@@ -233,7 +233,7 @@ def test_vehicle_step_many_equals_any_split(name, brake, data):
     # controller's cruise-only case looks at the whole batch.
     model = SIMULATORS[name]({})
     xs = np.concatenate([data.draw(vehicle_batches(model.params)) for _ in range(2)])
-    cuts = sorted(data.draw(st.lists(st.integers(1, len(xs) - 1), max_size=4))) if len(xs) > 1 else []
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(xs) - 1), max_size=4)))
     whole = model.step_many(xs, (brake,), 2.0 / 3.0)
     pieces = [model.step_many(part, (brake,), 2.0 / 3.0) for part in np.split(xs, cuts)]
     assert _same_bits(np.concatenate(pieces), whole)
