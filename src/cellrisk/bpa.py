@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -20,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mapper
-from .cellspace import CellCoord, SpaceSpec, coord_to_id, id_to_coord
-from .mapper import CSR, BudgetError, TransitionMap, predecessors
+from .cellspace import CellCoord, SpaceSpec, coord_to_id
+from .mapper import CSR, BudgetError, TransitionMap, compact, predecessors, write_json
 
 __all__ = [
     "Level",
@@ -294,10 +293,12 @@ def backtrack(
     for level in levels:
         in_tree[level.cell] = True
     cells = np.flatnonzero(in_tree)
+    digits = np.stack(np.unravel_index(cells, tmap.spec.radices(), order="F"), axis=1) + 1
+    L = tmap.spec.L
     return ScenarioTree(
         levels=levels,
         entry_edges=[sorted(detail[source]) for source, _ in kept],
-        coords={c: id_to_coord(c, tmap.spec) for c in cells.tolist()},
+        coords={c: CellCoord(d[:L], d[L:]) for c, d in zip(cells.tolist(), digits.tolist())},
         event=event,
         event_cell_ids=ev_cells,
         depth=depth,
@@ -424,24 +425,6 @@ def forward_check(
     return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
-def _tree_header(tree: ScenarioTree) -> dict:
-    """Every field of the tree document but its root node."""
-    return {
-        "format": TREE_FORMAT,
-        "version": TREE_FORMAT_VERSION,
-        "search_depth": tree.depth,
-        "truncation": tree.truncation,
-        "map_simulator": tree.map_simulator,
-        "map_seed": tree.map_seed,
-        "event": {
-            "lower": list(tree.event.lower),
-            "upper": list(tree.event.upper),
-            "configs": sorted(list(c) for c in tree.event.configs),
-        },
-        "n_nodes": tree.n_nodes,
-    }
-
-
 def _preorder(levels: list[Level]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each level's preorder numbers (0 for the first level-1 node) and subtree sizes."""
     starts = [_child_starts(levels, k) for k in range(len(levels))]
@@ -475,32 +458,29 @@ def _join_at(parts: list[tuple[np.ndarray, list[str]]], sep: str = "") -> str:
     return sep.join(map(texts.__getitem__, order.tolist()))
 
 
-# json.dumps(..., sort_keys=True, separators=(",", ":")) with one encoder.
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
     """A tree-file node's text up to its children, from them to its cumulative,
     and from its depth to its q, the same for every node of one cell."""
-    return (f'{{"cell_id":{_compact(cell_id)},"children":[',
-            f'],"coord":{_compact(vector)},"cumulative":',
-            f',"event_cell":{_compact(is_event)},"q":')
+    return (f'{{"cell_id":{compact(cell_id)},"children":[',
+            f'],"coord":{compact(vector)},"cumulative":',
+            f',"event_cell":{compact(is_event)},"q":')
 
 
 def write_tree(tree: ScenarioTree, path: str) -> None:
     """Write the tree file: one JSON object, keys sorted, compact separators.
 
-    Its fields are _tree_header's plus root: a node with coord and cell_id
-    null, q and cumulative 1.0, depth 0 and event_cell false. Every node
-    has coord (its cell's vector), cell_id, q, cumulative, depth,
-    event_cell and children, each level in its order; a level-1 node also
-    has entry_edges, [event cell id, q] pairs. Nodes of
-    one cell share the text of their cell id, coordinate and event flag,
-    so per node only its cumulative, depth and q are written (floats by
-    repr, as json writes them), plus the level-1 entry_edges. Each node
-    gives the text before its children and the text after them; these go
-    in the order a preorder walk enters and leaves the nodes. The header
-    fields and the entry edges go through json's encoder.
+    Its fields are format, version, search_depth, truncation, map_simulator,
+    map_seed, event (lower, upper and configs), n_nodes and root: a node
+    with coord and cell_id null, q and cumulative 1.0, depth 0 and
+    event_cell false. Every node has coord (its cell's vector), cell_id, q,
+    cumulative, depth, event_cell and children, each level in its order; a
+    level-1 node also has entry_edges, [event cell id, q] pairs. Nodes of
+    one cell share the text of their cell id, coordinate and event flag, so
+    per node only its cumulative, depth and q are written (floats by repr,
+    as json writes them), plus the level-1 entry_edges. Each node gives the
+    text before its children and the text after them; these go in the
+    order a preorder walk enters and leaves the nodes. The root goes to
+    write_json as that text, the other fields as values.
     """
     shared = {c: _node_text(c, list(coord.as_vector()), c in tree.event_cell_ids)
               for c, coord in tree.coords.items()}
@@ -514,7 +494,7 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         cell = level.cell.tolist()
         depth = [f',"depth":{k + 1}'] * len(cell)
         if k == 0:
-            depth = [f'{d},"entry_edges":{_compact(edges)}'
+            depth = [f'{d},"entry_edges":{compact(edges)}'
                      for d, edges in zip(depth, tree.entry_edges)]
         opened = [shared[c][0] if f else after_sibling[c] for c, f in zip(cell, first.tolist())]
         closed = [f"{shared[c][1]}{cumulative!r}{d}{shared[c][2]}{number(q)}}}"
@@ -524,28 +504,33 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         # event, its exit the 2*(pre+size)-(k+1)-th.
         parts += [(2 * pre[k] - k, opened), (2 * (pre[k] + sizes[k]) - (k + 1), closed)]
     root = _node_text(None, None, False)
-    body = f'{root[0]}{_join_at(parts)}{root[1]}1.0,"depth":0{root[2]}1.0}}'
-    # Keys are sorted: "root" sits between "n_nodes" and "search_depth".
-    header = _tree_header(tree)
-    before = _compact({k: v for k, v in header.items() if k < "root"})
-    after = _compact({k: v for k, v in header.items() if k > "root"})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{before[:-1]},"root":{body},{after[1:]}\n')
+    write_json(path, sorted({
+        "format": TREE_FORMAT,
+        "version": TREE_FORMAT_VERSION,
+        "search_depth": tree.depth,
+        "truncation": tree.truncation,
+        "map_simulator": tree.map_simulator,
+        "map_seed": tree.map_seed,
+        "event": {"lower": list(tree.event.lower), "upper": list(tree.event.upper),
+                  "configs": sorted(list(c) for c in tree.event.configs)},
+        "n_nodes": tree.n_nodes,
+        "root": iter((root[0], _join_at(parts), f'{root[1]}1.0,"depth":0{root[2]}1.0}}')),
+    }.items()))
 
 
 def encode_ranked_paths(ranking: PathRanking):
-    """A run report's ranked_paths as JSON text, in slices of 4096 rows.
+    """The JSON text of every row of a run report's ranked_paths, most probable first.
 
-    Joined, the slices equal json.dumps(rows, sort_keys=True, separators=(",",
-    ":")) of one {"cells": its vectors, "steps", "cumulative", "rendered":
-    path.render()} row per ranked path. Every node with children gets its
-    path's cells, steps and rendered text from it up to the event once: its
-    own piece followed by its parent's (JSON string escaping composes under
-    concatenation). A row is its leaf's pieces followed by its parent's.
+    Each equals compact({"cells": its vectors, "steps", "cumulative",
+    "rendered": path.render()}) of its ranked path. Every node with children
+    gets its path's cells, steps and rendered text from it up to the event
+    once: its own piece followed by its parent's (JSON string escaping
+    composes under concatenation). A row is its leaf's pieces followed by
+    its parent's.
     """
     tree = ranking.tree
     levels = tree.levels
-    vector = {c: _compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
+    vector = {c: compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
     step = functools.cache(
         lambda c, q: encode_basestring_ascii(_step_text(tree.coords[c], q))[1:-1])
     number = functools.cache(repr)
@@ -570,19 +555,11 @@ def encode_ranked_paths(ranking: PathRanking):
         at = ranking.index[rows]
         for out, values in zip(leaf, (level.cell, level.q, level.parent)):
             out[rows] = values[at]
-    yield "["
-    for start in range(0, len(ranking), 4096):
-        rows = []
-        window = slice(start, start + 4096)
-        for d, c, q, p, cumulative in zip(ranking.length[window].tolist(),
-                                          *(a[window].tolist() for a in leaf),
-                                          ranking.cumulative[window].tolist()):
-            cells, steps, rendered = pieces[d - 1]
-            rows.append(f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cumulative!r},'
-                        f'"rendered":"{step(c, q)}{rendered[p]}",'
-                        f'"steps":[{number(q)}{steps[p]}]}}')
-        yield ("," if start else "") + ",".join(rows)
-    yield "]"
+    for d, c, q, p, cumulative in zip(ranking.length.tolist(), *(a.tolist() for a in leaf),
+                                      ranking.cumulative.tolist()):
+        cells, steps, rendered = pieces[d - 1]
+        yield (f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cumulative!r},'
+               f'"rendered":"{step(c, q)}{rendered[p]}","steps":[{number(q)}{steps[p]}]}}')
 
 
 def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:

@@ -10,7 +10,6 @@ the documented exit codes.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -44,8 +43,10 @@ from .mapper import (
     MapFormatError,
     TransitionMap,
     build_map,
+    json_array,
     load_map,
     save_map,
+    write_json,
 )
 from .vehicle import GroundVehicleModel, ScenarioParams
 
@@ -611,38 +612,24 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
         with open(out_text, "w", encoding="utf-8") as fh:
             fh.write(tree_to_text(tree) + "\n")
     if out_report:
-        # The report's fields in sorted-key order: these, then the rows,
-        # written in slices as they are encoded, then the timings and the rest.
-        head = {
-            "config": cfg.normalized_dict(),
-            "format": REPORT_FORMAT,
-            "map": {
-                "path": map_path,
-                "sources": tmap.n_cells,
-                "edges": tmap.n_edges,
-                "exterior_mass": tmap.total_exterior_mass(),
-                "simulator": tmap.simulator,
-                "seed": tmap.seed,
-            },
-        }
-        compact = {"sort_keys": True, "separators": (",", ":")}
-        with open(out_report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(head, **compact)[:-1] + ',"ranked_paths":')
-            fh.writelines(bpa_mod.encode_ranked_paths(ranking))
-            tail = {
-                # export_seconds covers the tree, graph and text writes and
-                # the report's rows, not the report's other fields
-                "timings": {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
-                            "export_seconds": time.perf_counter() - t2},
-                "tree": {
-                    "nodes": tree.n_nodes,
-                    "paths": len(ranking),
-                    "max_depth_reached": tree.max_depth_reached,
-                    "event_cells": len(tree.event_cell_ids),
-                },
-                "version": REPORT_FORMAT_VERSION,
-            }
-            fh.write("," + json.dumps(tail, **compact)[1:] + "\n")
+        def report():
+            """The report's fields in key order; the timings are taken once the rows are written."""
+            yield "config", cfg.normalized_dict()
+            yield "format", REPORT_FORMAT
+            yield "map", {"path": map_path, "sources": tmap.n_cells, "edges": tmap.n_edges,
+                          "exterior_mass": tmap.total_exterior_mass(),
+                          "simulator": tmap.simulator, "seed": tmap.seed}
+            yield "ranked_paths", json_array(bpa_mod.encode_ranked_paths(ranking))
+            # export_seconds covers the tree, graph and text writes and the
+            # report's rows, not the report's other fields
+            yield "timings", {"search_seconds": t1 - t0, "rank_seconds": t2 - t1,
+                              "export_seconds": time.perf_counter() - t2}
+            yield "tree", {"nodes": tree.n_nodes, "paths": len(ranking),
+                           "max_depth_reached": tree.max_depth_reached,
+                           "event_cells": len(tree.event_cell_ids)}
+            yield "version", REPORT_FORMAT_VERSION
+
+        write_json(out_report, report())
 
     click.echo(f"tree: {tree.n_nodes} nodes, {len(ranking)} ranked paths")
     for p in ranking.paths(10):

@@ -12,8 +12,10 @@ predecessor queries.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,17 +42,20 @@ __all__ = [
     "MapFormatError",
     "TransitionMap",
     "build_map",
+    "compact",
     "estimate_g",
     "forward_step",
+    "json_array",
     "load_map",
     "predecessors",
     "save_map",
+    "write_json",
 ]
 
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
 BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory
-EDGE_SLICE = 4_096  # map file edges encoded per write
+ROW_SLICE = 4_096  # array rows joined into one text by json_array
 
 MAP_FORMAT = "cellrisk-transition-map"
 MAP_FORMAT_VERSION = 1
@@ -450,17 +455,23 @@ def _list_of(test):
     return lambda v: isinstance(v, list) and all(map(test, v))
 
 
-def _check_fields(doc: dict, fields) -> None:
-    """Raise ValueError for the first of fields (dotted key, test, what it must
-    be) that doc lacks or whose value fails its test, naming the field."""
+def _field_problems(doc: dict, fields) -> list[str]:
+    """Every one of fields (key or parent.key, test, what it must be) that doc
+    lacks or whose value fails its test, in order; a named field's children are skipped."""
+    problems, named = [], set()
     for key, test, noun in fields:
-        value = doc
-        for part in key.split("."):
-            if part not in value:
-                raise ValueError(f"missing field {key!r}")
-            value = value[part]
-        if not test(value):
-            raise ValueError(f"{key} must be {noun}, got {value!r}")
+        parent, _, name = key.rpartition(".")
+        if parent in named:
+            continue
+        owner = doc[parent] if parent else doc
+        if name not in owner:
+            problems.append(f"missing field {key!r}")
+        elif not test(owner[name]):
+            problems.append(f"{key} must be {noun}, got {owner[name]!r}")
+        else:
+            continue
+        named.add(key)
+    return problems
 
 
 # The map file's header, which save_map writes and load_map checks, key by key.
@@ -482,6 +493,39 @@ _SPEC_FIELDS = tuple(key[5:] for key, _, _ in _MAP_FIELDS if key.startswith("spe
 _BUILD_FIELDS = tuple(key for key, _, _ in _MAP_FIELDS if not key.startswith("spec"))
 
 
+# json.dumps(value, sort_keys=True, separators=(",", ":")), the layout of every output file.
+compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def json_array(rows):
+    """The JSON array of row texts: "[", the rows joined by "," in slices of
+    ROW_SLICE rows, then "]"."""
+    rows, comma = iter(rows), ""
+    yield "["
+    while part := list(itertools.islice(rows, ROW_SLICE)):
+        yield comma + ",".join(part)
+        comma = ","
+    yield "]"
+
+
+def write_json(path: str, fields) -> None:
+    """Write compact(dict(fields)) + "\n" to path, byte for byte.
+
+    fields are (key, value) pairs in ascending key order. A value that is an
+    iterator is written as the text it yields, such as json_array's; the
+    next pair is pulled only after that text is written.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        keys = []
+        for key, value in fields:
+            if keys and not keys[-1] < key:
+                raise ValueError(f"field {key!r} after {keys[-1]!r}: keys must ascend")
+            fh.write(("," if keys else "{") + compact(key) + ":")
+            fh.writelines(value if isinstance(value, Iterator) else [compact(value)])
+            keys.append(key)
+        fh.write("}\n" if keys else "{}\n")
+
+
 def save_map(tmap: TransitionMap, path: str) -> None:
     """Persist a map as versioned JSON.
 
@@ -492,36 +536,26 @@ def save_map(tmap: TransitionMap, path: str) -> None:
     followed by a save is byte-identical. Wall-clock metadata is excluded
     to keep rebuilds with equal seeds byte-identical.
     """
+    src, tgt, q = map(memoryview, _edge_arrays(tmap.matrix))  # Python numbers, held in no list
     doc = {
         "format": MAP_FORMAT,
         "version": MAP_FORMAT_VERSION,
         "spec": {f: list(getattr(tmap.spec, f)) for f in _SPEC_FIELDS},
         **{key: getattr(tmap, key) for key in _BUILD_FIELDS},
+        "edges": json_array(f"[{s},{t},{w!r}]" for s, t, w in zip(src, tgt, q)),
     }
     if not tmap.simulator_params:
         del doc["simulator_params"]
-    # The header keys sort around "edges"; the edges are written between
-    # them in slices of EDGE_SLICE rows, each as json.dump would write it.
-    compact = {"sort_keys": True, "separators": (",", ":")}
-    head = json.dumps({k: v for k, v in doc.items() if k < "edges"}, **compact)
-    tail = json.dumps({k: v for k, v in doc.items() if k > "edges"}, **compact)
-    src, tgt, q = _edge_arrays(tmap.matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ',"edges":[')
-        for lo in range(0, len(q), EDGE_SLICE):
-            part = slice(lo, lo + EDGE_SLICE)
-            fh.write(("," if lo else "") + ",".join(
-                f"[{s},{t},{w!r}]"
-                for s, t, w in zip(src[part].tolist(), tgt[part].tolist(), q[part].tolist())))
-        fh.write("]," + tail[1:] + "\n")
+    write_json(path, sorted(doc.items()))
 
 
 def load_map(path: str) -> TransitionMap:
     """Load a map persisted by save_map, checking it where it enters.
 
-    Raises MapFormatError for a file that is not a map, a header field of
-    the wrong type or range (see _MAP_FIELDS), an id out of range, q
-    outside (0, 1], a duplicate edge and every row that does not sum to
+    Raises MapFormatError for a file that is not a map, naming every header
+    field that is missing or of the wrong type or range (see _MAP_FIELDS);
+    for a clean header, one naming the edges with an id out of range, q
+    outside (0, 1] or a duplicate pair, or every row that does not sum to
     one. A file without simulator_params was built with none.
     """
     try:
@@ -534,8 +568,9 @@ def load_map(path: str) -> TransitionMap:
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise MapFormatError(f"{path}: unsupported version {doc.get('version')}")
     doc = {"simulator_params": {}, **doc}
+    if problems := _field_problems(doc, _MAP_FIELDS):
+        raise MapFormatError(f"{path}: " + "; ".join(problems))
     try:
-        _check_fields(doc, _MAP_FIELDS)
         spec = SpaceSpec(**{f: tuple(doc["spec"][f]) for f in _SPEC_FIELDS})
         matrix = _edge_matrix(spec.total_cells, doc["edges"])
         build = {key: doc[key] for key in _BUILD_FIELDS} | {"dt": float(doc["dt"])}

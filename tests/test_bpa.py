@@ -31,7 +31,7 @@ from cellrisk.bpa import (
     write_tree,
 )
 from cellrisk.cellspace import CellCoord, SpaceSpec, bounds_of, coord_to_id, id_to_coord
-from cellrisk.mapper import BudgetError, TransitionMap
+from cellrisk.mapper import BudgetError, TransitionMap, json_array
 
 PI = math.pi
 
@@ -398,7 +398,7 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config)
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_6_TREE_SHA256
     assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_6_DOT_SHA256
-    rows = "".join(encode_ranked_paths(tree.ranking()))
+    rows = "".join(json_array(encode_ranked_paths(tree.ranking())))
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
     text = (tree_to_text(tree) + "\n").encode()
     assert hashlib.sha256(text).hexdigest() == DEPTH_6_TEXT_SHA256

@@ -550,6 +550,24 @@ def test_malformed_map_spec_exit_code(tmp_path, command, case):
     assert "map error" in res.output and words[0] in res.output
 
 
+@pytest.mark.parametrize("command", ["run-bpa", "forward-check", "validate"])
+def test_every_bad_map_header_field_is_named(tmp_path, command):
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc.update(seed=-1, dt="x")
+    doc["spec"]["names_x"] = "abc"
+    map_path.write_text(json.dumps(doc))
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
+    )
+    code = EXIT_VALIDATION_FAILURE if command == "validate" else EXIT_CONFIG_ERROR
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    assert (f"map error: {map_path}: spec.names_x must be a list of strings, got 'abc'; "
+            "dt must be a number, got 'x'; seed must be an integer >= 0, got -1\n") in res.output
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [

@@ -17,6 +17,7 @@ from cellrisk.configuration import (
     ConfigTransitionModel,
     component_matrix_from_rows,
 )
+from cellrisk import mapper
 from cellrisk.mapper import (
     BudgetError,
     BuildError,
@@ -24,11 +25,14 @@ from cellrisk.mapper import (
     MapFormatError,
     TransitionMap,
     build_map,
+    compact,
     estimate_g,
     forward_step,
+    json_array,
     load_map,
     predecessors,
     save_map,
+    write_json,
 )
 
 BRAKE_ROWS = [["~1", 2e-7, 2e-7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -463,6 +467,64 @@ def test_load_map_rejects_malformed_header(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError, match=re.escape(message)):
         load_map(str(path))
+
+
+@pytest.mark.parametrize("spec_defect, message", [
+    (lambda doc: doc.update(spec=5), "spec must be an object, got 5"),
+    (lambda doc: doc.pop("spec"), "missing field 'spec'"),
+], ids=["spec-not-an-object", "spec-missing"])
+def test_load_map_names_every_bad_header_field(tmp_path, spec_defect, message):
+    # The fields under a bad spec are not checked; the edges are checked
+    # only once the header is clean.
+    path = _write_map(tmp_path, [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]])
+    doc = json.loads(path.read_text())
+    spec_defect(doc)
+    doc.update(seed=-1, simulator=3)
+    doc["edges"].append([99, 0, 0.5])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapFormatError) as err:
+        load_map(str(path))
+    assert str(err.value) == (f"{path}: {message}; seed must be an integer >= 0, got -1; "
+                              "simulator must be a string, got 3")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4])
+def test_json_array_joins_rows_in_slices(monkeypatch, n_rows):
+    monkeypatch.setattr(mapper, "ROW_SLICE", 3)
+    rows = [[k, k / 3, {"k": str(k)}] for k in range(n_rows)]
+    pieces = list(json_array(compact(row) for row in rows))
+    assert "".join(pieces) == compact(rows)
+    assert len(pieces) == 2 + math.ceil(n_rows / 3)  # "[", the slices, "]"
+
+
+def test_json_array_of_no_rows_is_empty():
+    assert "".join(json_array([])) == "[]"
+
+
+def test_write_json_pulls_the_next_field_once_the_last_is_written(tmp_path):
+    events = []
+
+    def rows():
+        for k in range(3):
+            events.append(f"row {k}")
+            yield str(k)
+
+    def fields():
+        yield "a", json_array(rows())
+        events.append("pulled b")
+        yield "b", {"y": 1, "x": [2.5]}
+
+    path = tmp_path / "doc.json"
+    write_json(str(path), fields())
+    assert events == ["row 0", "row 1", "row 2", "pulled b"]
+    assert path.read_text() == '{"a":[0,1,2],"b":{"x":[2.5],"y":1}}\n'
+
+
+@pytest.mark.parametrize("fields", [[("b", 1), ("a", 2)], [("a", 1), ("a", 2)]],
+                         ids=["descending", "repeated"])
+def test_write_json_rejects_keys_out_of_order(tmp_path, fields):
+    with pytest.raises(ValueError, match="keys must ascend"):
+        write_json(str(tmp_path / "doc.json"), fields)
 
 
 def test_simulator_params_saved_only_when_given(tmp_path):

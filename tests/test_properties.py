@@ -41,11 +41,14 @@ from cellrisk.mapper import (
     DynamicsModel,
     TransitionMap,
     build_map,
+    compact,
     estimate_g,
     forward_step,
+    json_array,
     load_map,
     predecessors,
     save_map,
+    write_json,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -406,11 +409,37 @@ def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, trunca
         }
         for p in paths
     ]
-    text = "".join(encode_ranked_paths(tree.ranking(prior)))
-    expected = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    # Split between rows, so that a failure shows the first row that differs
-    # rather than a diff of the whole text.
-    assert text.split("},{") == expected.split("},{")
+    expected = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+    assert list(encode_ranked_paths(tree.ranking(prior))) == expected
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@PROPERTY
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5), st.data())
+def test_write_json_equals_compact_of_the_dict(doc, data):
+    # Some values go in as iterators: an array's row texts through
+    # json_array, any other value's text cut into pieces.
+    fields = []
+    for key, value in sorted(doc.items()):
+        how = data.draw(st.sampled_from(["value", "rows", "pieces"]))
+        text = compact(value)
+        if how == "rows" and isinstance(value, list):
+            value = json_array(compact(row) for row in value)
+        elif how == "pieces":
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=3)))
+            value = iter([text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])])
+        fields.append((key, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(str(path), fields)
+        assert path.read_text(encoding="utf-8") == compact(doc) + "\n"
 
 
 # scipy is the independent oracle for the map's plain CSR arrays.
