@@ -20,10 +20,11 @@ import numpy as np
 
 from . import mapper
 from .cellspace import CellCoord, SpaceSpec, coord_to_id
-from .mapper import CSR, BudgetError, TransitionMap, compact, predecessors, write_json
+from .mapper import CSR, BudgetError, TransitionMap, compact, joined, predecessors, write_json
 
 __all__ = [
     "Level",
+    "LevelTexts",
     "Node",
     "PathRanking",
     "RankedPath",
@@ -136,6 +137,14 @@ class Level(NamedTuple):
     parent: np.ndarray      # int64
 
 
+class LevelTexts(NamedTuple):
+    """One level's numbers as the writers print them, as object arrays aligned with its nodes."""
+
+    cumulative: np.ndarray  # repr, as json writes a float
+    q: np.ndarray           # repr
+    g: np.ndarray           # format(q, "g"), as the labels and rendered paths show it
+
+
 class Node(NamedTuple):
     """One node's row of its level's arrays, with its depth (1 on level 1)."""
 
@@ -192,6 +201,18 @@ class ScenarioTree:
             for row in zip(level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(),
                            level.parent.tolist()):
                 yield Node(depth, *row)
+
+    @functools.cached_property
+    def texts(self) -> list[LevelTexts]:
+        """Each level's LevelTexts, made once for all writers; each distinct q is formatted once."""
+        q = np.sort(np.concatenate([_NO_FLOATS, *(level.q for level in self.levels)]))
+        # Each value that differs from the one before it; not np.unique, which imports numpy.ma.
+        q = q[np.diff(q, prepend=np.nan) != 0]
+        by_repr = np.array([repr(v) for v in q.tolist()], dtype=object)
+        by_g = np.array([format(v, "g") for v in q.tolist()], dtype=object)
+        at = [np.searchsorted(q, level.q) for level in self.levels]
+        return [LevelTexts(np.array(list(map(repr, level.cumulative.tolist())), dtype=object),
+                           by_repr[i], by_g[i]) for level, i in zip(self.levels, at)]
 
     def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
         """All root-to-leaf paths in rank_paths' order, as arrays.
@@ -352,12 +373,13 @@ class RankedPath:
     cumulative: float
 
     def render(self, event_label: str = "TopEvent") -> str:
-        return " -> ".join([*map(_step_text, self.cells, self.steps), event_label])
+        return " -> ".join([*(_step_text(c.label, format(q, "g"))
+                              for c, q in zip(self.cells, self.steps)), event_label])
 
 
-def _step_text(coord: CellCoord, q: float) -> str:
-    """One step of a rendered path; rendered paths and report rows share it."""
-    return f"{coord.label} (q={q:g})"
+def _step_text(label: str, q: str) -> str:
+    """One step of a rendered path, from a label and a %g text; report rows share it."""
+    return f"{label} (q={q})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,18 +468,6 @@ def _preorder(levels: list[Level]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return pre, sizes
 
 
-def _join_at(parts: list[tuple[np.ndarray, list[str]]], sep: str = "") -> str:
-    """The texts of every (positions, texts) part joined by sep in position order.
-
-    The positions of all parts together are 0, 1, ... once each.
-    """
-    texts = list(itertools.chain.from_iterable(t for _, t in parts))
-    order = np.empty(len(texts), dtype=np.int64)
-    if parts:
-        order[np.concatenate([at for at, _ in parts])] = np.arange(len(texts))
-    return sep.join(map(texts.__getitem__, order.tolist()))
-
-
 def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
     """A tree-file node's text up to its children, from them to its cumulative,
     and from its depth to its q, the same for every node of one cell."""
@@ -475,20 +485,19 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
     event_cell false. Every node has coord (its cell's vector), cell_id, q,
     cumulative, depth, event_cell and children, each level in its order; a
     level-1 node also has entry_edges, [event cell id, q] pairs. Nodes of
-    one cell share the text of their cell id, coordinate and event flag, so
-    per node only its cumulative, depth and q are written (floats by repr,
-    as json writes them), plus the level-1 entry_edges. Each node gives the
-    text before its children and the text after them; these go in the
-    order a preorder walk enters and leaves the nodes. The root goes to
-    write_json as that text, the other fields as values.
+    one cell share the text of their cell id, coordinate and event flag;
+    the cumulative and q come from tree.texts, so per node only its depth
+    and these pieces are joined, plus the level-1 entry_edges. Each node
+    gives the text before its children and the text after them; these are
+    put in the order a preorder walk enters and leaves the nodes, and go to
+    write_json as the root's text, joined in slices by joined.
     """
     shared = {c: _node_text(c, list(coord.as_vector()), c in tree.event_cell_ids)
               for c, coord in tree.coords.items()}
     after_sibling = {c: "," + text[0] for c, text in shared.items()}
-    number = functools.cache(repr)
     pre, sizes = _preorder(tree.levels)
-    parts = []
-    for k, level in enumerate(tree.levels):
+    walk = np.empty(2 * tree.n_nodes, dtype=object)
+    for k, (level, numbers) in enumerate(zip(tree.levels, tree.texts)):
         first = np.ones(len(level.cell), dtype=bool)
         first[1:] = level.parent[1:] != level.parent[:-1]
         cell = level.cell.tolist()
@@ -496,13 +505,14 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         if k == 0:
             depth = [f'{d},"entry_edges":{compact(edges)}'
                      for d, edges in zip(depth, tree.entry_edges)]
-        opened = [shared[c][0] if f else after_sibling[c] for c, f in zip(cell, first.tolist())]
-        closed = [f"{shared[c][1]}{cumulative!r}{d}{shared[c][2]}{number(q)}}}"
-                  for c, cumulative, d, q in zip(cell, level.cumulative.tolist(), depth,
-                                                 level.q.tolist())]
         # In a preorder walk the entry of a level-(k+1) node is the 2*pre-k-th
         # event, its exit the 2*(pre+size)-(k+1)-th.
-        parts += [(2 * pre[k] - k, opened), (2 * (pre[k] + sizes[k]) - (k + 1), closed)]
+        walk[2 * pre[k] - k] = [shared[c][0] if f else after_sibling[c]
+                                for c, f in zip(cell, first.tolist())]
+        walk[2 * (pre[k] + sizes[k]) - (k + 1)] = [
+            f"{shared[c][1]}{cumulative}{d}{shared[c][2]}{q}}}"
+            for c, cumulative, d, q in zip(cell, numbers.cumulative.tolist(), depth,
+                                           numbers.q.tolist())]
     root = _node_text(None, None, False)
     write_json(path, sorted({
         "format": TREE_FORMAT,
@@ -514,7 +524,8 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         "event": {"lower": list(tree.event.lower), "upper": list(tree.event.upper),
                   "configs": sorted(list(c) for c in tree.event.configs)},
         "n_nodes": tree.n_nodes,
-        "root": iter((root[0], _join_at(parts), f'{root[1]}1.0,"depth":0{root[2]}1.0}}')),
+        "root": itertools.chain([root[0]], joined(walk),
+                                [f'{root[1]}1.0,"depth":0{root[2]}1.0}}']),
     }.items()))
 
 
@@ -526,40 +537,50 @@ def encode_ranked_paths(ranking: PathRanking):
     gets its path's cells, steps and rendered text from it up to the event
     once: its own piece followed by its parent's (JSON string escaping
     composes under concatenation). A row is its leaf's pieces followed by
-    its parent's.
+    its parent's. The rows are made ROW_SLICE ranks at a time; within a
+    slice level by level in node order, so that siblings, which copy the
+    same parent pieces, are made together, each put at its rank.
     """
     tree = ranking.tree
-    levels = tree.levels
+    levels, texts = tree.levels, tree.texts
     vector = {c: compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
-    step = functools.cache(
-        lambda c, q: encode_basestring_ascii(_step_text(tree.coords[c], q))[1:-1])
-    number = functools.cache(repr)
+    label = {c: encode_basestring_ascii(coord.label)[1:-1] for c, coord in tree.coords.items()}
     # The (cells, steps, rendered) text of every node with children, by
     # level; the root's first.
     pieces = [([""], [""], [" -> TopEvent"])]
-    for k, level in enumerate(levels[:-1]):
+    for k, (level, numbers) in enumerate(zip(levels[:-1], texts)):
         starts = _child_starts(levels, k)
         inner = np.flatnonzero(starts[1:] > starts[:-1])
         above = pieces[-1]
         cells, steps, rendered = ([None] * len(level.cell) for _ in range(3))
-        for i, c, q, p in zip(inner.tolist(), level.cell[inner].tolist(),
-                              level.q[inner].tolist(), level.parent[inner].tolist()):
+        for i, c, q, g, p in zip(inner.tolist(), level.cell[inner].tolist(),
+                                 numbers.q[inner].tolist(), numbers.g[inner].tolist(),
+                                 level.parent[inner].tolist()):
             cells[i] = f",{vector[c]}{above[0][p]}"
-            steps[i] = f",{number(q)}{above[1][p]}"
-            rendered[i] = f" -> {step(c, q)}{above[2][p]}"
+            steps[i] = f",{q}{above[1][p]}"
+            rendered[i] = f" -> {_step_text(label[c], g)}{above[2][p]}"
         pieces.append((cells, steps, rendered))
 
-    leaf = [np.empty(len(ranking), dtype=kind) for kind in (np.int64, float, np.int64)]
-    for d, level in enumerate(levels, 1):
-        rows = np.flatnonzero(ranking.length == d)
-        at = ranking.index[rows]
-        for out, values in zip(leaf, (level.cell, level.q, level.parent)):
-            out[rows] = values[at]
-    for d, c, q, p, cumulative in zip(ranking.length.tolist(), *(a.tolist() for a in leaf),
-                                      ranking.cumulative.tolist()):
-        cells, steps, rendered = pieces[d - 1]
-        yield (f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cumulative!r},'
-               f'"rendered":"{step(c, q)}{rendered[p]}","steps":[{number(q)}{steps[p]}]}}')
+    for lo in range(0, len(ranking), mapper.ROW_SLICE):
+        length, index, score = (a[lo:lo + mapper.ROW_SLICE]
+                                for a in (ranking.length, ranking.index, ranking.cumulative))
+        order = np.lexsort((index, length))   # by level, then node index
+        ends = np.cumsum(np.bincount(length))
+        ranked = np.empty(len(order), dtype=object)
+        for d in range(1, len(ends)):
+            at = order[ends[d - 1]:ends[d]]   # the slice's paths of length d
+            i = index[at]
+            level, numbers, (cells, steps, rendered) = levels[d - 1], texts[d - 1], pieces[d - 1]
+            cumulative = numbers.cumulative[i]
+            weighted = score[at] != level.cumulative[i]   # ranked under an initial distribution
+            cumulative[weighted] = [repr(v) for v in score[at][weighted].tolist()]
+            ranked[at] = [f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cu},'
+                          f'"rendered":"{_step_text(label[c], g)}{rendered[p]}",'
+                          f'"steps":[{q}{steps[p]}]}}'
+                          for c, p, cu, q, g in zip(level.cell[i].tolist(),
+                                                    level.parent[i].tolist(), cumulative.tolist(),
+                                                    numbers.q[i].tolist(), numbers.g[i].tolist())]
+        yield from ranked.tolist()
 
 
 def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
@@ -567,31 +588,30 @@ def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
 
     Nodes are named n and their preorder number.
     """
-    g = functools.cache(lambda q: format(q, "g"))
     label = {c: f'label="{coord.label}\\nP=' for c, coord in tree.coords.items()}
     style = {c: '", style=dashed' if c in tree.event_cell_ids else '"' for c in tree.coords}
     pre, _ = _preorder(tree.levels)
-    parts, above = [], ["root"]
-    for level, numbers in zip(tree.levels, pre):
-        names = [f"n{p}" for p in numbers.tolist()]
-        parts.append((numbers, [
-            f'\t"{name}" [{label[c]}{g(q)}{style[c]}];\n\t"{name}" -> "{above[p]}";\n'
-            for c, q, name, p in zip(level.cell.tolist(), level.q.tolist(), names,
-                                     level.parent.tolist())]))
+    lines, above = np.empty(tree.n_nodes, dtype=object), ["root"]
+    for level, numbers, at in zip(tree.levels, tree.texts, pre):
+        names = [f"n{p}" for p in at.tolist()]
+        lines[at] = [f'\t"{name}" [{label[c]}{g}{style[c]}];\n\t"{name}" -> "{above[p]}";\n'
+                     for c, g, name, p in zip(level.cell.tolist(), numbers.g.tolist(), names,
+                                              level.parent.tolist())]
         above = names
-    return ("digraph scenario_tree {\n\trankdir=RL;\n"
-            '\tnode [shape=box, fontname="Helvetica"];\n'
-            f'\t"root" [label="{event_label}", shape=doubleoctagon];\n{_join_at(parts)}}}\n')
+    return "".join(["digraph scenario_tree {\n\trankdir=RL;\n"
+                    '\tnode [shape=box, fontname="Helvetica"];\n'
+                    f'\t"root" [label="{event_label}", shape=doubleoctagon];\n',
+                    *lines.tolist(), "}\n"])
 
 
 def tree_to_text(tree: ScenarioTree) -> str:
     """One line per node in preorder, indented by depth: cell, q, cumulative, depth."""
     label = {c: coord.label for c, coord in tree.coords.items()}
     pre, _ = _preorder(tree.levels)
-    parts = []
-    for d, (level, numbers) in enumerate(zip(tree.levels, pre), 1):
+    lines = np.empty(tree.n_nodes, dtype=object)
+    for d, (level, numbers, at) in enumerate(zip(tree.levels, tree.texts, pre), 1):
         indent = "  " * (d - 1)
-        parts.append((numbers, [f"{indent}{label[c]} q={q:g} cumulative={cumulative:g} depth={d}"
-                                for c, q, cumulative in zip(level.cell.tolist(), level.q.tolist(),
-                                                            level.cumulative.tolist())]))
-    return _join_at(parts, "\n")
+        lines[at] = [f"{indent}{label[c]} q={g} cumulative={cumulative:g} depth={d}"
+                     for c, g, cumulative in zip(level.cell.tolist(), numbers.g.tolist(),
+                                                 level.cumulative.tolist())]
+    return "\n".join(lines.tolist())

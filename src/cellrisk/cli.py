@@ -614,7 +614,7 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
     if out_report:
         def report():
             """The report's fields in key order; the timings are taken once the rows are written."""
-            yield "config", cfg.normalized_dict()
+            yield "config", run.normalized_dict()
             yield "format", REPORT_FORMAT
             yield "map", {"path": map_path, "sources": tmap.n_cells, "edges": tmap.n_edges,
                           "exterior_mass": tmap.total_exterior_mass(),

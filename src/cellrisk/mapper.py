@@ -45,6 +45,7 @@ __all__ = [
     "compact",
     "estimate_g",
     "forward_step",
+    "joined",
     "json_array",
     "load_map",
     "predecessors",
@@ -55,7 +56,7 @@ __all__ = [
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
 BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory
-ROW_SLICE = 4_096  # array rows joined into one text by json_array
+ROW_SLICE = 4_096  # texts joined into one by joined, such as json_array's rows
 
 MAP_FORMAT = "cellrisk-transition-map"
 MAP_FORMAT_VERSION = 1
@@ -497,15 +498,18 @@ _BUILD_FIELDS = tuple(key for key, _, _ in _MAP_FIELDS if not key.startswith("sp
 compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def joined(texts, sep: str = ""):
+    """The texts joined by sep, one text per slice of ROW_SLICE texts."""
+    texts, head = iter(texts), ""
+    while part := list(itertools.islice(texts, ROW_SLICE)):
+        yield head + sep.join(part)
+        head = sep
+
+
 def json_array(rows):
     """The JSON array of row texts: "[", the rows joined by "," in slices of
     ROW_SLICE rows, then "]"."""
-    rows, comma = iter(rows), ""
-    yield "["
-    while part := list(itertools.islice(rows, ROW_SLICE)):
-        yield comma + ",".join(part)
-        comma = ","
-    yield "]"
+    return itertools.chain(["["], joined(rows, ","), ["]"])
 
 
 def write_json(path: str, fields) -> None:

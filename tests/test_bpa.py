@@ -420,16 +420,29 @@ def test_backtrack_rejects_bad_parameters(baseline_map, baseline_config):
         backtrack(baseline_map, baseline_config.event, depth=2, truncation=1.0)
 
 
-def test_backtrack_leaves_numpy_ma_unimported():
-    # A plain np.unique imports numpy.ma, about 18 ms of every run-bpa's start-up.
+def _imports_numpy_ma(code: str) -> bool:
+    """Whether numpy.ma is imported once code has run, in a fresh interpreter, on a
+    small random map's depth-3 tree."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(tests), str(tests.parent / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    code = ("import sys; from _synthetic import random_absorbing_map; "
-            "from cellrisk.bpa import backtrack; "
+    code = ("import os, sys; import numpy as np; from _synthetic import random_absorbing_map; "
+            "from cellrisk.bpa import *; "
             "tmap, event = random_absorbing_map(12, n_event=2, seed=5); "
-            "backtrack(tmap, event, depth=3, truncation=0.0); "
-            "print('numpy.ma' in sys.modules)")
+            "tree = backtrack(tmap, event, depth=3, truncation=0.0); "
+            f"{code}; print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["False"]
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_backtrack_leaves_numpy_ma_unimported():
+    # A plain np.unique imports numpy.ma, about 18 ms of every run-bpa's start-up.
+    assert not _imports_numpy_ma("pass")
+
+
+def test_writers_leave_numpy_ma_unimported():
+    assert not _imports_numpy_ma(
+        "write_tree(tree, os.devnull); tree_to_dot(tree); tree_to_text(tree); "
+        "list(encode_ranked_paths(tree.ranking())); "
+        "list(encode_ranked_paths(tree.ranking(np.linspace(0.0, 1.0, 12))))")

@@ -235,6 +235,18 @@ def test_pipeline_byte_identical_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+TREE_OF_NO_PATHS = (
+    b'{"event":{"configs":[[1],[2]],"lower":[9.0],"upper":[10.0]},'
+    b'"format":"cellrisk-scenario-tree","map_seed":99,"map_simulator":"linear-drift",'
+    b'"n_nodes":0,"root":{"cell_id":null,"children":[],"coord":null,"cumulative":1.0,'
+    b'"depth":0,"event_cell":false,"q":1.0},"search_depth":2,"truncation":1e-06,"version":1}\n'
+)
+GRAPH_OF_NO_PATHS = (
+    b'digraph scenario_tree {\n\trankdir=RL;\n\tnode [shape=box, fontname="Helvetica"];\n'
+    b'\t"root" [label="TopEvent", shape=doubleoctagon];\n}\n'
+)
+
+
 def test_run_bpa_no_paths_exit_code(tmp_path):
     # Downward drift with the event confined to the top cell: no cell in
     # the space carries any flow into it, so the tree is empty.
@@ -252,11 +264,17 @@ def test_run_bpa_no_paths_exit_code(tmp_path):
     assert runner.invoke(
         main, ["build-map", "--config", str(cfg_path), "--out", str(map_path)]
     ).exit_code == EXIT_OK
-    res = runner.invoke(
-        main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)]
-    )
+    out = {name: tmp_path / name for name in ("tree.json", "tree.gv", "report.json", "tree.txt")}
+    res = runner.invoke(main, [
+        "run-bpa", "--config", str(cfg_path), "--map", str(map_path),
+        "--out-tree", str(out["tree.json"]), "--out-graph", str(out["tree.gv"]),
+        "--out-report", str(out["report.json"]), "--out-text", str(out["tree.txt"])])
     assert res.exit_code == EXIT_NO_PATHS
     assert "no risk-significant paths" in res.output
+    assert out["tree.json"].read_bytes() == TREE_OF_NO_PATHS
+    assert out["tree.gv"].read_bytes() == GRAPH_OF_NO_PATHS
+    assert out["tree.txt"].read_bytes() == b"\n"
+    assert json.loads(out["report.json"].read_text())["ranked_paths"] == []
 
 
 def test_build_map_config_error_exit_code(tmp_path):
@@ -889,6 +907,18 @@ def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_conf
     res = CliRunner().invoke(main, args + [str(n - 1)])
     assert res.exit_code == EXIT_BUDGET_ERROR, res.output
     assert f"budget error: scenario tree exceeded node budget {n - 1}" in res.output
+
+
+def test_run_bpa_report_echoes_the_overridden_settings(tmp_path, baseline_map):
+    map_path = _baseline_map_file(tmp_path, baseline_map)
+    report_path = tmp_path / "report.json"
+    res = CliRunner().invoke(main, [
+        "run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+        "--depth", "3", "--epsilon", "1e-6", "--budget", "50000",
+        "--out-report", str(report_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    config = json.loads(report_path.read_text())["config"]
+    assert (config["search_depth"], config["truncation"], config["node_budget"]) == (3, 1e-6, 50000)
 
 
 def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseline_map):

@@ -393,11 +393,14 @@ def test_rank_paths_equals_recursive_descent(n_cells, n_event, seed, depth, trun
 @given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
        TRUNCATIONS, st.booleans())
 def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, truncation, weighted):
-    # The report rows as run-bpa built them as dicts and encoded with json.dumps.
     tmap, event = random_absorbing_map(n_cells, n_event, seed)
     tree = backtrack(tmap, event, depth=depth, truncation=truncation)
     prior = np.random.default_rng(seed).random(n_cells) if weighted else None
-    paths = rank_paths(tree, initial_distribution=prior)
+    assert list(encode_ranked_paths(tree.ranking(prior))) == _json_dumps_rows(tree, prior)
+
+
+def _json_dumps_rows(tree, prior):
+    """The report rows as run-bpa built them as dicts and encoded with json.dumps."""
     vectors = {c: coord.as_vector() for c, coord in tree.coords.items()}
     rows = [
         {
@@ -407,10 +410,28 @@ def test_ranked_path_rows_equal_json_dumps(n_cells, n_event, seed, depth, trunca
             "rendered": " -> ".join([f"{c.label} (q={q:g})" for c, q in zip(p.cells, p.steps)]
                                     + ["TopEvent"]),
         }
-        for p in paths
+        for p in rank_paths(tree, initial_distribution=prior)
     ]
-    expected = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
-    assert list(encode_ranked_paths(tree.ranking(prior))) == expected
+    return [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
+       TRUNCATIONS, st.booleans(), st.integers(1, 7))
+def test_writers_equal_the_references_in_slices_of_any_size(n_cells, n_event, seed, depth,
+                                                            truncation, weighted, row_slice):
+    # Slices of 1 to 7 rows or texts cut sibling groups and levels apart.
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
+    prior = np.random.default_rng(seed).random(n_cells) if weighted else None
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    with mock.patch.object(mapper, "ROW_SLICE", row_slice), \
+            tempfile.TemporaryDirectory() as tmp:
+        assert list(encode_ranked_paths(tree.ranking(prior))) == _json_dumps_rows(tree, prior)
+        path = Path(tmp) / "tree.json"
+        write_tree(tree, str(path))
+        assert path.read_bytes() == (
+            "".join(encoder.iterencode(tree_to_dict(tree))) + "\n").encode("utf-8")
 
 
 JSON_VALUES = st.recursive(
