@@ -6,33 +6,19 @@ a pluggable simulator, and backtracks from a user-defined Top Event to
 enumerate and rank the event sequences that reach it.
 """
 
-from .bpa import ScenarioTree, TopEvent, backtrack, event_cells, forward_check, rank_paths
-from .cellspace import (
-    EXTERIOR_ID,
-    CellCoord,
-    SpaceSpec,
-    bounds_of,
-    coord_to_id,
-    id_to_coord,
-)
-from .configuration import (
-    ComponentMatrix,
-    ConfigTransitionModel,
-    h,
-    rate_matrix_to_step_matrix,
-)
-from .mapper import (
-    DynamicsModel,
-    TransitionMap,
-    build_map,
-    estimate_g,
-    forward_step,
-    load_map,
-    predecessors,
-    save_map,
-)
-from .oracle import MonteCarloConfig, empirical_transition, simulate_event_probability
-from .vehicle import BrakeState, GroundVehicleModel, ScenarioParams
+import importlib
+
+# Each exported name's module, imported when the name is first used (PEP 562),
+# so a command loads only the modules it runs.
+_SOURCES = {name: module for module, names in (
+    ("bpa", "ScenarioTree TopEvent backtrack event_cells forward_check rank_paths"),
+    ("cellspace", "EXTERIOR_ID CellCoord SpaceSpec bounds_of coord_to_id id_to_coord"),
+    ("configuration", "ComponentMatrix ConfigTransitionModel h rate_matrix_to_step_matrix"),
+    ("mapper", "DynamicsModel TransitionMap build_map estimate_g forward_step load_map"),
+    ("mapper", "predecessors save_map"),
+    ("oracle", "MonteCarloConfig empirical_transition simulate_event_probability"),
+    ("vehicle", "BrakeState GroundVehicleModel ScenarioParams"),
+) for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -68,3 +54,11 @@ __all__ = [
     "save_map",
     "simulate_event_probability",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

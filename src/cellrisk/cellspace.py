@@ -166,13 +166,20 @@ def bin_points(xs: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     Dimension 1 is fastest-varying; a row outside the box gets
     total_continuous_cells, the exterior. Boxes are half-open below and open
     above except the top interval of each dimension, which is closed so the
-    upper bound itself is representable.
+    upper bound itself is representable. Only the dimensions split into more
+    than one interval are floored: a one-interval dimension adds 0 to every
+    index.
     """
-    lower = np.array(spec.lower)
-    inside = np.all((xs >= lower) & (xs <= np.array(spec.upper)), axis=1)
-    idx = np.floor((xs - lower) / np.array(spec.widths)).astype(np.int64)
+    xs = np.asarray(xs)
+    inside = np.ones(len(xs), dtype=bool)
+    for l, (lo, hi) in enumerate(zip(spec.lower, spec.upper)):
+        inside &= (xs[:, l] >= lo) & (xs[:, l] <= hi)
+    split = [l for l, k in enumerate(spec.partitions) if k > 1]
+    lower, widths = np.array(spec.lower)[split], np.array(spec.widths)[split]
+    idx = np.floor((xs[:, split] - lower) / widths).astype(np.int64)
     # Clipping closes the top interval (rows outside are replaced below).
-    flat = np.ravel_multi_index(idx.T, spec.partitions, mode="clip", order="F")
+    dims = np.array(spec.partitions)[split]
+    flat = np.ravel_multi_index(idx.T, dims, mode="clip", order="F") if split else 0
     return np.where(inside, flat, spec.total_continuous_cells)
 
 

@@ -24,7 +24,6 @@ import yaml
 from . import bpa as bpa_mod
 from . import configuration as config_mod
 from . import mapper as mapper_mod
-from . import oracle as oracle_mod
 from .bpa import (
     TopEvent,
     backtrack,
@@ -658,6 +657,9 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
         _fail("map", [str(exc)], EXIT_VALIDATION_FAILURE)
     failures = [f"spec-echo: {m}" for m in _map_mismatches(cfg, tmap)]
     if not failures:
+        # Imported here: only validate uses the oracle, and it slows every command's start-up.
+        from . import oracle as oracle_mod
+
         model = _make_simulator(cfg)
         cell = id_to_coord(0, cfg.spec)
         row = mapper_mod.estimate_g(cell, model, cfg.spec, cfg.dt, oracle_trials, cfg.seed + 1)

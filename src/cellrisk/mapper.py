@@ -17,8 +17,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,9 @@ from .cellspace import (
     sample_cell_array,  # unused here; bench/tracer.py wraps mapper.sample_cell_array by name
 )
 from .configuration import ROW_SUM_TOL, ConfigTransitionModel, validate as validate_config
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CSR",
@@ -272,17 +274,23 @@ def _flow_counts(
     box_lo, box_hi = cell_boxes(np.stack(digits[: spec.L], axis=1) + 1, spec)
     box_width = box_hi - box_lo
     n = tuple(int(d[0]) + 1 for d in digits[spec.L :])
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-            for s in ids]
+    # Made as their sources come up, so only a block's streams are held at once.
+    streams = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+               for s in ids)
     n_j, total = spec.total_continuous_cells, len(ids) * samples
+    u = np.empty((min(total, BLOCK_ROWS), spec.L))
     parts = []
     for lo in range(0, total, BLOCK_ROWS):  # every block under one configuration
         hi = min(total, lo + BLOCK_ROWS)
         sources = range(lo // samples, (hi - 1) // samples + 1)
         sizes = [min(hi, (c + 1) * samples) - max(lo, c * samples) for c in sources]
-        u = np.concatenate([rngs[c].random((k, spec.L)) for c, k in zip(sources, sizes)])
-        box = slice(sources.start, sources.stop)
-        xs = np.repeat(box_lo[box], sizes, axis=0) + u * np.repeat(box_width[box], sizes, axis=0)
+        ends = list(itertools.accumulate(sizes))
+        for c, start, end in zip(sources, [0] + ends, ends):
+            if c * samples >= lo:  # the source starts in this block
+                rng = next(streams)
+            rng.random(out=u[start:end])
+        cells = np.repeat(np.arange(sources.start, sources.stop), sizes)
+        xs = box_lo[cells] + u[: hi - lo] * box_width[cells]
         ys = np.asarray(model.step_many(xs, n, dt), dtype=float)
         if ys.shape != xs.shape:
             raise BuildError(
@@ -296,11 +304,14 @@ def _flow_counts(
                 f"{id_to_coord(ids[(lo + k) // samples], spec)} "
                 f"(sample {(lo + k) % samples}: {xs[k].tolist()} -> {ys[k].tolist()})"
             )
-        cells = np.repeat(np.arange(sources.start, sources.stop), sizes)
         parts.append(np.unique(cells * (n_j + 1) + bin_points(ys, spec), return_counts=True))
-    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.bincount(where, weights=np.concatenate([c for _, c in parts])).astype(np.int64)
-    return ids.start + keys // (n_j + 1), keys % (n_j + 1), counts
+        del ys  # freed before the next block is stepped
+    if len(parts) == 1:
+        keys, counts = parts[0]
+    else:
+        keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+        counts = np.bincount(where, weights=np.concatenate([c for _, c in parts]))
+    return ids.start + keys // (n_j + 1), keys % (n_j + 1), counts.astype(np.int64)
 
 
 def estimate_g(
@@ -317,6 +328,8 @@ def estimate_g(
     flattened target index with the exterior entry last; the fractions sum
     to exactly one.
     """
+    from fractions import Fraction  # imported here: only validate and tests ask for flow rows
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     source_id = coord_to_id(source_cell, spec)
@@ -341,32 +354,37 @@ def _jump_row(config_model: ConfigTransitionModel, n_prev: tuple[int, ...]) -> n
     return acc.ravel()  # component 1 fastest-varying
 
 
+def _config_edges(
+    model: DynamicsModel,
+    spec: SpaceSpec,
+    config_model: ConfigTransitionModel,
+    dt: float, samples: int, seed: int, ids: range,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Edge arrays (source, column, q) of consecutive sources under one configuration; column
+    total_cells is the exterior sink, which absorbs whole trajectories whatever the jump."""
+    n_j = spec.total_continuous_cells
+    src, target, counts = _flow_counts(model, spec, dt, samples, seed, ids)
+    g, ext = counts / samples, target == n_j
+    jump = _jump_row(config_model, id_to_coord(ids.start, spec).n)
+    q = np.multiply.outer(g[~ext], jump)
+    col = target[~ext, None] + n_j * np.arange(jump.size)
+    keep = q > 0.0
+    return [(np.broadcast_to(src[~ext, None], q.shape)[keep], col[keep], q[keep]),
+            (src[ext], np.full(int(ext.sum()), spec.total_cells), g[ext])]
+
+
 def _sweep(
     model: DynamicsModel,
     spec: SpaceSpec,
     config_model: ConfigTransitionModel,
     dt: float, samples: int, seed: int, start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays (source, column, q) of sources start..stop-1 (worker unit).
-
-    Column total_cells is the exterior sink, which absorbs whole trajectories
-    whatever the configuration jump.
-    """
-    n_j, C = spec.total_continuous_cells, spec.total_cells
-    per_block = max(1, BLOCK_ROWS // samples)
-    parts = []
-    s = start
-    while s < stop:
-        end = min(stop, s + per_block, (s // n_j + 1) * n_j)  # one configuration
-        src, target, counts = _flow_counts(model, spec, dt, samples, seed, range(s, end))
-        g, ext = counts / samples, target == n_j
-        jump = _jump_row(config_model, id_to_coord(s, spec).n)
-        q = np.multiply.outer(g[~ext], jump)
-        col = target[~ext, None] + n_j * np.arange(jump.size)
-        keep = q > 0.0
-        parts.append((np.broadcast_to(src[~ext, None], q.shape)[keep], col[keep], q[keep]))
-        parts.append((src[ext], np.full(int(ext.sum()), C), g[ext]))
-        s = end
+    """Edge arrays (source, column, q) of sources start..stop-1 (worker unit),
+    one configuration at a time."""
+    n_j = spec.total_continuous_cells
+    cuts = [start, *range((start // n_j + 1) * n_j, stop, n_j), stop]  # configuration bounds
+    parts = [part for lo, hi in zip(cuts, cuts[1:])
+             for part in _config_edges(model, spec, config_model, dt, samples, seed, range(lo, hi))]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 

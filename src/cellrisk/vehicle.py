@@ -103,6 +103,31 @@ class ScenarioParams:
         return self.strong_brake_g * self.gravity
 
 
+def _command(v, x, p: ScenarioParams):
+    """Commanded acceleration with the (far, close, near) clearance masks it
+    was selected by; close and near are None when every row is far."""
+    c = p.target_x - x
+    comf = p.comfort_accel
+    far = np.greater(c, p.sensor_range)  # a numpy bool for scalars too, so any() is a method
+    some_far = far.any()
+    if some_far:
+        cruise = np.minimum(np.maximum(p.k_speed * (p.speed_limit - v), -comf), comf)
+        if far.all():
+            return cruise, far, None, None
+    if p.fixed_light_clearance is None:
+        light = p.t_gap_des * v
+        strong = light / 2.0
+    else:
+        light = p.fixed_light_clearance
+        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
+    close, near = c < strong, c < light
+    margin = np.maximum(0.0, c - p.standstill_clearance)
+    v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
+    follow = np.minimum(np.maximum(p.k_gap * (v_des - v), -comf), comf)
+    accel = np.where(close, p.strong_accel, np.where(near, p.light_accel, follow))
+    return (np.where(far, cruise, accel) if some_far else accel), far, close, near
+
+
 def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
     """Controller mode index and commanded acceleration, elementwise.
 
@@ -113,30 +138,13 @@ def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
     the light one, else following. Cruise tracks the speed limit and
     following a comfort-braking profile that stops standstill_clearance
     short, both clipped to the comfort acceleration (as np.clip would, bit
-    for bit, without its call overhead). When every clearance is beyond
-    sensor range only the cruise command is computed.
+    for bit, without its call overhead). The cruise command is computed only
+    when some clearance is beyond sensor range, and only it when all are.
     """
-    p = params
-    c = p.target_x - x
-    comf = p.comfort_accel
-    far = c > p.sensor_range
-    cruise = np.minimum(np.maximum(p.k_speed * (p.speed_limit - v), -comf), comf)
-    if np.all(far):
-        return np.zeros(np.shape(c), dtype=np.int64), cruise
-    if p.fixed_light_clearance is None:
-        light = p.t_gap_des * v
-        strong = light / 2.0
-    else:
-        light = p.fixed_light_clearance
-        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
-    close, near = c < strong, c < light
-    mode = np.where(far, 0, np.where(close, 3, np.where(near, 2, 1)))
-    margin = np.maximum(0.0, c - p.standstill_clearance)
-    v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
-    follow = np.minimum(np.maximum(p.k_gap * (v_des - v), -comf), comf)
-    accel = np.where(far, cruise, np.where(close, p.strong_accel,
-                                           np.where(near, p.light_accel, follow)))
-    return mode, accel
+    accel, far, close, near = _command(v, x, params)
+    if close is None:
+        return np.zeros(np.shape(far), dtype=np.int64), accel
+    return np.where(far, 0, np.where(close, 3, np.where(near, 2, 1))), accel
 
 
 class GroundVehicleModel(DynamicsModel):
@@ -169,20 +177,24 @@ class GroundVehicleModel(DynamicsModel):
         v, x = cols[IDX_V_FWD], cols[IDX_X]
         # Views into cols: (v_side, yaw_rate) and the (y, yaw) they drive, row by row.
         rates, poses = cols[IDX_V_SIDE : IDX_YAW_RATE + 1], cols[IDX_Y : IDX_YAW + 1]
+        pull, damp = np.empty_like(rates), np.empty_like(rates)
 
         for _ in range(p.substeps):
-            a = control(v, x, p)[1]
+            a = _command(v, x, p)[0]
             if delivery != 1.0:
-                a = np.where(a < 0.0, a * delivery, a)
-
-            v_new = np.maximum(0.0, v + h * a)
-            x += h * 0.5 * (v + v_new)
+                np.multiply(a, delivery, out=a, where=a < 0.0)
+            # In place, the same IEEE operations in the same order as
+            # v_new = max(0, v + h*a); x += (h*0.5) * (v + v_new).
+            v_new = np.maximum(0.0, np.add(v, np.multiply(h, a, out=a), out=a), out=a)
+            x += np.multiply(h * 0.5, np.add(v, v_new, out=v), out=v)
             v[:] = v_new
 
-            # Critically damped pairs (y, v_side) and (yaw, yaw_rate),
-            # semi-implicit Euler; stable at omega * h << 1.
-            rates += h * (-(omega**2) * poses - 2.0 * omega * rates)
-            poses += h * rates
+            # Critically damped pairs (y, v_side) and (yaw, yaw_rate), semi-implicit Euler
+            # (stable at omega * h << 1) in place: rates += h * (-(omega**2)*poses - ...).
+            np.multiply(-(omega**2), poses, out=pull)
+            pull -= np.multiply(2.0 * omega, rates, out=damp)
+            rates += np.multiply(h, pull, out=pull)
+            poses += np.multiply(h, rates, out=pull)
 
         return np.ascontiguousarray(cols.T)
 

@@ -277,6 +277,25 @@ def test_run_bpa_no_paths_exit_code(tmp_path):
     assert json.loads(out["report.json"].read_text())["ranked_paths"] == []
 
 
+def test_build_map_leaves_the_oracle_and_fractions_unimported(tmp_path):
+    # Only validate uses them; importing them costs every cold command about 12 ms.
+    config, out = write_config(tmp_path), tmp_path / "map.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    args = ["build-map", "--config", str(config), "--out", str(out)]
+    code = ("import sys, cellrisk.cli\n"
+            "try:\n"
+            f"    cellrisk.cli.main({args!r})\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print([m for m in ('cellrisk.oracle', 'fractions') if m in sys.modules])")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]" and out.exists()
+
+
 def test_build_map_config_error_exit_code(tmp_path):
     runner = CliRunner()
     cfg_path = write_config(tmp_path, {"sysConfTransProb": [[[0.5, 0.6], [0.0, 1.0]]]})

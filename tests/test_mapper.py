@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from _synthetic import line_spec, ring_shift_map
+from conftest import SUITE_SEED
 from cellrisk.cellspace import EXTERIOR_ID, id_to_coord
 from cellrisk.cli import IdentityModel, LinearDriftModel
 from cellrisk.configuration import (
@@ -325,7 +327,28 @@ def test_persistence_round_trip(tmp_path, baseline_map):
 MAP_SHA256 = {
     "baseline_map": "75d2d32bbc26fd33669dc6a6a0ed4959632904b9bc4ad937e15f338d4d358990",
     "modified_map": "e420977e227c3d7b88bc949041db97d2e85154b3235fcc042885befe92ac024d",
+    # Recorded with `build-map` before the in-place stepping and split-dimension binning.
+    "fine_grid_map": "d03b784e5c01fa59ee3d249aa62a0f9f5d5e9b6d374c936792638c173a1f43e9",
+    "block_spanning_map": "e23d1084ec433399a37f72c67f7d35232041525f1e3c2e4f046415ee36202333",
 }
+
+
+def _regridded_map(cfg, model, partitions, samples):
+    spec = dataclasses.replace(cfg.spec, partitions=partitions)
+    return build_map(model, spec, cfg.config_model, dt=cfg.dt, samples=samples, seed=SUITE_SEED)
+
+
+@pytest.fixture(scope="module")
+def fine_grid_map(modified_config, modified_model):
+    # agv_modified at numberOfCells [10, 1, 1, 150, 1, 1, 3], 100 samples per cell.
+    return _regridded_map(modified_config, modified_model, (10, 1, 1, 150, 1, 1), 100)
+
+
+@pytest.fixture(scope="module")
+def block_spanning_map(baseline_config, baseline_model):
+    # agv_baseline at numberOfCells [2, 1, 1, 6, 1, 1, 3], 7001 samples per cell:
+    # every source spans two or three blocks of BLOCK_ROWS rows.
+    return _regridded_map(baseline_config, baseline_model, (2, 1, 1, 6, 1, 1), 7001)
 
 
 @pytest.mark.parametrize("fixture", sorted(MAP_SHA256))

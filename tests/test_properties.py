@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -177,28 +178,32 @@ def test_vehicle_step_many_is_row_independent(
 
 
 @st.composite
-def vehicle_batches(draw, params):
+def vehicle_batches(draw, params, reach=None):
     """(N, 6) states with x-positions at the controller's thresholds for params.
 
     Each row sits near the sensor-range edge, the light or the strong
     clearance at its speed, past the target, or anywhere on the wide grid;
-    speeds include standstill. Some batches are beyond sensor range
-    throughout, where the controller computes only the cruise command.
+    speeds include standstill. reach "far" puts every row beyond sensor
+    range, where the controller computes only the cruise command, and
+    "near" every row within it, where it computes no cruise command; by
+    default a batch is far, near or mixed.
     """
-    far_only = draw(st.booleans())
+    reach = reach or draw(st.sampled_from(["mixed", "far", "near"]))
+    sensor_edge = params.target_x - params.sensor_range
     n_rows = draw(st.integers(1, 30))
     rows = []
     for _ in range(n_rows):
         row = list(draw(st.tuples(*(st.floats(lo, hi) for lo, hi in VEHICLE_RANGES))))
         v = draw(st.sampled_from([0.0, row[0], params.speed_limit]))
+        if reach == "near":
+            v = max(v, 0.0)  # a reversing row could back out of sensor range
         if params.fixed_light_clearance is None:
             light = params.t_gap_des * v
             strong = light / 2.0
         else:
             light, strong = params.fixed_light_clearance, params.fixed_strong_clearance
-        if far_only:
-            x = draw(st.floats(VEHICLE_RANGES[3][0],
-                               params.target_x - params.sensor_range - 25.0))
+        if reach == "far":
+            x = draw(st.floats(VEHICLE_RANGES[3][0], sensor_edge - 25.0))
         else:
             clearance = draw(st.sampled_from([params.sensor_range, light, strong, None]))
             if clearance is None:
@@ -207,6 +212,8 @@ def vehicle_batches(draw, params):
             else:
                 x = params.target_x - clearance + draw(
                     st.sampled_from([0.0, 1e-12, -1e-12, 1e-3, -1e-3, 0.2, -0.2]))
+            if reach == "near":
+                x = max(x, sensor_edge)
         row[0], row[3] = v, x
         rows.append(row)
     return np.array(rows)
@@ -227,6 +234,12 @@ def test_vehicle_step_many_equals_gathered_commands_reference(name, brake, dt, d
     xs = data.draw(vehicle_batches(model.params))
     expected = reference_step_many(model.params, xs, (brake,), dt)
     assert _same_bits(model.step_many(xs, (brake,), dt), expected)
+    # Every row within sensor range, so no substep computes the cruise
+    # command, under full brake delivery and both partial ones.
+    near = data.draw(vehicle_batches(model.params, reach="near"))
+    for state in (1, 2, 3):
+        expected = reference_step_many(model.params, near, (state,), dt)
+        assert _same_bits(model.step_many(near, (state,), dt), expected)
 
 
 @PROPERTY
@@ -240,6 +253,52 @@ def test_vehicle_step_many_equals_any_split(name, brake, data):
     whole = model.step_many(xs, (brake,), 2.0 / 3.0)
     pieces = [model.step_many(part, (brake,), 2.0 / 3.0) for part in np.split(xs, cuts)]
     assert _same_bits(np.concatenate(pieces), whole)
+
+
+@st.composite
+def binning_cases(draw):
+    """(spec, (N, L) points) with some, all or none of the dimensions in one
+    interval; points inside, outside, on the bounds and on the interval edges."""
+    L = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["some", "all", "none"]))
+    partitions = [1 if kind == "all" else draw(st.integers(2, 5)) for _ in range(L)]
+    if kind == "some":
+        ones = draw(st.lists(st.integers(0, L - 1), min_size=1, max_size=L, unique=True))
+        partitions = [1 if l in ones else k for l, k in enumerate(partitions)]
+    lower = draw(st.lists(st.floats(-100.0, 100.0), min_size=L, max_size=L))
+    upper = [lo + draw(st.floats(0.1, 50.0)) for lo in lower]
+    spec = SpaceSpec(tuple(f"x{l}" for l in range(L)), ("n",), lower, upper, partitions, (1,))
+    coords = [
+        st.one_of(st.floats(lo - (hi - lo), hi + (hi - lo)),
+                  st.sampled_from([lo + i * w for i in range(k)] + [hi]))
+        for lo, hi, w, k in zip(spec.lower, spec.upper, spec.widths, spec.partitions)
+    ]
+    rows = draw(st.lists(st.tuples(*coords), min_size=1, max_size=20))
+    return spec, np.array(rows, dtype=float)
+
+
+def _reference_bins(xs: np.ndarray, spec: SpaceSpec) -> list[int]:
+    """Flat index of every row, one dimension at a time: floor((x - lo) / w),
+    the top interval closed; a row outside any bound goes to the exterior."""
+    out = []
+    for row in xs.tolist():
+        flat, stride = 0, 1
+        for x, lo, hi, w, k in zip(row, spec.lower, spec.upper, spec.widths, spec.partitions):
+            if not lo <= x <= hi:
+                flat = spec.total_continuous_cells
+                break
+            flat += min(math.floor((x - lo) / w), k - 1) * stride
+            stride *= k
+        out.append(flat)
+    return out
+
+
+@PROPERTY
+@given(binning_cases())
+def test_bin_points_equals_per_dimension_reference(case):
+    spec, xs = case
+    got = bin_points(xs, spec)
+    assert got.dtype == np.int64 and got.tolist() == _reference_bins(xs, spec)
 
 
 class _Recording(DynamicsModel):
