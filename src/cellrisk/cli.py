@@ -547,8 +547,12 @@ def main() -> None:
     """Cell-to-cell risk mapping and backtracking scenario search."""
 
 
+# An input option's file must exist and not be a directory: click names either problem.
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+
 @main.command("build-map")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_INPUT_FILE)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_override("seed")
 @_override("samples_per_cell")
@@ -575,8 +579,8 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
 
 
 @main.command("run-bpa")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--map", "map_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_INPUT_FILE)
+@click.option("--map", "map_path", required=True, type=_INPUT_FILE)
 @click.option("--out-tree", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-report", type=click.Path(), default=None)
@@ -640,8 +644,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
 
 
 @main.command("validate")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--map", "map_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_INPUT_FILE)
+@click.option("--map", "map_path", required=True, type=_INPUT_FILE)
 @click.option("--oracle-trials", type=int, default=2000, show_default=True)
 def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
@@ -686,8 +690,8 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 
 
 @main.command("forward-check")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--map", "map_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_INPUT_FILE)
+@click.option("--map", "map_path", required=True, type=_INPUT_FILE)
 @click.option("--cell", "cell_id", required=True, type=int,
               help="Flat cell id carrying the initial point mass.")
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")

@@ -16,9 +16,7 @@ __all__ = [
     "ConfigModelError",
     "ConfigTransitionModel",
     "DERIVE_ENTRY",
-    "StepSizeError",
     "component_matrix_from_rows",
-    "rate_matrix_to_step_matrix",
     "validate",
 ]
 
@@ -31,10 +29,6 @@ DERIVE_ENTRY = "~1"
 
 class ConfigModelError(ValueError):
     """Raised for malformed component matrices or bad state indices."""
-
-
-class StepSizeError(ValueError):
-    """Raised when a time step is too large for the given transition rates."""
 
 
 @dataclass(frozen=True)
@@ -105,33 +99,6 @@ def h(model: ConfigTransitionModel, n_prev: Sequence[int], n_next: Sequence[int]
             )
         p *= float(mat[a - 1, b - 1])
     return p
-
-
-def rate_matrix_to_step_matrix(
-    rates: Sequence[Sequence[float]] | np.ndarray,
-    dt: float,
-    component_index: int = 0,
-) -> ComponentMatrix:
-    """Convert per-hour transition rates into a per-step probability matrix.
-
-    Off-diagonal entries become rate * dt/3600; diagonals absorb the rest of
-    the row. dt is in seconds.
-    """
-    arr = np.array(rates, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigModelError(f"rate matrix must be square, got {arr.shape}")
-    off = arr * (dt / 3600.0)
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < 0):
-        raise ConfigModelError("off-diagonal rates must be >= 0")
-    if np.any(off >= 1.0):
-        raise StepSizeError(f"dt={dt}s makes an off-diagonal probability >= 1")
-    diag = 1.0 - off.sum(axis=1)
-    if np.any(diag <= 0.0):
-        raise StepSizeError(f"dt={dt}s drives a diagonal probability <= 0")
-    step = off.copy()
-    np.fill_diagonal(step, diag)
-    return ComponentMatrix(component_index, step)
 
 
 def component_matrix_from_rows(rows: list, component_index: int = 0) -> ComponentMatrix:

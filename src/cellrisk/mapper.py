@@ -147,22 +147,12 @@ class TransitionMap:
     def n_edges(self) -> int:
         return len(self.matrix.data) - 1  # the exterior's self-loop is implicit
 
-    def exterior_mass(self, source: int) -> float:
-        # The exterior is the highest column, so it ends its row when present.
-        end = self.matrix.indptr[source + 1] - 1
-        hit = end >= self.matrix.indptr[source] and self.matrix.indices[end] == self.n_cells
-        return float(self.matrix.data[end]) if hit else 0.0
-
     def total_exterior_mass(self) -> float:
         # cumsum adds one term at a time in source order, as a plain loop would.
         C = self.n_cells
         cells = slice(0, self.matrix.indptr[C])
         exterior = self.matrix.data[cells][self.matrix.indices[cells] == C]
         return float(np.cumsum(np.append(0.0, exterior))[-1])
-
-    def row_sums(self) -> np.ndarray:
-        """Outgoing mass of every source cell."""
-        return _row_sums(self.matrix)
 
     def rows(self) -> dict[int, list[tuple[int, float]]]:
         """Every source's edges as (target id or EXTERIOR_ID, q), by target id."""

@@ -25,7 +25,7 @@ from cellrisk.mapper import build_map, estimate_g
 from cellrisk.oracle import CellUniform, MonteCarloConfig, simulate_event_probability
 from cellrisk.vehicle import BrakeState, VehicleState
 
-from conftest import SUITE_SEED
+from conftest import CONFIGS, SUITE_SEED
 from _synthetic import line_spec
 from cellrisk.cli import LinearDriftModel
 
@@ -388,13 +388,13 @@ def test_criterion_9_deterministic_exports(tmp_path):
         dot_path = tmp_path / f"tree_{tag}.gv"
         res = runner.invoke(
             cli_main,
-            ["build-map", "--config", "configs/agv_baseline.yaml",
+            ["build-map", "--config", str(CONFIGS / "agv_baseline.yaml"),
              "--out", str(map_path)],
         )
         assert res.exit_code == 0, res.output
         res = runner.invoke(
             cli_main,
-            ["run-bpa", "--config", "configs/agv_baseline.yaml",
+            ["run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"),
              "--map", str(map_path), "--out-tree", str(tree_path),
              "--out-graph", str(dot_path)],
         )

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import cellrisk
 from _synthetic import tree_to_dict
+from conftest import CONFIGS
 from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_to_dot
 from cellrisk.cellspace import EXTERIOR_ID
 from cellrisk.cli import (
@@ -387,13 +388,13 @@ def test_validate_handles_exterior_rows(tmp_path):
     map_path = tmp_path / "agv_map.json"
     res = runner.invoke(
         main,
-        ["build-map", "--config", "configs/agv_baseline.yaml",
+        ["build-map", "--config", str(CONFIGS / "agv_baseline.yaml"),
          "--out", str(map_path), "--samples", "16"],
     )
     assert res.exit_code == EXIT_OK, res.output
     res = runner.invoke(
         main,
-        ["validate", "--config", "configs/agv_baseline.yaml",
+        ["validate", "--config", str(CONFIGS / "agv_baseline.yaml"),
          "--map", str(map_path), "--oracle-trials", "400"],
     )
     assert res.exit_code == EXIT_OK, res.output
@@ -435,7 +436,7 @@ def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, base
     tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
     map_path, txt = _baseline_map_file(tmp_path, baseline_map), tmp_path / "tree.txt"
     res = CliRunner().invoke(
-        main, ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+        main, ["run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
                "--depth", "4", "--out-text", str(txt)])
     assert res.exit_code == EXIT_OK, res.output
     # One line per node of the reference document, children in order, indented by depth.
@@ -463,12 +464,12 @@ def test_cli_import_pulls_in_neither_scipy_nor_multiprocessing():
 
 
 def test_shipped_case_study_configs_load():
-    baseline = load_config("configs/agv_baseline.yaml")
+    baseline = load_config(str(CONFIGS / "agv_baseline.yaml"))
     assert baseline.spec.total_cells == 2250
     assert baseline.simulator == "agv-baseline"
     assert baseline.dt == pytest.approx(2.0 / 3.0)
     assert baseline.event.configs == frozenset({(1,), (2,), (3,)})
-    modified = load_config("configs/agv_modified.yaml")
+    modified = load_config(str(CONFIGS / "agv_modified.yaml"))
     assert modified.search_depth == 3
     assert modified.simulator == "agv-modified"
 
@@ -507,6 +508,32 @@ def test_usage_error_exit_code(tmp_path, args, words):
     given = {"CONFIG": ["--config", str(cfg_path)], "MAP": ["--map", str(map_path)]}
     res = CliRunner().invoke(main, [a for arg in args for a in given.get(arg, [arg])])
     _assert_named_exit_3(res, *words)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("build-map", "--config"),
+        ("run-bpa", "--config"),
+        ("run-bpa", "--map"),
+        ("validate", "--config"),
+        ("validate", "--map"),
+        ("forward-check", "--config"),
+        ("forward-check", "--map"),
+    ],
+)
+def test_input_path_that_is_a_directory_exit_code(tmp_path, command, flag):
+    cfg_path, map_path = _built(tmp_path)
+    inputs = {"--config": str(cfg_path), "--map": str(map_path), flag: str(tmp_path)}
+    args = {
+        "build-map": ["--config", inputs["--config"], "--out", str(tmp_path / "out.json")],
+        "run-bpa": ["--config", inputs["--config"], "--map", inputs["--map"]],
+        "validate": ["--config", inputs["--config"], "--map", inputs["--map"]],
+        "forward-check": ["--config", inputs["--config"], "--map", inputs["--map"],
+                          "--cell", "0"],
+    }[command]
+    res = CliRunner().invoke(main, [command] + args)
+    _assert_named_exit_3(res, f"Invalid value for '{flag}'", "is a directory")
 
 
 @pytest.mark.parametrize("command", ["run-bpa", "forward-check"])
@@ -801,7 +828,7 @@ def test_drift_blow_up_is_a_build_error(tmp_path, command):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_vehicle_blow_up_is_a_build_error(tmp_path):
-    doc = yaml.safe_load(Path("configs/agv_baseline.yaml").read_text())
+    doc = yaml.safe_load((CONFIGS / "agv_baseline.yaml").read_text())
     doc.update(dt="1e308", numberOfCells=[5, 1, 1, 30, 1, 1, 3], samples_per_cell=4)
     path = tmp_path / "agv.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -918,7 +945,7 @@ def _baseline_map_file(tmp_path, baseline_map):
 def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_config):
     n = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8).n_nodes
     map_path = _baseline_map_file(tmp_path, baseline_map)
-    args = ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+    args = ["run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
             "--depth", "4", "--budget"]
     res = CliRunner().invoke(main, args + [str(n)])
     assert res.exit_code == EXIT_OK, res.output
@@ -932,7 +959,7 @@ def test_run_bpa_report_echoes_the_overridden_settings(tmp_path, baseline_map):
     map_path = _baseline_map_file(tmp_path, baseline_map)
     report_path = tmp_path / "report.json"
     res = CliRunner().invoke(main, [
-        "run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+        "run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
         "--depth", "3", "--epsilon", "1e-6", "--budget", "50000",
         "--out-report", str(report_path)])
     assert res.exit_code == EXIT_OK, res.output
@@ -951,7 +978,7 @@ def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseli
         monkeypatch.setattr(cls, "__init__", counting_init)
     map_path = _baseline_map_file(tmp_path, baseline_map)
     res = CliRunner().invoke(
-        main, ["run-bpa", "--config", "configs/agv_baseline.yaml", "--map", str(map_path),
+        main, ["run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
                "--depth", "4", "--out-tree", str(tmp_path / "tree.json"),
                "--out-graph", str(tmp_path / "tree.gv"),
                "--out-report", str(tmp_path / "report.json")])

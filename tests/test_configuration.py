@@ -1,16 +1,13 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigModelError,
     ConfigTransitionModel,
-    StepSizeError,
     component_matrix_from_rows,
     h,
-    rate_matrix_to_step_matrix,
     validate,
 )
 
@@ -70,31 +67,6 @@ def test_h_rows_are_stochastic():
                 for l in range(2)
             )
             assert abs(total - 1.0) <= 1e-9
-
-
-def test_rate_conversion_hour_identity():
-    rates = [[0.0, 2e-7], [0.0, 0.0]]
-    step = rate_matrix_to_step_matrix(rates, dt=3600.0)
-    assert step.entries[0, 1] == pytest.approx(2e-7, rel=1e-12)
-    assert step.entries[0, 0] == pytest.approx(1.0 - 2e-7, rel=1e-12)
-
-
-def test_rate_conversion_subsecond():
-    rates = [[0.0, 2e-7], [0.0, 0.0]]
-    step = rate_matrix_to_step_matrix(rates, dt=2.0 / 3.0)
-    assert step.entries[0, 1] == pytest.approx(2e-7 * (2.0 / 3.0) / 3600.0, rel=1e-12)
-    assert step.entries[0, 1] == pytest.approx(3.7037037e-11, rel=1e-6)
-
-
-def test_rate_conversion_zero_rates_identity():
-    step = rate_matrix_to_step_matrix(np.zeros((3, 3)), dt=10.0)
-    assert np.array_equal(step.entries, np.eye(3))
-
-
-def test_rate_conversion_rejects_large_dt():
-    rates = [[0.0, 3600.0], [0.0, 0.0]]
-    with pytest.raises(StepSizeError):
-        rate_matrix_to_step_matrix(rates, dt=7200.0)
 
 
 def test_validate_reports_row_excess():

@@ -22,8 +22,6 @@ from cellrisk.configuration import (
     ComponentMatrix,
     ConfigModelError,
     ConfigTransitionModel,
-    StepSizeError,
-    rate_matrix_to_step_matrix,
 )
 from cellrisk.mapper import (
     BuildError,
@@ -88,16 +86,6 @@ CHECKS = {
                           ConfigModelError, "component 2: matrix must be square, got (1, 2)"),
     "model-empty": (lambda: ConfigTransitionModel(()),
                     ConfigModelError, "model needs at least one component matrix"),
-    "rates-not-square": (lambda: rate_matrix_to_step_matrix([[0.0, 1.0]], 1.0),
-                         ConfigModelError, "rate matrix must be square, got (1, 2)"),
-    "rates-negative": (lambda: rate_matrix_to_step_matrix([[0.0, -1.0], [0.0, 0.0]], 1.0),
-                       ConfigModelError, "off-diagonal rates must be >= 0"),
-    "rates-off-diagonal-one": (lambda: rate_matrix_to_step_matrix([[0.0, 3600.0], [0.0, 0.0]],
-                                                                  1.0),
-                               StepSizeError, "dt=1.0s makes an off-diagonal probability >= 1"),
-    "rates-diagonal-zero": (lambda: rate_matrix_to_step_matrix(
-                                [[0.0, 1800.0, 1800.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 1.0),
-                            StepSizeError, "dt=1.0s drives a diagonal probability <= 0"),
     # mapper
     "base-step-many": (lambda: DynamicsModel().step_many(np.zeros((1, 1)), (1,), 1.0),
                        NotImplementedError, None),

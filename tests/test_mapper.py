@@ -384,8 +384,9 @@ def test_quadrature_convergence_synthetic():
 def test_exterior_mass_accounting():
     spec = line_spec(4)
     tmap = build_map(LinearDriftModel(1.0), spec, identity_config(), dt=1.0, samples=30, seed=15)
-    assert tmap.exterior_mass(3) == 1.0
-    assert tmap.exterior_mass(0) == 0.0
+    rows = tmap.rows()
+    assert dict(rows[3]).get(EXTERIOR_ID, 0.0) == 1.0
+    assert dict(rows[0]).get(EXTERIOR_ID, 0.0) == 0.0
     # The exterior never appears in the backward index.
     assert len(tmap.predecessor_index.indptr) == tmap.n_cells + 1
 
