@@ -22,7 +22,6 @@ __all__ = [
     "SpaceSpec",
     "SpecMismatchError",
     "bin_points",
-    "bounds_of",
     "cell_boxes",
     "coord_to_id",
     "id_to_coord",
@@ -191,12 +190,6 @@ def cell_boxes(j, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo + w
 
 
-def bounds_of(cell: CellCoord, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Box of a cell as (lower, upper) vectors; volume is prod(upper - lower)."""
-    cell.validate(spec)
-    return cell_boxes(cell.j, spec)
-
-
 def sample_cell_array(
     cell: CellCoord, spec: SpaceSpec, count: int,
     seed: int | np.random.SeedSequence | np.random.Generator,
@@ -204,7 +197,8 @@ def sample_cell_array(
     """Uniform points from the cell box as a (count, L) array; a Generator is drawn from as is."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    lo, hi = bounds_of(cell, spec)
+    cell.validate(spec)
+    lo, hi = cell_boxes(cell.j, spec)
     rng = np.random.default_rng(seed)
     return lo + rng.random((count, spec.L)) * (hi - lo)
 

@@ -363,21 +363,6 @@ def _config_edges(
             (src[ext], np.full(int(ext.sum()), spec.total_cells), g[ext])]
 
 
-def _sweep(
-    model: DynamicsModel,
-    spec: SpaceSpec,
-    config_model: ConfigTransitionModel,
-    dt: float, samples: int, seed: int, start: int, stop: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays (source, column, q) of sources start..stop-1 (worker unit),
-    one configuration at a time."""
-    n_j = spec.total_continuous_cells
-    cuts = [start, *range((start // n_j + 1) * n_j, stop, n_j), stop]  # configuration bounds
-    parts = [part for lo, hi in zip(cuts, cuts[1:])
-             for part in _config_edges(model, spec, config_model, dt, samples, seed, range(lo, hi))]
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
 def build_map(
     model: DynamicsModel,
     spec: SpaceSpec,
@@ -409,19 +394,22 @@ def build_map(
             f"exceeds budget {sample_budget}"
         )
 
+    # Work units: each configuration's run of sources, cut into one piece per worker.
+    n_j = spec.total_continuous_cells
+    piece = n_j if workers <= 1 else math.ceil(n_j / workers)
+    runs = (range(start, start + n_j) for start in range(0, C, n_j))
+    units = [run[i : i + piece] for run in runs for i in range(0, n_j, piece)]
     args = (model, spec, config_model, dt, samples, seed)
     if workers <= 1:
-        parts = [_sweep(*args, 0, C)]
+        parts = [_config_edges(*args, ids) for ids in units]
     else:
         # Imported here: multiprocessing costs every command start-up otherwise.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = math.ceil(C / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep, *args, lo, min(lo + chunk, C))
-                       for lo in range(0, C, chunk)]
+            futures = [pool.submit(_config_edges, *args, ids) for ids in units]
             parts = [f.result() for f in futures]
-    matrix = _matrix(C, *(np.concatenate(a) for a in zip(*parts)))
+    matrix = _matrix(C, *(np.concatenate(a) for a in zip(*itertools.chain(*parts))))
     if problem := _off_rows(matrix):
         raise BuildError(problem)
     return TransitionMap(spec, dt, samples, seed, model.name, {}, matrix)

@@ -26,7 +26,6 @@ __all__ = [
     "GroundVehicleModel",
     "ScenarioParams",
     "VehicleState",
-    "control",
 ]
 
 IDX_V_FWD, IDX_V_SIDE, IDX_YAW_RATE, IDX_X, IDX_Y, IDX_YAW = range(6)
@@ -104,8 +103,18 @@ class ScenarioParams:
 
 
 def _command(v, x, p: ScenarioParams):
-    """Commanded acceleration with the (far, close, near) clearance masks it
-    was selected by; close and near are None when every row is far."""
+    """Commanded acceleration, elementwise in forward velocity v and x-position x.
+
+    The controller's mode follows from the clearance to the target in
+    priority order, with no hidden memory: beyond sensor range (lane
+    tracking), then inside the strong threshold (strong brake), then inside
+    the light one (light brake), else vehicle following. Cruise tracks the
+    speed limit and following a comfort-braking profile that stops
+    standstill_clearance short, both clipped to the comfort acceleration (as
+    np.clip would, bit for bit, without its call overhead). The cruise
+    command is computed only when some clearance is beyond sensor range, and
+    only it when all are.
+    """
     c = p.target_x - x
     comf = p.comfort_accel
     far = np.greater(c, p.sensor_range)  # a numpy bool for scalars too, so any() is a method
@@ -113,38 +122,18 @@ def _command(v, x, p: ScenarioParams):
     if some_far:
         cruise = np.minimum(np.maximum(p.k_speed * (p.speed_limit - v), -comf), comf)
         if far.all():
-            return cruise, far, None, None
+            return cruise
     if p.fixed_light_clearance is None:
         light = p.t_gap_des * v
         strong = light / 2.0
     else:
         light = p.fixed_light_clearance
         strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
-    close, near = c < strong, c < light
     margin = np.maximum(0.0, c - p.standstill_clearance)
     v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
     follow = np.minimum(np.maximum(p.k_gap * (v_des - v), -comf), comf)
-    accel = np.where(close, p.strong_accel, np.where(near, p.light_accel, follow))
-    return (np.where(far, cruise, accel) if some_far else accel), far, close, near
-
-
-def control(v, x, params: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Controller mode index and commanded acceleration, elementwise.
-
-    Modes: 0 lane tracking, 1 vehicle following, 2 light brake, 3 strong
-    brake. Elementwise in forward velocity v and x-position x; no hidden
-    memory. The mode follows from the clearance to the target in priority
-    order: beyond sensor range, then inside the strong threshold, then inside
-    the light one, else following. Cruise tracks the speed limit and
-    following a comfort-braking profile that stops standstill_clearance
-    short, both clipped to the comfort acceleration (as np.clip would, bit
-    for bit, without its call overhead). The cruise command is computed only
-    when some clearance is beyond sensor range, and only it when all are.
-    """
-    accel, far, close, near = _command(v, x, params)
-    if close is None:
-        return np.zeros(np.shape(far), dtype=np.int64), accel
-    return np.where(far, 0, np.where(close, 3, np.where(near, 2, 1))), accel
+    accel = np.where(c < strong, p.strong_accel, np.where(c < light, p.light_accel, follow))
+    return np.where(far, cruise, accel) if some_far else accel
 
 
 class GroundVehicleModel(DynamicsModel):
@@ -180,7 +169,7 @@ class GroundVehicleModel(DynamicsModel):
         pull, damp = np.empty_like(rates), np.empty_like(rates)
 
         for _ in range(p.substeps):
-            a = _command(v, x, p)[0]
+            a = _command(v, x, p)
             if delivery != 1.0:
                 np.multiply(a, delivery, out=a, where=a < 0.0)
             # In place, the same IEEE operations in the same order as

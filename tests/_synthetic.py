@@ -140,7 +140,8 @@ def tree_to_dict(tree) -> dict:
 
 def reference_control(v, x, p):
     """Mode index and the commands of all modes (0 lane tracking, 1 following,
-    2 light brake, 3 strong brake): the reference for vehicle.control."""
+    2 light brake, 3 strong brake): the reference for vehicle._command, which
+    gives the command of the row's mode alone."""
     c = p.target_x - x
     if p.fixed_light_clearance is None:
         light = p.t_gap_des * v

@@ -30,7 +30,7 @@ from cellrisk.bpa import (
     tree_to_text,
     write_tree,
 )
-from cellrisk.cellspace import CellCoord, SpaceSpec, bounds_of, coord_to_id, id_to_coord
+from cellrisk.cellspace import CellCoord, SpaceSpec, cell_boxes, coord_to_id, id_to_coord
 from cellrisk.mapper import BudgetError, TransitionMap, json_array
 
 PI = math.pi
@@ -56,7 +56,7 @@ def scan_event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
         coord = id_to_coord(cid, spec)
         if coord.n not in event.configs:
             continue
-        lo, hi = bounds_of(coord, spec)
+        lo, hi = cell_boxes(coord.j, spec)
         if all(
             lo[l] < event.upper[l] and hi[l] > event.lower[l] for l in range(spec.L)
         ):

@@ -12,7 +12,7 @@ from cellrisk.cellspace import (
     SpaceSpecError,
     SpecMismatchError,
     bin_points,
-    bounds_of,
+    cell_boxes,
     coord_to_id,
     id_to_coord,
     sample_cell_array,
@@ -92,17 +92,17 @@ def test_cell_of_out_of_bounds_is_exterior():
 
 def test_bounds_of_examples():
     spec = agv_spec()
-    lo, hi = bounds_of(CellCoord((4, 1, 1, 1, 1, 1), (1,)), spec)
+    lo, hi = cell_boxes((4, 1, 1, 1, 1, 1), spec)
     assert lo[0] == 12.0 and hi[0] == 16.0
 
-    lo, hi = bounds_of(CellCoord((1, 1, 1, 126, 1, 1), (1,)), spec)
+    lo, hi = cell_boxes((1, 1, 1, 126, 1, 1), spec)
     assert lo[3] == 500.0 and hi[3] == 504.0
     # Cross-check: the box lower corner falls back into the same cell.
     (inside,) = cells_of(np.array([0.0, -5.0, -0.5, 500.0, -6.0, -PI / 3]), (1,), spec)
     assert inside.j[3] == 126
 
     spec2 = tiny_spec()
-    lo, hi = bounds_of(CellCoord((1, 1), (1,)), spec2)
+    lo, hi = cell_boxes((1, 1), spec2)
     assert np.allclose(lo, spec2.lower)
     assert np.allclose(hi, np.array(spec2.lower) + np.array(spec2.widths))
 
@@ -126,7 +126,7 @@ def test_sample_cell_deterministic():
 def test_sample_cell_means_match_uniform_moments():
     spec = agv_spec()
     cell = CellCoord((4, 1, 1, 123, 1, 1), (1,))
-    lo, hi = bounds_of(cell, spec)
+    lo, hi = cell_boxes(cell.j, spec)
     count = 10_000
     xs = sample_cell_array(cell, spec, count, seed=11)
     mid = (lo + hi) / 2
@@ -173,7 +173,7 @@ def test_partition_cover_unique_membership():
             coord = id_to_coord(cid, spec)  # configs share geometry; n = (1,)
             if coord.n != (1,):
                 continue
-            lo, hi = bounds_of(coord, spec)
+            lo, hi = cell_boxes(coord.j, spec)
             inside = all(
                 (lo[l] <= x[l] < hi[l])
                 or (coord.j[l] == spec.partitions[l] and x[l] == hi[l])
@@ -192,7 +192,7 @@ def test_volume_conservation():
         coord = id_to_coord(cid, spec)
         if coord.n != (1,):
             continue
-        lo, hi = bounds_of(coord, spec)
+        lo, hi = cell_boxes(coord.j, spec)
         total += float(np.prod(hi - lo))
     box = math.prod(u - l for u, l in zip(spec.upper, spec.lower))
     assert abs(total - box) / box <= 1e-9
@@ -202,7 +202,7 @@ def test_midpoint_round_trip_exhaustive():
     spec = tiny_spec()
     for cid in range(spec.total_cells):
         coord = id_to_coord(cid, spec)
-        lo, hi = bounds_of(coord, spec)
+        lo, hi = cell_boxes(coord.j, spec)
         assert cells_of((lo + hi) / 2, coord.n, spec) == [coord]
 
 

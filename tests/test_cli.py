@@ -381,6 +381,21 @@ def test_validate_oracle_row_disagreement_exit_code(tmp_path, monkeypatch):
     assert "FAIL oracle-row: total-variation" in res.output
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: validate never reads the map's rows")
+def test_validate_rejects_a_map_of_self_loops(tmp_path, baseline_map):
+    # The baseline map's header over edges that keep every cell where it is.
+    map_path = tmp_path / "map.json"
+    save_map(baseline_map, str(map_path))
+    doc = json.loads(map_path.read_text())
+    doc["edges"] = [[s, s, 1.0] for s in range(baseline_map.n_cells)]
+    map_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(
+        main, ["validate", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path)]
+    )
+    assert res.exit_code == EXIT_VALIDATION_FAILURE, res.output
+    assert "FAIL" in res.output
+
+
 def test_validate_handles_exterior_rows(tmp_path):
     # The vehicle scenario's first cell leaks a little lateral mass to the
     # exterior, exercising the oracle spot check's exterior branch.

@@ -81,6 +81,8 @@ CHECKS = {
                     SpecMismatchError, "dimension 0: index 5 outside 1..4"),
     "sample-count": (lambda: sample_cell_array(CELL, SPEC, 0, 0),
                      ValueError, "count must be >= 1"),
+    "sample-cell": (lambda: sample_cell_array(CellCoord((5,), (1,)), SPEC, 1, 0),
+                    SpecMismatchError, "dimension 0: index 5 outside 1..4"),
     # configuration
     "matrix-not-square": (lambda: ComponentMatrix(2, [[1.0, 0.0]]),
                           ConfigModelError, "component 2: matrix must be square, got (1, 2)"),

@@ -292,14 +292,22 @@ def test_build_reproducible_bit_identical(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_build_worker_count_invariant():
-    spec = line_spec(6, states=2)
+def test_build_worker_count_invariant(tmp_path):
+    # Two configurations; 7 continuous cells is a multiple of neither worker count.
     cfg = ConfigTransitionModel(
         matrices=(ComponentMatrix(0, [[0.9, 0.1], [0.0, 1.0]]),)
     )
-    serial = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=1)
-    parallel = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13, workers=2)
-    assert serial.rows() == parallel.rows()
+    first, other = tmp_path / "serial.json", tmp_path / "parallel.json"
+    for n_cells in (6, 7):
+        spec = line_spec(n_cells, states=2)
+        serial = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13)
+        save_map(serial, str(first))
+        for workers in (2, 3):
+            parallel = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13,
+                                 workers=workers)
+            assert serial.rows() == parallel.rows()
+            save_map(parallel, str(other))
+            assert first.read_bytes() == other.read_bytes()
 
 
 def test_persistence_round_trip(tmp_path, baseline_map):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import random_absorbing_map, reference_step_many, tree_to_dict
+from _synthetic import random_absorbing_map, reference_control, reference_step_many, tree_to_dict
 from cellrisk.bpa import (
     RankedPath,
     backtrack,
@@ -51,6 +51,7 @@ from cellrisk.mapper import (
     save_map,
     write_json,
 )
+from cellrisk.vehicle import _command
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -150,8 +151,15 @@ def test_predecessors_are_the_ordered_transpose(system):
 def test_build_is_worker_count_invariant(system):
     spec, cfg, model, samples, seed = system
     serial = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed, workers=1)
-    parallel = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed, workers=2)
-    assert serial.rows() == parallel.rows()
+    with tempfile.TemporaryDirectory() as tmp:
+        first, other = Path(tmp) / "serial.json", Path(tmp) / "parallel.json"
+        save_map(serial, str(first))
+        for workers in (2, 3):
+            parallel = build_map(model, spec, cfg, dt=1.0, samples=samples, seed=seed,
+                                 workers=workers)
+            assert serial.rows() == parallel.rows()
+            save_map(parallel, str(other))
+            assert first.read_bytes() == other.read_bytes()
 
 
 TRUNCATIONS = st.sampled_from([0.0, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
@@ -257,6 +265,48 @@ def test_vehicle_step_many_equals_any_split(name, brake, data):
     whole = model.step_many(xs, (brake,), 2.0 / 3.0)
     pieces = [model.step_many(part, (brake,), 2.0 / 3.0) for part in np.split(xs, cuts)]
     assert _same_bits(np.concatenate(pieces), whole)
+
+
+@st.composite
+def controller_rows(draw, params):
+    """(N, 2) rows (v, x) on the case-study grid, v in [0, 20] and x in [0, 600],
+    some of them on the sensor-range, light or strong clearance.
+
+    The sensor range and fixed clearances are hit exactly. For a
+    speed-scaled clearance the x-position is drawn first and the speed whose
+    threshold comes closest to its clearance is taken: exact for most
+    clearances, a few ulps off where no float speed gives it.
+    """
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        v = draw(st.floats(0.0, 20.0))
+        kind = draw(st.sampled_from(["grid", "sensor", "light", "strong"]))
+        if kind == "grid":
+            x = draw(st.floats(0.0, 600.0))
+        elif kind == "sensor":
+            x = params.target_x - params.sensor_range
+        elif params.fixed_light_clearance is not None:
+            fixed = params.fixed_light_clearance if kind == "light" else params.fixed_strong_clearance
+            x = params.target_x - fixed
+        else:
+            halve = 2.0 if kind == "strong" else 1.0
+            x = draw(st.floats(params.target_x - 20.0 * params.t_gap_des / halve, params.target_x))
+            c = params.target_x - x
+            u = c * halve / params.t_gap_des
+            u = np.clip(u + np.arange(-8, 9) * np.spacing(u), 0.0, 20.0)
+            v = float(u[np.argmin(np.abs(params.t_gap_des * u / halve - c))])
+        rows.append((v, x))
+    return np.array(rows)
+
+
+@PROPERTY
+@pytest.mark.parametrize("name", ["agv-baseline", "agv-modified"])
+@given(st.data())
+def test_command_is_the_reference_command_of_the_row_mode(name, data):
+    params = SIMULATORS[name]({}).params
+    v, x = data.draw(controller_rows(params)).T
+    mode, commands = reference_control(v, x, params)
+    assert _same_bits(_command(v, x, params), commands[mode, np.arange(len(v))])
 
 
 @st.composite

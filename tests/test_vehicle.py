@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from _synthetic import reference_control
 from conftest import CONFIGS
 from cellrisk.cli import ConfigError, load_config
 from cellrisk.vehicle import (
@@ -13,61 +14,54 @@ from cellrisk.vehicle import (
     GroundVehicleModel,
     ScenarioParams,
     VehicleState,
-    control,
+    _command,
 )
 
 BASE = ScenarioParams(t_gap_des=1.3)
+FIXED = ScenarioParams(t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0)
 
-# control()'s mode indices.
+# reference_control()'s mode indices.
 LANE_TRACKING, VEHICLE_FOLLOWING, LIGHT_BRAKE, STRONG_BRAKE = range(4)
 
 
-def test_mode_far_from_target_is_lane_tracking():
-    assert control(15.0, 0.0, BASE)[0] == LANE_TRACKING
-
-
-def test_mode_light_brake_inside_desired_gap():
-    # c = 19 against a desired clearance of 1.3 * 15 = 19.5.
-    assert control(15.0, 481.0, BASE)[0] == LIGHT_BRAKE
-
-
-def test_mode_strong_brake_inside_half_gap():
-    assert control(15.0, 492.0, BASE)[0] == STRONG_BRAKE  # c = 8 < 9.75
-
-
-def test_mode_following_between_sensor_and_gap():
-    assert control(15.0, 430.0, BASE)[0] == VEHICLE_FOLLOWING  # c = 70
-
-
-def test_mode_fixed_thresholds():
-    params = ScenarioParams(
-        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0
-    )
-    assert control(15.0, 471.0, params)[0] == LIGHT_BRAKE
-    assert control(15.0, 486.0, params)[0] == STRONG_BRAKE
-    assert control(15.0, 440.0, params)[0] == VEHICLE_FOLLOWING
+@pytest.mark.parametrize(
+    "v, x, params, mode",
+    [
+        (15.0, 0.0, BASE, LANE_TRACKING),  # far from the target
+        (15.0, 481.0, BASE, LIGHT_BRAKE),  # c = 19 against a desired clearance of 1.3 * 15 = 19.5
+        (15.0, 492.0, BASE, STRONG_BRAKE),  # c = 8 < 9.75
+        (15.0, 430.0, BASE, VEHICLE_FOLLOWING),  # c = 70, between sensor range and gap
+        (15.0, 471.0, FIXED, LIGHT_BRAKE),
+        (15.0, 486.0, FIXED, STRONG_BRAKE),
+        (15.0, 440.0, FIXED, VEHICLE_FOLLOWING),
+    ],
+    ids=["far", "light", "strong", "following", "fixed-light", "fixed-strong", "fixed-following"],
+)
+def test_mode_and_its_command(v, x, params, mode):
+    reference_mode, commands = reference_control(v, x, params)
+    assert reference_mode == mode
+    assert _command(v, x, params) == commands[mode]
 
 
 def test_commanded_accel_brake_levels():
-    strong = control(15.0, 492.0, BASE)  # c = 8 < 19.5 / 2
-    light = control(15.0, 481.0, BASE)  # c = 19 < 19.5
-    assert strong[0] == STRONG_BRAKE and light[0] == LIGHT_BRAKE
-    assert strong[1] == -0.8 * 9.81
-    assert light[1] == -0.3 * 9.81
-    assert strong[1] == pytest.approx(-7.848)
-    assert light[1] == pytest.approx(-2.943)
+    strong = _command(15.0, 492.0, BASE)  # c = 8 < 19.5 / 2
+    light = _command(15.0, 481.0, BASE)  # c = 19 < 19.5
+    assert strong == -0.8 * 9.81
+    assert light == -0.3 * 9.81
+    assert strong == pytest.approx(-7.848)
+    assert light == pytest.approx(-2.943)
 
 
 def test_commanded_accel_cruise_at_limit_is_zero():
-    mode, accel = control(BASE.speed_limit, 0.0, BASE)
-    assert mode == LANE_TRACKING and accel == 0.0
+    assert reference_control(BASE.speed_limit, 0.0, BASE)[0] == LANE_TRACKING
+    assert _command(BASE.speed_limit, 0.0, BASE) == 0.0
 
 
 def test_commanded_accel_comfort_bounded():
     for v in (0.0, 30.0):
-        assert control(v, 0.0, BASE)[0] == LANE_TRACKING
-    assert control(0.0, 0.0, BASE)[1] <= BASE.comfort_accel
-    assert control(30.0, 0.0, BASE)[1] >= -BASE.comfort_accel
+        assert reference_control(v, 0.0, BASE)[0] == LANE_TRACKING
+    assert _command(0.0, 0.0, BASE) <= BASE.comfort_accel
+    assert _command(30.0, 0.0, BASE) >= -BASE.comfort_accel
 
 
 def closed_form_brake(v0: float, x0: float, accel: float, dt: float, substeps: int):
