@@ -22,7 +22,6 @@ import numpy as np
 import yaml
 
 from . import bpa as bpa_mod
-from . import configuration as config_mod
 from . import mapper as mapper_mod
 from .bpa import (
     TopEvent,
@@ -394,16 +393,13 @@ def load_config(path: str) -> RunConfig:
     for m, rows in enumerate(matrices):
         try:
             comp = component_matrix_from_rows(rows, component_index=m)
-        except ConfigModelError as exc:  # its message names the component
-            problems.append(f"sysConfTransProb {exc}")
+        except ConfigModelError as exc:  # each message names the component
+            problems += [f"sysConfTransProb: {msg}" for msg in exc.problems]
             continue
         comps.append(comp)
         if spec is not None and len(matrices) == M and comp.size != spec.states[m]:
             problems.append(f"sysConfTransProb component {m} is {comp.size}x{comp.size}, "
                             f"expected {spec.states[m]}x{spec.states[m]}")
-    if len(comps) == len(matrices) == M:
-        model = ConfigTransitionModel(matrices=tuple(comps))
-        problems += [f"sysConfTransProb: {msg}" for msg in config_mod.validate(model)]
 
     # Event bounds: L entries, or L+1 with a trailing configuration range.
     ev_u, ev_l = values["eventUpperBounds"], values["eventLowerBounds"]
@@ -437,7 +433,7 @@ def load_config(path: str) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(spec=spec, config_model=model, event=event,
+    return RunConfig(spec=spec, config_model=ConfigTransitionModel(tuple(comps)), event=event,
                      **{key: values[key] for key in _SETTINGS})
 
 
@@ -703,6 +699,9 @@ def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     if not 0 <= cell_id < tmap.n_cells:
         _fail("option", [f"--cell must be in [0, {tmap.n_cells}), got {cell_id}"])
     k = steps if steps is not None else cfg.search_depth
+    if k * (tmap.n_edges + 1) > cfg.sample_budget:  # before the first push
+        raise BudgetError(f"{k} steps x {tmap.n_edges + 1} map entries = "
+                          f"{k * (tmap.n_edges + 1)} exceeds sample_budget {cfg.sample_budget}")
     dist = np.zeros(tmap.n_cells + 1)
     dist[cell_id] = 1.0
     prob = bpa_mod.event_probability(tmap, dist, event_cells(cfg.event, cfg.spec), k)

@@ -17,7 +17,6 @@ __all__ = [
     "ConfigTransitionModel",
     "DERIVE_ENTRY",
     "component_matrix_from_rows",
-    "validate",
 ]
 
 ROW_SUM_TOL = 1e-9  # for component matrix rows and transition map rows alike
@@ -28,7 +27,11 @@ DERIVE_ENTRY = "~1"
 
 
 class ConfigModelError(ValueError):
-    """Raised for malformed component matrices or bad state indices."""
+    """Raised for malformed component matrices or bad state indices, one message per problem."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,8 @@ class ComponentMatrix:
     """One component's state-transition matrix over a single time step.
 
     Rows index the initial state, columns the final state (1-based at the
-    API surface, 0-based in the array).
+    API surface, 0-based in the array). Every entry outside [0, 1] and every
+    row off one by more than ROW_SUM_TOL is named, row by row, and refused.
     """
 
     component_index: int
@@ -44,10 +48,18 @@ class ComponentMatrix:
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
+        m = self.component_index
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ConfigModelError(
-                f"component {self.component_index}: matrix must be square, got {arr.shape}"
-            )
+            raise ConfigModelError(f"component {m}: matrix must be square, got {arr.shape}")
+        problems = []
+        for i, (row, total) in enumerate(zip(arr.tolist(), arr.sum(axis=1).tolist()), 1):
+            problems += [f"component {m} row {i} col {k}: entry {v} outside [0, 1]"
+                         for k, v in enumerate(row, 1) if not 0.0 <= v <= 1.0]
+            if abs(total - 1.0) > ROW_SUM_TOL:
+                problems.append(f"component {m} row {i}: sums to {total!r}, "
+                                f"off by {total - 1.0:+.3e}")
+        if problems:
+            raise ConfigModelError(*problems)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -106,9 +118,9 @@ def component_matrix_from_rows(rows: list, component_index: int = 0) -> Componen
 
     At most one entry per row may be a derive sentinel ("~1"); it is filled
     with one minus the rest of the row. Every other entry is kept as written,
-    a rounded diagonal too, for validate() to report. A matrix or row that is
-    not a list, or an entry neither a number nor a sentinel, raises
-    ConfigModelError naming it.
+    a rounded diagonal too, for ComponentMatrix to name (a derived entry below
+    0 too). A matrix or row that is not a list, or an entry neither a number
+    nor a sentinel, raises ConfigModelError naming it.
     """
     where = f"component {component_index}"
     if not isinstance(rows, list):
@@ -135,33 +147,6 @@ def component_matrix_from_rows(rows: list, component_index: int = 0) -> Componen
                     f"{where}: row {i + 1} entry {k + 1} is not a number, got {entry!r}"
                 )
         if derive_at is not None:
-            rest = out[i].sum()
-            if rest > 1.0:
-                raise ConfigModelError(f"{where}: row {i + 1} off-entries sum to {rest} > 1")
-            out[i, derive_at] = 1.0 - rest
+            out[i, derive_at] = 1.0 - out[i].sum()
     return ComponentMatrix(component_index, out)
 
-
-def validate(model: ConfigTransitionModel) -> list[str]:
-    """Check range and row-stochasticity invariants.
-
-    Returns one message per violation naming matrix, row and defect size;
-    empty list means the model is sound.
-    """
-    violations: list[str] = []
-    for m, comp in enumerate(model.matrices):
-        arr = comp.entries
-        for i in range(comp.size):
-            for k in range(comp.size):
-                v = arr[i, k]
-                if not 0.0 <= v <= 1.0:
-                    violations.append(
-                        f"component {m} row {i + 1} col {k + 1}: entry {v} outside [0, 1]"
-                    )
-            row_sum = float(arr[i].sum())
-            if abs(row_sum - 1.0) > ROW_SUM_TOL:
-                violations.append(
-                    f"component {m} row {i + 1}: sums to {row_sum!r}, "
-                    f"off by {row_sum - 1.0:+.3e}"
-                )
-    return violations

@@ -31,7 +31,7 @@ from .cellspace import (
     id_to_coord,
     sample_cell_array,  # unused here; bench/tracer.py wraps mapper.sample_cell_array by name
 )
-from .configuration import ROW_SUM_TOL, ConfigTransitionModel, validate as validate_config
+from .configuration import ROW_SUM_TOL, ConfigTransitionModel
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -120,6 +120,7 @@ class TransitionMap:
     predecessor index is derived once from the matrix: its transpose over
     the C cells, each row ordered by descending q then ascending source id.
     The fields before the matrix record its build and are its file's header (_MAP_FIELDS).
+    A matrix with rows off one is refused with MapFormatError naming them (_off_rows).
     """
 
     spec: SpaceSpec
@@ -132,6 +133,8 @@ class TransitionMap:
     predecessor_index: CSR = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if problem := _off_rows(self.matrix):
+            raise MapFormatError(problem)
         C = self.n_cells
         src, col, q = self.matrix.row_ids(), self.matrix.indices, self.matrix.data
         inner = (src < C) & (col < C)
@@ -170,8 +173,7 @@ class TransitionMap:
         Its build record is fixed: dt 1, one sample per cell, seed 0, simulator "analytic".
         """
         triples = [(s, t, q) for s, row in edges.items() for t, q in row]
-        matrix = _edge_matrix(spec.total_cells, triples)
-        return cls(spec, 1.0, 1, 0, "analytic", {}, matrix)
+        return cls(spec, 1.0, 1, 0, "analytic", {}, _edge_matrix(spec.total_cells, triples))
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -188,15 +190,10 @@ def _matrix(C: int, src: np.ndarray, col: np.ndarray, q: np.ndarray) -> CSR:
     return CSR(_indptr(src, C + 1), col[order], q[order])
 
 
-def _row_sums(matrix: CSR) -> np.ndarray:
-    """Outgoing mass of every source cell (every row but the exterior's)."""
-    n_rows = len(matrix.indptr) - 1
-    return np.bincount(matrix.row_ids(), weights=matrix.data, minlength=n_rows)[:-1]
-
-
 def _off_rows(matrix: CSR) -> str | None:
     """Every source whose outgoing mass is off one by more than ROW_SUM_TOL, each named."""
-    sums = _row_sums(matrix)
+    n_rows = len(matrix.indptr) - 1
+    sums = np.bincount(matrix.row_ids(), weights=matrix.data, minlength=n_rows)[:-1]
     off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     return "; ".join(f"source {k}: row sums to {float(sums[k])!r}" for k in off) or None
 
@@ -204,26 +201,33 @@ def _off_rows(matrix: CSR) -> str | None:
 def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
-    Raises MapFormatError for a malformed triple, and one naming every
-    triple with an id out of range, q outside (0, 1] or a duplicate
-    (source, target) pair, check by check; failing those, one naming every
-    source whose outgoing mass differs from one by more than ROW_SUM_TOL.
+    Raises MapFormatError for a malformed triple, and one naming, as written, every
+    triple with a boolean field, an id out of range (checked before the integer
+    cast), q outside (0, 1] or a duplicate (source, target) pair, check by check.
     """
     try:
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
         if arr.ndim != 2 or arr.shape[1] != 3 or np.any(arr[:, :2] != np.floor(arr[:, :2])):
             raise ValueError("need integer ids")
+        # Field types are scanned in place: a copy of the edges would raise the peak.
+        has_bool = bool in set(map(type, itertools.chain.from_iterable(edges)))
+        boolean = [bool in map(type, triple) for triple in edges] if has_bool else []
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"edges must be [source, target, q] triples: {exc}") from exc
-    src, tgt, q = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
-    col = np.where(tgt == EXTERIOR_ID, C, tgt)
+    s, t, q = arr.T
+    src_ok, tgt_ok = (s >= 0) & (s < C), (t >= EXTERIOR_ID) & (t < C)
+    ok = src_ok & tgt_ok  # only these ids are cast; a triple with a bad id keys no pair
+    src = np.where(ok, s, 0).astype(np.int64)
+    col = np.where(ok & (t != EXTERIOR_ID), t, C).astype(np.int64)
     dup = np.ones(len(src), dtype=bool)  # every repeat of a (source, target) pair
-    dup[np.unique(src * (C + 1) + col, return_index=True)[1]] = False
+    key = np.where(ok, src * (C + 1) + col, -1 - np.arange(len(src)))
+    dup[np.unique(key, return_index=True)[1]] = False
     named = "; ".join(
-        f"edge [{src[k]}, {tgt[k]}, {float(q[k])!r}]: {problem}"
+        f"edge [{', '.join(map(str, edges[k]))}]: {problem}"
         for bad, problem in (
-            ((src < 0) | (src >= C), f"source id outside 0..{C - 1}"),
-            ((tgt < EXTERIOR_ID) | (tgt >= C), f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
+            (boolean, "boolean field"),
+            (~src_ok, f"source id outside 0..{C - 1}"),
+            (~tgt_ok, f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
             (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
             (dup, "duplicate (source, target) pair"),
         )
@@ -231,10 +235,7 @@ def _edge_matrix(C: int, edges) -> CSR:
     )
     if named:
         raise MapFormatError(named)
-    matrix = _matrix(C, src, col, q)
-    if problem := _off_rows(matrix):
-        raise MapFormatError(problem)
-    return matrix
+    return _matrix(C, src, col, q)
 
 
 def _edge_arrays(matrix: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,9 +381,6 @@ def build_map(
     """
     if dt <= 0 or samples < 1:
         raise ValueError("dt must be positive and samples >= 1")
-    issues = validate_config(config_model)
-    if issues:
-        raise BuildError("configuration model invalid: " + "; ".join(issues))
     if config_model.sizes != spec.states:
         raise BuildError(
             f"configuration sizes {config_model.sizes} do not match spec states {spec.states}"
@@ -410,8 +408,6 @@ def build_map(
             futures = [pool.submit(_config_edges, *args, ids) for ids in units]
             parts = [f.result() for f in futures]
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*itertools.chain(*parts))))
-    if problem := _off_rows(matrix):
-        raise BuildError(problem)
     return TransitionMap(spec, dt, samples, seed, model.name, {}, matrix)
 
 

@@ -764,7 +764,7 @@ TWO_COMPONENTS = {
         ({"variableUpperBounds": [10.0, 11.0]}, "variableUpperBounds has 2 entries, expected 1"),
         ({"variableLowerBounds": []}, "variableLowerBounds has 0 entries, expected 1"),
         ({"sysConfTransProb": [[[0.25, "~1"], ["~1", 1.5]]]},
-         "component 0: row 2 off-entries sum to 1.5 > 1"),
+         "component 0 row 2 col 1: entry -0.5"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -807,6 +807,20 @@ def test_oracle_trials_above_the_sample_budget_exit_code(tmp_path):
     assert CliRunner().invoke(main, validate + ["100"]).exit_code != EXIT_BUDGET_ERROR
 
 
+def test_forward_check_horizon_above_the_sample_budget_exit_code(tmp_path):
+    # A push costs one term per map entry, so steps x entries is held to the budget.
+    _, map_path = _built(tmp_path)
+    entries = load_map(str(map_path)).n_edges + 1
+    cfg_path = write_config(tmp_path, {"sample_budget": 10 * entries}, name="budget.yaml")
+    check = ["forward-check", "--config", str(cfg_path), "--map", str(map_path),
+             "--cell", "0", "--steps"]
+    res = CliRunner().invoke(main, check + ["11"])
+    assert res.exit_code == EXIT_BUDGET_ERROR, res.output
+    assert (f"budget error: 11 steps x {entries} map entries = {11 * entries} "
+            f"exceeds sample_budget {10 * entries}") in res.output
+    assert CliRunner().invoke(main, check + ["10"]).exit_code == EXIT_OK
+
+
 def test_event_bounds_without_configs_admit_every_configuration(tmp_path):
     bounds = {"eventLowerBounds": [8.0], "eventUpperBounds": [10.0]}
     cfg = load_config(str(write_config(tmp_path, {**TWO_COMPONENTS, **bounds})))
@@ -819,7 +833,7 @@ def test_matrix_row_problem_names_its_component_once(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert err.value.problems == [
-        "sysConfTransProb component 0: row 1 has 2 entries, expected 1"
+        "sysConfTransProb: component 0: row 1 has 2 entries, expected 1"
     ]
 
 

@@ -8,7 +8,6 @@ from cellrisk.configuration import (
     ConfigTransitionModel,
     component_matrix_from_rows,
     h,
-    validate,
 )
 
 BRAKE_ROWS = [["~1", 2e-7, 2e-7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -30,7 +29,8 @@ def test_brake_entries():
 
 
 def test_brake_model_validates_clean():
-    assert validate(brake_model()) == []
+    # Made at all means checked: every entry in [0, 1], every row summing to one.
+    assert brake_model().sizes == (3,)
 
 
 def test_two_component_product():
@@ -70,31 +70,33 @@ def test_h_rows_are_stochastic():
 
 
 def test_validate_reports_row_excess():
-    model = ConfigTransitionModel(matrices=(ComponentMatrix(0, [[0.5, 0.6], [0.0, 1.0]]),))
-    issues = validate(model)
+    with pytest.raises(ConfigModelError) as err:
+        ComponentMatrix(0, [[0.5, 0.6], [0.0, 1.0]])
+    issues = err.value.problems
     assert len(issues) == 1
     assert "row 1" in issues[0] and "+1.000e-01" in issues[0]
 
 
 def test_validate_reports_negative_entry():
-    model = ConfigTransitionModel(
-        matrices=(ComponentMatrix(0, [[1.2, -0.2], [0.0, 1.0]]),)
-    )
-    issues = validate(model)
-    assert any("outside [0, 1]" in msg for msg in issues)
+    with pytest.raises(ConfigModelError) as err:
+        ComponentMatrix(0, [[1.2, -0.2], [0.0, 1.0]])
+    assert err.value.problems == [
+        "component 0 row 1 col 1: entry 1.2 outside [0, 1]",
+        "component 0 row 1 col 2: entry -0.2 outside [0, 1]",
+    ]
 
 
 def test_loader_keeps_rounded_diagonal():
-    comp = component_matrix_from_rows([[1.0, 2e-7, 2e-7], [0, 1, 0], [0, 0, 1]])
-    assert comp.entries[0, 0] == 1.0
-    issues = validate(ConfigTransitionModel(matrices=(comp,)))
+    # The diagonal is kept as written, not repaired, so the row is refused.
+    with pytest.raises(ConfigModelError) as err:
+        component_matrix_from_rows([[1.0, 2e-7, 2e-7], [0, 1, 0], [0, 0, 1]])
+    issues = err.value.problems
     assert len(issues) == 1 and issues[0].startswith("component 0 row 1: sums to 1.0000003")
 
 
 def test_loader_keeps_genuinely_bad_rows():
-    comp = component_matrix_from_rows([[0.5, 0.6], [0.0, 1.0]])
-    assert comp.entries[0, 0] == 0.5
-    assert validate(ConfigTransitionModel(matrices=(comp,))) != []
+    with pytest.raises(ConfigModelError, match="component 0 row 1: sums to 1.1"):
+        component_matrix_from_rows([[0.5, 0.6], [0.0, 1.0]])
 
 
 def test_loader_rejects_double_sentinel():

@@ -97,10 +97,11 @@ CHECKS = {
                  ValueError, "dt must be positive and samples >= 1"),
     "build-samples": (lambda: build_map(IdentityModel(), SPEC, IDENTITY, dt=1.0, samples=0),
                       ValueError, "dt must be positive and samples >= 1"),
+    # A configuration whose rows are off one is refused before a build can start.
     "build-config-invalid": (lambda: build_map(
                                  IdentityModel(), SPEC,
                                  ConfigTransitionModel((ComponentMatrix(0, [[0.5]]),)), dt=1.0),
-                             BuildError, "configuration model invalid: component 0 row 1"),
+                             ConfigModelError, "component 0 row 1: sums to 0.5, off by -5.000e-01"),
     "build-config-sizes": (lambda: build_map(
                                IdentityModel(), SPEC,
                                ConfigTransitionModel((ComponentMatrix(0, np.eye(2)),)), dt=1.0),

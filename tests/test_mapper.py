@@ -421,6 +421,13 @@ MALFORMED_EDGES = {
                        "duplicate"),
     "non-integer-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 2.5, 1.0]],
                        "edges must be [source, target, q] triples: need integer ids"),
+    # Ids and q are checked as read, and the triple named as written.
+    "boolean-field": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, True]],
+                      "edge [3, 3, True]: boolean field"),
+    "huge-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], [1e30, 3, 1.0]],
+                "edge [1e+30, 3, 1.0]: source id outside 0..3"),
+    "infinite-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, math.inf, 1.0]],
+                    "edge [3, inf, 1.0]: target id outside 0..3 or -1"),
     # Every bad triple is named, check by check, in one error.
     "every-bad-triple-named": ([[1, 1, 1.5], [2, 2, 1.5], [3, 9, 1.0], [5, 0, 1.0]],
                                "edge [5, 0, 1.0]: source id outside 0..3; "

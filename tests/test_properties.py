@@ -36,10 +36,17 @@ from cellrisk.cellspace import (
     sample_cell_array,
 )
 from cellrisk.cli import SIMULATORS, LinearDriftModel
-from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel, h
+from cellrisk.configuration import (
+    ROW_SUM_TOL,
+    ComponentMatrix,
+    ConfigModelError,
+    ConfigTransitionModel,
+    h,
+)
 from cellrisk.mapper import (
     BudgetError,
     DynamicsModel,
+    MapFormatError,
     TransitionMap,
     build_map,
     compact,
@@ -119,6 +126,52 @@ def test_build_rows_are_stochastic(system):
     row0 = slice(*tmap.matrix.indptr[:2])
     exterior = tmap.matrix.data[row0][tmap.matrix.indices[row0] == tmap.n_cells]
     assert exterior.tolist() == [q for t, q in rows[0] if t == EXTERIOR_ID]
+
+
+@st.composite
+def square_matrices(draw):
+    """A 1x1 to 4x4 matrix of entries in [-0.5, 1.5], some rows scaled to sum to one."""
+    size = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(size):
+        row = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=size, max_size=size)))
+        if draw(st.booleans()) and row.sum() > 0:
+            row = row / row.sum()
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)  # a matrix is made in microseconds
+@given(square_matrices(), st.integers(0, 3))
+def test_component_matrix_is_made_exactly_when_stochastic(arr, m):
+    bad_entries = [f"component {m} row {i + 1} col {k + 1}: entry {float(v)} outside [0, 1]"
+                   for (i, k), v in np.ndenumerate(arr) if not 0.0 <= v <= 1.0]
+    bad_rows = [f"component {m} row {i + 1}: sums to" for i, row in enumerate(arr)
+                if abs(np.sum(row) - 1.0) > ROW_SUM_TOL]
+    if not bad_entries and not bad_rows:
+        assert np.array_equal(ComponentMatrix(m, arr).entries, arr)
+        return
+    with pytest.raises(ConfigModelError) as err:
+        ComponentMatrix(m, arr)
+    problems = err.value.problems
+    assert len(problems) == len(bad_entries) + len(bad_rows)
+    assert [p for p in problems if "outside [0, 1]" in p] == bad_entries
+    sums = [p for p in problems if " sums to " in p]
+    assert len(sums) == len(bad_rows) and all(map(str.startswith, sums, bad_rows))
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.integers(0, 2**16), st.data())
+def test_map_row_off_one_is_refused_naming_its_source(n_cells, seed, data):
+    tmap, _ = random_absorbing_map(n_cells, 1, seed)
+    rows = tmap.rows()
+    source = data.draw(st.integers(0, n_cells - 1))
+    scale = data.draw(st.sampled_from([0.5, 0.9, 1.0 - 1e-6]))
+    rows[source] = [(t, q * scale) for t, q in rows[source]]
+    with pytest.raises(MapFormatError) as err:
+        TransitionMap.from_edges(tmap.spec, rows)
+    assert str(err.value).startswith(f"source {source}: row sums to ")
+    assert ";" not in str(err.value)
 
 
 @PROPERTY
