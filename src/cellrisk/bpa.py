@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mapper
-from .cellspace import CellCoord, SpaceSpec, coord_to_id
+from .cellspace import CellCoord, SpaceSpec
 from .mapper import CSR, BudgetError, TransitionMap, compact, joined, predecessors, write_json
 
 __all__ = [
@@ -98,29 +98,19 @@ class TopEvent:
 def event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
     """Cells whose box overlaps the open event box with positive volume.
 
-    Intersection semantics: partially overlapping cells count. Only cells
-    whose configuration is admissible are included. An empty result means
-    the event is unreachable by construction.
+    Intersection semantics: partially overlapping cells count, if their configuration
+    is admissible; none means the event is unreachable. Ids go in by the digits'
+    product, configurations innermost: backtrack's sums follow the set's order.
     """
     event.validate_against(spec)
-    widths = spec.widths
-    per_dim: list[list[int]] = []
-    for l in range(spec.L):
-        lo_l, w = spec.lower[l], widths[l]
-        admissible = []
-        for j in range(1, spec.partitions[l] + 1):
-            c_lo = lo_l + (j - 1) * w
-            c_hi = c_lo + w
-            if c_lo < event.upper[l] and c_hi > event.lower[l]:
-                admissible.append(j)
-        if not admissible:
-            return set()
-        per_dim.append(admissible)
-    cells: set[int] = set()
-    for j in itertools.product(*per_dim):
-        for n in event.configs:
-            cells.add(coord_to_id(CellCoord(j, n), spec))
-    return cells
+    digits = []
+    for l, w in enumerate(spec.widths):
+        c_lo = spec.lower[l] + np.arange(spec.partitions[l]) * w
+        digits.append(np.flatnonzero((c_lo < event.upper[l]) & (c_lo + w > event.lower[l])))
+    j = np.ravel_multi_index(np.ix_(*digits), spec.partitions, order="F")
+    n = np.array(list(event.configs), dtype=np.int64) - 1
+    offsets = np.ravel_multi_index(tuple(n.T), spec.states, order="F")
+    return set((j.reshape(-1, 1) + offsets * spec.total_continuous_cells).ravel().tolist())
 
 
 class Level(NamedTuple):
@@ -434,6 +424,8 @@ def event_probability(
         # Looked up at call time, so a wrapper put on mapper.forward_step
         # (the benchmark's tracer) sees every push.
         dist = mapper.forward_step(tmap, dist)
+        # The push's row error goes on the exterior, which feeds only itself, so no drift builds up.
+        dist[-1] += 1.0 - dist.sum()
     return float(dist[sorted(event_ids)].sum())
 
 
@@ -583,10 +575,10 @@ def encode_ranked_paths(ranking: PathRanking):
         yield from ranked.tolist()
 
 
-def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
+def tree_to_dot(tree: ScenarioTree):
     """Graphviz dot rendering; node labels give the cell vector and its q.
 
-    Nodes are named n and their preorder number.
+    Nodes are named n and their preorder number; the text, made in the call, comes in slices.
     """
     label = {c: f'label="{coord.label}\\nP=' for c, coord in tree.coords.items()}
     style = {c: '", style=dashed' if c in tree.event_cell_ids else '"' for c in tree.coords}
@@ -598,14 +590,14 @@ def tree_to_dot(tree: ScenarioTree, event_label: str = "TopEvent") -> str:
                      for c, g, name, p in zip(level.cell.tolist(), numbers.g.tolist(), names,
                                               level.parent.tolist())]
         above = names
-    return "".join(["digraph scenario_tree {\n\trankdir=RL;\n"
-                    '\tnode [shape=box, fontname="Helvetica"];\n'
-                    f'\t"root" [label="{event_label}", shape=doubleoctagon];\n',
-                    *lines.tolist(), "}\n"])
+    return itertools.chain(["digraph scenario_tree {\n\trankdir=RL;\n"
+                            '\tnode [shape=box, fontname="Helvetica"];\n'
+                            '\t"root" [label="TopEvent", shape=doubleoctagon];\n'],
+                           joined(lines), ["}\n"])
 
 
-def tree_to_text(tree: ScenarioTree) -> str:
-    """One line per node in preorder, indented by depth: cell, q, cumulative, depth."""
+def tree_to_text(tree: ScenarioTree):
+    """Each node's line in preorder, indented by depth: cell, q, cumulative, depth, in slices."""
     label = {c: coord.label for c, coord in tree.coords.items()}
     pre, _ = _preorder(tree.levels)
     lines = np.empty(tree.n_nodes, dtype=object)
@@ -614,4 +606,4 @@ def tree_to_text(tree: ScenarioTree) -> str:
         lines[at] = [f"{indent}{label[c]} q={g} cumulative={cumulative:g} depth={d}"
                      for c, g, cumulative in zip(level.cell.tolist(), numbers.g.tolist(),
                                                  level.cumulative.tolist())]
-    return "\n".join(lines.tolist())
+    return itertools.chain(joined(lines, "\n"), ["\n"])

@@ -606,10 +606,10 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
         write_tree(tree, out_tree)
     if out_graph:
         with open(out_graph, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_dot(tree))
+            fh.writelines(tree_to_dot(tree))
     if out_text:
         with open(out_text, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_text(tree) + "\n")
+            fh.writelines(tree_to_text(tree))
     if out_report:
         def report():
             """The report's fields in key order; the timings are taken once the rows are written."""

@@ -297,11 +297,8 @@ def _flow_counts(
             )
         parts.append(np.unique(cells * (n_j + 1) + bin_points(ys, spec), return_counts=True))
         del ys  # freed before the next block is stepped
-    if len(parts) == 1:
-        keys, counts = parts[0]
-    else:
-        keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-        counts = np.bincount(where, weights=np.concatenate([c for _, c in parts]))
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.bincount(where, weights=np.concatenate([c for _, c in parts]))
     return ids.start + keys // (n_j + 1), keys % (n_j + 1), counts.astype(np.int64)
 
 
@@ -438,10 +435,9 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
     return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
 
 
-def _of(kind, low=None, high=None):
-    """Test of a value of kind, not a boolean, in [low, high); a bound of None is no bound."""
-    return lambda v: (isinstance(v, kind) and not isinstance(v, bool)
-                      and (low is None or v >= low) and (high is None or v < high))
+def _of(kind, low=None):
+    """Test of a value of kind, not a boolean, at least low unless low is None."""
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool) and (low is None or v >= low)
 
 
 def _list_of(test):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _synthetic import (
     chain_map,
@@ -74,6 +77,44 @@ def test_event_cells_case_study(baseline_config):
     assert {c.j[0] for c in coords} == {1, 2, 3, 4, 5}
     assert {c.n for c in coords} == {(1,), (2,), (3,)}
     assert len(got) == 5 * 25 * 3
+
+
+@st.composite
+def specs_and_events(draw):
+    """A spec with L <= 3, 1-7 partitions a dimension and M <= 2, and an event whose
+    bounds lie on cell edges, anywhere in range or at the top edge."""
+    L = draw(st.integers(1, 3))
+    partitions = draw(st.lists(st.integers(1, 7), min_size=L, max_size=L))
+    states = draw(st.lists(st.integers(1, 3), max_size=2))
+    lower = draw(st.lists(st.floats(-10.0, 10.0), min_size=L, max_size=L))
+    span = draw(st.lists(st.floats(0.01, 10.0), min_size=L, max_size=L))
+    spec = SpaceSpec([f"x{l}" for l in range(L)], [f"c{m}" for m in range(len(states))],
+                     lower, [lo + s for lo, s in zip(lower, span)], partitions, states)
+    bounds = []
+    for lo, hi, P, w in zip(spec.lower, spec.upper, spec.partitions, spec.widths):
+        edges = [lo + k * w for k in range(P)] + [hi]
+        a, b = sorted(draw(st.one_of(st.sampled_from(edges), st.floats(lo, hi)))
+                      for _ in range(2))
+        assume(a < b)
+        bounds.append((a, b))
+    configs = list(itertools.product(*(range(1, n + 1) for n in states)))
+    chosen = draw(st.lists(st.sampled_from(configs), min_size=1, unique=True))
+    return spec, TopEvent(*zip(*bounds), frozenset(chosen))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_and_events())
+def test_event_cells_match_the_scan(spec_and_event):
+    spec, event = spec_and_event
+    assert event_cells(event, spec) == scan_event_cells(event, spec)
+
+
+def test_event_cells_empty_when_no_cell_reaches_the_event():
+    # The last cell's computed top is 0.6999999999999998, below the event.
+    spec = SpaceSpec(("x",), ("c0",), (0.0,), (0.7,), (10,), (1,))
+    event = TopEvent(lower=(0.6999999999999999,), upper=(0.7,), configs=frozenset({(1,)}))
+    assert cell_boxes((10,), spec)[1][0] == 0.6999999999999998
+    assert event_cells(event, spec) == set() == scan_event_cells(event, spec)
 
 
 def test_event_cells_whole_space():
@@ -278,6 +319,15 @@ def test_forward_check_non_ancestor_contributes_zero():
     assert forward_check(tmap, tree, dist) == 0.0
 
 
+def test_forward_check_refuses_an_unnormalised_start():
+    tmap, event = chain_map(6, absorb_from=5)
+    tree = backtrack(tmap, event, depth=2, truncation=0.0)
+    dist = np.zeros(tmap.n_cells + 1)
+    dist[0] = 0.5
+    with pytest.raises(ValueError, match="distribution sums to 0.5"):
+        forward_check(tmap, tree, dist)
+
+
 def test_rank_paths_orders_by_probability():
     spec = line_spec(4)
     edges = {
@@ -355,9 +405,9 @@ def test_tree_exports(tmp_path, baseline_map, baseline_config):
     assert doc["n_nodes"] == tree.n_nodes
     assert doc["search_depth"] == 2 and doc["truncation"] == 1e-8
 
-    dot = tree_to_dot(tree, event_label="Collision")
+    dot = "".join(tree_to_dot(tree))
     assert dot.startswith("digraph scenario_tree {")
-    assert 'label="Collision"' in dot
+    assert 'label="TopEvent"' in dot
     # One labelled node and one edge per tree node.
     assert dot.count("\\nP=") == tree.n_nodes
     assert dot.count(" -> ") == tree.n_nodes
@@ -378,8 +428,8 @@ def test_export_bytes_pinned_at_depth_4(tmp_path, baseline_map, baseline_config)
     path = tmp_path / "tree.json"
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_4_TREE_SHA256
-    assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_4_DOT_SHA256
-    text = (tree_to_text(tree) + "\n").encode()
+    assert hashlib.sha256("".join(tree_to_dot(tree)).encode()).hexdigest() == DEPTH_4_DOT_SHA256
+    text = "".join(tree_to_text(tree)).encode()
     assert hashlib.sha256(text).hexdigest() == DEPTH_4_TEXT_SHA256
 
 
@@ -397,10 +447,10 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config)
     path = tmp_path / "tree.json"
     write_tree(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEPTH_6_TREE_SHA256
-    assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == DEPTH_6_DOT_SHA256
+    assert hashlib.sha256("".join(tree_to_dot(tree)).encode()).hexdigest() == DEPTH_6_DOT_SHA256
     rows = "".join(json_array(encode_ranked_paths(tree.ranking())))
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
-    text = (tree_to_text(tree) + "\n").encode()
+    text = "".join(tree_to_text(tree)).encode()
     assert hashlib.sha256(text).hexdigest() == DEPTH_6_TEXT_SHA256
 
 
@@ -443,6 +493,6 @@ def test_backtrack_leaves_numpy_ma_unimported():
 
 def test_writers_leave_numpy_ma_unimported():
     assert not _imports_numpy_ma(
-        "write_tree(tree, os.devnull); tree_to_dot(tree); tree_to_text(tree); "
+        "write_tree(tree, os.devnull); ''.join(tree_to_dot(tree)); ''.join(tree_to_text(tree)); "
         "list(encode_ranked_paths(tree.ranking())); "
         "list(encode_ranked_paths(tree.ranking(np.linspace(0.0, 1.0, 12))))")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -15,7 +17,7 @@ from click.testing import CliRunner
 import cellrisk
 from _synthetic import tree_to_dict
 from conftest import CONFIGS
-from cellrisk.bpa import RankedPath, backtrack, rank_paths, tree_to_dot
+from cellrisk.bpa import RankedPath, backtrack, event_cells, rank_paths, tree_to_dot
 from cellrisk.cellspace import EXTERIOR_ID
 from cellrisk.cli import (
     EXIT_BUDGET_ERROR,
@@ -444,7 +446,7 @@ def test_run_bpa_graph_and_text_outputs(tmp_path):
     tree = backtrack(load_map(str(map_path)), cfg.event, depth=cfg.search_depth,
                      truncation=cfg.truncation)
     assert "style=dashed" in gv.read_text()
-    assert gv.read_bytes() == tree_to_dot(tree).encode()
+    assert gv.read_bytes() == "".join(tree_to_dot(tree)).encode()
 
 
 def test_export_text_is_a_preorder_walk_of_the_tree(tmp_path, baseline_map, baseline_config):
@@ -819,6 +821,29 @@ def test_forward_check_horizon_above_the_sample_budget_exit_code(tmp_path):
     assert (f"budget error: 11 steps x {entries} map entries = {11 * entries} "
             f"exceeds sample_budget {10 * entries}") in res.output
     assert CliRunner().invoke(main, check + ["10"]).exit_code == EXIT_OK
+
+
+def test_forward_check_on_rows_just_off_one(tmp_path, baseline_map, baseline_config):
+    # Every row sums to 1 - 9e-10, within ROW_SUM_TOL, so the map loads; six
+    # pushes of such rows drift further than that from one.
+    m = baseline_map.matrix
+    data = m.data * (1 - 9e-10)
+    data[-1] = 1.0  # the exterior's self-loop, which the map file leaves implicit
+    tmap = dataclasses.replace(baseline_map, matrix=m._replace(data=data))
+    map_path = _baseline_map_file(tmp_path, tmap)
+    res = CliRunner().invoke(main, [
+        "forward-check", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
+        "--cell", "700", "--steps", "6"])
+    assert res.exit_code == EXIT_OK, res.output
+    dense = np.zeros((tmap.n_cells + 1,) * 2)
+    dense[m.row_ids(), m.indices] = data
+    dist = np.zeros(tmap.n_cells + 1)
+    dist[700] = 1.0
+    for _ in range(6):
+        dist = dist @ dense
+    expected = dist[sorted(event_cells(baseline_config.event, tmap.spec))].sum()
+    assert expected > 0.0
+    assert abs(float(res.output.rsplit("=", 1)[1]) - expected) <= 1e-12
 
 
 def test_event_bounds_without_configs_admit_every_configuration(tmp_path):
