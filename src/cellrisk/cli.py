@@ -106,8 +106,7 @@ _REQUIRED = object()  # default of a field that must be given
 _OPTIONAL = object()  # default of a field left out of the values when not given
 _BAD = object()  # a value whose problem has been named
 
-# The types each kind accepts (never a boolean). "a number" and "a number or
-# null" are read by _parse_number instead.
+# The types each kind accepts (never a boolean); _parse_number reads "a number".
 _TYPES = {"an integer": (int,), "a string": (str,), "a list": (list,),
           "a mapping": (dict, type(None))}
 
@@ -179,7 +178,7 @@ def _range_problem(value: object, f: _Field, where: str) -> str | None:
 
 def _read_value(value: object, f: _Field, where: str, problems: list[str]) -> object:
     """value read as f's kind and checked against its range, or _BAD with its problem named."""
-    if f.kind == "a number" or (f.kind == "a number or null" and value is not None):
+    if f.kind == "a number":
         value = _parse_number(value, where, problems)
         if value is None:
             return _BAD
@@ -275,40 +274,31 @@ class IdentityModel(DynamicsModel):
         return np.array(xs, dtype=float)
 
 
-# The vehicle's contingency variants: speed-scaled brake thresholds, and a
+# The vehicle's two contingencies: speed-scaled brake thresholds, and a
 # 2 s time gap with fixed 30 m / 15 m thresholds.
-_AGV_SCENARIOS = {
-    "agv-baseline": ScenarioParams(),
-    "agv-modified": ScenarioParams(
-        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0),
-}
-
-
-def _vehicle(name: str):
-    """A vehicle variant's factory; simulator_params override its ScenarioParams fields."""
-    return lambda params: GroundVehicleModel(
-        dataclasses.replace(_AGV_SCENARIOS[name], **params), name=name)
-
-
 SIMULATORS = {
-    "agv-baseline": _vehicle("agv-baseline"),
-    "agv-modified": _vehicle("agv-modified"),
+    "agv-baseline": lambda params: GroundVehicleModel(ScenarioParams(), "agv-baseline"),
+    "agv-modified": lambda params: GroundVehicleModel(ScenarioParams(
+        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0), "agv-modified"),
     "linear-drift": lambda params: LinearDriftModel(params["velocity"]),
     "identity": lambda params: IdentityModel(),
 }
 
-# The simulator_params each simulator takes; the vehicle takes any
-# ScenarioParams field, of the kind of its default.
-_AGV_PARAMS = {
-    f.name: _Field("an integer" if isinstance(f.default, int) else
-                   "a number or null" if f.default is None else "a number", _OPTIONAL)
-    for f in dataclasses.fields(ScenarioParams)
-} | {"substeps": _Field("an integer", _OPTIONAL, low=1)}
-_SIMULATOR_PARAMS = {
-    **dict.fromkeys(_AGV_SCENARIOS, _AGV_PARAMS),
-    "linear-drift": {"velocity": _Field("a list", entry=_NUMBER)},
-    "identity": {},
-}
+# The simulator_params a simulator takes; the others take none.
+_SIMULATOR_PARAMS = {"linear-drift": {"velocity": _Field("a list", entry=_NUMBER)}}
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key given twice in one mapping, at the second."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []  # a merge key "<<" is left to the base class, which merges it
+        for key_node in (k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"):
+            if (key := self.construct_object(key_node, deep=deep)) in keys:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark)
+            keys.append(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_config(path: str) -> RunConfig:
@@ -319,7 +309,7 @@ def load_config(path: str) -> RunConfig:
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except UnicodeDecodeError as exc:
             raise ConfigError([f"{path}: not valid YAML: not UTF-8: {exc}"]) from exc
         except yaml.YAMLError as exc:
@@ -339,7 +329,7 @@ def load_config(path: str) -> RunConfig:
         )
     elif simulator is not None and "simulator_params" in values:
         values["simulator_params"] = _read_fields(
-            values["simulator_params"] or {}, _SIMULATOR_PARAMS[simulator],
+            values["simulator_params"] or {}, _SIMULATOR_PARAMS.get(simulator, {}),
             "simulator_params.", problems)
     if problems:
         raise ConfigError(problems)
@@ -367,11 +357,6 @@ def load_config(path: str) -> RunConfig:
     velocity = values["simulator_params"].get("velocity")
     if velocity is not None and len(velocity) != L:
         problems.append(f"simulator_params.velocity has {len(velocity)} entries, expected {L}")
-    if simulator in _AGV_SCENARIOS:
-        scenario = dataclasses.replace(_AGV_SCENARIOS[simulator], **values["simulator_params"])
-        if scenario.fixed_strong_clearance is not None and scenario.fixed_light_clearance is None:
-            problems.append(f"simulator_params: {simulator} ignores fixed_strong_clearance "
-                            f"{scenario.fixed_strong_clearance} unless fixed_light_clearance is set")
     spec = None
     if not lengths:
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -401,7 +402,8 @@ def build_map(
         # Imported here: multiprocessing costs every command start-up otherwise.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Pieces follow workers, so the map is the same however many processes run them.
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_config_edges, *args, ids) for ids in units]
             parts = [f.result() for f in futures]
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*itertools.chain(*parts))))
@@ -541,6 +543,14 @@ def save_map(tmap: TransitionMap, path: str) -> None:
     write_json(path, sorted(doc.items()))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; MapFormatError names every key given twice."""
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise MapFormatError("; ".join(f"repeated key {k!r}" for k in doc if keys.count(k) > 1))
+    return doc
+
+
 def load_map(path: str) -> TransitionMap:
     """Load a map persisted by save_map, checking it where it enters.
 
@@ -552,7 +562,9 @@ def load_map(path: str) -> TransitionMap:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except MapFormatError as exc:
+        raise MapFormatError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise MapFormatError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:

@@ -89,6 +89,11 @@ class ScenarioParams:
     lateral_omega: float = 1.0    # lateral regulator natural frequency [1/s]
     substeps: int = 16
 
+    def __post_init__(self):
+        if self.fixed_strong_clearance is not None and self.fixed_light_clearance is None:
+            raise ValueError(f"fixed_strong_clearance {self.fixed_strong_clearance} is ignored "
+                             "unless fixed_light_clearance is set")
+
     @property
     def comfort_accel(self) -> float:
         return self.comfort_g * self.gravity
@@ -187,19 +192,13 @@ class GroundVehicleModel(DynamicsModel):
 
         return np.ascontiguousarray(cols.T)
 
-    def simulate_to_rest(
-        self,
-        state: VehicleState,
-        brake: BrakeState,
-        dt: float,
-        max_steps: int = 10_000,
-        stop_speed: float = 1e-6,
-    ) -> VehicleState:
-        """Step until the vehicle stops or passes the target; returns the end state."""
+    def simulate_to_rest(self, state: VehicleState, brake: BrakeState, dt: float) -> VehicleState:
+        """Step until the vehicle stops (1e-6 m/s) or is 100 m past the target, at most
+        10,000 steps; returns the end state."""
         x = state.as_array()
-        for _ in range(max_steps):
+        for _ in range(10_000):
             x = self.step(x, (int(brake),), dt)
-            if x[IDX_V_FWD] <= stop_speed or x[IDX_X] > self.params.target_x + 100.0:
+            if x[IDX_V_FWD] <= 1e-6 or x[IDX_X] > self.params.target_x + 100.0:
                 break
         return VehicleState.from_array(x)
 

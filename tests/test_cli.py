@@ -767,6 +767,8 @@ TWO_COMPONENTS = {
         ({"variableLowerBounds": []}, "variableLowerBounds has 0 entries, expected 1"),
         ({"sysConfTransProb": [[[0.25, "~1"], ["~1", 1.5]]]},
          "component 0 row 2 col 1: entry -0.5"),
+        ({"simulator": "agv-baseline", "simulator_params": {"t_gap_des": 2.0}},
+         "unknown field simulator_params.t_gap_des"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -970,8 +972,10 @@ def test_every_off_map_row_is_named(tmp_path):
         (b"a: [1, 2\nb: 3\n", ["not valid YAML", "line 2, column 2"]),
         (b"\xff\xfeabc: 1\n", ["not valid YAML", "not UTF-8"]),
         (b"- 1\n- 2\n", ["top level must be a mapping"]),
+        # A second dt would otherwise replace the first without a word.
+        (b"dt: 1\nseed: 2\ndt: 5\n", ["not valid YAML: line 3, column 1: repeated key 'dt'"]),
     ],
-    ids=["unclosed-list", "not-utf-8", "top-level-list"],
+    ids=["unclosed-list", "not-utf-8", "top-level-list", "repeated-key"],
 )
 @pytest.mark.parametrize("command", ["build-map", "run-bpa", "validate", "forward-check"])
 def test_config_that_is_not_yaml_exit_code(tmp_path, command, content, words):
@@ -987,6 +991,18 @@ def test_config_that_is_not_yaml_exit_code(tmp_path, command, content, words):
     }[command]
     res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + args)
     _assert_named_exit_3(res, "config error", str(cfg_path), *words)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [('{"dt"', '{"seed":3,"dt"', "seed"), ('"names_x"', '"names_x":["y"],"names_x"', "names_x")],
+    ids=["header", "spec"],
+)
+def test_repeated_map_key_exit_code(tmp_path, old, new, key):
+    cfg_path, map_path = _built(tmp_path)
+    map_path.write_text(map_path.read_text().replace(old, new, 1))
+    res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
+    _assert_named_exit_3(res, f"map error: {map_path}: repeated key {key!r}\n")
 
 
 def _baseline_map_file(tmp_path, baseline_map):

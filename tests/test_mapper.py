@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -308,6 +310,49 @@ def test_build_worker_count_invariant(tmp_path):
             assert serial.rows() == parallel.rows()
             save_map(parallel, str(other))
             assert first.read_bytes() == other.read_bytes()
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records max_workers and runs each task as submitted."""
+
+    made: list[_InlinePool] = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.tasks = max_workers, 0
+        _InlinePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, processes, pieces",
+    # Pieces follow workers: 7 sources a configuration, in pieces of 3, 3 and 1 for 3
+    # workers and of one source for more workers than sources.
+    [(2, 3, 2, 6), (64, 3, 3, 6), (None, 3, 1, 6), (2, 10_000, 2, 14)],
+)
+def test_build_starts_at_most_one_process_per_cpu(monkeypatch, cpus, workers, processes,
+                                                  pieces):
+    # No real process is started: the stand-in runs every piece inline.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = ConfigTransitionModel(matrices=(ComponentMatrix(0, [[0.9, 0.1], [0.0, 1.0]]),))
+    spec = line_spec(7, states=2)
+    serial = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13)
+    parallel = build_map(LinearDriftModel(0.6), spec, cfg, dt=1.0, samples=32, seed=13,
+                         workers=workers)
+    assert [(p.max_workers, p.tasks) for p in _InlinePool.made] == [(processes, pieces)]
+    assert serial.rows() == parallel.rows()
 
 
 def test_persistence_round_trip(tmp_path, baseline_map):

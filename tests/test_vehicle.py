@@ -232,3 +232,10 @@ def test_case_study_rejects_unknown_variant(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert any("agv-aggressive" in p for p in err.value.problems)
+
+
+def test_strong_clearance_without_light_clearance_is_refused():
+    # The controller would ignore it and use the speed-scaled thresholds.
+    with pytest.raises(ValueError, match="fixed_strong_clearance 10.0 .* fixed_light_clearance"):
+        ScenarioParams(fixed_strong_clearance=10.0)
+    assert ScenarioParams(fixed_light_clearance=30.0).fixed_strong_clearance is None
