@@ -84,6 +84,9 @@ class SpaceSpec:
                 raise SpaceSpecError(f"component {m}: state count must be >= 1")
         if self.total_cells > CELL_CAP:
             raise SpaceSpecError(f"total cell count {self.total_cells} exceeds cap {CELL_CAP}")
+        for l, w in enumerate(self.widths):  # finite bounds can still give 0 or inf
+            if not 0.0 < w < math.inf:
+                raise SpaceSpecError(f"dimension {l}: cell width {w} is not positive and finite")
 
     @property
     def L(self) -> int:

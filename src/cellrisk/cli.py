@@ -274,12 +274,12 @@ class IdentityModel(DynamicsModel):
         return np.array(xs, dtype=float)
 
 
-# The vehicle's two contingencies: speed-scaled brake thresholds, and a
-# 2 s time gap with fixed 30 m / 15 m thresholds.
+# The vehicle's two contingencies: speed-scaled brake thresholds, and fixed
+# 30 m / 15 m thresholds (30 m is a 2 s gap at the 15 m/s speed limit).
 SIMULATORS = {
     "agv-baseline": lambda params: GroundVehicleModel(ScenarioParams(), "agv-baseline"),
-    "agv-modified": lambda params: GroundVehicleModel(ScenarioParams(
-        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0), "agv-modified"),
+    "agv-modified": lambda params: GroundVehicleModel(
+        ScenarioParams(fixed_light_clearance=30.0), "agv-modified"),
     "linear-drift": lambda params: LinearDriftModel(params["velocity"]),
     "identity": lambda params: IdentityModel(),
 }
@@ -317,6 +317,8 @@ def load_config(path: str) -> RunConfig:
             where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
             problem = getattr(exc, "problem", None) or exc
             raise ConfigError([f"{path}: not valid YAML: {where}{problem}"]) from exc
+        except RecursionError as exc:
+            raise ConfigError([f"{path}: nested too deeply to read"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
 
@@ -402,7 +404,12 @@ def load_config(path: str) -> RunConfig:
             bounds += [f"{key} configuration entry must be an integer, got {end}"
                        for key, end in (("eventLowerBounds", first), ("eventUpperBounds", last))
                        if not end.is_integer()]
-            configs = frozenset((i,) for i in range(int(first), int(last) + 1))
+            # Checked before the set is built; without a spec its state count is a problem.
+            if spec is not None and not (1 <= first and last <= spec.states[0]):
+                bounds.append(f"trailing event configuration range {first:g}..{last:g} is "
+                              f"outside the component's states 1..{spec.states[0]}")
+            if spec is not None and not bounds:
+                configs = frozenset((i,) for i in range(int(first), int(last) + 1))
     elif len(ev_u) != L or len(ev_l) != L:
         bounds.append(f"event bounds must have {L} or {L + 1} entries, got "
                       f"{len(ev_u)}/{len(ev_l)}")

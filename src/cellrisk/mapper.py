@@ -199,20 +199,27 @@ def _off_rows(matrix: CSR) -> str | None:
     return "; ".join(f"source {k}: row sums to {float(sums[k])!r}" for k in off) or None
 
 
+# JSON's names for the field types a map edge may not hold.
+_KINDS = {bool: "boolean", str: "string", type(None): "null"}
+
+
 def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
     Raises MapFormatError for a malformed triple, and one naming, as written, every
-    triple with a boolean field, an id out of range (checked before the integer
-    cast), q outside (0, 1] or a duplicate (source, target) pair, check by check.
+    field that is not an int or a float (np.asarray parses strings and booleans), then
+    every triple with an id out of range (checked before the integer cast), q outside
+    (0, 1] or a duplicate (source, target) pair, check by check.
     """
     try:
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
         if arr.ndim != 2 or arr.shape[1] != 3 or np.any(arr[:, :2] != np.floor(arr[:, :2])):
             raise ValueError("need integer ids")
         # Field types are scanned in place: a copy of the edges would raise the peak.
-        has_bool = bool in set(map(type, itertools.chain.from_iterable(edges)))
-        boolean = [bool in map(type, triple) for triple in edges] if has_bool else []
+        odd = set(map(type, itertools.chain.from_iterable(edges))) - {int, float}
+        typed = [(k, f"{_KINDS.get(type(v), type(v).__name__)} field {v!r}")
+                 for k, triple in enumerate(edges) for v in triple
+                 if type(v) not in (int, float)] if odd else []
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"edges must be [source, target, q] triples: {exc}") from exc
     s, t, q = arr.T
@@ -224,15 +231,17 @@ def _edge_matrix(C: int, edges) -> CSR:
     key = np.where(ok, src * (C + 1) + col, -1 - np.arange(len(src)))
     dup[np.unique(key, return_index=True)[1]] = False
     named = "; ".join(
-        f"edge [{', '.join(map(str, edges[k]))}]: {problem}"
-        for bad, problem in (
-            (boolean, "boolean field"),
-            (~src_ok, f"source id outside 0..{C - 1}"),
-            (~tgt_ok, f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
-            (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
-            (dup, "duplicate (source, target) pair"),
-        )
-        for k in np.flatnonzero(bad)
+        f"edge [{', '.join(map(repr, edges[k]))}]: {problem}"
+        for k, problem in typed + [
+            (k, problem)
+            for bad, problem in (
+                (~src_ok, f"source id outside 0..{C - 1}"),
+                (~tgt_ok, f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
+                (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
+                (dup, "duplicate (source, target) pair"),
+            )
+            for k in np.flatnonzero(bad)
+        ]
     )
     if named:
         raise MapFormatError(named)
@@ -567,6 +576,8 @@ def load_map(path: str) -> TransitionMap:
         raise MapFormatError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise MapFormatError(f"{path}: not a JSON file ({exc})") from exc
+    except RecursionError as exc:
+        raise MapFormatError(f"{path}: nested too deeply to read") from exc
     if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
         raise MapFormatError(f"{path}: not a transition map file")
     if doc.get("version") != MAP_FORMAT_VERSION:

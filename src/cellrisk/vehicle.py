@@ -67,10 +67,9 @@ class VehicleState:
 class ScenarioParams:
     """Scenario geometry, contingency thresholds and controller tuning.
 
-    Baseline thresholds scale with speed (light at t_gap_des * v, strong at
-    half that); fixed_light_clearance freezes them instead, as the revised
-    contingency does, with the strong one at fixed_strong_clearance or half
-    the light. Gains are tuning values, not scenario facts.
+    The light-brake threshold is t_gap_des * v, or fixed_light_clearance where
+    the revised contingency fixes it; the strong one is always half the light
+    one. Gains are tuning values, not scenario facts.
     """
 
     speed_limit: float = 15.0
@@ -81,18 +80,12 @@ class ScenarioParams:
     strong_brake_g: float = -0.8
     gravity: float = 9.81
     fixed_light_clearance: float | None = None
-    fixed_strong_clearance: float | None = None
     comfort_g: float = 0.2
     k_speed: float = 0.5          # cruise speed-tracking gain [1/s]
     k_gap: float = 1.2            # approach-profile tracking gain [1/s]
     standstill_clearance: float = 2.0  # where the approach profile stops [m]
     lateral_omega: float = 1.0    # lateral regulator natural frequency [1/s]
     substeps: int = 16
-
-    def __post_init__(self):
-        if self.fixed_strong_clearance is not None and self.fixed_light_clearance is None:
-            raise ValueError(f"fixed_strong_clearance {self.fixed_strong_clearance} is ignored "
-                             "unless fixed_light_clearance is set")
 
     @property
     def comfort_accel(self) -> float:
@@ -128,12 +121,8 @@ def _command(v, x, p: ScenarioParams):
         cruise = np.minimum(np.maximum(p.k_speed * (p.speed_limit - v), -comf), comf)
         if far.all():
             return cruise
-    if p.fixed_light_clearance is None:
-        light = p.t_gap_des * v
-        strong = light / 2.0
-    else:
-        light = p.fixed_light_clearance
-        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
+    light = p.t_gap_des * v if p.fixed_light_clearance is None else p.fixed_light_clearance
+    strong = light / 2.0
     margin = np.maximum(0.0, c - p.standstill_clearance)
     v_des = np.minimum(p.speed_limit, np.sqrt(2.0 * comf * margin))
     follow = np.minimum(np.maximum(p.k_gap * (v_des - v), -comf), comf)

@@ -143,12 +143,8 @@ def reference_control(v, x, p):
     2 light brake, 3 strong brake): the reference for vehicle._command, which
     gives the command of the row's mode alone."""
     c = p.target_x - x
-    if p.fixed_light_clearance is None:
-        light = p.t_gap_des * v
-        strong = light / 2.0
-    else:
-        light = p.fixed_light_clearance
-        strong = p.fixed_strong_clearance if p.fixed_strong_clearance is not None else light / 2.0
+    light = p.t_gap_des * v if p.fixed_light_clearance is None else p.fixed_light_clearance
+    strong = light / 2.0
     mode = np.where(c > p.sensor_range, 0, np.where(c < strong, 3, np.where(c < light, 2, 1)))
     comf = p.comfort_accel
     margin = np.maximum(0.0, c - p.standstill_clearance)

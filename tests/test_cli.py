@@ -138,6 +138,11 @@ ONE_VERDICT_PER_PROBLEM = {
                           "eventUpperBounds": [12.0, 2]},
                          ["sysConfTransProb component 0 is 3x3, expected 2x2",
                           "event definition: "]),
+    # The range is neither named nor built when the state count is a problem.
+    "bad-state-count-and-huge-range": ({"systemComponentStates": [0],
+                                        "eventUpperBounds": [10.0, 1.0e12]},
+                                       ["space specification: component 0: state count must "
+                                        "be >= 1"]),
 }
 
 
@@ -769,6 +774,15 @@ TWO_COMPONENTS = {
          "component 0 row 2 col 1: entry -0.5"),
         ({"simulator": "agv-baseline", "simulator_params": {"t_gap_des": 2.0}},
          "unknown field simulator_params.t_gap_des"),
+        # Refused before the range's set is built, which would not fit in memory.
+        ({"eventUpperBounds": [10.0, 1.0e12]},
+         "trailing event configuration range 1..1e+12 is outside the component's states 1..2"),
+        ({"eventLowerBounds": [8.0, 0]},
+         "trailing event configuration range 0..2 is outside the component's states 1..2"),
+        ({"variableUpperBounds": [1.0e308], "variableLowerBounds": [-1.0e308]},
+         "space specification: dimension 0: cell width inf is not positive and finite"),
+        ({"variableUpperBounds": [5.0e-324]},
+         "space specification: dimension 0: cell width 0.0 is not positive and finite"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -1003,6 +1017,45 @@ def test_repeated_map_key_exit_code(tmp_path, old, new, key):
     map_path.write_text(map_path.read_text().replace(old, new, 1))
     res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
     _assert_named_exit_3(res, f"map error: {map_path}: repeated key {key!r}\n")
+
+
+@pytest.mark.parametrize(
+    "command, deep",
+    [("build-map", "config"), ("run-bpa", "config"), ("validate", "config"),
+     ("forward-check", "config"), ("run-bpa", "map"), ("validate", "map"),
+     ("forward-check", "map")],
+)
+def test_deeply_nested_input_exit_code(tmp_path, command, deep):
+    cfg_path, map_path = write_config(tmp_path), tmp_path / "map.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    if deep == "config":
+        cfg_path.write_text(cfg_path.read_text().replace("dt: 1.0", f"dt: {nested}"))
+    map_path.write_text(nested)
+    args = {
+        "build-map": ["--out", str(tmp_path / "out.json")],
+        "run-bpa": ["--map", str(map_path)],
+        "validate": ["--map", str(map_path)],
+        "forward-check": ["--map", str(map_path), "--cell", "0"],
+    }[command]
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + args)
+    path = cfg_path if deep == "config" else map_path
+    message = f"{deep} error: {path}: nested too deeply to read"
+    if command == "validate" and deep == "map":
+        assert res.exit_code == EXIT_VALIDATION_FAILURE, res.output
+        assert message in res.output and "Traceback" not in res.output
+    else:
+        _assert_named_exit_3(res, message)
+
+
+@pytest.mark.parametrize("bounds, width", [((-1.0e308, 1.0e308), "inf"), ((0.0, 5.0e-324), "0.0")])
+def test_map_cell_width_must_be_positive_and_finite(tmp_path, bounds, width):
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["spec"]["lower"], doc["spec"]["upper"] = [bounds[0]], [bounds[1]]
+    map_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
+    _assert_named_exit_3(
+        res, f"map error: {map_path}: dimension 0: cell width {width} is not positive and finite")
 
 
 def _baseline_map_file(tmp_path, baseline_map):

@@ -479,6 +479,13 @@ MALFORMED_EDGES = {
                                "edge [3, 9, 1.0]: target id outside 0..3 or -1; "
                                "edge [1, 1, 1.5]: q outside (0, 1]; "
                                "edge [2, 2, 1.5]: q outside (0, 1]"),
+    # np.asarray would parse them; each field that is not a number is named.
+    "string-id": ([[0, 0, 0.99], [0, "-1", "0.01"], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
+                  "edge [0, '-1', '0.01']: string field '-1'; "
+                  "edge [0, '-1', '0.01']: string field '0.01'"),
+    "string-q": ([[0, -1, 0.480000208], [0, 0, "  0.519999792 "], [1, 1, 1.0], [2, 2, 1.0],
+                  [3, 3, 1.0]],
+                 "edge [0, 0, '  0.519999792 ']: string field '  0.519999792 '"),
 }
 
 

@@ -262,11 +262,9 @@ def vehicle_batches(draw, params, reach=None):
         v = draw(st.sampled_from([0.0, row[0], params.speed_limit]))
         if reach == "near":
             v = max(v, 0.0)  # a reversing row could back out of sensor range
-        if params.fixed_light_clearance is None:
-            light = params.t_gap_des * v
-            strong = light / 2.0
-        else:
-            light, strong = params.fixed_light_clearance, params.fixed_strong_clearance
+        fixed = params.fixed_light_clearance
+        light = params.t_gap_des * v if fixed is None else fixed
+        strong = light / 2.0
         if reach == "far":
             x = draw(st.floats(VEHICLE_RANGES[3][0], sensor_edge - 25.0))
         else:
@@ -334,15 +332,14 @@ def controller_rows(draw, params):
     for _ in range(draw(st.integers(1, 20))):
         v = draw(st.floats(0.0, 20.0))
         kind = draw(st.sampled_from(["grid", "sensor", "light", "strong"]))
+        halve = 2.0 if kind == "strong" else 1.0
         if kind == "grid":
             x = draw(st.floats(0.0, 600.0))
         elif kind == "sensor":
             x = params.target_x - params.sensor_range
         elif params.fixed_light_clearance is not None:
-            fixed = params.fixed_light_clearance if kind == "light" else params.fixed_strong_clearance
-            x = params.target_x - fixed
+            x = params.target_x - params.fixed_light_clearance / halve
         else:
-            halve = 2.0 if kind == "strong" else 1.0
             x = draw(st.floats(params.target_x - 20.0 * params.t_gap_des / halve, params.target_x))
             c = params.target_x - x
             u = c * halve / params.t_gap_des

@@ -18,7 +18,7 @@ from cellrisk.vehicle import (
 )
 
 BASE = ScenarioParams(t_gap_des=1.3)
-FIXED = ScenarioParams(t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0)
+FIXED = ScenarioParams(fixed_light_clearance=30.0)
 
 # reference_control()'s mode indices.
 LANE_TRACKING, VEHICLE_FOLLOWING, LIGHT_BRAKE, STRONG_BRAKE = range(4)
@@ -99,10 +99,7 @@ def test_step_major_fault_delivers_quarter():
 def test_step_at_rest_stays_at_rest_under_braking():
     # Fixed thresholds keep a stopped vehicle inside the strong-brake zone,
     # so the braking command is active and the floor pins it in place.
-    params = ScenarioParams(
-        t_gap_des=2.0, fixed_light_clearance=30.0, fixed_strong_clearance=15.0
-    )
-    model = GroundVehicleModel(params)
+    model = GroundVehicleModel(FIXED)
     start = VehicleState(v_fwd=0.0, x_pos=495.0)
     out = model.step(start.as_array(), (int(BrakeState.NORMAL),), 2.0 / 3.0)
     assert out[0] == 0.0
@@ -215,9 +212,8 @@ def test_case_study_baseline_fields(baseline_config, baseline_model):
 
 def test_case_study_modified_fields(baseline_config, modified_config, modified_model):
     cfg, params = modified_config, modified_model.params
-    assert params.t_gap_des == 2.0
-    assert params.fixed_light_clearance == 30.0
-    assert params.fixed_strong_clearance == 15.0
+    # The revised contingency's fixed 30 m is a 2 s gap at the speed limit.
+    assert params.fixed_light_clearance == 2.0 * params.speed_limit == 30.0
     assert cfg.search_depth == 3
     # Three steps amount to the revised two-second time gap.
     assert cfg.search_depth * cfg.dt == pytest.approx(2.0)
@@ -232,10 +228,3 @@ def test_case_study_rejects_unknown_variant(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert any("agv-aggressive" in p for p in err.value.problems)
-
-
-def test_strong_clearance_without_light_clearance_is_refused():
-    # The controller would ignore it and use the speed-scaled thresholds.
-    with pytest.raises(ValueError, match="fixed_strong_clearance 10.0 .* fixed_light_clearance"):
-        ScenarioParams(fixed_strong_clearance=10.0)
-    assert ScenarioParams(fixed_light_clearance=30.0).fixed_strong_clearance is None
