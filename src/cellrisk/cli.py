@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -34,6 +34,7 @@ from .bpa import (
 )
 from .cellspace import SpaceSpec, id_to_coord
 from .configuration import ConfigModelError, ConfigTransitionModel, component_matrix_from_rows
+from .configuration import _Field, _range_problem, _read_fields, capped, echo  # the field reader
 from .mapper import (
     BudgetError,
     BuildError,
@@ -72,63 +73,14 @@ REPORT_FORMAT_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Raised with the full list of configuration problems."""
+    """Raised with the configuration problems, the first PROBLEM_CAP of them named."""
 
     def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
+        self.problems = capped(problems)
+        super().__init__("; ".join(self.problems))
 
 
-def _parse_number(value: object, where: str, problems: list[str]) -> float | None:
-    """A plain number (not a boolean), or text [-](pi|<float>)[/<float>] like 'pi/3', '-2/3'.
-
-    Spaces are ignored. The numerator's one sign is the leading '-' and no
-    '+' is read anywhere; a denominator may carry its own '-'. Anything else
-    is a problem, named in problems, and gives None.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip().replace(" ", "")
-        sign = -1.0 if text.startswith("-") else 1.0
-        num, slash, den = text.removeprefix("-").partition("/")
-        if "+" not in text and not num.startswith("-"):
-            try:
-                return (sign * (math.pi if num == "pi" else float(num))
-                        / (float(den) if slash else 1.0))
-            except (ValueError, ZeroDivisionError):
-                pass
-    problems.append(f"{where}: cannot interpret {value!r} as a number")
-    return None
-
-
-_REQUIRED = object()  # default of a field that must be given
-_OPTIONAL = object()  # default of a field left out of the values when not given
-_BAD = object()  # a value whose problem has been named
-
-# The types each kind accepts (never a boolean); _parse_number reads "a number".
-_TYPES = {"an integer": (int,), "a string": (str,), "a list": (list,),
-          "a mapping": (dict, type(None))}
-
-
-class _Field(NamedTuple):
-    """One config key: its kind, default, range and the flag that overrides it.
-
-    A number must be finite and in [low, high), or (low, high) with
-    open_low; a bound of None is no bound. entry is the field every entry
-    of a list is read as.
-    """
-
-    kind: str
-    default: object = _REQUIRED
-    low: float | None = None
-    high: float | None = None
-    open_low: bool = False
-    entry: _Field | None = None
-    flag: str | None = None
-
-
-_NUMBER, _INTEGER = _Field("a number"), _Field("an integer")
+_NUMBER, _INTEGER = _Field("a number or its text"), _Field("an integer")
 
 # The system description: built into SpaceSpec, the component matrices and TopEvent.
 _SYSTEM = {
@@ -137,81 +89,29 @@ _SYSTEM = {
     "numSystemComponents": _Field("an integer", low=1),
     "systemComponentNames": _Field("a list"),
     "systemComponentStates": _Field("a list", entry=_INTEGER),
-    "systemComponentStateNames": _Field("a list", _OPTIONAL),  # documentation only
+    "systemComponentStateNames": _Field("a list", None),  # documentation only
     "variableUpperBounds": _Field("a list", entry=_NUMBER),
     "variableLowerBounds": _Field("a list", entry=_NUMBER),
     "numberOfCells": _Field("a list", entry=_INTEGER),
     "sysConfTransProb": _Field("a list"),
     "eventUpperBounds": _Field("a list", entry=_NUMBER),
     "eventLowerBounds": _Field("a list", entry=_NUMBER),
-    "eventConfigs": _Field("a list", _OPTIONAL, entry=_Field("a list", entry=_INTEGER)),
+    "eventConfigs": _Field("a list", None, entry=_Field("a list", entry=_INTEGER)),
 }
 # The run settings: RunConfig fields of the same names.
 _SETTINGS = {
     "simulator": _Field("a string"),
     "simulator_params": _Field("a mapping", None),
-    "dt": _Field("a number", 1.0, low=0.0, open_low=True),
+    "dt": _Field("a number or its text", 1.0, low=0.0, open_low=True),
     "samples_per_cell": _Field("an integer", mapper_mod.DEFAULT_SAMPLES_PER_CELL, low=1,
                                flag="--samples"),
     "search_depth": _Field("an integer", 1, low=1, flag="--depth"),
-    "truncation": _Field("a number", 0.0, low=0.0, high=1.0, flag="--epsilon"),
+    "truncation": _Field("a number or its text", 0.0, low=0.0, high=1.0, flag="--epsilon"),
     "seed": _Field("an integer", 0, low=0, flag="--seed"),
     "node_budget": _Field("an integer", bpa_mod.DEFAULT_NODE_BUDGET, low=1, flag="--budget"),
     "workers": _Field("an integer", 1, low=1, flag="--workers"),
     "sample_budget": _Field("an integer", mapper_mod.DEFAULT_SAMPLE_BUDGET, low=1),
 }
-
-
-def _range_problem(value: object, f: _Field, where: str) -> str | None:
-    """The problem of a number that is not finite or lies outside f's range."""
-    if not isinstance(value, (int, float)):
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"{where} must be finite, got {value}"
-    below = f.low is not None and (value <= f.low if f.open_low else value < f.low)
-    if not below and (f.high is None or value < f.high):
-        return None
-    if f.high is None:
-        return f"{where} must be {'>' if f.open_low else '>='} {f.low}, got {value}"
-    return f"{where} must be in {'(' if f.open_low else '['}{f.low}, {f.high}), got {value}"
-
-
-def _read_value(value: object, f: _Field, where: str, problems: list[str]) -> object:
-    """value read as f's kind and checked against its range, or _BAD with its problem named."""
-    if f.kind == "a number":
-        value = _parse_number(value, where, problems)
-        if value is None:
-            return _BAD
-    elif f.kind in _TYPES and (isinstance(value, bool) or not isinstance(value, _TYPES[f.kind])):
-        problems.append(f"{where} must be {f.kind}, got {value!r}")
-        return _BAD
-    if f.entry is not None:
-        entries = [_read_value(v, f.entry, f"{where} entry {k + 1}", problems)
-                   for k, v in enumerate(value)]
-        return _BAD if any(e is _BAD for e in entries) else entries
-    if problem := _range_problem(value, f, where):
-        problems.append(problem)
-        return _BAD
-    return value
-
-
-def _read_fields(raw: dict, table: dict[str, _Field], prefix: str, problems: list[str]) -> dict:
-    """raw read by table in one pass, defaults filled in.
-
-    Names every unknown key, missing required field and value of the wrong
-    kind, non-finite or out of range; such values are left out.
-    """
-    problems += [f"unknown field {prefix}{key}" for key in raw if key not in table]
-    values = {}
-    for key, f in table.items():
-        if key in raw:
-            if (value := _read_value(raw[key], f, prefix + key, problems)) is not _BAD:
-                values[key] = value
-        elif f.default is _REQUIRED:
-            problems.append(f"missing required field {prefix + key!r}")
-        elif f.default is not _OPTIONAL:
-            values[key] = f.default
-    return values
 
 
 @dataclass
@@ -296,7 +196,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         for key_node in (k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"):
             if (key := self.construct_object(key_node, deep=deep)) in keys:
                 raise yaml.constructor.ConstructorError(
-                    None, None, f"repeated key {key!r}", key_node.start_mark)
+                    None, None, f"repeated key {echo(key)}", key_node.start_mark)
             keys.append(key)
         return super().construct_mapping(node, deep)
 
@@ -312,7 +212,7 @@ def load_config(path: str) -> RunConfig:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except UnicodeDecodeError as exc:
             raise ConfigError([f"{path}: not valid YAML: not UTF-8: {exc}"]) from exc
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to read
             mark = getattr(exc, "problem_mark", None)
             where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
             problem = getattr(exc, "problem", None) or exc
@@ -326,9 +226,7 @@ def load_config(path: str) -> RunConfig:
     values = _read_fields(raw, _SYSTEM | _SETTINGS, "", problems)
     simulator = values.get("simulator")
     if simulator is not None and simulator not in SIMULATORS:
-        problems.append(
-            f"unknown simulator {simulator!r}; registered: {sorted(SIMULATORS)}"
-        )
+        problems.append(f"unknown simulator {echo(simulator)}; registered: {sorted(SIMULATORS)}")
     elif simulator is not None and "simulator_params" in values:
         values["simulator_params"] = _read_fields(
             values["simulator_params"] or {}, _SIMULATOR_PARAMS.get(simulator, {}),
@@ -362,14 +260,10 @@ def load_config(path: str) -> RunConfig:
     spec = None
     if not lengths:
         try:
-            spec = SpaceSpec(
-                names_x=tuple(str(s) for s in values["processVariablesNames"]),
-                names_n=tuple(str(s) for s in values["systemComponentNames"]),
-                lower=tuple(values["variableLowerBounds"]),
-                upper=tuple(values["variableUpperBounds"]),
-                partitions=tuple(partitions),
-                states=tuple(states),
-            )
+            spec = SpaceSpec(map(str, values["processVariablesNames"]),
+                             map(str, values["systemComponentNames"]),
+                             values["variableLowerBounds"], values["variableUpperBounds"],
+                             partitions, states)
         except ValueError as exc:
             problems.append(f"space specification: {exc}")
 
@@ -390,7 +284,8 @@ def load_config(path: str) -> RunConfig:
 
     # Event bounds: L entries, or L+1 with a trailing configuration range.
     ev_u, ev_l = values["eventUpperBounds"], values["eventLowerBounds"]
-    configs = frozenset(map(tuple, values["eventConfigs"])) if "eventConfigs" in values else None
+    configs = values["eventConfigs"]
+    configs = None if configs is None else frozenset(map(tuple, configs))
     bounds = []  # the problems of the bounds
     if len(ev_u) == len(ev_l) == L + 1:
         (ev_l, first), (ev_u, last) = (ev_l[:-1], ev_l[-1]), (ev_u[:-1], ev_u[-1])
@@ -436,7 +331,7 @@ def _make_simulator(cfg: RunConfig) -> DynamicsModel:
 def _override(key: str):
     """The option that overrides a setting, under the flag its table entry names."""
     f = _SETTINGS[key]
-    return click.option(f.flag, key, type=float if f.kind == "a number" else int,
+    return click.option(f.flag, key, type=int if f.kind == "an integer" else float,
                         default=None, help=f"Override the config's {key}.")
 
 
@@ -485,7 +380,7 @@ def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
     problems = ["map spec does not match config spec"] if tmap.spec != cfg.spec else []
     for key in ("dt", "simulator", "simulator_params"):
         if (theirs := getattr(tmap, key)) != (ours := getattr(cfg, key)):
-            problems.append(f"map {key} {theirs!r} does not match config {key} {ours!r}")
+            problems.append(f"map {key} {echo(theirs)} does not match config {key} {echo(ours)}")
     return problems
 
 
@@ -637,8 +532,8 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
 @click.option("--oracle-trials", type=int, default=2000, show_default=True)
 def validate_cmd(config_path, map_path, oracle_trials) -> None:
     """Run invariant suites and oracle cross-checks; nonzero exit on failure."""
-    if oracle_trials < 1:
-        _fail("option", [f"--oracle-trials must be >= 1, got {oracle_trials}"])
+    if problem := _range_problem(oracle_trials, _Field("an integer", low=1), "--oracle-trials"):
+        _fail("option", [problem])
     cfg = load_config(config_path)
     if oracle_trials > cfg.sample_budget:  # before any trial is drawn
         raise BudgetError(f"--oracle-trials {oracle_trials} exceeds sample_budget "
@@ -685,8 +580,9 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")
 def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     """Push a point mass forward and report the event-set probability."""
-    if steps is not None and steps < 0:
-        _fail("option", [f"--steps must be >= 0, got {steps}"])
+    if steps is not None and (problem := _range_problem(steps, _Field("an integer", low=0),
+                                                         "--steps")):
+        _fail("option", [problem])
     cfg, tmap = _load_inputs(config_path, map_path)
     if not 0 <= cell_id < tmap.n_cells:
         _fail("option", [f"--cell must be in [0, {tmap.n_cells}), got {cell_id}"])

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -32,7 +33,7 @@ from .cellspace import (
     id_to_coord,
     sample_cell_array,  # unused here; bench/tracer.py wraps mapper.sample_cell_array by name
 )
-from .configuration import ROW_SUM_TOL, ConfigTransitionModel
+from .configuration import ROW_SUM_TOL, ConfigTransitionModel, _Field, _read_fields, capped, echo
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -173,7 +174,7 @@ class TransitionMap:
 
         Its build record is fixed: dt 1, one sample per cell, seed 0, simulator "analytic".
         """
-        triples = [(s, t, q) for s, row in edges.items() for t, q in row]
+        triples = [[s, t, q] for s, row in edges.items() for t, q in row]
         return cls(spec, 1.0, 1, 0, "analytic", {}, _edge_matrix(spec.total_cells, triples))
 
 
@@ -196,7 +197,7 @@ def _off_rows(matrix: CSR) -> str | None:
     n_rows = len(matrix.indptr) - 1
     sums = np.bincount(matrix.row_ids(), weights=matrix.data, minlength=n_rows)[:-1]
     off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    return "; ".join(f"source {k}: row sums to {float(sums[k])!r}" for k in off) or None
+    return "; ".join(capped([f"source {k}: row sums to {float(sums[k])!r}" for k in off])) or None
 
 
 # JSON's names for the field types a map edge may not hold.
@@ -206,22 +207,25 @@ _KINDS = {bool: "boolean", str: "string", type(None): "null"}
 def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
-    Raises MapFormatError for a malformed triple, and one naming, as written, every
-    field that is not an int or a float (np.asarray parses strings and booleans), then
-    every triple with an id out of range (checked before the integer cast), q outside
-    (0, 1] or a duplicate (source, target) pair, check by check.
+    Raises MapFormatError naming, as written, every field that is not an int or a
+    float (np.asarray parses strings and booleans), or else naming a malformed
+    triple; then one naming every triple with an id out of range (checked before the
+    integer cast), q outside (0, 1] or a duplicate (source, target) pair, check by
+    check. The first PROBLEM_CAP problems are named.
     """
+    typed = []  # a problem for every field that is not an int or a float
     try:
+        # Field types are scanned in place: a copy of the edges would raise the peak.
+        if set(map(type, itertools.chain.from_iterable(edges))) - {int, float}:
+            typed = [f"edge {echo(e)}: {_KINDS.get(type(v), type(v).__name__)} field {echo(v)}"
+                     for e in edges for v in e if type(v) not in (int, float)]
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
         if arr.ndim != 2 or arr.shape[1] != 3 or np.any(arr[:, :2] != np.floor(arr[:, :2])):
             raise ValueError("need integer ids")
-        # Field types are scanned in place: a copy of the edges would raise the peak.
-        odd = set(map(type, itertools.chain.from_iterable(edges))) - {int, float}
-        typed = [(k, f"{_KINDS.get(type(v), type(v).__name__)} field {v!r}")
-                 for k, triple in enumerate(edges) for v in triple
-                 if type(v) not in (int, float)] if odd else []
-    except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"edges must be [source, target, q] triples: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        # numpy's message would echo a string field whole; such a field is named instead.
+        raise MapFormatError("; ".join(capped(typed))
+                             or f"edges must be [source, target, q] triples: {exc}") from exc
     s, t, q = arr.T
     src_ok, tgt_ok = (s >= 0) & (s < C), (t >= EXTERIOR_ID) & (t < C)
     ok = src_ok & tgt_ok  # only these ids are cast; a triple with a bad id keys no pair
@@ -230,19 +234,16 @@ def _edge_matrix(C: int, edges) -> CSR:
     dup = np.ones(len(src), dtype=bool)  # every repeat of a (source, target) pair
     key = np.where(ok, src * (C + 1) + col, -1 - np.arange(len(src)))
     dup[np.unique(key, return_index=True)[1]] = False
-    named = "; ".join(
-        f"edge [{', '.join(map(repr, edges[k]))}]: {problem}"
-        for k, problem in typed + [
-            (k, problem)
-            for bad, problem in (
-                (~src_ok, f"source id outside 0..{C - 1}"),
-                (~tgt_ok, f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
-                (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
-                (dup, "duplicate (source, target) pair"),
-            )
-            for k in np.flatnonzero(bad)
-        ]
-    )
+    named = "; ".join(capped(typed + [
+        f"edge {echo(edges[k])}: {problem}"
+        for bad, problem in (
+            (~src_ok, f"source id outside 0..{C - 1}"),
+            (~tgt_ok, f"target id outside 0..{C - 1} or {EXTERIOR_ID}"),
+            (~((q > 0.0) & (q <= 1.0)), "q outside (0, 1]"),
+            (dup, "duplicate (source, target) pair"),
+        )
+        for k in np.flatnonzero(bad)
+    ]))
     if named:
         raise MapFormatError(named)
     return _matrix(C, src, col, q)
@@ -446,51 +447,22 @@ def predecessors(tmap: TransitionMap, target: int) -> list[tuple[int, float]]:
     return list(zip(index.indices[lo:hi].tolist(), index.data[lo:hi].tolist()))
 
 
-def _of(kind, low=None):
-    """Test of a value of kind, not a boolean, at least low unless low is None."""
-    return lambda v: isinstance(v, kind) and not isinstance(v, bool) and (low is None or v >= low)
-
-
-def _list_of(test):
-    return lambda v: isinstance(v, list) and all(map(test, v))
-
-
-def _field_problems(doc: dict, fields) -> list[str]:
-    """Every one of fields (key or parent.key, test, what it must be) that doc
-    lacks or whose value fails its test, in order; a named field's children are skipped."""
-    problems, named = [], set()
-    for key, test, noun in fields:
-        parent, _, name = key.rpartition(".")
-        if parent in named:
-            continue
-        owner = doc[parent] if parent else doc
-        if name not in owner:
-            problems.append(f"missing field {key!r}")
-        elif not test(owner[name]):
-            problems.append(f"{key} must be {noun}, got {owner[name]!r}")
-        else:
-            continue
-        named.add(key)
-    return problems
-
-
-# The map file's header, which save_map writes and load_map checks, key by key.
-_MAP_FIELDS = (
-    ("spec", _of(dict), "an object"),
-    ("spec.names_x", _list_of(_of(str)), "a list of strings"),
-    ("spec.names_n", _list_of(_of(str)), "a list of strings"),
-    ("spec.lower", _list_of(_of((int, float))), "a list of numbers"),
-    ("spec.upper", _list_of(_of((int, float))), "a list of numbers"),
-    ("spec.partitions", _list_of(_of(int)), "a list of integers"),
-    ("spec.states", _list_of(_of(int)), "a list of integers"),
-    ("dt", _of((int, float)), "a number"),
-    ("samples_per_cell", _of(int, 1), "an integer >= 1"),
-    ("seed", _of(int, 0), "an integer >= 0"),
-    ("simulator", _of(str), "a string"),
-    ("simulator_params", _of(dict), "an object"),
-)
-_SPEC_FIELDS = tuple(key[5:] for key, _, _ in _MAP_FIELDS if key.startswith("spec."))
-_BUILD_FIELDS = tuple(key for key, _, _ in _MAP_FIELDS if not key.startswith("spec"))
+_NAMES, _NUMBERS, _COUNTS = (_Field("a list", entry=_Field(kind))
+                             for kind in ("a string", "a number", "an integer"))
+# The map file's header, which save_map writes and load_map reads: the spec, SpaceSpec's
+# fields, and the build record, TransitionMap's fields of the same names.
+_SPEC_FIELDS = {"names_x": _NAMES, "names_n": _NAMES, "lower": _NUMBERS, "upper": _NUMBERS,
+                "partitions": _COUNTS, "states": _COUNTS}
+_BUILD_FIELDS = {
+    "dt": _Field("a number", low=0.0, open_low=True),
+    "samples_per_cell": _Field("an integer", low=1),
+    "seed": _Field("an integer", low=0),
+    "simulator": _Field("a string"),
+    "simulator_params": _Field("a mapping", None),  # left out, or null: built with none
+}
+_MAP_FIELDS = {"format": _Field("a string"), "version": _Field("an integer"),
+               "spec": _Field("a mapping", table=_SPEC_FIELDS), **_BUILD_FIELDS,
+               "edges": _Field("a list")}
 
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")), the layout of every output file.
@@ -555,8 +527,9 @@ def save_map(tmap: TransitionMap, path: str) -> None:
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's pairs as a dict; MapFormatError names every key given twice."""
     if len(doc := dict(pairs)) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise MapFormatError("; ".join(f"repeated key {k!r}" for k in doc if keys.count(k) > 1))
+        counts = Counter(key for key, _ in pairs)  # in the order the keys first appear
+        raise MapFormatError("; ".join(capped([f"repeated key {echo(k)}"
+                                               for k, n in counts.items() if n > 1])))
     return doc
 
 
@@ -564,10 +537,10 @@ def load_map(path: str) -> TransitionMap:
     """Load a map persisted by save_map, checking it where it enters.
 
     Raises MapFormatError for a file that is not a map, naming every header
-    field that is missing or of the wrong type or range (see _MAP_FIELDS);
-    for a clean header, one naming the edges with an id out of range, q
-    outside (0, 1] or a duplicate pair, or every row that does not sum to
-    one. A file without simulator_params was built with none.
+    key that is unknown, missing, or of the wrong kind or range (read as the
+    config is, by _read_fields over _MAP_FIELDS); for a clean header, one
+    naming the edges with an id out of range, q outside (0, 1] or a
+    duplicate pair, or every row that does not sum to one.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -581,16 +554,16 @@ def load_map(path: str) -> TransitionMap:
     if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
         raise MapFormatError(f"{path}: not a transition map file")
     if doc.get("version") != MAP_FORMAT_VERSION:
-        raise MapFormatError(f"{path}: unsupported version {doc.get('version')}")
-    doc = {"simulator_params": {}, **doc}
-    if problems := _field_problems(doc, _MAP_FIELDS):
-        raise MapFormatError(f"{path}: " + "; ".join(problems))
+        raise MapFormatError(f"{path}: unsupported version {echo(doc.get('version'))}")
+    problems: list[str] = []
+    header = _read_fields(doc, _MAP_FIELDS, "", problems)
+    if problems:
+        raise MapFormatError(f"{path}: " + "; ".join(capped(problems)))
+    build = {key: header[key] for key in _BUILD_FIELDS}
+    build["simulator_params"] = build["simulator_params"] or {}
     try:
-        spec = SpaceSpec(**{f: tuple(doc["spec"][f]) for f in _SPEC_FIELDS})
-        matrix = _edge_matrix(spec.total_cells, doc["edges"])
-        build = {key: doc[key] for key in _BUILD_FIELDS} | {"dt": float(doc["dt"])}
+        spec = SpaceSpec(**header["spec"])
+        matrix = _edge_matrix(spec.total_cells, header["edges"])
         return TransitionMap(spec, matrix=matrix, **build)
-    except KeyError as exc:
-        raise MapFormatError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MapFormatError(f"{path}: {exc}") from exc

@@ -586,22 +586,22 @@ def test_malformed_map_exit_code(tmp_path, command):
 # 0.0, the name tuple ("x",), and 1.0 (which differs from the config's 10.0).
 SPEC_DEFECTS = {
     "lower-strings": (lambda doc: doc["spec"].update(lower=["0"]),
-                      ["spec.lower must be a list of numbers"]),
+                      ["spec.lower entry 1 must be a number, got '0'"]),
     "upper-boolean": (lambda doc: doc["spec"].update(upper=[True]),
-                      ["spec.upper must be a list of numbers"]),
+                      ["spec.upper entry 1 must be a number, got True"]),
     "names-x-string": (lambda doc: doc["spec"].update(names_x="x"),
-                       ["spec.names_x must be a list of strings"]),
+                       ["spec.names_x must be a list, got 'x'"]),
 }
 
 
 @pytest.mark.parametrize(
     "defect, words",
     [
-        (lambda doc: doc.update(seed=1.5), ["seed must be an integer >= 0"]),
-        (lambda doc: doc.update(seed=True), ["seed must be an integer >= 0"]),
-        (lambda doc: doc.update(samples_per_cell=-5), ["samples_per_cell must be an integer >= 1"]),
+        (lambda doc: doc.update(seed=1.5), ["seed must be an integer, got 1.5"]),
+        (lambda doc: doc.update(seed=True), ["seed must be an integer, got True"]),
+        (lambda doc: doc.update(samples_per_cell=-5), ["samples_per_cell must be >= 1, got -5"]),
         # int() would read 10.7 as the config's 10 and the map would match.
-        (lambda doc: doc["spec"].update(partitions=[10.7]), ["spec.partitions must be"]),
+        (lambda doc: doc["spec"].update(partitions=[10.7]), ["spec.partitions entry 1 must be"]),
         (lambda doc: doc.pop("edges"), ["missing field 'edges'"]),
         (lambda doc: doc.update(version=2), ["unsupported version 2"]),
         *SPEC_DEFECTS.values(),
@@ -650,8 +650,8 @@ def test_every_bad_map_header_field_is_named(tmp_path, command):
     code = EXIT_VALIDATION_FAILURE if command == "validate" else EXIT_CONFIG_ERROR
     assert res.exit_code == code, res.output
     assert "Traceback" not in res.output
-    assert (f"map error: {map_path}: spec.names_x must be a list of strings, got 'abc'; "
-            "dt must be a number, got 'x'; seed must be an integer >= 0, got -1\n") in res.output
+    assert (f"map error: {map_path}: spec.names_x must be a list, got 'abc'; "
+            "dt must be a number, got 'x'; seed must be >= 0, got -1\n") in res.output
 
 
 @pytest.mark.parametrize(
@@ -707,6 +707,13 @@ def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args,
     _assert_named_exit_3(res, flag)
     assert not out.exists()
 
+
+class _YamlInt(str):
+    """Text that yaml.safe_dump writes as a plain YAML integer, however many digits it has."""
+
+
+yaml.SafeDumper.add_representer(
+    _YamlInt, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:int", text))
 
 # Two components where DRIFT_CONFIG has one.
 TWO_COMPONENTS = {
@@ -773,7 +780,7 @@ TWO_COMPONENTS = {
         ({"sysConfTransProb": [[[0.25, "~1"], ["~1", 1.5]]]},
          "component 0 row 2 col 1: entry -0.5"),
         ({"simulator": "agv-baseline", "simulator_params": {"t_gap_des": 2.0}},
-         "unknown field simulator_params.t_gap_des"),
+         "unknown field 'simulator_params.t_gap_des'"),
         # Refused before the range's set is built, which would not fit in memory.
         ({"eventUpperBounds": [10.0, 1.0e12]},
          "trailing event configuration range 1..1e+12 is outside the component's states 1..2"),
@@ -783,6 +790,14 @@ TWO_COMPONENTS = {
          "space specification: dimension 0: cell width inf is not positive and finite"),
         ({"variableUpperBounds": [5.0e-324]},
          "space specification: dimension 0: cell width 0.0 is not positive and finite"),
+        # Integers of 4,299 digits: past 64 bits, or past every float, each named.
+        ({"samples_per_cell": 10**4298}, "samples_per_cell must fit in 64 bits"),
+        ({"search_depth": 10**4298}, "search_depth must fit in 64 bits"),
+        ({"variableUpperBounds": [10**4298]}, "variableUpperBounds entry 1 must be finite"),
+        ({"sysConfTransProb": [[[10**4298, 0], [0, 1]]]},
+         "component 0: row 1 entry 1 must be finite"),
+        # Past 4,300 digits Python reads no integer, so the YAML is not read.
+        ({"seed": _YamlInt("1" * 4301)}, "not valid YAML"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -803,7 +818,7 @@ def test_config_field_types_are_problems(tmp_path, override, field):
 ])
 def test_parse_number_reads_the_documented_grammar(value, number):
     problems = []
-    assert cellrisk.cli._parse_number(value, "x", problems) == number
+    assert cellrisk.configuration._parse_number(value, "x", problems) == number
     assert problems == []
 
 
@@ -811,8 +826,50 @@ def test_parse_number_reads_the_documented_grammar(value, number):
                                    "--3", "-+3", "+3", "pi/+3", "2/+3"])
 def test_parse_number_rejects_other_spellings(value):
     problems = []
-    assert cellrisk.cli._parse_number(value, "x", problems) is None
+    assert cellrisk.configuration._parse_number(value, "x", problems) is None
     assert problems == [f"x: cannot interpret {value!r} as a number"]
+
+
+def test_config_problems_past_the_cap_are_counted(tmp_path):
+    path = write_config(tmp_path, {f"unknown_{k:02}": k for k in range(30)})
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.problems == [f"unknown field 'unknown_{k:02}'" for k in range(20)] + [
+        "and 10 more problems"]
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("config", "dt", "x" * 200_000),
+    ("map", "dt", "x" * 200_000),
+    ("map", "seed", "1" * 100_000),
+], ids=["config-dt", "map-dt", "map-seed"])
+def test_a_huge_value_is_echoed_bounded(tmp_path, where, field, value):
+    cfg_path, map_path = _built(tmp_path)
+    if where == "config":
+        cfg_path = write_config(tmp_path, {field: value}, name="huge.yaml")
+    else:
+        doc = json.loads(map_path.read_text())
+        doc[field] = value
+        map_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path), "--map", str(map_path)])
+    _assert_named_exit_3(res, f"{where} error", field)
+    assert len(res.output) < 500
+
+
+@pytest.mark.parametrize("dt", [-1, 0, math.inf])
+@pytest.mark.parametrize("command", ["run-bpa", "forward-check", "validate"])
+def test_map_dt_out_of_range_exit_code(tmp_path, command, dt):
+    cfg_path, map_path = _built(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["dt"] = dt
+    map_path.write_text(json.dumps(doc))
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
+    )
+    assert res.exit_code == (EXIT_VALIDATION_FAILURE if command == "validate"
+                             else EXIT_CONFIG_ERROR), res.output
+    assert f"map error: {map_path}: dt must be " in res.output
 
 
 def test_oracle_trials_above_the_sample_budget_exit_code(tmp_path):

@@ -524,28 +524,34 @@ def test_load_map_names_every_off_row(tmp_path):
 
 
 MALFORMED_HEADERS = {
-    "seed-not-an-integer": (lambda doc: doc.update(seed=1.5), "seed must be an integer >= 0"),
-    "seed-boolean": (lambda doc: doc.update(seed=True), "seed must be an integer >= 0"),
-    "seed-negative": (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0"),
+    "seed-not-an-integer": (lambda doc: doc.update(seed=1.5), "seed must be an integer, got 1.5"),
+    "seed-boolean": (lambda doc: doc.update(seed=True), "seed must be an integer, got True"),
+    "seed-negative": (lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
     "samples-negative": (lambda doc: doc.update(samples_per_cell=-5),
-                         "samples_per_cell must be an integer >= 1"),
+                         "samples_per_cell must be >= 1, got -5"),
     "partitions-not-integers": (lambda doc: doc["spec"].update(partitions=[4.7]),
-                                "spec.partitions must be a list of integers"),
+                                "spec.partitions entry 1 must be an integer, got 4.7"),
     "states-not-integers": (lambda doc: doc["spec"].update(states=[1.0]),
-                            "spec.states must be a list of integers"),
+                            "spec.states entry 1 must be an integer, got 1.0"),
     "dt-not-a-number": (lambda doc: doc.update(dt="1"), "dt must be a number"),
     "simulator-not-a-string": (lambda doc: doc.update(simulator=3),
                                "simulator must be a string"),
     "simulator-params-not-an-object": (lambda doc: doc.update(simulator_params=[1.0]),
-                                       "simulator_params must be an object"),
+                                       "simulator_params must be a mapping, got [1.0]"),
     "spec-missing": (lambda doc: doc.pop("spec"), "missing field 'spec'"),
     # SpaceSpec would read these as the float 0.0 or 1.0 and the name tuple ("x",).
     "lower-strings": (lambda doc: doc["spec"].update(lower=["0"]),
-                      "spec.lower must be a list of numbers"),
+                      "spec.lower entry 1 must be a number, got '0'"),
     "upper-boolean": (lambda doc: doc["spec"].update(upper=[True]),
-                      "spec.upper must be a list of numbers"),
+                      "spec.upper entry 1 must be a number, got True"),
     "names-x-string": (lambda doc: doc["spec"].update(names_x="x"),
-                       "spec.names_x must be a list of strings"),
+                       "spec.names_x must be a list, got 'x'"),
+    # The header is read as the config is: dt's range is the config's, and every key is known.
+    "dt-negative": (lambda doc: doc.update(dt=-1), "dt must be > 0.0, got -1"),
+    "dt-zero": (lambda doc: doc.update(dt=0), "dt must be > 0.0, got 0"),
+    "dt-infinite": (lambda doc: doc.update(dt=math.inf), "dt must be finite, got inf"),
+    "unknown-key": (lambda doc: doc.update(extra=1), "unknown field 'extra'"),
+    "edges-not-a-list": (lambda doc: doc.update(edges=5), "edges must be a list, got 5"),
 }
 
 
@@ -561,7 +567,7 @@ def test_load_map_rejects_malformed_header(tmp_path, case):
 
 
 @pytest.mark.parametrize("spec_defect, message", [
-    (lambda doc: doc.update(spec=5), "spec must be an object, got 5"),
+    (lambda doc: doc.update(spec=5), "spec must be a mapping, got 5"),
     (lambda doc: doc.pop("spec"), "missing field 'spec'"),
 ], ids=["spec-not-an-object", "spec-missing"])
 def test_load_map_names_every_bad_header_field(tmp_path, spec_defect, message):
@@ -575,8 +581,27 @@ def test_load_map_names_every_bad_header_field(tmp_path, spec_defect, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError) as err:
         load_map(str(path))
-    assert str(err.value) == (f"{path}: {message}; seed must be an integer >= 0, got -1; "
+    assert str(err.value) == (f"{path}: {message}; seed must be >= 0, got -1; "
                               "simulator must be a string, got 3")
+
+
+@pytest.mark.parametrize("defect", ["every-q-bad", "no-edges", "every-name-bad"])
+def test_a_long_problem_list_names_the_first_twenty(tmp_path, baseline_map, defect):
+    path = tmp_path / "map.json"
+    save_map(baseline_map, str(path))
+    doc = json.loads(path.read_text())
+    if defect == "every-q-bad":
+        doc["edges"], n_problems = [[s, t, 1.5] for s, t, _ in doc["edges"]], len(doc["edges"])
+    elif defect == "no-edges":  # every row sums to 0
+        doc["edges"], n_problems = [], baseline_map.n_cells
+    else:
+        doc["spec"]["names_x"], n_problems = list(range(100)), 100
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapFormatError) as err:
+        load_map(str(path))
+    problems = str(err.value).split("; ")
+    assert len(problems) == 21
+    assert problems[-1] == f"and {n_problems - 20} more problems"
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 4])

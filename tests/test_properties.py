@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -13,10 +15,18 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import random_absorbing_map, reference_control, reference_step_many, tree_to_dict
+from _synthetic import (
+    random_absorbing_map,
+    reference_control,
+    reference_step_many,
+    ring_shift_map,
+    tree_to_dict,
+)
+from conftest import CONFIGS
 from cellrisk.bpa import (
     RankedPath,
     backtrack,
@@ -35,7 +45,7 @@ from cellrisk.cellspace import (
     id_to_coord,
     sample_cell_array,
 )
-from cellrisk.cli import SIMULATORS, LinearDriftModel
+from cellrisk.cli import SIMULATORS, ConfigError, LinearDriftModel, load_config
 from cellrisk.configuration import (
     ROW_SUM_TOL,
     ComponentMatrix,
@@ -684,3 +694,67 @@ def test_total_exterior_mass_keeps_its_bits(system):
     tmap, _ = system
     column = _scipy_matrix(tmap)[:-1, -1].toarray()
     assert tmap.total_exterior_mass() == float(np.cumsum(column)[-1])
+
+
+# A value a YAML or JSON key may hold: scalars of every kind (integers past 64 bits and
+# past every float, non-finite floats, long text among them), lists, edge-like triples
+# and mappings.
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+           | st.sampled_from([2**63, -2**63 - 1, 10**400, -10**4298, "9" * 5000, "x" * 5000]))
+ANY_VALUE = st.recursive(
+    SCALARS | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=30),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12,
+)
+FILE_PROPERTY = settings(max_examples=150, deadline=None)
+MESSAGE_CAP = 4096  # bytes of one error's message
+
+
+@st.composite
+def edits(draw, doc: dict):
+    """doc with one key (at the top or one level down) replaced by any value, deleted,
+    or joined by an unknown key."""
+    paths = [(key,) for key in doc] + [(key, sub) for key, value in doc.items()
+                                        if isinstance(value, dict) for sub in value]
+    *parents, key = draw(st.sampled_from(paths))
+    edited = copy.deepcopy(doc)
+    owner = functools.reduce(dict.__getitem__, parents, edited)
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "delete":
+        del owner[key]
+    else:
+        owner[key if action == "replace" else f"unknown_{key}"] = draw(ANY_VALUE)
+    return edited
+
+
+def _saved_map_doc() -> dict:
+    tmap = ring_shift_map(4)
+    tmap.simulator_params = {"velocity": [0.5]}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_map(tmap, str(Path(tmp) / "map.json"))
+        return json.loads((Path(tmp) / "map.json").read_text())
+
+
+@FILE_PROPERTY
+@given(edits(_saved_map_doc()))
+def test_an_edited_map_loads_or_is_refused_in_a_bounded_message(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_map(str(path))
+        except MapFormatError as exc:
+            assert len(str(exc).encode()) < MESSAGE_CAP
+
+
+@FILE_PROPERTY
+@given(edits(yaml.safe_load((CONFIGS / "agv_baseline.yaml").read_text())))
+def test_an_edited_config_loads_or_is_refused_in_a_bounded_message(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        try:
+            load_config(str(path))
+        except ConfigError as exc:
+            assert len(str(exc).encode()) < MESSAGE_CAP

@@ -27,11 +27,13 @@ def test_package_exports_the_readme_names():
 
 def test_package_import_leaves_the_oracle_and_exact_arithmetic_unimported():
     # Only validate uses them; a bare import, as every command makes, loads none of them.
+    # Nor does it load the command line's own dependencies.
     src = str(Path(cellrisk.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, cellrisk\n"
-            "print([m for m in ('cellrisk.oracle', 'fractions', 'decimal') if m in sys.modules])")
+            "print([m for m in ('cellrisk.oracle', 'fractions', 'decimal', 'yaml', 'click')\n"
+            "       if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0, res.stderr
