@@ -9,11 +9,11 @@ the documented exit codes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import sys
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -103,13 +103,12 @@ _SETTINGS = {
     "simulator": _Field("a string"),
     "simulator_params": _Field("a mapping", None),
     "dt": _Field("a number or its text", 1.0, low=0.0, open_low=True),
-    "samples_per_cell": _Field("an integer", mapper_mod.DEFAULT_SAMPLES_PER_CELL, low=1,
-                               flag="--samples"),
-    "search_depth": _Field("an integer", 1, low=1, flag="--depth"),
-    "truncation": _Field("a number or its text", 0.0, low=0.0, high=1.0, flag="--epsilon"),
-    "seed": _Field("an integer", 0, low=0, flag="--seed"),
-    "node_budget": _Field("an integer", bpa_mod.DEFAULT_NODE_BUDGET, low=1, flag="--budget"),
-    "workers": _Field("an integer", 1, low=1, flag="--workers"),
+    "samples_per_cell": _Field("an integer", mapper_mod.DEFAULT_SAMPLES_PER_CELL, low=1),
+    "search_depth": _Field("an integer", 1, low=1),
+    "truncation": _Field("a number or its text", 0.0, low=0.0, high=1.0),
+    "seed": _Field("an integer", 0, low=0),
+    "node_budget": _Field("an integer", bpa_mod.DEFAULT_NODE_BUDGET, low=1),
+    "workers": _Field("an integer", 1, low=1),
     "sample_budget": _Field("an integer", mapper_mod.DEFAULT_SAMPLE_BUDGET, low=1),
 }
 
@@ -192,12 +191,15 @@ class _UniqueKeyLoader(yaml.SafeLoader):
     """yaml.SafeLoader that refuses a key given twice in one mapping, at the second."""
 
     def construct_mapping(self, node, deep=False):
-        keys = []  # a merge key "<<" is left to the base class, which merges it
+        keys = set()  # a merge key "<<" is left to the base class, which merges it
         for key_node in (k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"):
-            if (key := self.construct_object(key_node, deep=deep)) in keys:
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                break  # the base class refuses it: "found unhashable key"
+            if key in keys:
                 raise yaml.constructor.ConstructorError(
                     None, None, f"repeated key {echo(key)}", key_node.start_mark)
-            keys.append(key)
+            keys.add(key)
         return super().construct_mapping(node, deep)
 
 
@@ -328,24 +330,6 @@ def _make_simulator(cfg: RunConfig) -> DynamicsModel:
     return SIMULATORS[cfg.simulator](cfg.simulator_params)
 
 
-def _override(key: str):
-    """The option that overrides a setting, under the flag its table entry names."""
-    f = _SETTINGS[key]
-    return click.option(f.flag, key, type=int if f.kind == "an integer" else float,
-                        default=None, help=f"Override the config's {key}.")
-
-
-def _flag_problems(overrides: dict) -> list[str]:
-    """A problem for every override flag given outside its setting's range."""
-    return [problem for key, value in overrides.items() if value is not None
-            and (problem := _range_problem(value, _SETTINGS[key], _SETTINGS[key].flag))]
-
-
-def _overridden(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """cfg with the setting of every override flag given."""
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def _unwritable(inputs: dict[str, str], outputs: dict[str, str | None]) -> list[str]:
     """A problem for every output path that is a directory, lies in none, or is the same
     file as an input or an earlier output (both flags named)."""
@@ -373,12 +357,9 @@ def _fail(kind: str, problems: list[str], code: int = EXIT_CONFIG_ERROR) -> NoRe
 
 
 def _map_mismatches(cfg: RunConfig, tmap: TransitionMap) -> list[str]:
-    """How a map differs from what its config builds: spec, dt and simulator with its params.
-
-    Seed and samples per cell are not compared; build-map's flags override them.
-    """
+    """How a map differs from what its config builds: its spec and its whole build record."""
     problems = ["map spec does not match config spec"] if tmap.spec != cfg.spec else []
-    for key in ("dt", "simulator", "simulator_params"):
+    for key in mapper_mod._BUILD_FIELDS:
         if (theirs := getattr(tmap, key)) != (ours := getattr(cfg, key)):
             problems.append(f"map {key} {echo(theirs)} does not match config {key} {echo(ours)}")
     return problems
@@ -437,15 +418,11 @@ _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 @main.command("build-map")
 @click.option("--config", "config_path", required=True, type=_INPUT_FILE)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_override("seed")
-@_override("samples_per_cell")
-@_override("workers")
-def build_map_cmd(config_path, out_path, **overrides) -> None:
+def build_map_cmd(config_path, out_path) -> None:
     """Build the transition map for a configuration and persist it."""
-    if flags := _flag_problems(overrides) + _unwritable({"--config": config_path},
-                                                        {"--out": out_path}):
-        _fail("option", flags)
-    cfg = _overridden(load_config(config_path), overrides)
+    if problems := _unwritable({"--config": config_path}, {"--out": out_path}):
+        _fail("option", problems)
+    cfg = load_config(config_path)
     model = _make_simulator(cfg)
     t0 = time.perf_counter()
     tmap = build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
@@ -468,23 +445,23 @@ def build_map_cmd(config_path, out_path, **overrides) -> None:
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-report", type=click.Path(), default=None)
 @click.option("--out-text", type=click.Path(), default=None)
-@_override("truncation")
-@_override("search_depth")
-@_override("node_budget")
-def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text,
-                **overrides) -> None:
+@click.option("--depth", type=int, default=None, help="Search depth; defaults to search_depth.")
+def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text, depth) -> None:
     """Backtrack from the Top Event and write tree, graph, report and indented text."""
-    flags = _flag_problems(overrides) + _unwritable(
+    problems = _unwritable(
         {"--config": config_path, "--map": map_path},
         {"--out-tree": out_tree, "--out-graph": out_graph, "--out-report": out_report,
          "--out-text": out_text})
-    if flags:
-        _fail("option", flags)
+    if problem := _range_problem(depth, _SETTINGS["search_depth"], "--depth"):  # None: no --depth
+        problems.insert(0, problem)
+    if problems:
+        _fail("option", problems)
     cfg, tmap = _load_inputs(config_path, map_path)
-    run = _overridden(cfg, overrides)
+    if depth is not None:
+        cfg.search_depth = depth  # the report echoes the depth searched
     t0 = time.perf_counter()
-    tree = backtrack(tmap, cfg.event, depth=run.search_depth,
-                     truncation=run.truncation, node_budget=run.node_budget)
+    tree = backtrack(tmap, cfg.event, depth=cfg.search_depth,
+                     truncation=cfg.truncation, node_budget=cfg.node_budget)
     t1 = time.perf_counter()
     ranking = tree.ranking()
     t2 = time.perf_counter()
@@ -500,7 +477,7 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
     if out_report:
         def report():
             """The report's fields in key order; the timings are taken once the rows are written."""
-            yield "config", run.normalized_dict()
+            yield "config", cfg.normalized_dict()
             yield "format", REPORT_FORMAT
             yield "map", {"path": map_path, "sources": tmap.n_cells, "edges": tmap.n_edges,
                           "exterior_mass": tmap.total_exterior_mass(),
@@ -580,8 +557,7 @@ def validate_cmd(config_path, map_path, oracle_trials) -> None:
 @click.option("--steps", type=int, default=None, help="Horizon; defaults to search_depth.")
 def forward_check_cmd(config_path, map_path, cell_id, steps) -> None:
     """Push a point mass forward and report the event-set probability."""
-    if steps is not None and (problem := _range_problem(steps, _Field("an integer", low=0),
-                                                         "--steps")):
+    if problem := _range_problem(steps, _Field("an integer", low=0), "--steps"):  # None: no --steps
         _fail("option", [problem])
     cfg, tmap = _load_inputs(config_path, map_path)
     if not 0 <= cell_id < tmap.n_cells:

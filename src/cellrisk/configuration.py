@@ -186,7 +186,7 @@ _TYPES = {"a number": (int, float), "an integer": (int,), "a string": (str,),
 
 
 class _Field(NamedTuple):
-    """One key of a config or map file: its kind, default, range and the flag that overrides it.
+    """One key of a config or map file: its kind, default and range.
 
     A number must be finite and in [low, high), or (low, high) with
     open_low; a bound of None is no bound. An integer must fit in 64 bits.
@@ -201,7 +201,6 @@ class _Field(NamedTuple):
     open_low: bool = False
     entry: _Field | None = None
     table: dict[str, _Field] | None = None
-    flag: str | None = None
 
 
 def _parse_number(value: object, where: str, problems: list[str]) -> float | None:

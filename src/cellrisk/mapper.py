@@ -204,21 +204,29 @@ def _off_rows(matrix: CSR) -> str | None:
 _KINDS = {bool: "boolean", str: "string", type(None): "null"}
 
 
+def _type_problems(edge) -> list[str]:
+    """The problem of an edge that is not a list, or of each of its fields not a number."""
+    if type(edge) is not list:
+        return [f"edge {echo(edge)}: not a [source, target, q] list"]
+    return [f"edge {echo(edge)}: {_KINDS.get(type(v), type(v).__name__)} field {echo(v)}"
+            for v in edge if type(v) not in (int, float)]
+
+
 def _edge_matrix(C: int, edges) -> CSR:
     """Checked matrix from [source, target, q] triples; EXTERIOR_ID marks the exterior.
 
-    Raises MapFormatError naming, as written, every field that is not an int or a
-    float (np.asarray parses strings and booleans), or else naming a malformed
-    triple; then one naming every triple with an id out of range (checked before the
-    integer cast), q outside (0, 1] or a duplicate (source, target) pair, check by
-    check. The first PROBLEM_CAP problems are named.
+    Raises MapFormatError naming, as written, every edge that is not a list and every
+    field not an int or a float (np.asarray parses strings and booleans), or else
+    naming a malformed triple; then one naming every triple with an id out of range
+    (checked before the integer cast), q outside (0, 1] or a duplicate (source,
+    target) pair, check by check. The first PROBLEM_CAP problems are named.
     """
-    typed = []  # a problem for every field that is not an int or a float
+    typed = []  # a problem for every edge that is not a list and every field not a number
     try:
-        # Field types are scanned in place: a copy of the edges would raise the peak.
-        if set(map(type, itertools.chain.from_iterable(edges))) - {int, float}:
-            typed = [f"edge {echo(e)}: {_KINDS.get(type(v), type(v).__name__)} field {echo(v)}"
-                     for e in edges for v in e if type(v) not in (int, float)]
+        # Types are scanned in place: a copy of the edges would raise the peak.
+        if (set(map(type, edges)) - {list}
+                or set(map(type, itertools.chain.from_iterable(edges))) - {int, float}):
+            typed = [problem for e in edges for problem in _type_problems(e)]
         arr = np.asarray(edges, dtype=float) if len(edges) else np.zeros((0, 3))
         if arr.ndim != 2 or arr.shape[1] != 3 or np.any(arr[:, :2] != np.floor(arr[:, :2])):
             raise ValueError("need integer ids")

@@ -54,6 +54,14 @@ DRIFT_CONFIG = {
 }
 
 
+def _baseline_copy(tmp_path, name="agv.yaml", **edits):
+    """configs/agv_baseline.yaml with edits, written to tmp_path."""
+    doc = yaml.safe_load((CONFIGS / "agv_baseline.yaml").read_text())
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(dict(doc, **edits)))
+    return path
+
+
 def write_config(tmp_path, overrides=None, name="config.yaml"):
     doc = dict(DRIFT_CONFIG)
     if overrides:
@@ -330,10 +338,12 @@ def test_spec_mismatch_between_config_and_map(tmp_path):
 @pytest.mark.parametrize(
     "override, field",
     [({"dt": "1/2"}, "dt"), ({"simulator": "identity", "simulator_params": {}}, "simulator"),
-     ({"simulator_params": {"velocity": [2.0]}}, "simulator_params")],
+     ({"simulator_params": {"velocity": [2.0]}}, "simulator_params"),
+     ({"seed": 5}, "seed"), ({"samples_per_cell": 32}, "samples_per_cell")],
 )
 def test_dt_or_simulator_mismatch_between_config_and_map(tmp_path, command, override, field):
-    # The map was built for another step, by another simulator or with other params.
+    # The map was built for another step, by another simulator, with other params,
+    # from another seed or with another sample count.
     _, map_path = _built(tmp_path)
     other_cfg = write_config(tmp_path, override, name="other.yaml")
     extra = ["--cell", "0"] if command == "forward-check" else []
@@ -345,17 +355,6 @@ def test_dt_or_simulator_mismatch_between_config_and_map(tmp_path, command, over
         assert f"FAIL spec-echo: map {field} " in res.output
     else:
         _assert_named_exit_3(res, "config error", f"map {field} ")
-
-
-def test_seed_and_samples_overrides_are_not_a_mismatch(tmp_path):
-    cfg_path = write_config(tmp_path)
-    map_path = tmp_path / "map.json"
-    res = CliRunner().invoke(main, ["build-map", "--config", str(cfg_path), "--out",
-                                    str(map_path), "--seed", "5", "--samples", "32"])
-    assert res.exit_code == EXIT_OK, res.output
-    for command in ("run-bpa", "validate"):
-        res = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--map", str(map_path)])
-        assert res.exit_code == EXIT_OK, res.output
 
 
 def test_validate_healthy_and_corrupted(tmp_path):
@@ -407,17 +406,12 @@ def test_validate_handles_exterior_rows(tmp_path):
     # The vehicle scenario's first cell leaks a little lateral mass to the
     # exterior, exercising the oracle spot check's exterior branch.
     runner = CliRunner()
-    map_path = tmp_path / "agv_map.json"
-    res = runner.invoke(
-        main,
-        ["build-map", "--config", str(CONFIGS / "agv_baseline.yaml"),
-         "--out", str(map_path), "--samples", "16"],
-    )
+    cfg_path, map_path = _baseline_copy(tmp_path, samples_per_cell=16), tmp_path / "agv_map.json"
+    res = runner.invoke(main, ["build-map", "--config", str(cfg_path), "--out", str(map_path)])
     assert res.exit_code == EXIT_OK, res.output
     res = runner.invoke(
-        main,
-        ["validate", "--config", str(CONFIGS / "agv_baseline.yaml"),
-         "--map", str(map_path), "--oracle-trials", "400"],
+        main, ["validate", "--config", str(cfg_path), "--map", str(map_path),
+               "--oracle-trials", "400"],
     )
     assert res.exit_code == EXIT_OK, res.output
 
@@ -657,10 +651,9 @@ def test_every_bad_map_header_field_is_named(tmp_path, command):
 @pytest.mark.parametrize(
     "args, flag",
     [
-        (["--epsilon", "1.5"], "--epsilon"),
-        (["--epsilon", "-0.1"], "--epsilon"),
+        (["--depth", "-1"], "--depth must be >= 1, got -1"),
+        (["--depth", str(2**63)], "--depth must fit in 64 bits"),
         (["--depth", "0"], "--depth"),
-        (["--budget", "0"], "--budget"),
     ],
 )
 def test_run_bpa_out_of_range_flag_exit_code(tmp_path, args, flag):
@@ -691,20 +684,32 @@ def test_forward_check_out_of_range_flag_exit_code(tmp_path, args, flag):
 @pytest.mark.parametrize(
     "command, args, flag",
     [
-        ("build-map", ["--samples", "0"], "--samples"),
-        ("build-map", ["--seed", "-1"], "--seed"),
+        ("validate", ["--oracle-trials", str(2**63)], "--oracle-trials must fit in 64 bits"),
+        ("validate", ["--oracle-trials", str(-2**63 - 1)], "--oracle-trials must fit in 64 bits"),
         ("validate", ["--oracle-trials", "0"], "--oracle-trials"),
         ("validate", ["--oracle-trials", "-5"], "--oracle-trials"),
-        ("build-map", ["--workers", "0"], "--workers"),
-        ("build-map", ["--workers", "-2"], "--workers"),
     ],
 )
 def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args, flag):
+    # build-map has no numeric flag: its settings come from the config only.
+    cfg_path, map_path = _built(tmp_path)
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--map", str(map_path)]
+                             + args)
+    _assert_named_exit_3(res, flag)
+    assert "all checks passed" not in res.output
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("build-map", "--seed"), ("build-map", "--samples"), ("build-map", "--workers"),
+    ("run-bpa", "--epsilon"), ("run-bpa", "--budget"),
+])
+def test_settings_have_no_override_flag(tmp_path, command, flag):
+    # seed, samples_per_cell, workers, truncation and node_budget are read from the config only.
     cfg_path, map_path = _built(tmp_path)
     out = tmp_path / "other.json"
     where = ["--out", str(out)] if command == "build-map" else ["--map", str(map_path)]
-    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + where + args)
-    _assert_named_exit_3(res, flag)
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + where + [flag, "1"])
+    _assert_named_exit_3(res, "No such option", flag)
     assert not out.exists()
 
 
@@ -798,6 +803,8 @@ TWO_COMPONENTS = {
          "component 0: row 1 entry 1 must be finite"),
         # Past 4,300 digits Python reads no integer, so the YAML is not read.
         ({"seed": _YamlInt("1" * 4301)}, "not valid YAML"),
+        ({"samples_per_cell": 0}, "samples_per_cell must be >= 1, got 0"),
+        ({"truncation": -0.1}, "truncation must be in [0.0, 1.0), got -0.1"),
     ],
 )
 def test_config_field_types_are_problems(tmp_path, override, field):
@@ -955,10 +962,8 @@ def test_drift_blow_up_is_a_build_error(tmp_path, command):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_vehicle_blow_up_is_a_build_error(tmp_path):
-    doc = yaml.safe_load((CONFIGS / "agv_baseline.yaml").read_text())
-    doc.update(dt="1e308", numberOfCells=[5, 1, 1, 30, 1, 1, 3], samples_per_cell=4)
-    path = tmp_path / "agv.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    path = _baseline_copy(tmp_path, dt="1e308", numberOfCells=[5, 1, 1, 30, 1, 1, 3],
+                          samples_per_cell=4)
     res = CliRunner().invoke(
         main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
     )
@@ -1045,8 +1050,13 @@ def test_every_off_map_row_is_named(tmp_path):
         (b"- 1\n- 2\n", ["top level must be a mapping"]),
         # A second dt would otherwise replace the first without a word.
         (b"dt: 1\nseed: 2\ndt: 5\n", ["not valid YAML: line 3, column 1: repeated key 'dt'"]),
+        # A repeat after 20,000 distinct keys is named with its line; a list key is refused.
+        ("".join(f"k{i}: {i}\n" for i in range(20000)).encode() + b"k0: 1\n",
+         ["not valid YAML: line 20001, column 1: repeated key 'k0'"]),
+        (b"? [1, 2]: 3\n", ["not valid YAML: line 1, column 3: found unhashable key"]),
     ],
-    ids=["unclosed-list", "not-utf-8", "top-level-list", "repeated-key"],
+    ids=["unclosed-list", "not-utf-8", "top-level-list", "repeated-key",
+         "repeated-key-after-20000", "unhashable-key"],
 )
 @pytest.mark.parametrize("command", ["build-map", "run-bpa", "validate", "forward-check"])
 def test_config_that_is_not_yaml_exit_code(tmp_path, command, content, words):
@@ -1125,26 +1135,29 @@ def _baseline_map_file(tmp_path, baseline_map):
 def test_run_bpa_budget_boundary_exit_code(tmp_path, baseline_map, baseline_config):
     n = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8).n_nodes
     map_path = _baseline_map_file(tmp_path, baseline_map)
-    args = ["run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
-            "--depth", "4", "--budget"]
-    res = CliRunner().invoke(main, args + [str(n)])
+
+    def run(budget):
+        cfg_path = _baseline_copy(tmp_path, f"budget{budget}.yaml", node_budget=budget)
+        return CliRunner().invoke(main, ["run-bpa", "--config", str(cfg_path),
+                                         "--map", str(map_path), "--depth", "4"])
+
+    res = run(n)
     assert res.exit_code == EXIT_OK, res.output
     assert f"tree: {n} nodes" in res.output
-    res = CliRunner().invoke(main, args + [str(n - 1)])
+    res = run(n - 1)
     assert res.exit_code == EXIT_BUDGET_ERROR, res.output
     assert f"budget error: scenario tree exceeded node budget {n - 1}" in res.output
 
 
-def test_run_bpa_report_echoes_the_overridden_settings(tmp_path, baseline_map):
+def test_run_bpa_report_echoes_the_overridden_settings(tmp_path, baseline_map, baseline_config):
     map_path = _baseline_map_file(tmp_path, baseline_map)
     report_path = tmp_path / "report.json"
     res = CliRunner().invoke(main, [
         "run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
-        "--depth", "3", "--epsilon", "1e-6", "--budget", "50000",
-        "--out-report", str(report_path)])
+        "--depth", "3", "--out-report", str(report_path)])
     assert res.exit_code == EXIT_OK, res.output
     config = json.loads(report_path.read_text())["config"]
-    assert (config["search_depth"], config["truncation"], config["node_budget"]) == (3, 1e-6, 50000)
+    assert config == dict(baseline_config.normalized_dict(), search_depth=3)
 
 
 def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseline_map):

@@ -487,11 +487,20 @@ MALFORMED_EDGES = {
                   [3, 3, 1.0]],
                  "edge [0, 0, '  0.519999792 ']: string field '  0.519999792 '"),
 }
+# Only a file can hold an edge that is not a list; each is named whole, not scanned as fields.
+NON_LIST_EDGES = {
+    "string-edge": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], "ab"],
+                    "edge 'ab': not a [source, target, q] list"),
+    "object-edge": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], {"x": 1}],
+                    "edge {'x': 1}: not a [source, target, q] list"),
+    "number-edge": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], 5],
+                    "edge 5: not a [source, target, q] list"),
+}
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_EDGES))
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDGES | NON_LIST_EDGES))
 def test_load_map_rejects_malformed_edges(tmp_path, case):
-    edges, message = MALFORMED_EDGES[case]
+    edges, message = (MALFORMED_EDGES | NON_LIST_EDGES)[case]
     with pytest.raises(MapFormatError, match=re.escape(message)):
         load_map(str(_write_map(tmp_path, edges)))
 

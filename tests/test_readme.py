@@ -36,3 +36,12 @@ def test_readme_cli_quickstart_runs(monkeypatch, tmp_path):
     for argv in commands:
         res = CliRunner().invoke(main, argv[1:])
         assert res.exit_code == 0, (argv, res.output)
+
+
+def test_readme_names_exactly_the_commands_options():
+    # Every --flag the README names is an option of a command, and every option is named.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
+    options = {opt for command in main.commands.values() for param in command.params
+               for opt in param.opts}
+    assert named == options
