@@ -651,9 +651,12 @@ def test_every_bad_map_header_field_is_named(tmp_path, command):
 @pytest.mark.parametrize(
     "args, flag",
     [
+        # --epsilon is gone (truncation is read from the config): any value of it is refused.
+        (["--epsilon", "1.5"], "--epsilon"),
+        (["--epsilon", "-0.1"], "--epsilon"),
+        (["--depth", "0"], "--depth"),
         (["--depth", "-1"], "--depth must be >= 1, got -1"),
         (["--depth", str(2**63)], "--depth must fit in 64 bits"),
-        (["--depth", "0"], "--depth"),
     ],
 )
 def test_run_bpa_out_of_range_flag_exit_code(tmp_path, args, flag):
@@ -688,15 +691,20 @@ def test_forward_check_out_of_range_flag_exit_code(tmp_path, args, flag):
         ("validate", ["--oracle-trials", str(-2**63 - 1)], "--oracle-trials must fit in 64 bits"),
         ("validate", ["--oracle-trials", "0"], "--oracle-trials"),
         ("validate", ["--oracle-trials", "-5"], "--oracle-trials"),
+        # build-map has no numeric flag (its settings come from the config only), so a value
+        # of the removed --workers is refused and nothing is written.
+        ("build-map", ["--workers", "0"], "--workers"),
+        ("build-map", ["--workers", "-2"], "--workers"),
     ],
 )
 def test_build_and_validate_out_of_range_flag_exit_code(tmp_path, command, args, flag):
-    # build-map has no numeric flag: its settings come from the config only.
     cfg_path, map_path = _built(tmp_path)
-    res = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--map", str(map_path)]
-                             + args)
+    out = tmp_path / "other.json"
+    where = ["--out", str(out)] if command == "build-map" else ["--map", str(map_path)]
+    res = CliRunner().invoke(main, [command, "--config", str(cfg_path)] + where + args)
     _assert_named_exit_3(res, flag)
     assert "all checks passed" not in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
