@@ -20,11 +20,10 @@ import numpy as np
 
 from . import mapper
 from .cellspace import CellCoord, SpaceSpec
-from .mapper import CSR, BudgetError, TransitionMap, compact, joined, predecessors, write_json
+from .mapper import CSR, BudgetError, TransitionMap, compact, predecessors, write_json
 
 __all__ = [
     "Level",
-    "LevelTexts",
     "Node",
     "PathRanking",
     "RankedPath",
@@ -127,14 +126,6 @@ class Level(NamedTuple):
     parent: np.ndarray      # int64
 
 
-class LevelTexts(NamedTuple):
-    """One level's numbers as the writers print them, as object arrays aligned with its nodes."""
-
-    cumulative: np.ndarray  # repr, as json writes a float
-    q: np.ndarray           # repr
-    g: np.ndarray           # format(q, "g"), as the labels and rendered paths show it
-
-
 class Node(NamedTuple):
     """One node's row of its level's arrays, with its depth (1 on level 1)."""
 
@@ -193,16 +184,29 @@ class ScenarioTree:
                 yield Node(depth, *row)
 
     @functools.cached_property
-    def texts(self) -> list[LevelTexts]:
-        """Each level's LevelTexts, made once for all writers; each distinct q is formatted once."""
+    def _preorder(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each level's preorder numbers (from 0) and the numbers just past their subtrees."""
+        levels = self.levels
+        sizes = [np.ones(len(level.cell), dtype=np.int64) for level in levels]
+        for k in reversed(range(1, len(levels))):   # a subtree holds its children's
+            sizes[k - 1] += np.bincount(levels[k].parent, sizes[k], len(sizes[k - 1])).astype(int)
+        pre = [np.cumsum(size) - size for size in sizes]   # sizes of the earlier nodes of the level
+        for k in range(1, len(levels)):
+            # A node follows its parent and its earlier siblings' subtrees.
+            parent = levels[k].parent
+            pre[k] += pre[k - 1][parent] + 1 - pre[k][_child_starts(levels, k - 1)[parent]]
+        return pre, [p + size for p, size in zip(pre, sizes)]
+
+    @functools.cached_property
+    def _q_texts(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Each level's q as an index into two object arrays, the repr (as json
+        writes a float) and the %g text of each distinct q, each made once."""
         q = np.sort(np.concatenate([_NO_FLOATS, *(level.q for level in self.levels)]))
         # Each value that differs from the one before it; not np.unique, which imports numpy.ma.
         q = q[np.diff(q, prepend=np.nan) != 0]
-        by_repr = np.array([repr(v) for v in q.tolist()], dtype=object)
-        by_g = np.array([format(v, "g") for v in q.tolist()], dtype=object)
-        at = [np.searchsorted(q, level.q) for level in self.levels]
-        return [LevelTexts(np.array(list(map(repr, level.cumulative.tolist())), dtype=object),
-                           by_repr[i], by_g[i]) for level, i in zip(self.levels, at)]
+        return ([np.searchsorted(q, level.q) for level in self.levels],
+                np.array([repr(v) for v in q.tolist()], dtype=object),
+                np.array([format(v, "g") for v in q.tolist()], dtype=object))
 
     def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
         """All root-to-leaf paths in rank_paths' order, as arrays.
@@ -363,13 +367,8 @@ class RankedPath:
     cumulative: float
 
     def render(self, event_label: str = "TopEvent") -> str:
-        return " -> ".join([*(_step_text(c.label, format(q, "g"))
-                              for c, q in zip(self.cells, self.steps)), event_label])
-
-
-def _step_text(label: str, q: str) -> str:
-    """One step of a rendered path, from a label and a %g text; report rows share it."""
-    return f"{label} (q={q})"
+        return " -> ".join([*(f"{c.label} (q={q:g})" for c, q in zip(self.cells, self.steps)),
+                            event_label])
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,25 +438,23 @@ def forward_check(
     return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
-def _preorder(levels: list[Level]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each level's preorder numbers (0 for the first level-1 node) and subtree sizes."""
-    starts = [_child_starts(levels, k) for k in range(len(levels))]
-    sizes: list[np.ndarray] = [_NO_INTS] * len(levels)
-    for k in reversed(range(len(levels))):
-        sizes[k] = np.ones(len(levels[k].cell), dtype=np.int64)
-        if k + 1 < len(levels):
-            below = np.concatenate(([0], np.cumsum(sizes[k + 1])))
-            sizes[k] += below[starts[k][1:]] - below[starts[k][:-1]]
-    pre: list[np.ndarray] = []
-    for k, level in enumerate(levels):
-        before = np.cumsum(sizes[k]) - sizes[k]   # sizes of the earlier nodes of the level
-        if k == 0:
-            pre.append(before)
-        else:
-            # A node follows its parent and its earlier siblings' subtrees.
-            first = starts[k - 1][level.parent]
-            pre.append(pre[k - 1][level.parent] + 1 + before - before[first])
-    return pre, sizes
+def _walk(positions: list[np.ndarray], texts):
+    """A preorder walk's texts, joined into one text per window of ROW_SLICE positions.
+
+    positions are ascending arrays that together hold 0 to their total
+    length once each, such as the levels' preorder numbers. One
+    searchsorted per array finds its slice in every window; texts(i, s)
+    gives the texts of slice s of positions[i].
+    """
+    width, total = mapper.ROW_SLICE, sum(map(len, positions))
+    bounds = np.arange(0, total + width, width)
+    cuts = [np.searchsorted(p, bounds).tolist() for p in positions]
+    for w, lo in enumerate(bounds[:-1].tolist()):
+        window = np.empty(min(width, total - lo), dtype=object)
+        for i, (p, c) in enumerate(zip(positions, cuts)):
+            s = slice(c[w], c[w + 1])
+            window[p[s] - lo] = texts(i, s)
+        yield "".join(window.tolist())
 
 
 def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
@@ -477,34 +474,35 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
     event_cell false. Every node has coord (its cell's vector), cell_id, q,
     cumulative, depth, event_cell and children, each level in its order; a
     level-1 node also has entry_edges, [event cell id, q] pairs. Nodes of
-    one cell share the text of their cell id, coordinate and event flag;
-    the cumulative and q come from tree.texts, so per node only its depth
-    and these pieces are joined, plus the level-1 entry_edges. Each node
-    gives the text before its children and the text after them; these are
-    put in the order a preorder walk enters and leaves the nodes, and go to
-    write_json as the root's text, joined in slices by joined.
+    one cell share the text of their cell id, coordinate and event flag,
+    and nodes of one q its repr, so per node only its cumulative and depth
+    are formatted, plus the level-1 entry_edges. Each node gives the text
+    before its children and the text after them, at the places a preorder
+    walk enters and leaves it; _walk makes them one window at a time, and
+    write_json writes them as the root's text.
     """
     shared = {c: _node_text(c, list(coord.as_vector()), c in tree.event_cell_ids)
               for c, coord in tree.coords.items()}
-    after_sibling = {c: "," + text[0] for c, text in shared.items()}
-    pre, sizes = _preorder(tree.levels)
-    walk = np.empty(2 * tree.n_nodes, dtype=object)
-    for k, (level, numbers) in enumerate(zip(tree.levels, tree.texts)):
-        first = np.ones(len(level.cell), dtype=bool)
-        first[1:] = level.parent[1:] != level.parent[:-1]
-        cell = level.cell.tolist()
-        depth = [f',"depth":{k + 1}'] * len(cell)
-        if k == 0:
-            depth = [f'{d},"entry_edges":{compact(edges)}'
-                     for d, edges in zip(depth, tree.entry_edges)]
-        # In a preorder walk the entry of a level-(k+1) node is the 2*pre-k-th
-        # event, its exit the 2*(pre+size)-(k+1)-th.
-        walk[2 * pre[k] - k] = [shared[c][0] if f else after_sibling[c]
-                                for c, f in zip(cell, first.tolist())]
-        walk[2 * (pre[k] + sizes[k]) - (k + 1)] = [
-            f"{shared[c][1]}{cumulative}{d}{shared[c][2]}{q}}}"
-            for c, cumulative, d, q in zip(cell, numbers.cumulative.tolist(), depth,
-                                           numbers.q.tolist())]
+    enter, mid, tail = ({c: text[j] for c, text in shared.items()} for j in range(3))
+    after_sibling = {c: "," + text for c, text in enter.items()}
+    levels, (pre, end), (q_at, q_repr, _) = tree.levels, tree._preorder, tree._q_texts
+    first = [np.diff(level.parent, prepend=-1) != 0 for level in levels]
+
+    def texts(i: int, s: slice) -> list[str]:
+        k = i % len(levels)
+        level = levels[k]
+        cell = level.cell[s].tolist()
+        if i < len(levels):   # where the walk enters the nodes
+            return [enter[c] if f else after_sibling[c]
+                    for c, f in zip(cell, first[k][s].tolist())]
+        depth = (itertools.repeat(f',"depth":{k + 1}') if k else
+                 [f',"depth":1,"entry_edges":{compact(edges)}' for edges in tree.entry_edges[s]])
+        return [f"{mid[c]}{cumulative!r}{d}{tail[c]}{q}}}"
+                for c, cumulative, d, q in zip(cell, level.cumulative[s].tolist(), depth,
+                                               q_repr[q_at[k][s]].tolist())]
+
+    # The walk enters a level-(k+1) node at its 2*pre-k-th event, leaves it at its 2*end-(k+1)-th.
+    events = [2 * p - k for k, p in enumerate(pre)] + [2 * e - k - 1 for k, e in enumerate(end)]
     root = _node_text(None, None, False)
     write_json(path, sorted({
         "format": TREE_FORMAT,
@@ -516,7 +514,7 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
         "event": {"lower": list(tree.event.lower), "upper": list(tree.event.upper),
                   "configs": sorted(list(c) for c in tree.event.configs)},
         "n_nodes": tree.n_nodes,
-        "root": itertools.chain([root[0]], joined(walk),
+        "root": itertools.chain([root[0]], _walk(events, texts),
                                 [f'{root[1]}1.0,"depth":0{root[2]}1.0}}']),
     }.items()))
 
@@ -534,23 +532,25 @@ def encode_ranked_paths(ranking: PathRanking):
     same parent pieces, are made together, each put at its rank.
     """
     tree = ranking.tree
-    levels, texts = tree.levels, tree.texts
+    levels, (q_at, q_repr, q_g) = tree.levels, tree._q_texts
     vector = {c: compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
-    label = {c: encode_basestring_ascii(coord.label)[1:-1] for c, coord in tree.coords.items()}
+    # A step's rendered text up to its %g q, as RankedPath.render gives it.
+    step = {c: f"{encode_basestring_ascii(coord.label)[1:-1]} (q="
+            for c, coord in tree.coords.items()}
     # The (cells, steps, rendered) text of every node with children, by
     # level; the root's first.
     pieces = [([""], [""], [" -> TopEvent"])]
-    for k, (level, numbers) in enumerate(zip(levels[:-1], texts)):
+    for k, level in enumerate(levels[:-1]):
         starts = _child_starts(levels, k)
         inner = np.flatnonzero(starts[1:] > starts[:-1])
         above = pieces[-1]
         cells, steps, rendered = ([None] * len(level.cell) for _ in range(3))
         for i, c, q, g, p in zip(inner.tolist(), level.cell[inner].tolist(),
-                                 numbers.q[inner].tolist(), numbers.g[inner].tolist(),
+                                 q_repr[q_at[k][inner]].tolist(), q_g[q_at[k][inner]].tolist(),
                                  level.parent[inner].tolist()):
             cells[i] = f",{vector[c]}{above[0][p]}"
             steps[i] = f",{q}{above[1][p]}"
-            rendered[i] = f" -> {_step_text(label[c], g)}{above[2][p]}"
+            rendered[i] = f" -> {step[c]}{g}){above[2][p]}"
         pieces.append((cells, steps, rendered))
 
     for lo in range(0, len(ranking), mapper.ROW_SLICE):
@@ -562,48 +562,49 @@ def encode_ranked_paths(ranking: PathRanking):
         for d in range(1, len(ends)):
             at = order[ends[d - 1]:ends[d]]   # the slice's paths of length d
             i = index[at]
-            level, numbers, (cells, steps, rendered) = levels[d - 1], texts[d - 1], pieces[d - 1]
-            cumulative = numbers.cumulative[i]
-            weighted = score[at] != level.cumulative[i]   # ranked under an initial distribution
-            cumulative[weighted] = [repr(v) for v in score[at][weighted].tolist()]
-            ranked[at] = [f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cu},'
-                          f'"rendered":"{_step_text(label[c], g)}{rendered[p]}",'
+            level, (cells, steps, rendered), j = levels[d - 1], pieces[d - 1], q_at[d - 1][i]
+            ranked[at] = [f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cu!r},'
+                          f'"rendered":"{step[c]}{g}){rendered[p]}",'
                           f'"steps":[{q}{steps[p]}]}}'
                           for c, p, cu, q, g in zip(level.cell[i].tolist(),
-                                                    level.parent[i].tolist(), cumulative.tolist(),
-                                                    numbers.q[i].tolist(), numbers.g[i].tolist())]
+                                                    level.parent[i].tolist(), score[at].tolist(),
+                                                    q_repr[j].tolist(), q_g[j].tolist())]
         yield from ranked.tolist()
 
 
 def tree_to_dot(tree: ScenarioTree):
     """Graphviz dot rendering; node labels give the cell vector and its q.
 
-    Nodes are named n and their preorder number; the text, made in the call, comes in slices.
+    Nodes are named n and their preorder number; _walk makes the text as it is read.
     """
     label = {c: f'label="{coord.label}\\nP=' for c, coord in tree.coords.items()}
     style = {c: '", style=dashed' if c in tree.event_cell_ids else '"' for c in tree.coords}
-    pre, _ = _preorder(tree.levels)
-    lines, above = np.empty(tree.n_nodes, dtype=object), ["root"]
-    for level, numbers, at in zip(tree.levels, tree.texts, pre):
-        names = [f"n{p}" for p in at.tolist()]
-        lines[at] = [f'\t"{name}" [{label[c]}{g}{style[c]}];\n\t"{name}" -> "{above[p]}";\n'
-                     for c, g, name, p in zip(level.cell.tolist(), numbers.g.tolist(), names,
-                                              level.parent.tolist())]
-        above = names
+    levels, (pre, _), (q_at, _, q_g) = tree.levels, tree._preorder, tree._q_texts
+
+    def texts(k: int, s: slice) -> list[str]:
+        level = levels[k]
+        above = ([f"n{p}" for p in pre[k - 1][level.parent[s]].tolist()] if k else
+                 ["root"] * (s.stop - s.start))
+        return [f'\t"n{p}" [{label[c]}{g}{style[c]}];\n\t"n{p}" -> "{a}";\n'
+                for c, g, p, a in zip(level.cell[s].tolist(), q_g[q_at[k][s]].tolist(),
+                                      pre[k][s].tolist(), above)]
+
     return itertools.chain(["digraph scenario_tree {\n\trankdir=RL;\n"
                             '\tnode [shape=box, fontname="Helvetica"];\n'
                             '\t"root" [label="TopEvent", shape=doubleoctagon];\n'],
-                           joined(lines), ["}\n"])
+                           _walk(pre, texts), ["}\n"])
 
 
 def tree_to_text(tree: ScenarioTree):
-    """Each node's line in preorder, indented by depth: cell, q, cumulative, depth, in slices."""
+    """Each node's line in preorder, indented by depth (cell, q, cumulative, depth), as read;
+    an empty tree's text is one empty line."""
     label = {c: coord.label for c, coord in tree.coords.items()}
-    pre, _ = _preorder(tree.levels)
-    lines = np.empty(tree.n_nodes, dtype=object)
-    for d, (level, numbers, at) in enumerate(zip(tree.levels, tree.texts, pre), 1):
-        indent = "  " * (d - 1)
-        lines[at] = [f"{indent}{label[c]} q={g} cumulative={cumulative:g} depth={d}"
-                     for c, g, cumulative in zip(level.cell.tolist(), numbers.g.tolist(),
-                                                 level.cumulative.tolist())]
-    return itertools.chain(joined(lines, "\n"), ["\n"])
+    levels, (pre, _), (q_at, _, q_g) = tree.levels, tree._preorder, tree._q_texts
+
+    def texts(k: int, s: slice) -> list[str]:
+        level, indent = levels[k], "  " * k
+        return [f"{indent}{label[c]} q={g} cumulative={cumulative:g} depth={k + 1}\n"
+                for c, g, cumulative in zip(level.cell[s].tolist(), q_g[q_at[k][s]].tolist(),
+                                            level.cumulative[s].tolist())]
+
+    return itertools.chain(_walk(pre, texts), [] if tree.n_nodes else ["\n"])

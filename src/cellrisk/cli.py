@@ -468,18 +468,19 @@ def run_bpa_cmd(config_path, map_path, out_tree, out_graph, out_report, out_text
 
     if out_tree:
         write_tree(tree, out_tree)
-    if out_graph:
-        with open(out_graph, "w", encoding="utf-8") as fh:
-            fh.writelines(tree_to_dot(tree))
-    if out_text:
-        with open(out_text, "w", encoding="utf-8") as fh:
-            fh.writelines(tree_to_text(tree))
+    for out, render in ((out_graph, tree_to_dot), (out_text, tree_to_text)):
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(render(tree))
     if out_report:
         def report():
             """The report's fields in key order; the timings are taken once the rows are written."""
+            import hashlib  # imported here: only the report uses it, and it costs 4 ms to import
             yield "config", cfg.normalized_dict()
             yield "format", REPORT_FORMAT
-            yield "map", {"path": map_path, "sources": tmap.n_cells, "edges": tmap.n_edges,
+            with open(map_path, "rb") as fh:   # named by content, not by where it lies
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            yield "map", {"sha256": digest, "sources": tmap.n_cells, "edges": tmap.n_edges,
                           "exterior_mass": tmap.total_exterior_mass(),
                           "simulator": tmap.simulator, "seed": tmap.seed}
             yield "ranked_paths", json_array(bpa_mod.encode_ranked_paths(ranking))

@@ -49,7 +49,6 @@ __all__ = [
     "compact",
     "estimate_g",
     "forward_step",
-    "joined",
     "json_array",
     "load_map",
     "predecessors",
@@ -60,7 +59,7 @@ __all__ = [
 DEFAULT_SAMPLES_PER_CELL = 200
 DEFAULT_SAMPLE_BUDGET = 100_000_000
 BLOCK_ROWS = 5_000  # simulator rows per step_many call; bounds build memory
-ROW_SLICE = 4_096  # texts joined into one by joined, such as json_array's rows
+ROW_SLICE = 4_096  # texts joined into one: json_array's rows, a tree walk's positions
 
 MAP_FORMAT = "cellrisk-transition-map"
 MAP_FORMAT_VERSION = 1
@@ -477,18 +476,15 @@ _MAP_FIELDS = {"format": _Field("a string"), "version": _Field("an integer"),
 compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def joined(texts, sep: str = ""):
-    """The texts joined by sep, one text per slice of ROW_SLICE texts."""
-    texts, head = iter(texts), ""
-    while part := list(itertools.islice(texts, ROW_SLICE)):
-        yield head + sep.join(part)
-        head = sep
-
-
 def json_array(rows):
-    """The JSON array of row texts: "[", the rows joined by "," in slices of
-    ROW_SLICE rows, then "]"."""
-    return itertools.chain(["["], joined(rows, ","), ["]"])
+    """The JSON array of row texts: "[", the rows joined by "," one slice of
+    ROW_SLICE rows at a time, then "]"."""
+    yield "["
+    rows, head = iter(rows), ""
+    while part := list(itertools.islice(rows, ROW_SLICE)):
+        yield head + ",".join(part)
+        head = ","
+    yield "]"
 
 
 def write_json(path: str, fields) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,33 @@ def test_export_bytes_pinned_at_depth_6(tmp_path, baseline_map, baseline_config)
     assert hashlib.sha256(rows.encode()).hexdigest() == DEPTH_6_RANKED_PATHS_SHA256
     text = "".join(tree_to_text(tree)).encode()
     assert hashlib.sha256(text).hexdigest() == DEPTH_6_TEXT_SHA256
+
+
+def _write_graph(tree, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(tree_to_dot(tree))
+
+
+def _write_text(tree, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(tree_to_text(tree))
+
+
+@pytest.mark.parametrize("write", [write_tree, _write_graph, _write_text])
+def test_writer_memory_follows_the_window_not_the_tree(tmp_path, baseline_map, baseline_config,
+                                                       write):
+    # A writer holds one window of texts at a time, not a text per node of
+    # the tree: on a fresh depth-6 tree, nothing cached, its peak stays below
+    # the size of the file it writes.
+    tree = backtrack(baseline_map, baseline_config.event, depth=6, truncation=1e-8)
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        write(tree, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):

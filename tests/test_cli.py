@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -1166,6 +1167,27 @@ def test_run_bpa_report_echoes_the_overridden_settings(tmp_path, baseline_map, b
     assert res.exit_code == EXIT_OK, res.output
     config = json.loads(report_path.read_text())["config"]
     assert config == dict(baseline_config.normalized_dict(), search_depth=3)
+
+
+def test_run_bpa_report_names_its_map_by_content(tmp_path, baseline_map):
+    # Two copies of one map, at paths of different length, give one report
+    # but for its timings.
+    short = _baseline_map_file(tmp_path, baseline_map)
+    long = tmp_path / ("long" * 10) / "map.json"
+    long.parent.mkdir()
+    long.write_bytes(short.read_bytes())
+    reports = []
+    for map_path in (short, long):
+        report_path = tmp_path / "report.json"
+        res = CliRunner().invoke(main, [
+            "run-bpa", "--config", str(CONFIGS / "agv_baseline.yaml"), "--map", str(map_path),
+            "--depth", "3", "--out-report", str(report_path)])
+        assert res.exit_code == EXIT_OK, res.output
+        report = json.loads(report_path.read_text())
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["map"]["sha256"] == hashlib.sha256(short.read_bytes()).hexdigest()
 
 
 def test_run_bpa_builds_no_object_per_node_or_path(tmp_path, monkeypatch, baseline_map):

@@ -33,6 +33,8 @@ from cellrisk.bpa import (
     encode_ranked_paths,
     forward_check,
     rank_paths,
+    tree_to_dot,
+    tree_to_text,
     write_tree,
 )
 from cellrisk import mapper
@@ -598,6 +600,7 @@ def test_writers_equal_the_references_in_slices_of_any_size(n_cells, n_event, se
     tree = backtrack(tmap, event, depth=depth, truncation=truncation)
     prior = np.random.default_rng(seed).random(n_cells) if weighted else None
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    dot, text = _descend_dot_and_text(tree)
     with mock.patch.object(mapper, "ROW_SLICE", row_slice), \
             tempfile.TemporaryDirectory() as tmp:
         assert list(encode_ranked_paths(tree.ranking(prior))) == _json_dumps_rows(tree, prior)
@@ -605,6 +608,31 @@ def test_writers_equal_the_references_in_slices_of_any_size(n_cells, n_event, se
         write_tree(tree, str(path))
         assert path.read_bytes() == (
             "".join(encoder.iterencode(tree_to_dict(tree))) + "\n").encode("utf-8")
+        assert "".join(tree_to_dot(tree)) == dot
+        assert "".join(tree_to_text(tree)) == text
+
+
+def _descend_dot_and_text(tree):
+    """The dot graph and the indented text as a recursive descent over the tree
+    document; a node is named n and its preorder number."""
+    L, names = len(tree.event.lower), itertools.count()
+    dot = ['digraph scenario_tree {\n\trankdir=RL;\n\tnode [shape=box, fontname="Helvetica"];\n'
+           '\t"root" [label="TopEvent", shape=doubleoctagon];\n']
+    lines = []
+
+    def descend(node, parent):
+        name, label = f"n{next(names)}", CellCoord(node["coord"][:L], node["coord"][L:]).label
+        style = ", style=dashed" if node["event_cell"] else ""
+        dot.append(f'\t"{name}" [label="{label}\\nP={node["q"]:g}"{style}];\n'
+                   f'\t"{name}" -> "{parent}";\n')
+        lines.append(f'{"  " * (node["depth"] - 1)}{label} q={node["q"]:g} '
+                     f'cumulative={node["cumulative"]:g} depth={node["depth"]}')
+        for child in node["children"]:
+            descend(child, name)
+
+    for child in tree_to_dict(tree)["root"]["children"]:
+        descend(child, "root")
+    return "".join(dot) + "}\n", "\n".join(lines) + "\n"
 
 
 JSON_VALUES = st.recursive(
