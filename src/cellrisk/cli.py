@@ -153,24 +153,16 @@ class RunConfig:
 
 
 class LinearDriftModel(DynamicsModel):
-    """Constant-velocity drift per dimension; handy demo and test simulator."""
+    """Constant-velocity drift per dimension; at zero velocity, the identity."""
 
     name = "linear-drift"
 
     def __init__(self, velocity):
         self.velocity = np.asarray(velocity, dtype=float)
+        self.simulator_params = {"velocity": self.velocity.tolist()}
 
     def step_many(self, xs, n, dt):
         return np.asarray(xs, dtype=float) + self.velocity * dt
-
-
-class IdentityModel(DynamicsModel):
-    """Fixed-point dynamics; every state maps to itself."""
-
-    name = "identity"
-
-    def step_many(self, xs, n, dt):
-        return np.array(xs, dtype=float)
 
 
 # The vehicle's two contingencies: speed-scaled brake thresholds, and fixed
@@ -180,7 +172,6 @@ SIMULATORS = {
     "agv-modified": lambda params: GroundVehicleModel(
         ScenarioParams(fixed_light_clearance=30.0), "agv-modified"),
     "linear-drift": lambda params: LinearDriftModel(params["velocity"]),
-    "identity": lambda params: IdentityModel(),
 }
 
 # The simulator_params a simulator takes; the others take none.
@@ -429,8 +420,6 @@ def build_map_cmd(config_path, out_path) -> None:
                      samples=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.workers,
                      sample_budget=cfg.sample_budget)
     elapsed = time.perf_counter() - t0
-    # build_map sees only the simulator; the map also records the params it was made with.
-    tmap.simulator_params = cfg.simulator_params
     save_map(tmap, out_path)
     click.echo(
         f"built map: {tmap.n_cells} sources, {tmap.n_edges} edges, "

@@ -88,6 +88,7 @@ class DynamicsModel:
     """
 
     name = "unnamed"
+    simulator_params: dict = {}  # recorded, beside name, in every map built with the model
 
     def step_many(self, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:
         raise NotImplementedError
@@ -424,7 +425,7 @@ def build_map(
             futures = [pool.submit(_config_edges, *args, ids) for ids in units]
             parts = [f.result() for f in futures]
     matrix = _matrix(C, *(np.concatenate(a) for a in zip(*itertools.chain(*parts))))
-    return TransitionMap(spec, dt, samples, seed, model.name, {}, matrix)
+    return TransitionMap(spec, dt, samples, seed, model.name, dict(model.simulator_params), matrix)
 
 
 def forward_step(tmap: TransitionMap, distribution: np.ndarray) -> np.ndarray:

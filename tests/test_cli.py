@@ -26,11 +26,12 @@ from cellrisk.cli import (
     EXIT_NO_PATHS,
     EXIT_OK,
     EXIT_VALIDATION_FAILURE,
+    SIMULATORS,
     ConfigError,
     load_config,
     main,
 )
-from cellrisk.mapper import load_map, save_map
+from cellrisk.mapper import build_map, load_map, save_map
 
 DRIFT_CONFIG = {
     "numProcessVariables": 1,
@@ -338,7 +339,7 @@ def test_spec_mismatch_between_config_and_map(tmp_path):
 @pytest.mark.parametrize("command", ["run-bpa", "forward-check", "validate"])
 @pytest.mark.parametrize(
     "override, field",
-    [({"dt": "1/2"}, "dt"), ({"simulator": "identity", "simulator_params": {}}, "simulator"),
+    [({"dt": "1/2"}, "dt"), ({"simulator": "agv-baseline", "simulator_params": {}}, "simulator"),
      ({"simulator_params": {"velocity": [2.0]}}, "simulator_params"),
      ({"seed": 5}, "seed"), ({"samples_per_cell": 32}, "samples_per_cell")],
 )
@@ -356,6 +357,33 @@ def test_dt_or_simulator_mismatch_between_config_and_map(tmp_path, command, over
         assert f"FAIL spec-echo: map {field} " in res.output
     else:
         _assert_named_exit_3(res, "config error", f"map {field} ")
+
+
+@pytest.mark.parametrize("command", ["run-bpa", "validate", "forward-check"])
+def test_a_map_built_through_the_api_is_accepted_with_its_config(tmp_path, command):
+    # The Python quickstart's way: the map records its simulator and params itself.
+    cfg_path = write_config(tmp_path)
+    cfg = load_config(str(cfg_path))
+    model = SIMULATORS[cfg.simulator](cfg.simulator_params)
+    map_path = tmp_path / "map.json"
+    save_map(build_map(model, cfg.spec, cfg.config_model, dt=cfg.dt,
+                       samples=cfg.samples_per_cell, seed=cfg.seed), str(map_path))
+    extra = ["--cell", "0"] if command == "forward-check" else []
+    res = CliRunner().invoke(
+        main, [command, "--config", str(cfg_path), "--map", str(map_path)] + extra
+    )
+    assert res.exit_code == EXIT_OK, res.output
+    # It is the build-map command's map, byte for byte.
+    built = tmp_path / "built.json"
+    CliRunner().invoke(main, ["build-map", "--config", str(cfg_path), "--out", str(built)])
+    assert map_path.read_bytes() == built.read_bytes()
+
+
+@pytest.mark.parametrize("key", sorted(SIMULATORS))
+def test_every_simulator_is_named_by_its_key_and_records_its_params(key):
+    params = {"velocity": [0.5, -1.0]} if key == "linear-drift" else {}
+    model = SIMULATORS[key](params)
+    assert (model.name, model.simulator_params) == (key, params)
 
 
 def test_validate_healthy_and_corrupted(tmp_path):

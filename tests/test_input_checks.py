@@ -17,7 +17,7 @@ from cellrisk.cellspace import (
     SpecMismatchError,
     sample_cell_array,
 )
-from cellrisk.cli import IdentityModel
+from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigModelError,
@@ -45,6 +45,7 @@ PLANE = SpaceSpec(("x", "y"), ("c",), (0.0, 0.0), (1.0, 1.0), (2, 2), (1,))
 EVENT = TopEvent((3.0,), (4.0,), frozenset({(1,)}))
 IDENTITY = ConfigTransitionModel((ComponentMatrix(0, np.eye(1)),))
 CELL = CellCoord((1,), (1,))
+STILL = LinearDriftModel(0.0)  # zero drift: the identity
 
 
 def _spec(**fields):
@@ -91,19 +92,19 @@ CHECKS = {
     # mapper
     "base-step-many": (lambda: DynamicsModel().step_many(np.zeros((1, 1)), (1,), 1.0),
                        NotImplementedError, None),
-    "estimate-samples": (lambda: estimate_g(CELL, IdentityModel(), SPEC, 1.0, 0, 0),
+    "estimate-samples": (lambda: estimate_g(CELL, STILL, SPEC, 1.0, 0, 0),
                          ValueError, "samples must be >= 1"),
-    "build-dt": (lambda: build_map(IdentityModel(), SPEC, IDENTITY, dt=0.0),
+    "build-dt": (lambda: build_map(STILL, SPEC, IDENTITY, dt=0.0),
                  ValueError, "dt must be positive and samples >= 1"),
-    "build-samples": (lambda: build_map(IdentityModel(), SPEC, IDENTITY, dt=1.0, samples=0),
+    "build-samples": (lambda: build_map(STILL, SPEC, IDENTITY, dt=1.0, samples=0),
                       ValueError, "dt must be positive and samples >= 1"),
     # A configuration whose rows are off one is refused before a build can start.
     "build-config-invalid": (lambda: build_map(
-                                 IdentityModel(), SPEC,
+                                 STILL, SPEC,
                                  ConfigTransitionModel((ComponentMatrix(0, [[0.5]]),)), dt=1.0),
                              ConfigModelError, "component 0 row 1: sums to 0.5, off by -5.000e-01"),
     "build-config-sizes": (lambda: build_map(
-                               IdentityModel(), SPEC,
+                               STILL, SPEC,
                                ConfigTransitionModel((ComponentMatrix(0, np.eye(2)),)), dt=1.0),
                            BuildError, "configuration sizes (2,) do not match spec states (1,)"),
     "predecessors-target": (lambda: predecessors(
@@ -116,10 +117,10 @@ CHECKS = {
     "monte-carlo-horizon": (lambda: MonteCarloConfig(1, 0, PointInitial((0.5,), (1,))),
                             ValueError, "horizon must be >= 1"),
     "cell-uniform-without-spec": (lambda: simulate_event_probability(
-                                      IdentityModel(), IDENTITY, EVENT,
+                                      STILL, IDENTITY, EVENT,
                                       MonteCarloConfig(1, 1, CellUniform(CELL)), 1.0),
                                   ValueError, "cell-uniform initial distribution needs a spec"),
-    "empirical-trials": (lambda: empirical_transition(IdentityModel(), CELL, SPEC, 1.0, 0),
+    "empirical-trials": (lambda: empirical_transition(STILL, CELL, SPEC, 1.0, 0),
                          ValueError, "trials must be >= 1"),
     # vehicle
     "step-dt-zero": (lambda: _step(np.zeros((1, 6)), 0.0), ValueError, "dt must be positive"),

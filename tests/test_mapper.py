@@ -15,7 +15,7 @@ import pytest
 from _synthetic import line_spec, ring_shift_map
 from conftest import SUITE_SEED
 from cellrisk.cellspace import EXTERIOR_ID, id_to_coord
-from cellrisk.cli import IdentityModel, LinearDriftModel
+from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigTransitionModel,
@@ -52,7 +52,7 @@ def brake_config() -> ConfigTransitionModel:
 
 def test_estimate_g_identity_is_self_loop():
     spec = line_spec(6)
-    model = IdentityModel()
+    model = LinearDriftModel(0.0)
     for cid in range(6):
         coord = id_to_coord(cid, spec)
         row = estimate_g(coord, model, spec, dt=1.0, samples=100, seed=1)
@@ -129,7 +129,7 @@ def test_blocks_of_any_size_give_the_same_rows_and_map(monkeypatch):
 
 def test_build_map_identity_is_identity():
     spec = line_spec(4)
-    tmap = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=50, seed=5)
+    tmap = build_map(LinearDriftModel(0.0), spec, identity_config(), dt=1.0, samples=50, seed=5)
     for s in range(4):
         assert tmap.rows()[s] == [(s, 1.0)]
 
@@ -193,7 +193,7 @@ def test_h_g_factorization_invariant(baseline_map, baseline_config):
 
 def test_forward_step_identity_point_mass():
     spec = line_spec(4)
-    tmap = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=20, seed=8)
+    tmap = build_map(LinearDriftModel(0.0), spec, identity_config(), dt=1.0, samples=20, seed=8)
     dist = np.zeros(5)
     dist[2] = 1.0
     out = forward_step(tmap, dist)
@@ -241,7 +241,7 @@ def test_forward_step_rejects_unnormalized():
 
 def test_predecessors_identity_and_shift():
     spec = line_spec(4)
-    ident = build_map(IdentityModel(), spec, identity_config(), dt=1.0, samples=20, seed=10)
+    ident = build_map(LinearDriftModel(0.0), spec, identity_config(), dt=1.0, samples=20, seed=10)
     assert predecessors(ident, 2) == [(2, 1.0)]
 
     shift = build_map(LinearDriftModel(1.0), spec, identity_config(), dt=1.0, samples=20, seed=10)
@@ -415,7 +415,7 @@ def test_sample_budget_guard():
     spec = line_spec(10)
     with pytest.raises(BudgetError):
         build_map(
-            IdentityModel(), spec, identity_config(), dt=1.0,
+            LinearDriftModel(0.0), spec, identity_config(), dt=1.0,
             samples=100, seed=0, sample_budget=500,
         )
 
@@ -654,13 +654,16 @@ def test_write_json_rejects_keys_out_of_order(tmp_path, fields):
 
 def test_simulator_params_saved_only_when_given(tmp_path):
     spec = line_spec(4)
-    edges = {s: [(s, 1.0)] for s in range(4)}
     path = tmp_path / "map.json"
-    save_map(TransitionMap.from_edges(spec, edges), str(path))
+    save_map(TransitionMap.from_edges(spec, {s: [(s, 1.0)] for s in range(4)}), str(path))
     assert "simulator_params" not in json.loads(path.read_text())
     assert load_map(str(path)).simulator_params == {}
-    tmap = TransitionMap.from_edges(spec, edges)
-    tmap.simulator_params = {"velocity": [0.5]}
+    # build_map records the model's simulator_params beside its name.
+    model = LinearDriftModel([0.5])
+    tmap = build_map(model, spec, identity_config(), dt=1.0, samples=4)
+    assert tmap.simulator_params == model.simulator_params
+    assert tmap.simulator_params is not model.simulator_params
     save_map(tmap, str(path))
-    assert json.loads(path.read_text())["simulator_params"] == {"velocity": [0.5]}
+    doc = json.loads(path.read_text())
+    assert (doc["simulator"], doc["simulator_params"]) == ("linear-drift", {"velocity": [0.5]})
     assert load_map(str(path)).simulator_params == {"velocity": [0.5]}

@@ -8,7 +8,7 @@ import pytest
 from _synthetic import line_spec
 from cellrisk.bpa import TopEvent, backtrack, forward_check
 from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, id_to_coord
-from cellrisk.cli import IdentityModel, LinearDriftModel
+from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
 from cellrisk.mapper import build_map, estimate_g
 from cellrisk.oracle import (
@@ -31,7 +31,7 @@ def test_whole_space_event_certain():
     mc = MonteCarloConfig(
         trials=200, horizon=1, initial=BoxUniform((1.0,), (2.0,), (1,)), seed=1
     )
-    p, se = simulate_event_probability(IdentityModel(), identity_config(), event, mc, dt=1.0)
+    p, se = simulate_event_probability(LinearDriftModel(0.0), identity_config(), event, mc, dt=1.0)
     assert p == 1.0 and se == 0.0
 
 
@@ -41,7 +41,7 @@ def test_unreachable_event_is_zero():
     mc = MonteCarloConfig(
         trials=200, horizon=3, initial=PointInitial((0.5,), (1,)), seed=2
     )
-    p, se = simulate_event_probability(IdentityModel(), identity_config(), event, mc, dt=1.0)
+    p, se = simulate_event_probability(LinearDriftModel(0.0), identity_config(), event, mc, dt=1.0)
     assert p == 0.0 and se == 0.0
 
 
@@ -95,13 +95,14 @@ def test_configuration_jumps_follow_matrix():
     mc = MonteCarloConfig(
         trials=100, horizon=1, initial=PointInitial((0.5,), (1,)), seed=6
     )
-    p, _ = simulate_event_probability(IdentityModel(), jump, event, mc, dt=1.0)
+    p, _ = simulate_event_probability(LinearDriftModel(0.0), jump, event, mc, dt=1.0)
     assert p == 1.0
 
 
 def test_empirical_transition_identity_single_edge():
     spec = line_spec(5)
-    row = empirical_transition(IdentityModel(), CellCoord((2,), (1,)), spec, 1.0, 500, seed=7)
+    row = empirical_transition(LinearDriftModel(0.0), CellCoord((2,), (1,)), spec, 1.0, 500,
+                               seed=7)
     assert row == [((2,), Fraction(1))]
 
 

@@ -20,10 +20,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _synthetic import (
+    line_spec,
     random_absorbing_map,
     reference_control,
     reference_step_many,
-    ring_shift_map,
     tree_to_dict,
 )
 from conftest import CONFIGS
@@ -492,6 +492,45 @@ def test_node_budget_boundary(n_cells, n_event, seed, depth, truncation):
         backtrack(tmap, event, depth=depth, truncation=truncation, node_budget=n - 1)
 
 
+def _reference_backtrack(tmap, tree):
+    """backtrack's levels as (cell, q, cumulative, parent) columns, and its entry_edges,
+    node by node from mapper.predecessors."""
+    entry, detail = {}, {}
+    for target in tree.event_cell_ids:  # the search's own set, so its sums' order
+        for source, q in predecessors(tmap, target):
+            entry[source] = entry.get(source, 0.0) + q
+            detail.setdefault(source, []).append((target, q))
+    kept = sorted(((s, min(q, 1.0)) for s, q in entry.items()), key=lambda sq: (-sq[1], sq[0]))
+    kept = [(s, q) for s, q in kept if q >= tree.truncation and q > 0.0]
+    levels = [[(s, q, q, 0) for s, q in kept]] if kept else []
+    while levels and len(levels) < tree.depth:
+        level = [(source, q, cumulative * q, k)
+                 for k, (cell, _, cumulative, _) in enumerate(levels[-1])
+                 if cell not in tree.event_cell_ids
+                 for source, q in predecessors(tmap, cell)]
+        level = [node for node in level if node[2] >= tree.truncation and node[2] > 0.0]
+        if not level:
+            break
+        levels.append(level)
+    return [list(zip(*level)) for level in levels], [sorted(detail[s]) for s, _ in kept]
+
+
+# The cap and the event cells' summing order change a bit in few draws.
+@settings(max_examples=300, deadline=None)  # a search here takes about two milliseconds
+@given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 5),
+       TRUNCATIONS)
+def test_backtrack_equals_per_node_reference(n_cells, n_event, seed, depth, truncation):
+    tmap, event = random_absorbing_map(n_cells, n_event, seed)
+    tree = backtrack(tmap, event, depth=depth, truncation=truncation)
+    levels, entry_edges = _reference_backtrack(tmap, tree)
+    assert len(tree.levels) == len(levels)
+    for level, (cell, q, cumulative, parent) in zip(tree.levels, levels):
+        assert level.cell.tolist() == list(cell) and level.parent.tolist() == list(parent)
+        assert _same_bits(level.q, np.array(q))
+        assert _same_bits(level.cumulative, np.array(cumulative))
+    assert tree.entry_edges == entry_edges
+
+
 @PROPERTY
 @given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**16), st.integers(1, 4))
 def test_backward_sums_equal_forward_push(n_cells, n_event, seed, depth):
@@ -757,8 +796,8 @@ def edits(draw, doc: dict):
 
 
 def _saved_map_doc() -> dict:
-    tmap = ring_shift_map(4)
-    tmap.simulator_params = {"velocity": [0.5]}
+    identity = ConfigTransitionModel((ComponentMatrix(0, np.eye(1)),))
+    tmap = build_map(LinearDriftModel([0.5]), line_spec(4), identity, dt=1.0, samples=4)
     with tempfile.TemporaryDirectory() as tmp:
         save_map(tmap, str(Path(tmp) / "map.json"))
         return json.loads((Path(tmp) / "map.json").read_text())
