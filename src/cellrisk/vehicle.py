@@ -131,9 +131,9 @@ def _command(v, x, p: ScenarioParams):
 
 
 class GroundVehicleModel(DynamicsModel):
-    """Vectorized one-step integrator for the scenario vehicle."""
+    """Vectorized one-step integrator for the scenario vehicle, named by its registry key."""
 
-    def __init__(self, params: ScenarioParams, name: str = "agv"):
+    def __init__(self, params: ScenarioParams, name: str):
         self.params = params
         self.name = name
 

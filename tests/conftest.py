@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cellrisk.cli import _make_simulator, load_config
 from cellrisk.mapper import build_map
+from cellrisk.run import _make_simulator, load_config
 
 # Single seed pinned for every case-study artifact in the suite so results,
 # including the acceptance runs, are exactly reproducible.

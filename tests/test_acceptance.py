@@ -27,7 +27,7 @@ from cellrisk.vehicle import BrakeState, VehicleState
 
 from conftest import CONFIGS, SUITE_SEED
 from _synthetic import line_spec
-from cellrisk.cli import LinearDriftModel
+from cellrisk.run import LinearDriftModel
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -229,6 +229,25 @@ def test_backtrack_truncation_prunes_low_probability_branches():
     assert all((level.cumulative >= 5e-3).all() for level in tight.levels)
 
 
+def test_backtrack_keeps_a_node_at_exactly_the_truncation():
+    # A node is pruned only below the truncation: q = 0.5 on level 1, cumulative 0.25 on 2.
+    tmap, event = leaky_chain_map(8, absorb_from=6, p_fwd=0.5)
+    level_1 = backtrack(tmap, event, depth=1, truncation=0.5).levels[0]
+    assert (5, 0.5) in zip(level_1.cell.tolist(), level_1.q.tolist())
+    level_2 = backtrack(tmap, event, depth=2, truncation=0.25).levels[1]
+    kept = sorted(zip(level_2.cell.tolist(), level_2.cumulative.tolist()))
+    assert kept == [(4, 0.25), (5, 0.25)]
+
+
+def test_backtrack_drops_a_path_whose_product_underflows_to_zero():
+    # At truncation 0 a cumulative of 1e-200 * 1e-200 == 0.0 is no path; 1e-200 alone is one.
+    tmap = TransitionMap.from_edges(line_spec(3), {0: [(0, 1.0), (1, 1e-200)],
+                                                   1: [(1, 1.0), (2, 1e-200)], 2: [(2, 1.0)]})
+    event = TopEvent((2.0,), (3.0,), frozenset({(1,)}))
+    level_2 = backtrack(tmap, event, depth=2, truncation=0.0).levels[1]
+    assert list(zip(level_2.cell.tolist(), level_2.cumulative.tolist())) == [(1, 1e-200)]
+
+
 def test_backtrack_is_deterministic(baseline_map, baseline_config):
     a = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
     b = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)

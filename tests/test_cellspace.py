@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellrisk.cellspace import (
+    CELL_CAP,
     EXTERIOR_ID,
     CellCoord,
     SpaceSpec,
@@ -215,3 +216,10 @@ def test_spec_invariant_rejections():
         SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (2,), (0,))  # states < 1
     with pytest.raises(SpaceSpecError):
         SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (10**9,), (10,))
+
+
+def test_spec_cell_cap_is_inclusive():
+    # The count is checked before anything is allocated, so the cap itself is cheap to test.
+    assert SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (CELL_CAP,), (1,)).total_cells == CELL_CAP
+    with pytest.raises(SpaceSpecError, match="exceeds cap"):
+        SpaceSpec(("a",), ("c",), (0.0,), (1.0,), (CELL_CAP + 1,), (1,))

@@ -17,7 +17,6 @@ from cellrisk.cellspace import (
     SpecMismatchError,
     sample_cell_array,
 )
-from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigModelError,
@@ -38,6 +37,7 @@ from cellrisk.oracle import (
     empirical_transition,
     simulate_event_probability,
 )
+from cellrisk.run import LinearDriftModel
 from cellrisk.vehicle import GroundVehicleModel, ScenarioParams
 
 SPEC = line_spec(4)
@@ -56,7 +56,7 @@ def _spec(**fields):
 
 
 def _step(xs, dt):
-    return GroundVehicleModel(ScenarioParams()).step_many(xs, (1,), dt)
+    return GroundVehicleModel(ScenarioParams(), "agv-baseline").step_many(xs, (1,), dt)
 
 
 CHECKS = {

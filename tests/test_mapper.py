@@ -15,7 +15,6 @@ import pytest
 from _synthetic import line_spec, ring_shift_map
 from conftest import SUITE_SEED
 from cellrisk.cellspace import EXTERIOR_ID, id_to_coord
-from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import (
     ComponentMatrix,
     ConfigTransitionModel,
@@ -38,6 +37,7 @@ from cellrisk.mapper import (
     save_map,
     write_json,
 )
+from cellrisk.run import LinearDriftModel
 
 BRAKE_ROWS = [["~1", 2e-7, 2e-7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -418,6 +418,13 @@ def test_sample_budget_guard():
             LinearDriftModel(0.0), spec, identity_config(), dt=1.0,
             samples=100, seed=0, sample_budget=500,
         )
+    # 10 cells x 100 samples: a budget of exactly 1,000 is enough, one less is not.
+    with pytest.raises(BudgetError):
+        build_map(LinearDriftModel(0.0), spec, identity_config(), dt=1.0, samples=100, seed=0,
+                  sample_budget=999)
+    tmap = build_map(LinearDriftModel(0.0), spec, identity_config(), dt=1.0, samples=100,
+                     seed=0, sample_budget=1000)
+    assert tmap.n_cells == 10
 
 
 def test_quadrature_convergence_synthetic():
@@ -473,6 +480,13 @@ MALFORMED_EDGES = {
                 "edge [1e+30, 3, 1.0]: source id outside 0..3"),
     "infinite-id": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, math.inf, 1.0]],
                     "edge [3, inf, 1.0]: target id outside 0..3 or -1"),
+    # The bounds themselves: an id of exactly n_cells, and a q of exactly 0.
+    "source-id-n-cells": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], [4, 0, 1.0]],
+                          "edge [4, 0, 1.0]: source id outside 0..3"),
+    "target-id-n-cells": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 4, 1.0]],
+                          "edge [3, 4, 1.0]: target id outside 0..3 or -1"),
+    "q-zero": ([[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0], [3, 2, 0.0]],
+               "edge [3, 2, 0.0]: q outside (0, 1]"),
     # Every bad triple is named, check by check, in one error.
     "every-bad-triple-named": ([[1, 1, 1.5], [2, 2, 1.5], [3, 9, 1.0], [5, 0, 1.0]],
                                "edge [5, 0, 1.0]: source id outside 0..3; "

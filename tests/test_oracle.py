@@ -8,7 +8,6 @@ import pytest
 from _synthetic import line_spec
 from cellrisk.bpa import TopEvent, backtrack, forward_check
 from cellrisk.cellspace import EXTERIOR_ID, CellCoord, SpaceSpec, id_to_coord
-from cellrisk.cli import LinearDriftModel
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
 from cellrisk.mapper import build_map, estimate_g
 from cellrisk.oracle import (
@@ -19,6 +18,7 @@ from cellrisk.oracle import (
     empirical_transition,
     simulate_event_probability,
 )
+from cellrisk.run import LinearDriftModel
 
 
 def identity_config(states: int = 1) -> ConfigTransitionModel:

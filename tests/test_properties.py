@@ -47,7 +47,6 @@ from cellrisk.cellspace import (
     id_to_coord,
     sample_cell_array,
 )
-from cellrisk.cli import SIMULATORS, ConfigError, LinearDriftModel, load_config
 from cellrisk.configuration import (
     ROW_SUM_TOL,
     ComponentMatrix,
@@ -70,6 +69,7 @@ from cellrisk.mapper import (
     save_map,
     write_json,
 )
+from cellrisk.run import SIMULATORS, ConfigError, LinearDriftModel, load_config
 from cellrisk.vehicle import _command
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

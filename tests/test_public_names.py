@@ -11,7 +11,7 @@ import pytest
 import cellrisk
 
 MODULES = ["cellrisk"] + [f"cellrisk.{m}" for m in (
-    "bpa", "cellspace", "cli", "configuration", "mapper", "oracle", "vehicle")]
+    "bpa", "cellspace", "cli", "configuration", "mapper", "oracle", "run", "vehicle")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -34,6 +34,19 @@ def test_package_import_leaves_the_oracle_and_exact_arithmetic_unimported():
     code = ("import sys, cellrisk\n"
             "print([m for m in ('cellrisk.oracle', 'fractions', 'decimal', 'yaml', 'click')\n"
             "       if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_run_import_leaves_the_command_line_unimported():
+    # The config reader and the simulator registry work without click.
+    src = str(Path(cellrisk.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cellrisk.run\n"
+            "print([m for m in ('click', 'cellrisk.cli') if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0, res.stderr
