@@ -199,14 +199,13 @@ class ScenarioTree:
 
     @functools.cached_property
     def _q_texts(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Each level's q as an index into two object arrays, the repr (as json
+        """Each level's q as an index into two _texts arrays, the repr (as json
         writes a float) and the %g text of each distinct q, each made once."""
         q = np.sort(np.concatenate([_NO_FLOATS, *(level.q for level in self.levels)]))
         # Each value that differs from the one before it; not np.unique, which imports numpy.ma.
         q = q[np.diff(q, prepend=np.nan) != 0]
         return ([np.searchsorted(q, level.q) for level in self.levels],
-                np.array([repr(v) for v in q.tolist()], dtype=object),
-                np.array([format(v, "g") for v in q.tolist()], dtype=object))
+                _texts(repr(v) for v in q.tolist()), _texts(format(v, "g") for v in q.tolist()))
 
     def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
         """All root-to-leaf paths in rank_paths' order, as arrays.
@@ -222,7 +221,7 @@ class ScenarioTree:
             index.append(leaves)
             cumulative.append(level.cumulative[leaves])
         length, index, cumulative = map(np.concatenate, (length, index, cumulative))
-        cells = _along_paths(self.levels, length, index, "cell")
+        cells, = _along_paths(self.levels, length, index, [level.cell for level in self.levels])
         if initial_distribution is not None and len(cells):
             cumulative = cumulative * np.asarray(initial_distribution, dtype=float)[cells[:, 0]]
         order = np.lexsort((*cells.T[::-1], length, -cumulative))
@@ -233,19 +232,24 @@ _NO_INTS, _NO_FLOATS = np.empty(0, dtype=np.int64), np.empty(0)
 
 
 def _along_paths(levels: list[Level], length: np.ndarray, index: np.ndarray,
-                 name: str) -> np.ndarray:
-    """One row per path (leaf level, leaf index): the named field of its nodes
-    from the leaf up, zero past the path's end."""
+                 *values: list[np.ndarray]) -> list[np.ndarray]:
+    """For each list of per-level arrays, one row per path (leaf level, leaf
+    index): the values of its nodes from the leaf up, -1 past the path's end."""
     width = int(length.max()) if len(length) else 0
-    kind = getattr(levels[0], name).dtype if levels else np.int64
-    out = np.zeros((len(length), width), dtype=kind)
+    out = [np.full((len(length), width), -1, dtype=v[0].dtype if v else np.int64) for v in values]
     for d in range(1, width + 1):
         rows = np.flatnonzero(length == d)
         i = index[rows]
-        for column, level in enumerate(reversed(levels[:d])):
-            out[rows, column] = getattr(level, name)[i]
-            i = level.parent[i]
+        for column, k in enumerate(reversed(range(d))):
+            for o, v in zip(out, values):
+                o[rows, column] = v[k][i]
+            i = levels[k].parent[i]
     return out
+
+
+def _texts(strings) -> np.ndarray:
+    """The strings as an object array, then "": the text of _along_paths' -1 past a path's end."""
+    return np.array([*strings, ""], dtype=object)
 
 
 # Candidate children held at once while a level is expanded.
@@ -390,12 +394,13 @@ class PathRanking:
 
     def paths(self, stop: int | None = None) -> list[RankedPath]:
         """The first stop paths, all by default, as RankedPaths."""
-        args = (self.tree.levels, self.length[:stop], self.index[:stop])
+        levels, length, index = self.tree.levels, self.length[:stop], self.index[:stop]
+        cells, steps = (a.tolist() for a in _along_paths(
+            levels, length, index, [level.cell for level in levels], [level.q for level in levels]))
         coord = self.tree.coords.__getitem__
-        return [RankedPath(tuple(map(coord, ids[:n])), tuple(ids[:n]), tuple(steps[:n]), cumulative)
-                for ids, steps, n, cumulative in zip(
-                    _along_paths(*args, "cell").tolist(), _along_paths(*args, "q").tolist(),
-                    args[1].tolist(), self.cumulative[:stop].tolist())]
+        return [RankedPath(tuple(map(coord, ids[:n])), tuple(ids[:n]), tuple(q[:n]), cumulative)
+                for ids, q, n, cumulative in zip(cells, steps, length.tolist(),
+                                                 self.cumulative[:stop].tolist())]
 
 
 def rank_paths(
@@ -523,53 +528,40 @@ def encode_ranked_paths(ranking: PathRanking):
     """The JSON text of every row of a run report's ranked_paths, most probable first.
 
     Each equals compact({"cells": its vectors, "steps", "cumulative",
-    "rendered": path.render()}) of its ranked path. Every node with children
-    gets its path's cells, steps and rendered text from it up to the event
-    once: its own piece followed by its parent's (JSON string escaping
-    composes under concatenation). A row is its leaf's pieces followed by
-    its parent's. The rows are made ROW_SLICE ranks at a time; within a
-    slice level by level in node order, so that siblings, which copy the
-    same parent pieces, are made together, each put at its rank.
+    "rendered": path.render()}) of its ranked path. Per ROW_SLICE ranks,
+    _along_paths gathers the paths' cells and q, and each piece of the rows
+    is one gather from _texts made once per cell or per q.
     """
     tree = ranking.tree
     levels, (q_at, q_repr, q_g) = tree.levels, tree._q_texts
-    vector = {c: compact(list(coord.as_vector())) for c, coord in tree.coords.items()}
-    # A step's rendered text up to its %g q, as RankedPath.render gives it.
-    step = {c: f"{encode_basestring_ascii(coord.label)[1:-1]} (q="
-            for c, coord in tree.coords.items()}
-    # The (cells, steps, rendered) text of every node with children, by
-    # level; the root's first.
-    pieces = [([""], [""], [" -> TopEvent"])]
-    for k, level in enumerate(levels[:-1]):
-        starts = _child_starts(levels, k)
-        inner = np.flatnonzero(starts[1:] > starts[:-1])
-        above = pieces[-1]
-        cells, steps, rendered = ([None] * len(level.cell) for _ in range(3))
-        for i, c, q, g, p in zip(inner.tolist(), level.cell[inner].tolist(),
-                                 q_repr[q_at[k][inner]].tolist(), q_g[q_at[k][inner]].tolist(),
-                                 level.parent[inner].tolist()):
-            cells[i] = f",{vector[c]}{above[0][p]}"
-            steps[i] = f",{q}{above[1][p]}"
-            rendered[i] = f" -> {step[c]}{g}){above[2][p]}"
-        pieces.append((cells, steps, rendered))
+    cells = np.array(sorted(tree.coords), dtype=np.int64)
+    place = [np.searchsorted(cells, level.cell) for level in levels]
+    vector = [compact(list(tree.coords[c].as_vector())) for c in cells.tolist()]
+    label = [encode_basestring_ascii(tree.coords[c].label)[1:-1] for c in cells.tolist()]
+    # Each field's texts in a path's first column, which opens the field, and
+    # in a later one, which follows a separator.
+    cell_texts = _texts(f'{{"cells":[{t}' for t in vector), _texts(f",{t}" for t in vector)
+    step_texts = (_texts(f',"rendered":"{t} (q=' for t in label),
+                  _texts(f") -> {t} (q=" for t in label))   # closing the step before
+    q_texts = (_texts(f') -> TopEvent","steps":[{t}' for t in q_repr[:-1].tolist()),
+               _texts(f",{t}" for t in q_repr[:-1].tolist()))
+
+    def columns(texts, at: np.ndarray) -> list[list[str]]:
+        """A field's texts at the places at, one list per path column."""
+        return [texts[0][at[0]].tolist(), *texts[1][at[1:]].tolist()]
 
     for lo in range(0, len(ranking), mapper.ROW_SLICE):
         length, index, score = (a[lo:lo + mapper.ROW_SLICE]
                                 for a in (ranking.length, ranking.index, ranking.cumulative))
-        order = np.lexsort((index, length))   # by level, then node index
-        ends = np.cumsum(np.bincount(length))
-        ranked = np.empty(len(order), dtype=object)
-        for d in range(1, len(ends)):
-            at = order[ends[d - 1]:ends[d]]   # the slice's paths of length d
-            i = index[at]
-            level, (cells, steps, rendered), j = levels[d - 1], pieces[d - 1], q_at[d - 1][i]
-            ranked[at] = [f'{{"cells":[{vector[c]}{cells[p]}],"cumulative":{cu!r},'
-                          f'"rendered":"{step[c]}{g}){rendered[p]}",'
-                          f'"steps":[{q}{steps[p]}]}}'
-                          for c, p, cu, q, g in zip(level.cell[i].tolist(),
-                                                    level.parent[i].tolist(), score[at].tolist(),
-                                                    q_repr[j].tolist(), q_g[j].tolist())]
-        yield from ranked.tolist()
+        cell, q = (a.T for a in _along_paths(levels, length, index, place, q_at))
+        # The rows' pieces, one list per piece: the cells, the cumulative, the
+        # rendered steps (each cell's text, then its q's), the steps, the end.
+        steps = zip(columns(step_texts, cell), q_g[q].tolist())
+        pieces = [*columns(cell_texts, cell),
+                  [f'],"cumulative":{cumulative!r}' for cumulative in score.tolist()],
+                  *itertools.chain.from_iterable(steps), *columns(q_texts, q),
+                  itertools.repeat("]}")]
+        yield from map("".join, zip(*pieces))
 
 
 def tree_to_dot(tree: ScenarioTree):

@@ -4,9 +4,9 @@ The configuration file is YAML keyed by the discretization's natural field
 names (numProcessVariables, variableUpperBounds, ...) so a tabular system
 description transcribes directly; artifact-level settings (simulator, dt,
 seed, ...) use snake_case keys. See the project README for the schema.
-A named simulator is built through SIMULATORS only, so the name a map
-records is always a registry key. Nothing here imports click; in the
-package, only the commands in cellrisk.cli import this module.
+A registered simulator is named by its SIMULATORS key; a vehicle model's key
+fixes its parameters (vehicle.CONTINGENCIES). Nothing here imports click;
+in the package, only the commands in cellrisk.cli import this module.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .cellspace import SpaceSpec
 from .configuration import ConfigModelError, ConfigTransitionModel, component_matrix_from_rows
 from .configuration import _Field, _read_fields, capped, echo  # the field reader
 from .mapper import DynamicsModel, TransitionMap
-from .vehicle import GroundVehicleModel, ScenarioParams
+from .vehicle import CONTINGENCIES, GroundVehicleModel
 
 __all__ = ["ConfigError", "LinearDriftModel", "RunConfig", "SIMULATORS", "load_config"]
 
@@ -124,14 +124,8 @@ class LinearDriftModel(DynamicsModel):
         return np.asarray(xs, dtype=float) + self.velocity * dt
 
 
-# The vehicle's two contingencies: speed-scaled brake thresholds, and fixed
-# 30 m / 15 m thresholds (30 m is a 2 s gap at the 15 m/s speed limit).
-SIMULATORS = {
-    "agv-baseline": lambda params: GroundVehicleModel(ScenarioParams(), "agv-baseline"),
-    "agv-modified": lambda params: GroundVehicleModel(
-        ScenarioParams(fixed_light_clearance=30.0), "agv-modified"),
-    "linear-drift": lambda params: LinearDriftModel(params["velocity"]),
-}
+SIMULATORS = {name: lambda params, name=name: GroundVehicleModel(name) for name in CONTINGENCIES}
+SIMULATORS["linear-drift"] = lambda params: LinearDriftModel(params["velocity"])
 
 # The simulator_params a simulator takes; the others take none.
 _SIMULATOR_PARAMS = {"linear-drift": {"velocity": _Field("a list", entry=_NUMBER)}}

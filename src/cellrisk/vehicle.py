@@ -23,6 +23,7 @@ from .mapper import DynamicsModel
 
 __all__ = [
     "BrakeState",
+    "CONTINGENCIES",
     "GroundVehicleModel",
     "ScenarioParams",
     "VehicleState",
@@ -130,11 +131,19 @@ def _command(v, x, p: ScenarioParams):
     return np.where(far, cruise, accel) if some_far else accel
 
 
-class GroundVehicleModel(DynamicsModel):
-    """Vectorized one-step integrator for the scenario vehicle, named by its registry key."""
+# The vehicle's two contingencies by registry key: speed-scaled brake thresholds, and fixed
+# 30 m / 15 m ones (30 m is a 2 s gap at the 15 m/s speed limit).
+CONTINGENCIES = {
+    "agv-baseline": ScenarioParams(),
+    "agv-modified": ScenarioParams(fixed_light_clearance=30.0),
+}
 
-    def __init__(self, params: ScenarioParams, name: str):
-        self.params = params
+
+class GroundVehicleModel(DynamicsModel):
+    """Vectorized one-step integrator for the scenario vehicle, named by its contingency's key."""
+
+    def __init__(self, name: str):
+        self.params = CONTINGENCIES[name]
         self.name = name
 
     def step_many(self, xs: np.ndarray, n: tuple[int, ...], dt: float) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from cellrisk.bpa import TopEvent
-from cellrisk.cellspace import SpaceSpec
+from cellrisk.cellspace import EXTERIOR_ID, SpaceSpec
 from cellrisk.mapper import TransitionMap
 from cellrisk.vehicle import BrakeState
 
@@ -90,6 +93,62 @@ def ring_shift_map(n_cells: int) -> TransitionMap:
     spec = line_spec(n_cells)
     edges = {s: [((s + 1) % n_cells, 1.0)] for s in range(n_cells)}
     return TransitionMap.from_edges(spec, edges)
+
+
+def exact_drift_map(spec: SpaceSpec, velocity, dt: float) -> TransitionMap:
+    """The exact first-order map of linear drift x' = x + velocity*dt, every configuration kept.
+
+    A point uniform in its cell lands uniform in the box shifted by s =
+    velocity*dt/width cells in each dimension, which covers digits
+    floor(i + s) and floor(i + s) + 1 of digit i with the overlap fractions
+    1 - f and f, f = s - floor(s). A row is the product over dimensions of
+    these fractions; the part of the box off the grid goes to the exterior.
+    """
+    shift = np.asarray(velocity, dtype=float) * dt / np.asarray(spec.widths)
+    whole, frac = np.floor(shift).astype(int).tolist(), (shift - np.floor(shift)).tolist()
+    n_j, edges = spec.total_continuous_cells, {}
+    for source in range(spec.total_cells):
+        digits = np.unravel_index(source, spec.radices(), order="F")[:spec.L]
+        row: dict[int, float] = {}
+        overlaps = ([(int(i) + whole[l] + k, w) for k, w in ((0, 1.0 - frac[l]), (1, frac[l]))
+                     if w > 0.0] for l, i in enumerate(digits))
+        for pairs in itertools.product(*overlaps):
+            target, weight = zip(*pairs)
+            if not (q := math.prod(weight)) > 0.0:   # a product of tiny fractions underflows
+                continue
+            if all(0 <= t < p for t, p in zip(target, spec.partitions)):
+                key = int(np.ravel_multi_index(target, spec.partitions, order="F"))
+                key += source // n_j * n_j   # the source's configuration
+            else:
+                key = EXTERIOR_ID
+            row[key] = min(1.0, row.get(key, 0.0) + q)   # the rounded fractions may pass one
+        edges[source] = sorted(row.items())
+    return TransitionMap.from_edges(spec, edges)
+
+
+def drift_first_passage(velocity: float, dt: float, event: tuple[float, float],
+                        start: tuple[float, float], steps: int) -> np.ndarray:
+    """The exact first passage of 1-D drift x_k = x_0 + k*velocity*dt into an interval.
+
+    Entry k - 1 is the probability that some x_1..x_k lies in the open
+    event interval, for x_0 uniform on the start interval: the length of
+    the union of the start points each step carries into the event. The
+    drift is followed off any grid, so the event should not be one that a
+    grid's exterior would cut off.
+    """
+    lo, hi = start
+    hits: list[tuple[float, float]] = []   # the start points in the event at each step so far
+    out = []
+    for k in range(1, steps + 1):
+        a, b = max(lo, event[0] - k * velocity * dt), min(hi, event[1] - k * velocity * dt)
+        if a < b:
+            hits.append((a, b))
+        covered, reach = 0.0, -math.inf
+        for a, b in sorted(hits):
+            covered += max(0.0, b - max(a, reach))
+            reach = max(reach, b)
+        out.append(covered / (hi - lo))
+    return np.array(out)
 
 
 def tree_to_dict(tree) -> dict:

@@ -38,7 +38,7 @@ from cellrisk.oracle import (
     simulate_event_probability,
 )
 from cellrisk.run import LinearDriftModel
-from cellrisk.vehicle import GroundVehicleModel, ScenarioParams
+from cellrisk.vehicle import GroundVehicleModel
 
 SPEC = line_spec(4)
 PLANE = SpaceSpec(("x", "y"), ("c",), (0.0, 0.0), (1.0, 1.0), (2, 2), (1,))
@@ -56,7 +56,7 @@ def _spec(**fields):
 
 
 def _step(xs, dt):
-    return GroundVehicleModel(ScenarioParams(), "agv-baseline").step_many(xs, (1,), dt)
+    return GroundVehicleModel("agv-baseline").step_many(xs, (1,), dt)
 
 
 CHECKS = {

@@ -16,6 +16,7 @@ from _synthetic import line_spec, ring_shift_map
 from conftest import SUITE_SEED
 from cellrisk.cellspace import EXTERIOR_ID, id_to_coord
 from cellrisk.configuration import (
+    ROW_SUM_TOL,
     ComponentMatrix,
     ConfigTransitionModel,
     component_matrix_from_rows,
@@ -237,6 +238,37 @@ def test_forward_step_rejects_unnormalized():
     tmap = ring_shift_map(3)
     with pytest.raises(ValueError):
         forward_step(tmap, np.array([0.5, 0.1, 0.1, 0.0]))
+
+
+def _row_sum_boundary(toward: float) -> tuple[float, float]:
+    """The double farthest from one on the side of toward that is within ROW_SUM_TOL
+    of one, and the next double out."""
+    s = 1.0 + math.copysign(ROW_SUM_TOL, toward - 1.0)
+    while abs(s - 1.0) > ROW_SUM_TOL:
+        s = np.nextafter(s, 1.0)
+    while abs(np.nextafter(s, toward) - 1.0) <= ROW_SUM_TOL:
+        s = np.nextafter(s, toward)
+    return float(s), float(np.nextafter(s, toward))
+
+
+@pytest.mark.parametrize("toward", [0.0, 2.0], ids=["below-one", "above-one"])
+def test_row_sum_tolerance_boundary(toward):
+    # A map row and a pushed distribution summing to the last double within
+    # ROW_SUM_TOL of one pass; the next double out is refused. No double is
+    # exactly ROW_SUM_TOL from one, so > and >= draw the same line there.
+    kept, refused = _row_sum_boundary(toward)
+    assert abs(kept - 1.0) < ROW_SUM_TOL < abs(refused - 1.0)
+
+    def rows(total):   # 0.5 + (total - 0.5) is total, exactly
+        return {0: [(0, 0.5), (1, total - 0.5)], 1: [(1, 1.0)]}
+
+    TransitionMap.from_edges(line_spec(2), rows(kept))
+    with pytest.raises(MapFormatError, match=re.escape(f"source 0: row sums to {refused!r}")):
+        TransitionMap.from_edges(line_spec(2), rows(refused))
+    ring = ring_shift_map(2)
+    assert forward_step(ring, np.array([0.5, kept - 0.5, 0.0])).sum() == kept
+    with pytest.raises(ValueError, match=re.escape(f"distribution sums to {refused!r}")):
+        forward_step(ring, np.array([0.5, refused - 0.5, 0.0]))
 
 
 def test_predecessors_identity_and_shift():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import yaml
 
 from _synthetic import reference_control
 from conftest import CONFIGS
-from cellrisk.run import ConfigError, load_config
+from cellrisk.run import SIMULATORS, ConfigError, load_config
 from cellrisk.vehicle import (
+    CONTINGENCIES,
     BrakeState,
     GroundVehicleModel,
     ScenarioParams,
@@ -17,8 +19,7 @@ from cellrisk.vehicle import (
     _command,
 )
 
-BASE = ScenarioParams(t_gap_des=1.3)
-FIXED = ScenarioParams(fixed_light_clearance=30.0)
+BASE, FIXED = CONTINGENCIES["agv-baseline"], CONTINGENCIES["agv-modified"]
 
 # reference_control()'s mode indices.
 LANE_TRACKING, VEHICLE_FOLLOWING, LIGHT_BRAKE, STRONG_BRAKE = range(4)
@@ -76,7 +77,7 @@ def closed_form_brake(v0: float, x0: float, accel: float, dt: float, substeps: i
 
 
 def test_step_strong_zone_normal_brake_matches_kinematics():
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     # Deep in the strong-brake zone the mode holds for the whole step.
     start = VehicleState(v_fwd=15.0, x_pos=492.0)
     out = model.step(start.as_array(), (int(BrakeState.NORMAL),), 2.0 / 3.0)
@@ -87,7 +88,7 @@ def test_step_strong_zone_normal_brake_matches_kinematics():
 
 
 def test_step_major_fault_delivers_quarter():
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     start = VehicleState(v_fwd=15.0, x_pos=492.0)
     out = model.step(start.as_array(), (int(BrakeState.MAJOR_FAULT),), 2.0 / 3.0)
     v_exp, x_exp = closed_form_brake(15.0, 492.0, -7.848 * 0.25, 2.0 / 3.0, BASE.substeps)
@@ -99,7 +100,7 @@ def test_step_major_fault_delivers_quarter():
 def test_step_at_rest_stays_at_rest_under_braking():
     # Fixed thresholds keep a stopped vehicle inside the strong-brake zone,
     # so the braking command is active and the floor pins it in place.
-    model = GroundVehicleModel(FIXED, "agv-modified")
+    model = GroundVehicleModel("agv-modified")
     start = VehicleState(v_fwd=0.0, x_pos=495.0)
     out = model.step(start.as_array(), (int(BrakeState.NORMAL),), 2.0 / 3.0)
     assert out[0] == 0.0
@@ -109,7 +110,7 @@ def test_step_at_rest_stays_at_rest_under_braking():
 def test_step_at_rest_holds_inside_standstill_clearance():
     # With speed-scaled thresholds a stopped vehicle inside the standstill
     # clearance has a zero speed target and stays put.
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     start = VehicleState(v_fwd=0.0, x_pos=499.0)
     out = model.step(start.as_array(), (int(BrakeState.NORMAL),), 2.0 / 3.0)
     assert out[0] == 0.0
@@ -119,7 +120,7 @@ def test_step_at_rest_holds_inside_standstill_clearance():
 def test_traction_not_degraded_by_faults():
     # Far from the target the controller accelerates toward the limit; a
     # faulted brake must not touch positive commands.
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     start = VehicleState(v_fwd=5.0, x_pos=0.0)
     normal = model.step(start.as_array(), (1,), 2.0 / 3.0)
     major = model.step(start.as_array(), (3,), 2.0 / 3.0)
@@ -128,7 +129,7 @@ def test_traction_not_degraded_by_faults():
 
 
 def test_step_is_pure_and_does_not_mutate_input():
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     arr = VehicleState(v_fwd=12.0, x_pos=470.0, v_side=1.0, yaw=0.2).as_array()
     before = arr.copy()
     out1 = model.step(arr, (2,), 2.0 / 3.0)
@@ -138,8 +139,8 @@ def test_step_is_pure_and_does_not_mutate_input():
 
 
 def test_kinematic_consistency_single_substep():
-    params = ScenarioParams(t_gap_des=1.3, substeps=1)
-    model = GroundVehicleModel(params, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
+    model.params = dataclasses.replace(model.params, substeps=1)
     h = 0.05
     start = VehicleState(v_fwd=14.0, x_pos=492.0)  # strong zone throughout
     out = model.step(start.as_array(), (1,), h)
@@ -149,7 +150,7 @@ def test_kinematic_consistency_single_substep():
 
 
 def test_lateral_regulator_decays_toward_zero():
-    model = GroundVehicleModel(BASE, "agv-baseline")
+    model = GroundVehicleModel("agv-baseline")
     arr = VehicleState(
         v_fwd=15.0, v_side=3.0, yaw_rate=0.3, x_pos=100.0, y_pos=4.0, yaw=0.8
     ).as_array()
@@ -182,6 +183,20 @@ def test_faults_cross_target_baseline(baseline_config, baseline_model):
     for brake in (BrakeState.MINOR_FAULT, BrakeState.MAJOR_FAULT):
         end = baseline_model.simulate_to_rest(VehicleState(v_fwd=15.0), brake, baseline_config.dt)
         assert end.x_pos >= 500.0
+
+
+@pytest.mark.parametrize("key, params", [
+    ("agv-baseline", ScenarioParams(t_gap_des=1.3)),
+    ("agv-modified", ScenarioParams(fixed_light_clearance=30.0)),
+])
+def test_each_vehicle_key_builds_its_contingency(key, params):
+    # The name a map records pins the simulator's params: the registry's
+    # model and a model named by the same key both carry the key's contingency.
+    assert sorted(CONTINGENCIES) == ["agv-baseline", "agv-modified"]
+    for model in (SIMULATORS[key]({}), GroundVehicleModel(key)):
+        assert (model.name, model.params) == (key, params)
+    with pytest.raises(TypeError):
+        GroundVehicleModel(params, key)  # params come from the key alone
 
 
 def test_brake_state_delivery_fractions():
