@@ -23,7 +23,6 @@ from .cellspace import CellCoord, SpaceSpec
 from .mapper import CSR, BudgetError, TransitionMap, compact, predecessors, write_json
 
 __all__ = [
-    "Level",
     "Node",
     "PathRanking",
     "RankedPath",
@@ -112,41 +111,26 @@ def event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
     return set((j.reshape(-1, 1) + offsets * spec.total_continuous_cells).ravel().tolist())
 
 
-class Level(NamedTuple):
-    """The nodes of one tree level as arrays, in the search's breadth-first order.
-
-    parent is each node's index in the level above (0, the root, on level
-    1). The children of one parent sit together, the groups in their
-    parents' order; backtrack puts each group in predecessor-index order.
-    """
-
-    cell: np.ndarray        # int64
-    q: np.ndarray           # float64: single-step probability into the parent
-    cumulative: np.ndarray  # float64: product of q from the node up to the event
-    parent: np.ndarray      # int64
-
-
 class Node(NamedTuple):
-    """One node's row of its level's arrays, with its depth (1 on level 1)."""
+    """One node's row of the tree's arrays, with its depth (1 on level 1)."""
 
     depth: int
     cell: int
     q: float
     cumulative: float
-    parent: int
-
-
-def _child_starts(levels: list[Level], k: int) -> np.ndarray:
-    """Where the children of each node of levels[k] start in levels[k + 1], then the end."""
-    n = len(levels[k].cell)
-    if k + 1 == len(levels):
-        return np.zeros(n + 1, dtype=np.int64)
-    return np.searchsorted(levels[k + 1].parent, np.arange(n + 1))
+    parent: int   # the parent's node index, -1 on level 1
 
 
 @dataclass(eq=False)
 class ScenarioTree:
-    """A search tree held as one Level per depth reached, level 1 first; no level is empty.
+    """A search tree held as node arrays, in the search's breadth-first order.
+
+    Node i has cell[i], q[i] (its single-step probability into its parent),
+    cumulative[i] (the product of q from the node up to the event) and
+    parent[i] (its parent's node index, -1 on level 1). Level d holds nodes
+    starts[d - 1] to starts[d]; no level is empty. The children of one
+    parent sit together, in predecessor-index order, the groups in their
+    parents' order, so parent never decreases.
 
     coords holds the coordinate of every cell in the tree, shared by all of
     its nodes, and entry_edges the per-event-cell breakdown of each level-1
@@ -154,7 +138,11 @@ class ScenarioTree:
     in event_cell_ids.
     """
 
-    levels: list[Level]
+    cell: np.ndarray        # int64
+    q: np.ndarray           # float64
+    cumulative: np.ndarray  # float64
+    parent: np.ndarray      # int64
+    starts: np.ndarray      # int64: 0, then the end of each level
     entry_edges: list[list[tuple[int, float]]]
     coords: dict[int, CellCoord]
     event: TopEvent
@@ -166,84 +154,89 @@ class ScenarioTree:
 
     @property
     def n_nodes(self) -> int:
-        return sum(len(level.cell) for level in self.levels)
+        return len(self.cell)
 
     @property
     def max_depth_reached(self) -> int:
-        return len(self.levels)
+        return len(self.starts) - 1
+
+    def depth_of(self, nodes: np.ndarray) -> np.ndarray:
+        """The depth of each of the nodes, 1 on level 1."""
+        return np.searchsorted(self.starts, nodes, side="right")
 
     def cumulative_for_cell(self, cell_id: int) -> float:
         """Sum of cumulative probabilities over all nodes holding a cell."""
-        return sum(float(level.cumulative[level.cell == cell_id].sum()) for level in self.levels)
+        return float(self.cumulative[self.cell == cell_id].sum())
 
     def nodes(self):
-        """One Node per node, level by level, each level in its order."""
-        for depth, level in enumerate(self.levels, 1):
-            for row in zip(level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(),
-                           level.parent.tolist()):
-                yield Node(depth, *row)
+        """One Node per node, in node order, one level's rows made at a time."""
+        columns = (self.cell, self.q, self.cumulative, self.parent)
+        for depth, (lo, hi) in enumerate(itertools.pairwise(self.starts.tolist()), 1):
+            yield from (Node(depth, *row) for row in zip(*(c[lo:hi].tolist() for c in columns)))
 
     @functools.cached_property
-    def _preorder(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each level's preorder numbers (from 0) and the numbers just past their subtrees."""
-        levels = self.levels
-        sizes = [np.ones(len(level.cell), dtype=np.int64) for level in levels]
-        for k in reversed(range(1, len(levels))):   # a subtree holds its children's
-            sizes[k - 1] += np.bincount(levels[k].parent, sizes[k], len(sizes[k - 1])).astype(int)
-        pre = [np.cumsum(size) - size for size in sizes]   # sizes of the earlier nodes of the level
-        for k in range(1, len(levels)):
-            # A node follows its parent and its earlier siblings' subtrees.
-            parent = levels[k].parent
-            pre[k] += pre[k - 1][parent] + 1 - pre[k][_child_starts(levels, k - 1)[parent]]
-        return pre, [p + size for p, size in zip(pre, sizes)]
+    def _preorder(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's preorder number (from 0) and the number just past its
+        subtree, then the root's, -1 and n_nodes, where parent -1 finds them."""
+        parent, starts = self.parent, self.starts.tolist()
+        size = np.ones(self.n_nodes + 1, dtype=np.int64)
+        size[-1] += self.n_nodes   # a subtree holds its children's; the root's, every node
+        for up, lo, hi in reversed(list(zip(starts, starts[1:], starts[2:]))):   # parents on up:lo
+            size[up:lo] += np.bincount(parent[lo:hi] - up, size[lo:hi], lo - up).astype(np.int64)
+        pre = np.full(self.n_nodes + 1, -1)
+        for lo, hi in itertools.pairwise(starts):
+            # A node follows its parent and its earlier siblings' subtrees; siblings sit together.
+            before = np.cumsum(size[lo:hi]) - size[lo:hi]
+            siblings = parent[lo:hi]
+            pre[lo:hi] = pre[siblings] + 1 + before - before[np.searchsorted(siblings, siblings)]
+        return pre, pre + size
 
     @functools.cached_property
-    def _q_texts(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Each level's q as an index into two _texts arrays, the repr (as json
+    def _q_texts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each node's q as an index into two _texts arrays, the repr (as json
         writes a float) and the %g text of each distinct q, each made once."""
-        q = np.sort(np.concatenate([_NO_FLOATS, *(level.q for level in self.levels)]))
+        q = np.sort(self.q)
         # Each value that differs from the one before it; not np.unique, which imports numpy.ma.
         q = q[np.diff(q, prepend=np.nan) != 0]
-        return ([np.searchsorted(q, level.q) for level in self.levels],
+        return (np.searchsorted(q, self.q),
                 _texts(repr(v) for v in q.tolist()), _texts(format(v, "g") for v in q.tolist()))
 
     def ranking(self, initial_distribution: np.ndarray | None = None) -> PathRanking:
         """All root-to-leaf paths in rank_paths' order, as arrays.
 
         One lexsort over the leaves: by score, highest first, then by
-        length, then by cell ids from the leaf up.
+        depth, then by the leaf's rank in its level. A level's nodes are
+        ranked by (cell, their parent's rank), so among paths of one length
+        the ranks order them by cell ids from the leaf up.
         """
-        length, index, cumulative = [_NO_INTS], [_NO_INTS], [_NO_FLOATS]
-        for k, level in enumerate(self.levels):
-            starts = _child_starts(self.levels, k)
-            leaves = np.flatnonzero(starts[1:] == starts[:-1])
-            length.append(np.full(len(leaves), k + 1))
-            index.append(leaves)
-            cumulative.append(level.cumulative[leaves])
-        length, index, cumulative = map(np.concatenate, (length, index, cumulative))
-        cells, = _along_paths(self.levels, length, index, [level.cell for level in self.levels])
-        if initial_distribution is not None and len(cells):
-            cumulative = cumulative * np.asarray(initial_distribution, dtype=float)[cells[:, 0]]
-        order = np.lexsort((*cells.T[::-1], length, -cumulative))
-        return PathRanking(self, length[order], index[order], cumulative[order])
+        rank = np.zeros(self.n_nodes + 1, dtype=np.int64)   # the root's last, where -1 finds it
+        for lo, hi in itertools.pairwise(self.starts.tolist()):
+            rank[lo + np.lexsort((rank[self.parent[lo:hi]], self.cell[lo:hi]))] = np.arange(hi - lo)
+        leaf = np.ones(self.n_nodes, dtype=bool)
+        leaf[self.parent[self.parent >= 0]] = False
+        leaf = np.flatnonzero(leaf)
+        score = self.cumulative[leaf]
+        if initial_distribution is not None:
+            score = score * np.asarray(initial_distribution, dtype=float)[self.cell[leaf]]
+        order = np.lexsort((rank[leaf], self.depth_of(leaf), -score))
+        return PathRanking(self, leaf[order], score[order])
 
 
-_NO_INTS, _NO_FLOATS = np.empty(0, dtype=np.int64), np.empty(0)
+_NO_NODES = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
 
-def _along_paths(levels: list[Level], length: np.ndarray, index: np.ndarray,
-                 *values: list[np.ndarray]) -> list[np.ndarray]:
-    """For each list of per-level arrays, one row per path (leaf level, leaf
-    index): the values of its nodes from the leaf up, -1 past the path's end."""
-    width = int(length.max()) if len(length) else 0
-    out = [np.full((len(length), width), -1, dtype=v[0].dtype if v else np.int64) for v in values]
-    for d in range(1, width + 1):
-        rows = np.flatnonzero(length == d)
-        i = index[rows]
-        for column, k in enumerate(reversed(range(d))):
-            for o, v in zip(out, values):
-                o[rows, column] = v[k][i]
-            i = levels[k].parent[i]
+def _along_paths(tree: ScenarioTree, leaf: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+    """For each node array in values, one row per leaf: the values of the
+    nodes of its path from the leaf up, -1 past the path's end."""
+    width = int(tree.depth_of(leaf).max()) if len(leaf) else 0
+    out = [np.full((len(leaf), width), -1, dtype=v.dtype) for v in values]
+    rows, node = np.arange(len(leaf)), leaf
+    for column in range(width):
+        for o, v in zip(out, values):
+            o[rows, column] = v[node]
+        node = tree.parent[node]
+        below_root = node >= 0
+        rows, node = rows[below_root], node[below_root]
     return out
 
 
@@ -292,30 +285,36 @@ def backtrack(
     if len(kept) > node_budget:
         raise BudgetError(f"scenario tree exceeded node budget {node_budget}")
 
-    levels: list[Level] = []
+    levels = []   # each level's (cell, q, cumulative, parent) arrays
     if kept:
         cell, q = map(np.array, zip(*kept))
-        levels.append(Level(cell, q, q, np.zeros(len(kept), dtype=np.int64)))
+        levels.append((cell, q, q, np.full(len(kept), -1, dtype=np.int64)))
+    starts = [0, *(len(level[0]) for level in levels)]
     is_event = np.zeros(tmap.n_cells, dtype=bool)
     is_event[list(ev_cells)] = True
     while levels and len(levels) < depth:
-        room = node_budget - sum(len(level.cell) for level in levels)
-        level = _expand(levels[-1], tmap.predecessor_index, is_event, truncation, room)
+        level = _expand(levels[-1], starts[-2], tmap.predecessor_index, is_event, truncation,
+                        node_budget - starts[-1])
         if level is None:
             raise BudgetError(f"scenario tree exceeded node budget {node_budget}")
-        if not len(level.cell):
+        if not len(level[0]):
             break
         levels.append(level)
+        starts.append(starts[-1] + len(level[0]))
+    cell, q, cumulative, parent = map(np.concatenate, zip(_NO_NODES, *levels))
 
     # A mask, not np.unique, which imports numpy.ma on its first plain call.
     in_tree = np.zeros(tmap.n_cells, dtype=bool)
-    for level in levels:
-        in_tree[level.cell] = True
+    in_tree[cell] = True
     cells = np.flatnonzero(in_tree)
     digits = np.stack(np.unravel_index(cells, tmap.spec.radices(), order="F"), axis=1) + 1
     L = tmap.spec.L
     return ScenarioTree(
-        levels=levels,
+        cell=cell,
+        q=q,
+        cumulative=cumulative,
+        parent=parent,
+        starts=np.array(starts, dtype=np.int64),
         entry_edges=[sorted(detail[source]) for source, _ in kept],
         coords={c: CellCoord(d[:L], d[L:]) for c, d in zip(cells.tolist(), digits.tolist())},
         event=event,
@@ -327,16 +326,19 @@ def backtrack(
     )
 
 
-def _expand(parents: Level, index: CSR, is_event: np.ndarray, truncation: float,
-            room: int) -> Level | None:
-    """The next level: every kept predecessor of each parent outside the event set.
+def _expand(parents: tuple, first: int, index: CSR, is_event: np.ndarray, truncation: float,
+            room: int) -> tuple | None:
+    """The level below a level's (cell, q, cumulative, parent) arrays, its first
+    node first, as the same arrays: every kept predecessor of each node
+    outside the event set.
 
     Parents are expanded in chunks of about _EXPAND_CHUNK candidate
     children. Gives None once more than room children are kept.
     """
-    open_ = np.flatnonzero(~is_event[parents.cell])
-    start = index.indptr[parents.cell[open_]]
-    counts = index.indptr[parents.cell[open_] + 1] - start
+    cell, _, cumulative, _ = parents
+    open_ = np.flatnonzero(~is_event[cell])
+    start = index.indptr[cell[open_]]
+    counts = index.indptr[cell[open_] + 1] - start
     ends = np.cumsum(counts)   # candidates of the parents up to each one
     pieces, kept, lo = [], 0, 0
     while lo < len(open_):
@@ -346,19 +348,17 @@ def _expand(parents: Level, index: CSR, is_event: np.ndarray, truncation: float,
         parent = np.repeat(open_[lo:hi], n)
         # Each candidate's position in the predecessor index: its parent's
         # start plus its place among the parent's candidates.
-        first = ends[lo:hi] - n - base   # each parent's first candidate in the chunk
-        at = np.arange(int(ends[hi - 1]) - base) + np.repeat(start[lo:hi] - first, n)
+        first_candidate = ends[lo:hi] - n - base   # each parent's first candidate in the chunk
+        at = np.arange(int(ends[hi - 1]) - base) + np.repeat(start[lo:hi] - first_candidate, n)
         q = index.data[at]
-        cumulative = parents.cumulative[parent] * q
-        keep = ~((cumulative < truncation) | (cumulative <= 0.0))
+        product = cumulative[parent] * q
+        keep = ~((product < truncation) | (product <= 0.0))
         kept += int(np.count_nonzero(keep))
         if kept > room:
             return None
-        pieces.append(Level(index.indices[at[keep]], q[keep], cumulative[keep], parent[keep]))
+        pieces.append((index.indices[at[keep]], q[keep], product[keep], parent[keep] + first))
         lo = hi
-    if not pieces:
-        return Level(_NO_INTS, _NO_FLOATS, _NO_FLOATS, _NO_INTS)
-    return Level(*map(np.concatenate, zip(*pieces)))
+    return tuple(map(np.concatenate, zip(_NO_NODES, *pieces)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,27 +379,25 @@ class RankedPath:
 class PathRanking:
     """A tree's root-to-leaf paths, most probable first, as arrays.
 
-    Path k ends at node index[k] of level length[k] (1-based, so also the
-    path's length) and scores cumulative[k]: its leaf's cumulative, times
-    the leaf cell's occupancy when ranked under an initial distribution.
+    Path k ends at node leaf[k], so its length is the leaf's depth, and
+    scores cumulative[k]: its leaf's cumulative, times the leaf cell's
+    occupancy when ranked under an initial distribution.
     """
 
     tree: ScenarioTree
-    length: np.ndarray
-    index: np.ndarray
+    leaf: np.ndarray
     cumulative: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.length)
+        return len(self.leaf)
 
     def paths(self, stop: int | None = None) -> list[RankedPath]:
         """The first stop paths, all by default, as RankedPaths."""
-        levels, length, index = self.tree.levels, self.length[:stop], self.index[:stop]
-        cells, steps = (a.tolist() for a in _along_paths(
-            levels, length, index, [level.cell for level in levels], [level.q for level in levels]))
-        coord = self.tree.coords.__getitem__
+        tree, leaf = self.tree, self.leaf[:stop]
+        cells, steps = (a.tolist() for a in _along_paths(tree, leaf, tree.cell, tree.q))
+        coord = tree.coords.__getitem__
         return [RankedPath(tuple(map(coord, ids[:n])), tuple(ids[:n]), tuple(q[:n]), cumulative)
-                for ids, q, n, cumulative in zip(cells, steps, length.tolist(),
+                for ids, q, n, cumulative in zip(cells, steps, tree.depth_of(leaf).tolist(),
                                                  self.cumulative[:stop].tolist())]
 
 
@@ -443,23 +441,16 @@ def forward_check(
     return event_probability(tmap, distribution, tree.event_cell_ids, tree.depth)
 
 
-def _walk(positions: list[np.ndarray], texts):
-    """A preorder walk's texts, joined into one text per window of ROW_SLICE positions.
+def _preorder_nodes(tree: ScenarioTree) -> np.ndarray:
+    """The node at each preorder number: a stable sort merges one increasing run per level."""
+    return np.argsort(tree._preorder[0][:-1], kind="stable")
 
-    positions are ascending arrays that together hold 0 to their total
-    length once each, such as the levels' preorder numbers. One
-    searchsorted per array finds its slice in every window; texts(i, s)
-    gives the texts of slice s of positions[i].
-    """
-    width, total = mapper.ROW_SLICE, sum(map(len, positions))
-    bounds = np.arange(0, total + width, width)
-    cuts = [np.searchsorted(p, bounds).tolist() for p in positions]
-    for w, lo in enumerate(bounds[:-1].tolist()):
-        window = np.empty(min(width, total - lo), dtype=object)
-        for i, (p, c) in enumerate(zip(positions, cuts)):
-            s = slice(c[w], c[w + 1])
-            window[p[s] - lo] = texts(i, s)
-        yield "".join(window.tolist())
+
+def _walk(items: np.ndarray, texts):
+    """A walk's texts, joined into one text per window of ROW_SLICE items;
+    texts(a) gives the texts of the items a."""
+    for lo in range(0, len(items), mapper.ROW_SLICE):
+        yield "".join(texts(items[lo:lo + mapper.ROW_SLICE]))
 
 
 def _node_text(cell_id, vector, is_event: bool) -> tuple[str, str, str]:
@@ -482,32 +473,42 @@ def write_tree(tree: ScenarioTree, path: str) -> None:
     one cell share the text of their cell id, coordinate and event flag,
     and nodes of one q its repr, so per node only its cumulative and depth
     are formatted, plus the level-1 entry_edges. Each node gives the text
-    before its children and the text after them, at the places a preorder
-    walk enters and leaves it; _walk makes them one window at a time, and
-    write_json writes them as the root's text.
+    before its children and the text after them, at the events where a
+    preorder walk enters and leaves it; _walk makes them one window at a
+    time, and write_json writes them as the root's text.
     """
     shared = {c: _node_text(c, list(coord.as_vector()), c in tree.event_cell_ids)
               for c, coord in tree.coords.items()}
     enter, mid, tail = ({c: text[j] for c, text in shared.items()} for j in range(3))
     after_sibling = {c: "," + text for c, text in enter.items()}
-    levels, (pre, end), (q_at, q_repr, _) = tree.levels, tree._preorder, tree._q_texts
-    first = [np.diff(level.parent, prepend=-1) != 0 for level in levels]
+    (pre, end), (q_at, q_repr, _) = tree._preorder, tree._q_texts
+    # The text from a node's cumulative to its event flag: node i's on level 1, else its depth's.
+    n, n_1 = tree.n_nodes, len(tree.entry_edges)
+    after_cumulative = np.array(
+        [*(f',"depth":1,"entry_edges":{compact(edges)}' for edges in tree.entry_edges),
+         *(f',"depth":{d}' for d in range(tree.max_depth_reached + 1))], dtype=object)
 
-    def texts(i: int, s: slice) -> list[str]:
-        k = i % len(levels)
-        level = levels[k]
-        cell = level.cell[s].tolist()
-        if i < len(levels):   # where the walk enters the nodes
-            return [enter[c] if f else after_sibling[c]
-                    for c, f in zip(cell, first[k][s].tolist())]
-        depth = (itertools.repeat(f',"depth":{k + 1}') if k else
-                 [f',"depth":1,"entry_edges":{compact(edges)}' for edges in tree.entry_edges[s]])
-        return [f"{mid[c]}{cumulative!r}{d}{tail[c]}{q}}}"
-                for c, cumulative, d, q in zip(cell, level.cumulative[s].tolist(), depth,
-                                               q_repr[q_at[k][s]].tolist())]
+    def texts(items: np.ndarray) -> list[str]:
+        window = np.empty(len(items), dtype=object)
+        entered = items < n
+        node = items[entered]
+        first = (node == 0) | (tree.parent[node] != tree.parent[node - 1])   # of its siblings
+        window[entered] = [enter[c] if f else after_sibling[c]
+                           for c, f in zip(tree.cell[node].tolist(), first.tolist())]
+        node = items[~entered] - n
+        after = after_cumulative[np.where(node < n_1, node, n_1 + tree.depth_of(node))]
+        window[~entered] = [f"{mid[c]}{cumulative!r}{d}{tail[c]}{q}}}"
+                            for c, cumulative, d, q in zip(
+                                tree.cell[node].tolist(), tree.cumulative[node].tolist(),
+                                after.tolist(), q_repr[q_at[node]].tolist())]
+        return window.tolist()
 
-    # The walk enters a level-(k+1) node at its 2*pre-k-th event, leaves it at its 2*end-(k+1)-th.
-    events = [2 * p - k for k, p in enumerate(pre)] + [2 * e - k - 1 for k, e in enumerate(end)]
+    # The walk enters a level-(k+1) node at its 2*pre-k-th event and leaves it
+    # at its 2*end-(k+1)-th; item i + n is node i left.
+    events = np.empty(2 * n, dtype=np.int64)
+    for k, (lo, hi) in enumerate(itertools.pairwise(tree.starts.tolist())):
+        events[2 * pre[lo:hi] - k] = np.arange(lo, hi)
+        events[2 * end[lo:hi] - k - 1] = np.arange(lo + n, hi + n)
     root = _node_text(None, None, False)
     write_json(path, sorted({
         "format": TREE_FORMAT,
@@ -533,9 +534,9 @@ def encode_ranked_paths(ranking: PathRanking):
     is one gather from _texts made once per cell or per q.
     """
     tree = ranking.tree
-    levels, (q_at, q_repr, q_g) = tree.levels, tree._q_texts
+    q_at, q_repr, q_g = tree._q_texts
     cells = np.array(sorted(tree.coords), dtype=np.int64)
-    place = [np.searchsorted(cells, level.cell) for level in levels]
+    cell_at = np.searchsorted(cells, tree.cell)
     vector = [compact(list(tree.coords[c].as_vector())) for c in cells.tolist()]
     label = [encode_basestring_ascii(tree.coords[c].label)[1:-1] for c in cells.tolist()]
     # Each field's texts in a path's first column, which opens the field, and
@@ -551,9 +552,8 @@ def encode_ranked_paths(ranking: PathRanking):
         return [texts[0][at[0]].tolist(), *texts[1][at[1:]].tolist()]
 
     for lo in range(0, len(ranking), mapper.ROW_SLICE):
-        length, index, score = (a[lo:lo + mapper.ROW_SLICE]
-                                for a in (ranking.length, ranking.index, ranking.cumulative))
-        cell, q = (a.T for a in _along_paths(levels, length, index, place, q_at))
+        leaf, score = (a[lo:lo + mapper.ROW_SLICE] for a in (ranking.leaf, ranking.cumulative))
+        cell, q = (a.T for a in _along_paths(tree, leaf, cell_at, q_at))
         # The rows' pieces, one list per piece: the cells, the cumulative, the
         # rendered steps (each cell's text, then its q's), the steps, the end.
         steps = zip(columns(step_texts, cell), q_g[q].tolist())
@@ -571,32 +571,32 @@ def tree_to_dot(tree: ScenarioTree):
     """
     label = {c: f'label="{coord.label}\\nP=' for c, coord in tree.coords.items()}
     style = {c: '", style=dashed' if c in tree.event_cell_ids else '"' for c in tree.coords}
-    levels, (pre, _), (q_at, _, q_g) = tree.levels, tree._preorder, tree._q_texts
+    (pre, _), (q_at, _, q_g) = tree._preorder, tree._q_texts
 
-    def texts(k: int, s: slice) -> list[str]:
-        level = levels[k]
-        above = ([f"n{p}" for p in pre[k - 1][level.parent[s]].tolist()] if k else
-                 ["root"] * (s.stop - s.start))
+    def texts(node: np.ndarray) -> list[str]:
+        above = [f"n{a}" if a >= 0 else "root" for a in pre[tree.parent[node]].tolist()]
         return [f'\t"n{p}" [{label[c]}{g}{style[c]}];\n\t"n{p}" -> "{a}";\n'
-                for c, g, p, a in zip(level.cell[s].tolist(), q_g[q_at[k][s]].tolist(),
-                                      pre[k][s].tolist(), above)]
+                for c, g, p, a in zip(tree.cell[node].tolist(), q_g[q_at[node]].tolist(),
+                                      pre[node].tolist(), above)]
 
     return itertools.chain(["digraph scenario_tree {\n\trankdir=RL;\n"
                             '\tnode [shape=box, fontname="Helvetica"];\n'
                             '\t"root" [label="TopEvent", shape=doubleoctagon];\n'],
-                           _walk(pre, texts), ["}\n"])
+                           _walk(_preorder_nodes(tree), texts), ["}\n"])
 
 
 def tree_to_text(tree: ScenarioTree):
     """Each node's line in preorder, indented by depth (cell, q, cumulative, depth), as read;
     an empty tree's text is one empty line."""
-    label = {c: coord.label for c, coord in tree.coords.items()}
-    levels, (pre, _), (q_at, _, q_g) = tree.levels, tree._preorder, tree._q_texts
+    label = {c: f"{coord.label} q=" for c, coord in tree.coords.items()}
+    depths = range(tree.max_depth_reached + 1)
+    indent, tail = ["  " * (d - 1) for d in depths], [f" depth={d}\n" for d in depths]
+    q_at, _, q_g = tree._q_texts
 
-    def texts(k: int, s: slice) -> list[str]:
-        level, indent = levels[k], "  " * k
-        return [f"{indent}{label[c]} q={g} cumulative={cumulative:g} depth={k + 1}\n"
-                for c, g, cumulative in zip(level.cell[s].tolist(), q_g[q_at[k][s]].tolist(),
-                                            level.cumulative[s].tolist())]
+    def texts(node: np.ndarray) -> list[str]:
+        return [f"{indent[d]}{label[c]}{g} cumulative={cumulative:g}{tail[d]}"
+                for c, g, cumulative, d in zip(tree.cell[node].tolist(), q_g[q_at[node]].tolist(),
+                                               tree.cumulative[node].tolist(),
+                                               tree.depth_of(node).tolist())]
 
-    return itertools.chain(_walk(pre, texts), [] if tree.n_nodes else ["\n"])
+    return itertools.chain(_walk(_preorder_nodes(tree), texts), [] if tree.n_nodes else ["\n"])

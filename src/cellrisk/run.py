@@ -44,11 +44,11 @@ _NUMBER, _INTEGER = _Field("a number or its text"), _Field("an integer")
 # The system description: built into SpaceSpec, the component matrices and TopEvent.
 _SYSTEM = {
     "numProcessVariables": _Field("an integer", low=1),
-    "processVariablesNames": _Field("a list"),
+    "processVariablesNames": mapper_mod._NAMES,
     "numSystemComponents": _Field("an integer", low=1),
-    "systemComponentNames": _Field("a list"),
+    "systemComponentNames": mapper_mod._NAMES,
     "systemComponentStates": _Field("a list", entry=_INTEGER),
-    "systemComponentStateNames": _Field("a list", None),  # documentation only
+    "systemComponentStateNames": _Field("a list", None, entry=mapper_mod._NAMES),  # documentation
     "variableUpperBounds": _Field("a list", entry=_NUMBER),
     "variableLowerBounds": _Field("a list", entry=_NUMBER),
     "numberOfCells": _Field("a list", entry=_INTEGER),
@@ -206,8 +206,7 @@ def load_config(path: str) -> RunConfig:
     spec = None
     if not lengths:
         try:
-            spec = SpaceSpec(map(str, values["processVariablesNames"]),
-                             map(str, values["systemComponentNames"]),
+            spec = SpaceSpec(values["processVariablesNames"], values["systemComponentNames"],
                              values["variableLowerBounds"], values["variableUpperBounds"],
                              partitions, states)
         except ValueError as exc:

@@ -95,35 +95,54 @@ def ring_shift_map(n_cells: int) -> TransitionMap:
     return TransitionMap.from_edges(spec, edges)
 
 
+def exact_drift_row(spec: SpaceSpec, velocity, dt: float,
+                    history: tuple[int, ...]) -> list[tuple[int, float]]:
+    """The exact next-cell row of linear drift x' = x + velocity*dt after a history of cells.
+
+    A point starts uniform in history[0] and has visited the later cells
+    one step apart: the order-m row, m = len(history). In each dimension
+    the start offsets that agree with the history form one interval, the
+    cell's own [0, 1) cut by each later cell shifted back by its steps; m
+    steps carry that interval to the next position, which covers the cells
+    it overlaps with the overlap fractions of the interval's length. A row
+    is the product over dimensions of these fractions; the part off the
+    grid goes to the exterior, and the configuration is the history's.
+    """
+    shift = np.asarray(velocity, dtype=float) * dt / np.asarray(spec.widths)
+    digits = [np.unravel_index(cell, spec.radices(), order="F")[:spec.L] for cell in history]
+    m, overlaps = len(history), []
+    for l, s in enumerate(shift.tolist()):
+        first = int(digits[0][l])
+        a = max([0.0] + [int(d[l]) - first - t * s for t, d in enumerate(digits[1:], 1)])
+        b = min([1.0] + [int(d[l]) + 1 - first - t * s for t, d in enumerate(digits[1:], 1)])
+        lo, hi = a + m * s, b + m * s
+        overlaps.append([(first + c, (min(hi, c + 1) - max(lo, c)) / (b - a))
+                         for c in range(math.floor(lo), math.ceil(hi))])
+    row: dict[int, float] = {}
+    n_j = spec.total_continuous_cells
+    for pairs in itertools.product(*overlaps):
+        target, weight = zip(*pairs)
+        if not (q := math.prod(weight)) > 0.0:   # a product of tiny fractions underflows
+            continue
+        if all(0 <= t < p for t, p in zip(target, spec.partitions)):
+            key = int(np.ravel_multi_index(target, spec.partitions, order="F"))
+            key += history[-1] // n_j * n_j   # the history's configuration
+        else:
+            key = EXTERIOR_ID
+        row[key] = min(1.0, row.get(key, 0.0) + q)   # the rounded fractions may pass one
+    return sorted(row.items())
+
+
 def exact_drift_map(spec: SpaceSpec, velocity, dt: float) -> TransitionMap:
-    """The exact first-order map of linear drift x' = x + velocity*dt, every configuration kept.
+    """The exact first-order map of linear drift, every configuration kept.
 
     A point uniform in its cell lands uniform in the box shifted by s =
     velocity*dt/width cells in each dimension, which covers digits
     floor(i + s) and floor(i + s) + 1 of digit i with the overlap fractions
-    1 - f and f, f = s - floor(s). A row is the product over dimensions of
-    these fractions; the part of the box off the grid goes to the exterior.
+    1 - f and f, f = s - floor(s): exact_drift_row of one-cell histories.
     """
-    shift = np.asarray(velocity, dtype=float) * dt / np.asarray(spec.widths)
-    whole, frac = np.floor(shift).astype(int).tolist(), (shift - np.floor(shift)).tolist()
-    n_j, edges = spec.total_continuous_cells, {}
-    for source in range(spec.total_cells):
-        digits = np.unravel_index(source, spec.radices(), order="F")[:spec.L]
-        row: dict[int, float] = {}
-        overlaps = ([(int(i) + whole[l] + k, w) for k, w in ((0, 1.0 - frac[l]), (1, frac[l]))
-                     if w > 0.0] for l, i in enumerate(digits))
-        for pairs in itertools.product(*overlaps):
-            target, weight = zip(*pairs)
-            if not (q := math.prod(weight)) > 0.0:   # a product of tiny fractions underflows
-                continue
-            if all(0 <= t < p for t, p in zip(target, spec.partitions)):
-                key = int(np.ravel_multi_index(target, spec.partitions, order="F"))
-                key += source // n_j * n_j   # the source's configuration
-            else:
-                key = EXTERIOR_ID
-            row[key] = min(1.0, row.get(key, 0.0) + q)   # the rounded fractions may pass one
-        edges[source] = sorted(row.items())
-    return TransitionMap.from_edges(spec, edges)
+    return TransitionMap.from_edges(spec, {source: exact_drift_row(spec, velocity, dt, (source,))
+                                           for source in range(spec.total_cells)})
 
 
 def drift_first_passage(velocity: float, dt: float, event: tuple[float, float],
@@ -154,29 +173,22 @@ def drift_first_passage(velocity: float, dt: float, event: tuple[float, float],
 def tree_to_dict(tree) -> dict:
     """The tree file's document, node by node: the reference for write_tree's bytes.
 
-    Built from the deepest level up, each node's children gathered by their
-    parent index; the tree file is this document as compact sorted-key JSON.
+    Each node goes, in node order, to the children of its parent (the
+    root's when its parent index is -1); the tree file is this document as
+    compact sorted-key JSON.
     """
-    below: list[dict] = []
-    for k in reversed(range(len(tree.levels))):
-        level = tree.levels[k]
-        children: list[list[dict]] = [[] for _ in range(len(level.cell))]
-        if k + 1 < len(tree.levels):
-            for node, p in zip(below, tree.levels[k + 1].parent.tolist()):
-                children[p].append(node)
-        below = [
-            {
-                "coord": list(tree.coords[c].as_vector()),
-                "cell_id": c,
-                "q": q,
-                "cumulative": cumulative,
-                "depth": k + 1,
-                "event_cell": c in tree.event_cell_ids,
-                "children": kids,
-            }
-            for c, q, cumulative, kids in zip(
-                level.cell.tolist(), level.q.tolist(), level.cumulative.tolist(), children)
-        ]
+    children: list[list[dict]] = [[] for _ in range(tree.n_nodes)]
+    below: list[dict] = []   # the root's children
+    for node, kids in zip(tree.nodes(), children):
+        (children[node.parent] if node.parent >= 0 else below).append({
+            "coord": list(tree.coords[node.cell].as_vector()),
+            "cell_id": node.cell,
+            "q": node.q,
+            "cumulative": node.cumulative,
+            "depth": node.depth,
+            "event_cell": node.cell in tree.event_cell_ids,
+            "children": kids,
+        })
     for node, edges in zip(below, tree.entry_edges):
         node["entry_edges"] = [[t, q] for t, q in edges]
     return {

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from _synthetic import random_absorbing_map
 from cellrisk import bpa, cli, configuration, mapper, oracle
 from cellrisk.bpa import backtrack
@@ -44,5 +46,5 @@ def test_tracer_level_counts_equal_the_level_arrays(monkeypatch):
     tree = backtrack(tmap, event, depth=3, truncation=0.0)
     assert tree.max_depth_reached >= 2
     assert dict(tracer._levels(tree)) == {
-        f"level_{d}": len(level.cell) for d, level in enumerate(tree.levels, 1)
+        f"level_{d}": n for d, n in enumerate(np.diff(tree.starts).tolist(), 1)
     }

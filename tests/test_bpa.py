@@ -40,17 +40,20 @@ from cellrisk.mapper import BudgetError, TransitionMap, json_array
 PI = math.pi
 
 
+def level(tree, depth: int) -> np.ndarray:
+    """The node indices of one level."""
+    return np.arange(tree.starts[depth - 1], tree.starts[depth])
+
+
 def at(tree, depth: int, cell: int) -> int:
-    """Index in its level of the one node of a cell at a depth."""
-    (i,) = np.flatnonzero(tree.levels[depth - 1].cell == cell)
+    """Node index of the one node of a cell at a depth."""
+    (i,) = level(tree, depth)[tree.cell[level(tree, depth)] == cell]
     return int(i)
 
 
-def children(tree, depth: int, i: int) -> list[int]:
-    """Indices in level depth + 1 of the children of node i of level depth (0, the root)."""
-    if depth == len(tree.levels):
-        return []
-    return np.flatnonzero(tree.levels[depth].parent == i).tolist()
+def children(tree, i: int) -> list[int]:
+    """Node indices of the children of node i."""
+    return np.flatnonzero(tree.parent == i).tolist()
 
 
 def scan_event_cells(event: TopEvent, spec: SpaceSpec) -> set[int]:
@@ -154,6 +157,17 @@ def test_top_event_invariants():
         bad_cfg.validate_against(spec)
 
 
+def test_top_event_outside_the_space_names_the_bound_that_is_out():
+    # An event wholly below the space: its upper bound is the one named.
+    spec = line_spec(5)
+    below = TopEvent(lower=(-1.0,), upper=(0.0,), configs=frozenset({(1,)}))
+    with pytest.raises(TopEventError, match=r"event upper 0.0 outside \(0.0, 5.0\]"):
+        below.validate_against(spec)
+    above = TopEvent(lower=(5.0,), upper=(6.0,), configs=frozenset({(1,)}))
+    with pytest.raises(TopEventError, match=r"event upper 6.0 outside \(0.0, 5.0\]"):
+        above.validate_against(spec)
+
+
 def test_backtrack_deterministic_chain_structure():
     # Right-shift chain 0->1->2->3->4 with 3 and 4 absorbing; event covers
     # cells 3 and 4. Expected tree, frozen by hand:
@@ -162,29 +176,30 @@ def test_backtrack_deterministic_chain_structure():
     #   level 3: cell 0 under cell 1.
     tmap, event = chain_map(5, absorb_from=3)
     tree = backtrack(tmap, event, depth=3, truncation=0.0)
-    level1, level2, level3 = tree.levels
-    assert set(level1.cell.tolist()) == {2, 3, 4}
+    assert tree.max_depth_reached == 3
+    assert set(tree.cell[level(tree, 1)].tolist()) == {2, 3, 4}
     i2 = at(tree, 1, 2)
-    assert level1.q[i2] == 1.0 and 2 not in tree.event_cell_ids
-    assert 3 in tree.event_cell_ids and children(tree, 1, at(tree, 1, 3)) == []
-    assert 4 in tree.event_cell_ids and children(tree, 1, at(tree, 1, 4)) == []
-    assert level2.cell[children(tree, 1, i2)].tolist() == [1]
-    (node1,) = children(tree, 1, i2)
-    assert level2.cumulative[node1] == 1.0
-    assert level3.cell[children(tree, 2, node1)].tolist() == [0]
+    assert tree.q[i2] == 1.0 and 2 not in tree.event_cell_ids
+    assert 3 in tree.event_cell_ids and children(tree, at(tree, 1, 3)) == []
+    assert 4 in tree.event_cell_ids and children(tree, at(tree, 1, 4)) == []
+    assert tree.cell[children(tree, i2)].tolist() == [1]
+    (node1,) = children(tree, i2)
+    assert tree.depth_of(node1) == 2 and tree.cumulative[node1] == 1.0
+    (node0,) = children(tree, node1)
+    assert tree.depth_of(node0) == 3 and tree.cell[node0] == 0
 
 
 def test_backtrack_leaky_chain_cumulative_products():
     # Cell i moves forward w.p. 0.6, stays w.p. 0.4; event absorbs at cell 3.
     tmap, event = leaky_chain_map(4, absorb_from=3, p_fwd=0.6)
     tree = backtrack(tmap, event, depth=2, truncation=0.0)
-    level1, level2 = tree.levels
+    assert tree.max_depth_reached == 2
     # Only cell 2 enters the event from outside; the event cell self-loops.
     i2 = at(tree, 1, 2)
-    assert level1.q[i2] == 0.6
-    kids = {level2.cell[j]: j for j in children(tree, 1, i2)}
-    assert level2.q[kids[2]] == 0.4 and level2.cumulative[kids[2]] == pytest.approx(0.24)
-    assert level2.q[kids[1]] == 0.6 and level2.cumulative[kids[1]] == pytest.approx(0.36)
+    assert tree.q[i2] == 0.6
+    kids = {tree.cell[j]: j for j in children(tree, i2)}
+    assert tree.q[kids[2]] == 0.4 and tree.cumulative[kids[2]] == pytest.approx(0.24)
+    assert tree.q[kids[1]] == 0.6 and tree.cumulative[kids[1]] == pytest.approx(0.36)
 
 
 def test_backtrack_identity_event_cell_retained_not_expanded():
@@ -196,8 +211,8 @@ def test_backtrack_identity_event_cell_retained_not_expanded():
     tmap = TransitionMap.from_edges(spec, edges)
     event = TopEvent(lower=(2.0,), upper=(3.0,), configs=frozenset({(1,)}))
     tree = backtrack(tmap, event, depth=5, truncation=0.5)
-    assert tree.levels[0].cell.tolist() == [2]
-    assert tree.levels[0].q[0] == 1.0 and 2 in tree.event_cell_ids and children(tree, 1, 0) == []
+    assert tree.cell.tolist() == [2] and tree.starts.tolist() == [0, 1]
+    assert tree.q[0] == 1.0 and 2 in tree.event_cell_ids and children(tree, 0) == []
     assert tree.n_nodes == 1
 
 
@@ -209,7 +224,7 @@ def test_backtrack_entry_aggregation_sums_across_event_cells():
     event = TopEvent(lower=(1.0,), upper=(3.0,), configs=frozenset({(1,)}))
     tree = backtrack(tmap, event, depth=1, truncation=0.0)
     i0 = at(tree, 1, 0)
-    assert tree.levels[0].q[i0] == 1.0
+    assert tree.q[i0] == 1.0
     assert sorted(tree.entry_edges[i0]) == [(1, 0.5), (2, 0.5)]
 
 
@@ -222,20 +237,20 @@ def test_backtrack_truncation_prunes_low_probability_branches():
         return {p.cell_ids for p in rank_paths(tree)}
 
     def rows(tree):
-        return {(d, c, round(cumulative, 15)) for d, level in enumerate(tree.levels, 1)
-                for c, cumulative in zip(level.cell.tolist(), level.cumulative.tolist())}
+        return {(n.depth, n.cell, round(n.cumulative, 15)) for n in tree.nodes()}
 
     assert rows(tight) < rows(loose)
-    assert all((level.cumulative >= 5e-3).all() for level in tight.levels)
+    assert (tight.cumulative >= 5e-3).all()
 
 
 def test_backtrack_keeps_a_node_at_exactly_the_truncation():
     # A node is pruned only below the truncation: q = 0.5 on level 1, cumulative 0.25 on 2.
     tmap, event = leaky_chain_map(8, absorb_from=6, p_fwd=0.5)
-    level_1 = backtrack(tmap, event, depth=1, truncation=0.5).levels[0]
-    assert (5, 0.5) in zip(level_1.cell.tolist(), level_1.q.tolist())
-    level_2 = backtrack(tmap, event, depth=2, truncation=0.25).levels[1]
-    kept = sorted(zip(level_2.cell.tolist(), level_2.cumulative.tolist()))
+    tree = backtrack(tmap, event, depth=1, truncation=0.5)
+    assert (5, 0.5) in zip(tree.cell.tolist(), tree.q.tolist())
+    tree = backtrack(tmap, event, depth=2, truncation=0.25)
+    level_2 = level(tree, 2)
+    kept = sorted(zip(tree.cell[level_2].tolist(), tree.cumulative[level_2].tolist()))
     assert kept == [(4, 0.25), (5, 0.25)]
 
 
@@ -244,8 +259,10 @@ def test_backtrack_drops_a_path_whose_product_underflows_to_zero():
     tmap = TransitionMap.from_edges(line_spec(3), {0: [(0, 1.0), (1, 1e-200)],
                                                    1: [(1, 1.0), (2, 1e-200)], 2: [(2, 1.0)]})
     event = TopEvent((2.0,), (3.0,), frozenset({(1,)}))
-    level_2 = backtrack(tmap, event, depth=2, truncation=0.0).levels[1]
-    assert list(zip(level_2.cell.tolist(), level_2.cumulative.tolist())) == [(1, 1e-200)]
+    tree = backtrack(tmap, event, depth=2, truncation=0.0)
+    level_2 = level(tree, 2)
+    assert list(zip(tree.cell[level_2].tolist(), tree.cumulative[level_2].tolist())) == [
+        (1, 1e-200)]
 
 
 def test_backtrack_is_deterministic(baseline_map, baseline_config):
@@ -261,19 +278,18 @@ def test_backtrack_is_deterministic(baseline_map, baseline_config):
 def test_backtrack_children_ordered_by_q():
     tmap, event = random_absorbing_map(12, n_event=2, seed=5)
     tree = backtrack(tmap, event, depth=3, truncation=0.0)
-    for depth, level in enumerate(tree.levels[1:], 1):
-        for i in range(len(tree.levels[depth - 1].cell)):
-            qs = level.q[children(tree, depth, i)].tolist()
-            assert qs == sorted(qs, reverse=True)
+    for i in range(tree.n_nodes):
+        qs = tree.q[children(tree, i)].tolist()
+        assert qs == sorted(qs, reverse=True)
     # Level 1 is ordered by aggregated entry probability.
-    entry = tree.levels[0].q.tolist()
+    entry = tree.q[level(tree, 1)].tolist()
     assert entry == sorted(entry, reverse=True)
 
 
 def test_backtrack_monotone_cumulative(baseline_map, baseline_config):
     tree = backtrack(baseline_map, baseline_config.event, depth=2, truncation=1e-8)
-    for above, level in zip(tree.levels, tree.levels[1:]):
-        assert (level.cumulative <= above.cumulative[level.parent] + 1e-15).all()
+    below = tree.parent >= 0
+    assert (tree.cumulative[below] <= tree.cumulative[tree.parent[below]] + 1e-15).all()
 
 
 def test_backtrack_node_budget_guard():
@@ -297,8 +313,9 @@ def test_backtrack_expands_the_same_tree_in_small_chunks(monkeypatch, chunk):
     whole = backtrack(tmap, event, depth=5, truncation=0.0)
     monkeypatch.setattr(bpa, "_EXPAND_CHUNK", chunk)
     chunked = backtrack(tmap, event, depth=5, truncation=0.0)
-    assert [tuple(map(np.ndarray.tobytes, level)) for level in chunked.levels] == [
-        tuple(map(np.ndarray.tobytes, level)) for level in whole.levels]
+    fields = ("cell", "q", "cumulative", "parent", "starts")
+    assert [getattr(chunked, f).tobytes() for f in fields] == [
+        getattr(whole, f).tobytes() for f in fields]
     with pytest.raises(BudgetError):
         backtrack(tmap, event, depth=5, truncation=0.0, node_budget=whole.n_nodes - 1)
 
@@ -328,7 +345,7 @@ def test_forward_check_depth_one_point_mass():
     tree = backtrack(tmap, event, depth=1, truncation=0.0)
     dist = np.zeros(tmap.n_cells + 1)
     dist[2] = 1.0
-    assert forward_check(tmap, tree, dist) == tree.levels[0].q[at(tree, 1, 2)]
+    assert forward_check(tmap, tree, dist) == tree.q[at(tree, 1, 2)]
 
 
 def test_forward_check_non_ancestor_contributes_zero():
@@ -433,6 +450,16 @@ def test_tree_exports(tmp_path, baseline_map, baseline_config):
     assert dot.count(" -> ") == tree.n_nodes
 
 
+def test_dot_edges_name_each_parent_by_its_preorder_number():
+    # Level 1 is cells 2, 3 and 4, and node 0 (cell 2) has a child: cell 1, then cell 0.
+    tmap, event = chain_map(5, absorb_from=3)
+    tree = backtrack(tmap, event, depth=3, truncation=0.0)
+    assert tree.cell.tolist() == [2, 3, 4, 1, 0]
+    edges = [line.strip().rstrip(";").replace('"', "").split(" -> ")
+             for line in "".join(tree_to_dot(tree)).splitlines() if " -> " in line]
+    assert edges == [["n0", "root"], ["n1", "n0"], ["n2", "n1"], ["n3", "root"], ["n4", "root"]]
+
+
 # sha256 of the depth-4 tree file and dot graph on the baseline map, recorded
 # while write_tree still streamed through json.dump; `cellrisk run-bpa --depth 4`
 # on configs/agv_baseline.yaml writes the same bytes.
@@ -503,7 +530,7 @@ def test_writer_memory_follows_the_window_not_the_tree(tmp_path, baseline_map, b
 
 def test_nodes_of_one_cell_share_one_coordinate(baseline_map, baseline_config):
     tree = backtrack(baseline_map, baseline_config.event, depth=4, truncation=1e-8)
-    cells = set(np.concatenate([level.cell for level in tree.levels]).tolist())
+    cells = set(tree.cell.tolist())
     assert set(tree.coords) == cells
     for c, coord in tree.coords.items():
         assert coord == id_to_coord(c, baseline_map.spec)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -861,6 +862,49 @@ def test_config_field_types_are_problems(tmp_path, override, field):
         main, ["build-map", "--config", str(path), "--out", str(tmp_path / "m.json")]
     )
     _assert_named_exit_3(res, "config error", field)
+
+
+@pytest.mark.parametrize("key", ["processVariablesNames", "systemComponentNames",
+                                 "systemComponentStateNames"])
+@pytest.mark.parametrize("name", [7, 2.5, None, True, ["x"], {"x": "y"}],
+                         ids=["integer", "float", "null", "boolean", "list", "mapping"])
+def test_config_names_must_be_strings(tmp_path, key, name):
+    # The map header reads names as strings; the config reads them the same way.
+    value = [[name, "failed"]] if key == "systemComponentStateNames" else [name]
+    path = write_config(tmp_path, {key: value})
+    out = tmp_path / "m.json"
+    res = CliRunner().invoke(main, ["build-map", "--config", str(path), "--out", str(out)])
+    _assert_named_exit_3(res, "config error", f"{key} entry 1")
+    assert "must be a string" in res.output and not out.exists()
+
+
+def test_config_state_names_are_lists_of_names(tmp_path):
+    path = write_config(tmp_path, {"systemComponentStateNames": ["ok"]})
+    with pytest.raises(ConfigError, match="systemComponentStateNames entry 1 must be a list"):
+        load_config(str(path))
+
+
+def test_aliased_name_lists_are_refused_quickly(tmp_path):
+    # A few hundred bytes of YAML anchors nest 10**5 strings in the state names, and
+    # each process variable name is an alias of them: a list, so not a name.
+    level = '["s", "s", "s", "s", "s", "s", "s", "s", "s", "s"]'
+    for k in range(4):
+        level = f"&l{k} {level}"
+        level = f"[{level}, {', '.join([f'*l{k}'] * 9)}]"
+    text = (CONFIGS / "agv_baseline.yaml").read_text().splitlines()
+    text = [line for line in text if not line.startswith(
+        ("processVariablesNames:", "systemComponentStateNames:"))]
+    path, out = tmp_path / "alias.yaml", tmp_path / "m.json"
+    path.write_text("\n".join([f"systemComponentStateNames: [&names {level}]",
+                                "processVariablesNames: [" + ", ".join(["*names"] * 6) + "]",
+                                *text]) + "\n")
+    assert path.stat().st_size < 2_000
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(main, ["build-map", "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    _assert_named_exit_3(res, "config error", "processVariablesNames entry 6 must be a string",
+                         "systemComponentStateNames entry 1 entry 1 must be a string")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value, number", [

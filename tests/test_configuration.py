@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from cellrisk.configuration import (
+    ECHO_CAP,
+    PROBLEM_CAP,
     ComponentMatrix,
     ConfigModelError,
     ConfigTransitionModel,
+    _Field,
+    _range_problem,
+    capped,
     component_matrix_from_rows,
+    echo,
     h,
 )
 
@@ -110,3 +118,38 @@ def test_h_index_errors():
         h(model, (4,), (1,))
     with pytest.raises(ConfigModelError):
         h(model, (1, 1), (1, 1))
+
+
+def test_echo_keeps_a_text_of_exactly_the_cap():
+    # The repr of a string of n - 2 characters is n characters long, its quotes included.
+    assert echo("x" * (ECHO_CAP - 2)) == repr("x" * (ECHO_CAP - 2))
+    cut = echo(["x" * 50] * 3)
+    assert len(cut) == ECHO_CAP and cut.endswith("...")
+
+
+def test_capped_counts_only_problems_past_the_cap():
+    problems = [f"problem {k}" for k in range(PROBLEM_CAP + 1)]
+    assert capped(problems[:PROBLEM_CAP]) == problems[:PROBLEM_CAP]
+    assert capped(problems) == problems[:PROBLEM_CAP] + ["and 1 more problems"]
+
+
+@pytest.mark.parametrize("value, field, problem", [
+    # The ends of each range, each kept or named.
+    (-2**63, _Field("an integer"), None),
+    (2**63 - 1, _Field("an integer"), None),
+    (-2**63 - 1, _Field("an integer"), "x must fit in 64 bits, got -9223372036854775809"),
+    (sys.float_info.max, _Field("a number"), None),
+    (-sys.float_info.max, _Field("a number"), None),
+    (0.0, _Field("a number", low=0.0, high=1.0), None),
+    (1.0, _Field("a number", low=0.0, high=1.0), "x must be in [0.0, 1.0), got 1.0"),
+    (0.0, _Field("a number", low=0.0, open_low=True), "x must be > 0.0, got 0.0"),
+])
+def test_range_problem_at_the_ends_of_a_range(value, field, problem):
+    assert _range_problem(value, field, "x") == problem
+
+
+def test_the_largest_finite_integer_entry_is_read_as_a_number():
+    # Finite, so the row is named for its sum, not for the entry.
+    with pytest.raises(ConfigModelError, match="row 1: sums to") as err:
+        component_matrix_from_rows([[int(sys.float_info.max), 0], [0, 1]])
+    assert "finite" not in str(err.value)

@@ -1,9 +1,10 @@
-"""Known answers for linear drift: exact first-order maps and the continuous first passage.
+"""Known answers for linear drift: exact maps of any order and the continuous first passage.
 
 exact_drift_map gives the rows a sampled map of LinearDriftModel estimates,
-with no sampling noise, and drift_first_passage the event probability those
-rows should reproduce; the gap between the two is the first-order map's own
-discretization error.
+with no sampling noise, exact_drift_row the rows of a map with memory (the
+next cell after a history of m cells), and drift_first_passage the event
+probability those rows should reproduce; the gap between the two is the
+order-m map's own discretization error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _synthetic import drift_first_passage, exact_drift_map, line_spec
+from _synthetic import drift_first_passage, exact_drift_map, exact_drift_row, line_spec
 from conftest import SUITE_SEED
 from cellrisk.cellspace import EXTERIOR_ID, SpaceSpec
 from cellrisk.configuration import ComponentMatrix, ConfigTransitionModel
-from cellrisk.mapper import TransitionMap, _off_rows, build_map, forward_step
+from cellrisk.mapper import ROW_SUM_TOL, TransitionMap, _off_rows, build_map, forward_step
 from cellrisk.run import LinearDriftModel
 
 # Two dimensions of half-unit cells, so a unit velocity shifts by two cells.
@@ -102,6 +103,87 @@ def test_first_order_first_passage_error(velocity, error):
     cell_map = _map_first_passage(exact_drift_map(line_spec(41), [velocity], 1.0), [40], 0,
                                   steps)
     assert np.max(np.abs(cell_map - exact)) == pytest.approx(error, abs=5e-4)
+
+
+def _histories(spec: SpaceSpec, velocity, dt: float, order: int):
+    """Every history of 1 to order cells a drifting point can follow, from each start
+    cell, with its row: each history's row gives the next cells its extensions take."""
+    todo = [(cell,) for cell in range(spec.total_cells)]
+    while todo:
+        history = todo.pop()
+        row = exact_drift_row(spec, velocity, dt, history)
+        yield history, row
+        if len(history) < order:
+            todo += [history + (t,) for t, _ in row if t != EXTERIOR_ID]
+
+
+@pytest.mark.parametrize("spec, velocity, dt", [
+    (line_spec(10), [0.37], 1.0),
+    (line_spec(8, width=0.5, states=3), [1.1], 0.5),
+    (PLANE, [0.3, -0.45], 1.0),
+    (PLANE, [-1.26, 0.8], 2.0 / 3.0),
+])
+def test_order_m_rows_are_rows(spec, velocity, dt):
+    n_j = spec.total_continuous_cells
+    for history, row in _histories(spec, velocity, dt, order=3):
+        assert abs(sum(q for _, q in row) - 1.0) < ROW_SUM_TOL
+        assert all(0.0 < q <= 1.0 for _, q in row)
+        assert all(t == EXTERIOR_ID or t // n_j == history[0] // n_j for t, _ in row)
+    # A one-cell history's row is the first-order map's.
+    rows = exact_drift_map(spec, velocity, dt).rows()
+    assert all(exact_drift_row(spec, velocity, dt, (s,)) == rows[s] for s in rows)
+
+
+@pytest.mark.parametrize("spec, velocity", [(line_spec(12), [2.0]), (PLANE, [1.0, -0.5])])
+def test_order_m_rows_at_whole_cell_shifts_forget_the_history(spec, velocity):
+    # A whole-cell shift keeps each point's offset in its cell, so the history tells nothing.
+    rows = exact_drift_map(spec, velocity, 1.0).rows()
+    for history, row in _histories(spec, velocity, 1.0, order=3):
+        assert row == rows[history[-1]]
+
+
+def _order_m_first_passage(velocity: float, order: int, event: int, steps: int) -> np.ndarray:
+    """P(cell event by step k), k = 1..steps, for the exact order-m chain on unit cells
+    0..event from uniform in cell 0: the first m - 1 steps on the shorter exact
+    histories, then on the last m cells."""
+    spec, rows = line_spec(event + 1), {}
+    mass, reached, out = {(0,): 1.0}, 0.0, []
+    for _ in range(steps):
+        after: dict[tuple[int, ...], float] = {}
+        for history, p in mass.items():
+            if history not in rows:
+                rows[history] = exact_drift_row(spec, [velocity], 1.0, history)
+            for target, q in rows[history]:
+                if target == event:
+                    reached += p * q
+                elif target != EXTERIOR_ID:
+                    key = (history + (target,))[-order:]
+                    after[key] = after.get(key, 0.0) + p * q
+        mass = after
+        out.append(reached)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("velocity, errors", [(0.37, (0.444, 0.408, 0.309)),
+                                              (0.73, (0.413, 0.391, 0.302))])
+def test_order_m_first_passage_error(velocity, errors):
+    # As above: unit cells, the event 40 cells away, k <= 200. Memory narrows the
+    # passage time's spread, one order at a time.
+    exact = drift_first_passage(velocity, 1.0, (40.0, 41.0), (0.0, 1.0), 200)
+    got = [float(np.max(np.abs(_order_m_first_passage(velocity, m, 40, 200) - exact)))
+           for m in (1, 2, 3)]
+    assert got == pytest.approx(errors, abs=1e-3)
+    # The order-1 chain is the first-order map's.
+    cell_map = _map_first_passage(exact_drift_map(line_spec(41), [velocity], 1.0), [40], 0, 200)
+    assert np.allclose(_order_m_first_passage(velocity, 1, 40, 200), cell_map, rtol=0.0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_order_m_first_passage_is_exact_at_half_a_cell_per_step(order):
+    # Past its first step a point's cell pair fixes which half of its cell it is in.
+    exact = drift_first_passage(0.5, 1.0, (40.0, 41.0), (0.0, 1.0), 200)
+    assert np.max(np.abs(_order_m_first_passage(0.5, order, 40, 200) - exact)) < 1e-12
 
 
 def test_drift_first_passage_is_the_crossing_time():

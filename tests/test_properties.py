@@ -493,8 +493,8 @@ def test_node_budget_boundary(n_cells, n_event, seed, depth, truncation):
 
 
 def _reference_backtrack(tmap, tree):
-    """backtrack's levels as (cell, q, cumulative, parent) columns, and its entry_edges,
-    node by node from mapper.predecessors."""
+    """backtrack's node arrays as (cell, q, cumulative, parent) columns, its level
+    starts and its entry_edges, node by node from mapper.predecessors."""
     entry, detail = {}, {}
     for target in tree.event_cell_ids:  # the search's own set, so its sums' order
         for source, q in predecessors(tmap, target):
@@ -502,17 +502,19 @@ def _reference_backtrack(tmap, tree):
             detail.setdefault(source, []).append((target, q))
     kept = sorted(((s, min(q, 1.0)) for s, q in entry.items()), key=lambda sq: (-sq[1], sq[0]))
     kept = [(s, q) for s, q in kept if q >= tree.truncation and q > 0.0]
-    levels = [[(s, q, q, 0) for s, q in kept]] if kept else []
-    while levels and len(levels) < tree.depth:
-        level = [(source, q, cumulative * q, k)
-                 for k, (cell, _, cumulative, _) in enumerate(levels[-1])
+    nodes = [(s, q, q, -1) for s, q in kept]
+    starts = [0, len(nodes)] if kept else [0]
+    while len(starts) > 1 and len(starts) <= tree.depth:
+        level = [(source, q, cumulative * q, i)
+                 for i, (cell, _, cumulative, _) in enumerate(nodes[starts[-2]:], starts[-2])
                  if cell not in tree.event_cell_ids
                  for source, q in predecessors(tmap, cell)]
         level = [node for node in level if node[2] >= tree.truncation and node[2] > 0.0]
         if not level:
             break
-        levels.append(level)
-    return [list(zip(*level)) for level in levels], [sorted(detail[s]) for s, _ in kept]
+        nodes += level
+        starts.append(len(nodes))
+    return list(zip(*nodes)) or [()] * 4, starts, [sorted(detail[s]) for s, _ in kept]
 
 
 # The cap and the event cells' summing order change a bit in few draws.
@@ -522,12 +524,11 @@ def _reference_backtrack(tmap, tree):
 def test_backtrack_equals_per_node_reference(n_cells, n_event, seed, depth, truncation):
     tmap, event = random_absorbing_map(n_cells, n_event, seed)
     tree = backtrack(tmap, event, depth=depth, truncation=truncation)
-    levels, entry_edges = _reference_backtrack(tmap, tree)
-    assert len(tree.levels) == len(levels)
-    for level, (cell, q, cumulative, parent) in zip(tree.levels, levels):
-        assert level.cell.tolist() == list(cell) and level.parent.tolist() == list(parent)
-        assert _same_bits(level.q, np.array(q))
-        assert _same_bits(level.cumulative, np.array(cumulative))
+    (cell, q, cumulative, parent), starts, entry_edges = _reference_backtrack(tmap, tree)
+    assert tree.starts.tolist() == starts
+    assert tree.cell.tolist() == list(cell) and tree.parent.tolist() == list(parent)
+    assert _same_bits(tree.q, np.array(q, dtype=float))
+    assert _same_bits(tree.cumulative, np.array(cumulative, dtype=float))
     assert tree.entry_edges == entry_edges
 
 
